@@ -5,38 +5,31 @@ eigenproblem under Neumann or Dirichlet boundary conditions, evaluates
 heat and fractional Riesz kernels spectrally, simulates symmetric
 alpha-stable fields via LePage series, and verifies the governing
 scaling, symmetry and regularity laws at desk scale.
+
+The names below load their module on first access, so importing the
+package does not load numpy; the CLI sets its BLAS thread variables
+before that happens.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .constants import D_H, D_W
-from .geometry import build_mesh, apply_contraction, reflect, sample_mu, quadrature
-from .spectral import assemble_form, solve_spectrum, build_spectrum, heat_kernel
-from .riesz import KernelEvaluator, riesz_kernel, fractional_laplacian_inv
-from .stable import standard_stable, d_alpha, make_draw, lepage_integral, direct_integral
-from .fields import simulate_field, distributional_field, hurst_index
+_MODULE_EXPORTS = {
+    "constants": ("D_H", "D_W"),
+    "geometry": ("build_mesh", "apply_contraction", "reflect", "sample_mu", "quadrature"),
+    "spectral": ("assemble_form", "solve_spectrum", "build_spectrum", "heat_kernel"),
+    "riesz": ("KernelEvaluator", "fractional_laplacian_inv"),
+    "stable": ("standard_stable", "d_alpha", "make_draw"),
+    "fields": ("simulate_field", "field_replicates", "distributional_field",
+               "hurst_index"),
+}
+# exported name -> defining module
+_EXPORTS = {name: mod for mod, names in _MODULE_EXPORTS.items() for name in names}
+__all__ = list(_EXPORTS)
 
-__all__ = [
-    "D_H",
-    "D_W",
-    "build_mesh",
-    "apply_contraction",
-    "reflect",
-    "sample_mu",
-    "quadrature",
-    "assemble_form",
-    "solve_spectrum",
-    "build_spectrum",
-    "heat_kernel",
-    "KernelEvaluator",
-    "riesz_kernel",
-    "fractional_laplacian_inv",
-    "standard_stable",
-    "d_alpha",
-    "make_draw",
-    "lepage_integral",
-    "direct_integral",
-    "simulate_field",
-    "distributional_field",
-    "hurst_index",
-]
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)

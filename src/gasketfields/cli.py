@@ -205,7 +205,7 @@ def _cmd_stable(cfg):
 def _cmd_simulate(cfg):
     import csv
 
-    from . import fields, geometry, spectral, stable
+    from . import fields, geometry, spectral
     from .constants import integrability_threshold
 
     for key in ("s", "alpha"):
@@ -219,22 +219,15 @@ def _cmd_simulate(cfg):
             "see integrability threshold")
     mesh = geometry.build_mesh(cfg["level"])
     spec = spectral.build_spectrum(cfg["level"], cfg["bc"], j_max=cfg["jmax"])
+    seeds = range(cfg["seed"], cfg["seed"] + cfg["replicates"])
+    samples = fields.field_replicates(s, alpha, cfg["bc"], mesh, spec, seeds,
+                                      cfg["n_terms"], cfg["jmax"])
     out = cfg["out"]
     path = f"{out}.csv"
-    samples = []
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["replicate_id", "vertex_id", "x", "y", "value"])
-        for rep in range(cfg["replicates"]):
-            seed = cfg["seed"] + rep
-            if alpha == 2.0:
-                smp = fields.simulate_field(s, alpha, cfg["bc"], mesh, spec,
-                                            seed=seed, j_terms=cfg["jmax"])
-            else:
-                draw = stable.make_draw(seed, cfg["n_terms"], alpha)
-                smp = fields.simulate_field(s, alpha, cfg["bc"], mesh, spec,
-                                            draw=draw, j_terms=cfg["jmax"])
-            samples.append(smp)
+        for rep, smp in enumerate(samples):
             for vid, ((x, y), v) in enumerate(zip(mesh.vertices, smp.values)):
                 w.writerow([rep, vid, repr(float(x)), repr(float(y)),
                             repr(float(v))])
@@ -304,8 +297,10 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
 
     if args.threads:
+        # takes effect because importing the package does not load numpy;
+        # an explicit flag wins over an inherited setting
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
+            os.environ[var] = str(args.threads)
 
     config = {}
     if args.config:

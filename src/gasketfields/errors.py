@@ -21,6 +21,10 @@ class ResolutionError(GasketError):
     """Mesh resolution is too coarse for the requested quantity."""
 
 
+class InvariantError(GasketError):
+    """A constructed object violates one of its structural invariants."""
+
+
 class NumericError(GasketError):
     """A numerical routine failed to converge or lost accuracy."""
 

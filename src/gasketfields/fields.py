@@ -3,9 +3,10 @@
 One realization evaluates the kernel-smoothed LePage series jointly on
 every mesh vertex from a single frozen draw, which is what makes the
 realization a sample of the *field* rather than independent marginals.
-Sites are snapped to their nearest mesh vertex; the snapping law equals
-the lumped quadrature weights exactly, so marginal scales agree with the
-quadrature norm of the kernel slice by construction.
+Each site is placed on its nearest mesh vertex, read exactly from its
+digit word (`GasketMesh.site_vertices`); that placement law equals the
+lumped quadrature weights, so marginal scales agree with the quadrature
+norm of the kernel slice by construction.
 
 alpha = 2 has no LePage normalization (D_alpha degenerates); the driving
 noise is then discrete white noise with variance twice the vertex
@@ -21,7 +22,7 @@ from .errors import ContractError, DomainError
 from .geometry import quadrature
 from .riesz import KernelEvaluator, fractional_laplacian_inv
 from .spectral import check_bc
-from .stable import standard_stable
+from .stable import make_draw, standard_stable
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ def _noise_coefficients(alpha, mesh, draw, seed):
         raise ContractError("alpha < 2 requires a LePage draw")
     if draw.alpha != alpha:
         raise ContractError(f"draw built for alpha = {draw.alpha}, not {alpha}")
-    idx = mesh.snap(draw.sites)
+    idx = mesh.site_vertices(draw.addresses)
     c = draw.d_alpha * draw.arrivals ** (-1.0 / alpha) * draw.gaussians
     return np.bincount(idx, weights=c, minlength=mesh.n_vertices)
 
@@ -93,6 +94,17 @@ def simulate_field(s, alpha, bc, mesh, spectrum, draw=None, seed=None, j_terms=N
     return FieldSample(values, meta)
 
 
+def field_replicates(s, alpha, bc, mesh, spectrum, seeds, n_terms, j_terms=None):
+    """One `simulate_field` realization per seed: white noise from the seed
+    at alpha = 2, else the LePage draw `make_draw(seed, n_terms, alpha)`."""
+    out = []
+    for seed in seeds:
+        draw = None if alpha == 2.0 else make_draw(seed, n_terms, alpha)
+        out.append(simulate_field(s, alpha, bc, mesh, spectrum, draw=draw,
+                                  seed=seed, j_terms=j_terms))
+    return out
+
+
 def distributional_field(f, s, alpha, spectrum, rng):
     """The field tested against f: stable integral of the order -s image.
 
@@ -122,7 +134,7 @@ def conditional_increment_scale(xi, yi, s, draw, spectrum, j_terms=None):
     s_alpha(x,y)^2 = D^2 E(g^2) sum_n T_n^(-2/alpha) |G(x,xi_n)-G(y,xi_n)|^2.
     """
     ev = KernelEvaluator(spectrum, s, j_terms)
-    idx = spectrum.mesh.snap(draw.sites)
+    idx = spectrum.mesh.site_vertices(draw.addresses)
     diff = ev.row(xi)[idx] - ev.row(yi)[idx]
     total = (draw.arrivals ** (-2.0 / draw.alpha) * diff * diff).sum()
     return float(draw.d_alpha * np.sqrt(total))
@@ -156,14 +168,8 @@ def scaled_subcell_field(word, s, alpha, mesh, spectrum, draw=None, seed=None,
         eta = np.sqrt(2.0 * mesh.mu_weights * 3.0 ** -n) * rng.standard_normal(mesh.n_vertices)
         values = kernel_factor * ev.apply(eta)
     else:
-        if draw is None:
-            raise ContractError("alpha < 2 requires a LePage draw")
-        if draw.alpha != alpha:
-            raise ContractError(f"draw built for alpha = {draw.alpha}, not {alpha}")
-        # sites mapped into the subcell: F_w commutes with nearest-vertex snap
-        idx = mesh.snap(draw.sites)
-        c = draw.d_alpha * draw.arrivals ** (-1.0 / alpha) * draw.gaussians
-        coeff = np.bincount(idx, weights=c, minlength=mesh.n_vertices)
+        # F_w commutes with placing each site on its nearest vertex
+        coeff = _noise_coefficients(alpha, mesh, draw, seed)
         mass_factor = 3.0 ** (-n / alpha)
         values = kernel_factor * mass_factor * ev.apply(coeff)
 

@@ -17,7 +17,8 @@ import functools
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import CapacityError, ContractError, DomainError, ResolutionError
+from .errors import (CapacityError, ContractError, DomainError, InvariantError,
+                     ResolutionError)
 
 # corners of the enclosing triangle
 CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
@@ -42,22 +43,31 @@ class GasketMesh:
         y = b*sqrt(3)/2^(m+1)
     cells : list of (address, (i, j, k)) with address a digit tuple
     edges : (3*3^m, 2) int array of cell-mate vertex pairs
+    corner_table : (3*3^m,) int array, entry 3c + j is the vertex index of
+        corner j of cell c (cells in lexicographic address order)
     boundary : (3,) int array, indices of q0, q1, q2
     incidence : (n,) int array, number of cells containing each vertex
     mu_weights : (n,) float array, lumped measure weights
         incidence * 3^-m / 3; they sum to 1
     """
 
-    def __init__(self, level, vertices, coords_ab, cells, edges, boundary, incidence):
+    def __init__(self, level, vertices, coords_ab, cells, corner_table):
         self.level = level
         self.vertices = vertices
         self.coords_ab = coords_ab
         self.cells = cells
-        self.edges = edges
-        self.boundary = boundary
-        self.incidence = incidence
-        self.mu_weights = incidence * (3.0 ** -level) / 3.0
-        self._index = {(int(a), int(b)): i for i, (a, b) in enumerate(coords_ab)}
+        self.corner_table = corner_table
+        cell_idx = corner_table.reshape(-1, 3)
+        self.edges = np.sort(np.concatenate(
+            [cell_idx[:, [0, 1]], cell_idx[:, [0, 2]], cell_idx[:, [1, 2]]]), axis=1)
+        self.incidence = np.bincount(corner_table, minlength=len(coords_ab))
+        self.mu_weights = self.incidence * (3.0 ** -level) / 3.0
+        s = 2 ** (level + 1)
+        # vertices are sorted by (b, a) and 0 <= a <= s, so this key
+        # increases along the vertex order
+        self._stride = s + 1
+        self._keys = coords_ab[:, 1] * self._stride + coords_ab[:, 0]
+        self.boundary = self.vertex_index([[0, 0], [s, 0], [s // 2, s // 2]])
         self._tree = None
 
     @property
@@ -65,8 +75,37 @@ class GasketMesh:
         return len(self.vertices)
 
     def vertex_index(self, ab):
-        """Exact lookup of a vertex by its integer coordinate pair."""
-        return self._index[(int(ab[0]), int(ab[1]))]
+        """Exact lookup of vertices by integer coordinate pairs.
+
+        `ab` is one (a, b) pair or an (..., 2) array of them; raises
+        KeyError if any pair is not a vertex of V_m.
+        """
+        ab = np.asarray(ab, dtype=np.int64)
+        key = ab[..., 1] * self._stride + ab[..., 0]
+        idx = np.minimum(np.searchsorted(self._keys, key), len(self._keys) - 1)
+        ok = (self._keys[idx] == key) & (ab[..., 0] >= 0) & (ab[..., 0] < self._stride)
+        if not np.all(ok):
+            raise KeyError(f"not a vertex of V_{self.level}: {ab[~ok].tolist()}")
+        return idx
+
+    def site_vertices(self, addresses):
+        """Nearest V_m vertex of each measure site given by its digit word.
+
+        A site with digits d_0 d_1 ... lies in the sub-cell F_w F_i(K),
+        w = d_0..d_(m-1), i = d_m, so it is within 2^-(m+1) of the corner
+        F_w(q_i), while every other vertex of V_m is at least 2^-m from that
+        corner.  Its nearest vertex is therefore corner d_m of cell w, entry
+        (base-3 value of d_0..d_m) of the corner table; ties have measure
+        zero.  `addresses` is an (N, >= m+1) digit array.
+        """
+        m = self.level
+        if addresses.shape[1] <= m:
+            raise ContractError(
+                f"level {m} needs {m + 1} address digits, got {addresses.shape[1]}")
+        key = np.zeros(len(addresses), dtype=np.int64)
+        for r in range(m + 1):
+            key = 3 * key + addresses[:, r]
+        return self.corner_table[key]
 
     def snap(self, points):
         """Indices of the mesh vertices nearest to the given points."""
@@ -85,12 +124,7 @@ class GasketMesh:
         if j == self.level:
             return self.edges
         coarse = build_mesh(j)
-        scale = 2 ** (self.level - j)
-        pairs = np.empty_like(coarse.edges)
-        for k, (u, v) in enumerate(coarse.edges):
-            pairs[k, 0] = self.vertex_index(coarse.coords_ab[u] * scale)
-            pairs[k, 1] = self.vertex_index(coarse.coords_ab[v] * scale)
-        return pairs
+        return self.vertex_index(coarse.coords_ab[coarse.edges] * 2 ** (self.level - j))
 
 
 def _enumerate_addresses(m):
@@ -135,28 +169,26 @@ def build_mesh(m):
 
     cells = [(tuple(int(d) for d in words[c]), tuple(int(v) for v in cell_idx[c]))
              for c in range(n_cells)]
-    edges = np.concatenate([cell_idx[:, [0, 1]], cell_idx[:, [0, 2]], cell_idx[:, [1, 2]]])
-    edges = np.sort(edges, axis=1)
-
-    incidence = np.zeros(len(coords_ab), dtype=np.int64)
-    np.add.at(incidence, cell_idx.ravel(), 1)
-
-    s = 2 ** (m + 1)
-    index = {(int(a), int(b)): i for i, (a, b) in enumerate(coords_ab)}
-    boundary = np.array([index[(0, 0)], index[(s, 0)], index[(s // 2, s // 2)]])
-
-    mesh = GasketMesh(m, vertices, coords_ab, cells, edges, boundary, incidence)
+    mesh = GasketMesh(m, vertices, coords_ab, cells, cell_idx.ravel())
     _check_mesh(mesh)
     return mesh
 
 
 def _check_mesh(mesh):
+    """Raise InvariantError unless |V_m| = (3^(m+1)+3)/2 and every vertex
+    lies in exactly two cells, the three corners in one."""
     m = mesh.level
-    assert mesh.n_vertices == (3 ** (m + 1) + 3) // 2
-    inc = mesh.incidence
-    on_boundary = np.zeros(mesh.n_vertices, dtype=bool)
-    on_boundary[mesh.boundary] = True
-    assert np.all(inc[on_boundary] == 1) and np.all(inc[~on_boundary] == 2)
+    expected = (3 ** (m + 1) + 3) // 2
+    if mesh.n_vertices != expected:
+        raise InvariantError(
+            f"level {m} mesh has {mesh.n_vertices} vertices, expected {expected}")
+    want = np.full(mesh.n_vertices, 2)
+    want[mesh.boundary] = 1
+    bad = np.flatnonzero(mesh.incidence != want)
+    if len(bad):
+        raise InvariantError(
+            f"level {m} mesh incidence breaks 1 on corners, 2 elsewhere at "
+            f"vertices {bad[:5].tolist()}")
 
 
 def apply_contraction(word, p):
@@ -211,7 +243,7 @@ def reflection_permutation(mesh, i):
         a2, b2 = s - a, b
     else:
         raise DomainError(f"reflection index {i} not in {{0,1,2}}")
-    return np.array([mesh.vertex_index((x, y)) for x, y in zip(a2, b2)])
+    return mesh.vertex_index(np.stack([a2, b2], axis=-1))
 
 
 def sample_mu(rng, depth, size=None):

@@ -66,11 +66,6 @@ class KernelEvaluator:
                      np.max(np.abs(self.phi)) ** 2)
 
 
-def riesz_kernel(ev, xi, yi):
-    """Kernel value G_s(x, y) between two mesh vertices."""
-    return ev.value(xi, yi)
-
-
 def fractional_laplacian_inv(s, f, spectrum, j_terms=None):
     """Apply the order -s operator to vertex values in coefficient space.
 

@@ -10,7 +10,7 @@ weights g_n) behind one master seed with split sub-streams, so every
 stochastic integral evaluated on the same draw shares its noise.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -19,7 +19,9 @@ from scipy.special import gamma as gamma_fn, gammaln
 from . import geometry
 from .errors import DomainError
 
-DEFAULT_MU_DEPTH = 40
+# replicates drawn per block by `lepage_replicates`; the block size fixes
+# the order in which its stream is consumed
+_CHUNK = 500
 
 
 def standard_stable(rng, alpha, size=None):
@@ -89,20 +91,24 @@ def arrival_tail_sum(alpha, n_terms):
 
 @dataclass(frozen=True)
 class LePageDraw:
-    """Frozen LePage ingredients shared across all evaluation points."""
+    """Frozen LePage ingredients shared across all evaluation points.
+
+    Sites are kept as their measure digit words: `addresses[n]` holds the
+    leading digits d_0..d_MAX_LEVEL of site xi_n in the contraction
+    F_{d_0} o F_{d_1} o ..., enough to place it on any mesh level (see
+    `GasketMesh.site_vertices`).
+    """
     alpha: float
     n_terms: int
     arrivals: np.ndarray
-    sites: np.ndarray
+    addresses: np.ndarray
     gaussians: np.ndarray
     d_alpha: float
     seed: int
-    mu_depth: int
     tail_estimate: float
-    _comp_seed: object = field(repr=False, default=None)
 
 
-def make_draw(seed, n_terms, alpha, mu_depth=DEFAULT_MU_DEPTH):
+def make_draw(seed, n_terms, alpha):
     """Draw the frozen triple (T, xi, g) from one master seed.
 
     The three sequences come from split, non-overlapping sub-streams so
@@ -113,71 +119,26 @@ def make_draw(seed, n_terms, alpha, mu_depth=DEFAULT_MU_DEPTH):
         raise DomainError("n_terms must be >= 1")
     if not 0.0 < alpha < 2.0:
         raise DomainError(f"LePage representation requires alpha in (0, 2), got {alpha}")
-    ss = np.random.SeedSequence(seed)
-    s_t, s_xi, s_g, s_comp = ss.spawn(4)
+    s_t, s_xi, s_g = np.random.SeedSequence(seed).spawn(3)
     arrivals = np.random.default_rng(s_t).exponential(1.0, n_terms).cumsum()
-    sites = geometry.sample_mu(np.random.default_rng(s_xi), mu_depth, size=n_terms)
+    # drawing 40 digits per site (the depth of the former point sampler)
+    # keeps this stream, and so every draw, equal to earlier versions; a
+    # level-m mesh reads only digits 0..m
+    digits = np.random.default_rng(s_xi).integers(0, 3, size=(n_terms, 40))
+    addresses = digits[:, :geometry.MAX_LEVEL + 1].astype(np.uint8)
     gaussians = np.random.default_rng(s_g).standard_normal(n_terms)
     tail = n_terms ** (1.0 - 2.0 / alpha) / (2.0 / alpha - 1.0)
-    return LePageDraw(alpha, n_terms, arrivals, sites, gaussians,
-                      d_alpha(alpha), seed, mu_depth, tail, s_comp)
-
-
-def lepage_integral(f, draw, tail_compensation=False):
-    """Truncated LePage series D_alpha sum_n T_n^(-1/alpha) f(xi_n) g_n.
-
-    `f` is evaluated at the draw's site points (pass an (N,2)->(N,)
-    callable, or wrap mesh values with `on_mesh`).  The plain partial sum
-    converges in law to the stable integral of f; `tail_compensation`
-    additionally adds the Gaussian surrogate of the discarded small
-    jumps (variance D^2 * tail * mean f(xi)^2), which matters for alpha
-    close to 2 where the raw series converges slowly.
-    """
-    fx = np.asarray(f(draw.sites), dtype=float)
-    coeff = draw.d_alpha * draw.arrivals ** (-1.0 / draw.alpha) * draw.gaussians
-    total = float(coeff @ fx)
-    if tail_compensation:
-        var = (draw.d_alpha ** 2
-               * arrival_tail_sum(draw.alpha, draw.n_terms)
-               * float(np.mean(fx * fx)))
-        if var > 0.0:
-            z = np.random.default_rng(draw._comp_seed).standard_normal()
-            total += np.sqrt(var) * z
-    return total
-
-
-def conditional_std(f, draw):
-    """Conditional-Gaussian scale of the series given (T, xi):
-    sqrt(D^2 E(g^2) sum_n T_n^(-2/alpha) f(xi_n)^2)."""
-    fx = np.asarray(f(draw.sites), dtype=float)
-    return float(draw.d_alpha
-                 * np.sqrt((draw.arrivals ** (-2.0 / draw.alpha) * fx * fx).sum()))
-
-
-def on_mesh(values, mesh):
-    """Wrap vertex values as a point function via nearest-vertex snapping."""
-    values = np.asarray(values, dtype=float)
-
-    def f(points):
-        return values[mesh.snap(points)]
-
-    return f
-
-
-def direct_integral(f, mesh, rng, alpha):
-    """Single-functional stable integral, exact in law.
-
-    The stochastic integral of f is symmetric alpha-stable with scale
-    ||f||_alpha, so one standard variate scaled by the quadrature norm
-    realizes it.  `f` is a vector of vertex values.
-    """
-    f = np.asarray(f, dtype=float)
-    scale = geometry.quadrature(np.abs(f) ** alpha, mesh) ** (1.0 / alpha)
-    return scale * standard_stable(rng, alpha)
+    return LePageDraw(alpha, n_terms, arrivals, addresses, gaussians,
+                      d_alpha(alpha), seed, tail)
 
 
 def direct_replicates(values, mesh, alpha, n_replicates, seed):
-    """Vectorized independent copies of the direct stable integral."""
+    """Independent copies of the stable integral of vertex values, exact in law.
+
+    The stochastic integral of f is symmetric alpha-stable with scale
+    ||f||_alpha, so standard variates scaled by the quadrature norm
+    realize it.
+    """
     values = np.asarray(values, dtype=float)
     scale = geometry.quadrature(np.abs(values) ** alpha, mesh) ** (1.0 / alpha)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -185,13 +146,16 @@ def direct_replicates(values, mesh, alpha, n_replicates, seed):
 
 
 def lepage_replicates(values, mesh, alpha, n_terms, n_replicates, seed,
-                      tail_compensation=False, chunk=500):
-    """Independent LePage partial sums of a mesh function, vectorized.
+                      tail_compensation=False):
+    """Independent LePage partial sums D_alpha sum_n T_n^(-1/alpha) f(xi_n) g_n
+    of a mesh function, vectorized.
 
     Sites are drawn directly from the lumped vertex weights, which is
-    exactly the law of a measure sample snapped to its nearest vertex, so
-    this matches `lepage_integral(on_mesh(values, mesh), make_draw(...))`
-    in distribution while running hundreds of times faster.
+    exactly the law of a measure site placed on its nearest vertex, so each
+    replicate has the law of the series over a `make_draw` draw.
+    `tail_compensation` adds the Gaussian surrogate of the discarded small
+    jumps (variance D^2 * arrival_tail_sum * mean f(xi)^2), which matters
+    for alpha close to 2 where the raw series converges slowly.
     """
     if not 0.0 < alpha < 2.0:
         raise DomainError(f"LePage representation requires alpha in (0, 2), got {alpha}")
@@ -201,8 +165,8 @@ def lepage_replicates(values, mesh, alpha, n_terms, n_replicates, seed,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = np.empty(n_replicates)
     w = mesh.mu_weights
-    for start in range(0, n_replicates, chunk):
-        r = min(chunk, n_replicates - start)
+    for start in range(0, n_replicates, _CHUNK):
+        r = min(_CHUNK, n_replicates - start)
         arr = rng.exponential(1.0, (r, n_terms)).cumsum(axis=1)
         idx = rng.choice(mesh.n_vertices, size=(r, n_terms), p=w)
         g = rng.standard_normal((r, n_terms))

@@ -34,16 +34,9 @@ def _report(suite, params, checks):
 def _field_replicates(s, alpha, bc, level, n_terms, j_terms, n, seed0):
     mesh = geometry.build_mesh(level)
     spec = spectral.build_spectrum(level, bc, j_max=j_terms)
-    out = []
-    for k in range(n):
-        if alpha == 2.0:
-            out.append(fields.simulate_field(s, alpha, bc, mesh, spec,
-                                             seed=seed0 + k, j_terms=j_terms))
-        else:
-            draw = stable.make_draw(seed0 + k, n_terms, alpha)
-            out.append(fields.simulate_field(s, alpha, bc, mesh, spec,
-                                             draw=draw, j_terms=j_terms))
-    return mesh, spec, out
+    return mesh, spec, fields.field_replicates(s, alpha, bc, mesh, spec,
+                                               range(seed0, seed0 + n), n_terms,
+                                               j_terms)
 
 
 def suite_ahlfors(level=6, slope_tol=0.05):
@@ -261,25 +254,16 @@ def suite_scaling(level=6, j_terms=200, s=0.9, alphas=(1.5, 2.0), n_terms=10_000
                          tolerance=identity_tol))
     xi = 140
     for alpha in alphas:
-        base = np.empty(n_seeds)
+        base = np.array([r.values[xi] for r in fields.field_replicates(
+            s, alpha, spectral.NEUMANN, mesh, spec, range(seed0, seed0 + n_seeds),
+            n_terms, j_terms)])
         sub = np.empty(n_seeds)
         for k in range(n_seeds):
-            if alpha == 2.0:
-                base[k] = fields.simulate_field(
-                    s, alpha, spectral.NEUMANN, mesh, spec,
-                    seed=seed0 + k, j_terms=j_terms).values[xi]
-                sub[k] = fields.scaled_subcell_field(
-                    (1,), s, alpha, mesh, spec,
-                    seed=seed0 + 70_000 + k, j_terms=j_terms).values[xi]
-            else:
-                base[k] = fields.simulate_field(
-                    s, alpha, spectral.NEUMANN, mesh, spec,
-                    draw=stable.make_draw(seed0 + k, n_terms, alpha),
-                    j_terms=j_terms).values[xi]
-                sub[k] = fields.scaled_subcell_field(
-                    (1,), s, alpha, mesh, spec,
-                    draw=stable.make_draw(seed0 + 70_000 + k, n_terms, alpha),
-                    j_terms=j_terms).values[xi]
+            seed = seed0 + 70_000 + k
+            draw = None if alpha == 2.0 else stable.make_draw(seed, n_terms, alpha)
+            sub[k] = fields.scaled_subcell_field(
+                (1,), s, alpha, mesh, spec, draw=draw, seed=seed,
+                j_terms=j_terms).values[xi]
         r = analysis.two_sample(base, sub)
         checks.append(_check(f"fdd_scaling_alpha={alpha}", r,
                              r["p_value"] > 0.01, significance=0.01))
@@ -416,11 +400,9 @@ def suite_divergence(levels=(4, 5, 6), s=0.5, alpha=1.2, n_terms=10_000,
 
     def maker(s_, alpha_):
         def make(level, seed):
-            mesh = geometry.build_mesh(level)
-            spec = spectral.build_spectrum(level, spectral.NEUMANN)
-            draw = stable.make_draw(seed, n_terms, alpha_)
-            return fields.simulate_field(s_, alpha_, spectral.NEUMANN, mesh,
-                                         spec, draw=draw)
+            _, _, (sample,) = _field_replicates(s_, alpha_, spectral.NEUMANN,
+                                                level, n_terms, None, 1, seed)
+            return sample
         return make
 
     checks = []

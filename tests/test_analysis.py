@@ -90,16 +90,8 @@ def test_ahlfors_regression_contracts():
 def _replicates(s, alpha, n, level=6, seed0=1000):
     mesh = geometry.build_mesh(level)
     spec = spectral.build_spectrum(level, "neumann")
-    out = []
-    for k in range(n):
-        if alpha == 2.0:
-            out.append(fields.simulate_field(s, alpha, "neumann", mesh, spec,
-                                             seed=seed0 + k))
-        else:
-            draw = stable.make_draw(seed0 + k, 10_000, alpha)
-            out.append(fields.simulate_field(s, alpha, "neumann", mesh, spec,
-                                             draw=draw))
-    return mesh, out
+    return mesh, fields.field_replicates(s, alpha, "neumann", mesh, spec,
+                                         range(seed0, seed0 + n), 10_000)
 
 
 @pytest.mark.parametrize("alpha,s", [(2.0, 1.0), (2.0, 1.3), (1.5, 0.8)])

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import gasketfields
 from gasketfields.cli import main
 
 
@@ -108,3 +112,24 @@ def test_missing_required_flag(tmp_path):
 def test_threads_flag(tmp_path):
     out = tmp_path / "t"
     assert main(["--threads", "1", "mesh", "--level", "1", "--out", str(out)]) == 0
+
+
+def test_threads_flag_sets_blas_before_numpy_loads(tmp_path):
+    # the package import must not load numpy, so the flag can still cap BLAS
+    code = (
+        "import os, sys\n"
+        "os.environ['OPENBLAS_NUM_THREADS'] = '7'\n"
+        "import gasketfields\n"
+        "assert 'numpy' not in sys.modules, 'package import loaded numpy'\n"
+        "from gasketfields.cli import main\n"
+        "assert 'numpy' not in sys.modules, 'cli import loaded numpy'\n"
+        f"assert main(['--threads', '1', 'mesh', '--level', '1', '--out', {str(tmp_path / 'm')!r}]) == 0\n"
+        "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(gasketfields.__file__)),
+         env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

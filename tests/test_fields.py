@@ -8,13 +8,8 @@ from gasketfields.constants import D_H, D_W, integrability_threshold
 from gasketfields.errors import ContractError, DomainError
 
 
-def _field(s, alpha, bc, mesh, spec, seed, n_terms=10_000, j_terms=None):
-    if alpha == 2.0:
-        return fields.simulate_field(s, alpha, bc, mesh, spec, seed=seed,
-                                     j_terms=j_terms)
-    draw = stable.make_draw(seed, n_terms, alpha)
-    return fields.simulate_field(s, alpha, bc, mesh, spec, draw=draw,
-                                 j_terms=j_terms)
+def _field(s, alpha, bc, mesh, spec, seed):
+    return fields.field_replicates(s, alpha, bc, mesh, spec, [seed], 10_000)[0]
 
 
 def test_hurst_index_consistency():
@@ -195,7 +190,7 @@ def test_spectral_band_additivity_on_shared_draw(mesh6, spec_n_full):
     full = fields.simulate_field(0.9, 1.5, "neumann", mesh6, spec_n_full,
                                  draw=draw, j_terms=j2)
     # independent evaluation of the band j1+1..j2 contribution
-    idx = mesh6.snap(draw.sites)
+    idx = mesh6.site_vertices(draw.addresses)
     c = draw.d_alpha * draw.arrivals ** (-1.0 / 1.5) * draw.gaussians
     coeff = np.bincount(idx, weights=c, minlength=mesh6.n_vertices)
     phi = spec_n_full.eigenvectors[:, j1:j2]

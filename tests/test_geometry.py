@@ -1,10 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 
 from gasketfields import geometry
 from gasketfields.constants import D_H
 from gasketfields.errors import (CapacityError, ContractError, DomainError,
-                                 ResolutionError)
+                                 InvariantError, ResolutionError)
 
 Q = geometry.CORNERS
 
@@ -66,6 +68,46 @@ def test_incidence_counts(mesh6):
     on_boundary[mesh6.boundary] = True
     assert np.all(mesh6.incidence[on_boundary] == 1)
     assert np.all(mesh6.incidence[~on_boundary] == 2)
+
+
+def test_check_mesh_rejects_broken_invariants():
+    mesh = geometry.build_mesh(3)
+    bad = copy.copy(mesh)
+    bad.incidence = mesh.incidence.copy()
+    bad.incidence[mesh.boundary[0]] = 2
+    with pytest.raises(InvariantError, match="incidence"):
+        geometry._check_mesh(bad)
+    bad = copy.copy(mesh)
+    bad.vertices = mesh.vertices[:-1]
+    with pytest.raises(InvariantError, match="vertices"):
+        geometry._check_mesh(bad)
+
+
+def test_vertex_index_round_trip_and_non_vertices(mesh6):
+    idx = mesh6.vertex_index(mesh6.coords_ab)
+    assert np.array_equal(idx, np.arange(mesh6.n_vertices))
+    assert mesh6.vertex_index(mesh6.coords_ab[17]) == 17
+    s = 2 ** 7
+    # (1, 0) is odd; (-1, 1) and (s + 1, 0) wrap onto real keys
+    for ab in ((1, 0), (-1, 1), (s + 1, 0), (0, s), (2, 1), (0, -2)):
+        with pytest.raises(KeyError):
+            mesh6.vertex_index(ab)
+    with pytest.raises(KeyError):
+        mesh6.vertex_index([mesh6.coords_ab[0], (1, 0)])
+
+
+@pytest.mark.parametrize("m", range(0, 9))
+def test_site_vertices_equal_snapped_measure_points(m):
+    # exact digit-word lookup against snapping the depth-40 points built from
+    # the same digits
+    mesh = geometry.build_mesh(m)
+    n = 100_000
+    digits = np.random.default_rng(40 + m).integers(0, 3, size=(n, 40))
+    pts = geometry.sample_mu(np.random.default_rng(40 + m), 40, size=n)
+    got = mesh.site_vertices(digits[:, :m + 1].astype(np.uint8))
+    assert np.array_equal(got, mesh.snap(pts))
+    with pytest.raises(ContractError):
+        mesh.site_vertices(digits[:, :m])
 
 
 def test_capacity_error():
