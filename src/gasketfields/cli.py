@@ -11,6 +11,7 @@ import inspect
 import json
 import os
 import sys
+import time
 
 
 def _build_parser():
@@ -96,6 +97,36 @@ def _write_json(path, obj):
         json.dump(obj, fh, indent=2, sort_keys=True, default=str)
 
 
+def _write_csv(path, header, blocks, started):
+    """Write `header`, then each block (a list of comma-joined rows), with
+    "\\r\\n" row ends; return the `rows`, `bytes` and `timings` fields of
+    the command's `_meta.json`.
+
+    Values are ints and float reprs, which never need quoting, so the bytes
+    are those `csv.writer` would write.  `compute_s` runs from `started` to
+    this call, `write_s` covers the blocks' formatting and the writes.
+    """
+    written = time.perf_counter()
+    rows = 0
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        for block in blocks:
+            if block:
+                rows += len(block)
+                fh.write("\r\n".join(block) + "\r\n")
+    return {"rows": rows, "bytes": os.path.getsize(path),
+            "timings": {"compute_s": written - started,
+                        "write_s": time.perf_counter() - written}}
+
+
+class _Reprs(dict):
+    """Memo of float reprs, filled on lookup."""
+
+    def __missing__(self, x):
+        text = self[x] = repr(x)
+        return text
+
+
 def _run_config(cfg, command):
     from . import __version__
 
@@ -135,46 +166,56 @@ def _cmd_spectrum(cfg):
 
 
 def _cmd_kernel(cfg):
-    import csv
-
     import numpy as np
 
     from . import geometry, riesz, spectral
 
+    started = time.perf_counter()
     if cfg.get("s") is None:
         raise _usage("kernel requires --s > 0")
     mesh = geometry.build_mesh(cfg["level"])
     spec = spectral.build_spectrum(cfg["level"], cfg["bc"], j_max=cfg["jmax"])
     ev = riesz.KernelEvaluator(spec, cfg["s"])
+    V = mesh.vertices
+    n = mesh.n_vertices
+    if cfg.get("pairs"):
+        rng = np.random.default_rng(cfg["seed"])
+        rows = []
+        for _ in range(cfg["pairs"]):
+            a, b = rng.choice(n, 2, replace=False)
+            d = float(np.hypot(*(V[a] - V[b])))
+            rows.append(f"{a},{b},{d!r},{ev.value(a, b)!r}")
+        blocks = [rows]
+    else:
+        G = ev.matrix()
+        # one repr per distinct distance: 2316 of them among 1.2 M pairs at L6
+        dist_repr = _Reprs()
+
+        def blocks_of_rows():
+            for a in range(n):
+                # elementwise, so the same values as hypot of each pair's difference
+                diff = V[a] - V
+                d = np.hypot(diff[:, 0], diff[:, 1]).tolist()
+                d = map(dist_repr.__getitem__, d)
+                yield [f"{a},{b},{x},{g!r}"
+                       for b, x, g in zip(range(n), d, G[a].tolist())]
+
+        blocks = blocks_of_rows()
     out = cfg["out"]
     path = f"{out}_kernel.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["xi", "yi", "d", "G"])
-        if cfg.get("pairs"):
-            rng = np.random.default_rng(cfg["seed"])
-            for _ in range(cfg["pairs"]):
-                a, b = rng.choice(mesh.n_vertices, 2, replace=False)
-                d = float(np.hypot(*(mesh.vertices[a] - mesh.vertices[b])))
-                w.writerow([a, b, repr(d), repr(ev.value(a, b))])
-        else:
-            G = ev.matrix()
-            for a in range(mesh.n_vertices):
-                for b in range(mesh.n_vertices):
-                    d = float(np.hypot(*(mesh.vertices[a] - mesh.vertices[b])))
-                    w.writerow([a, b, repr(d), repr(float(G[a, b]))])
+    exported = _write_csv(path, "xi,yi,d,G", blocks, started)
     _write_json(f"{out}_meta.json", {"config": _run_config(cfg, "kernel"),
                                      "j_terms": ev.j_terms,
-                                     "tail_bound": ev.tail_bound()})
+                                     "tail_bound": ev.tail_bound(),
+                                     **exported})
     print(f"kernel s={cfg['s']} -> {path}")
     return 0
 
 
 def _cmd_stable(cfg):
-    import csv
-
     from . import geometry, stable
 
+    started = time.perf_counter()
     if cfg.get("alpha") is None:
         raise _usage("stable requires --alpha in (0, 2)")
     mesh = geometry.build_mesh(cfg["level"])
@@ -189,12 +230,9 @@ def _cmd_stable(cfg):
                                         cfg["replicates"], seed=cfg["seed"])
     out = cfg["out"]
     path = f"{out}_replicates.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["replicate_id", "value"])
-        for k, v in enumerate(vals):
-            w.writerow([k, repr(float(v))])
-    meta = {"config": _run_config(cfg, "stable")}
+    rows = [f"{k},{v!r}" for k, v in enumerate(vals.tolist())]
+    meta = {"config": _run_config(cfg, "stable"),
+            **_write_csv(path, "replicate_id,value", [rows], started)}
     if cfg["route"] == "lepage":
         meta["tail_estimate"] = stable.arrival_tail_sum(cfg["alpha"], cfg["n_terms"])
     _write_json(f"{out}_meta.json", meta)
@@ -203,11 +241,10 @@ def _cmd_stable(cfg):
 
 
 def _cmd_simulate(cfg):
-    import csv
-
     from . import fields, geometry, spectral
     from .constants import integrability_threshold
 
+    started = time.perf_counter()
     for key in ("s", "alpha"):
         if cfg.get(key) is None:
             raise _usage(f"simulate requires --{key}")
@@ -224,15 +261,13 @@ def _cmd_simulate(cfg):
                                       cfg["n_terms"], cfg["jmax"])
     out = cfg["out"]
     path = f"{out}.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["replicate_id", "vertex_id", "x", "y", "value"])
-        for rep, smp in enumerate(samples):
-            for vid, ((x, y), v) in enumerate(zip(mesh.vertices, smp.values)):
-                w.writerow([rep, vid, repr(float(x)), repr(float(y)),
-                            repr(float(v))])
+    vertex_cols = [f"{vid},{x!r},{y!r},"
+                   for vid, (x, y) in enumerate(mesh.vertices.tolist())]
+    blocks = ([f"{rep},{p}{v!r}" for p, v in zip(vertex_cols, smp.values.tolist())]
+              for rep, smp in enumerate(samples))
     meta = {"config": _run_config(cfg, "simulate"),
-            "realizations": [smp.meta for smp in samples]}
+            "realizations": [smp.meta for smp in samples],
+            **_write_csv(path, "replicate_id,vertex_id,x,y,value", blocks, started)}
     _write_json(f"{out}_meta.json", meta)
     print(f"simulate: {cfg['replicates']} realization(s) on level {cfg['level']} -> {path}")
     return 0

@@ -10,13 +10,14 @@ Dirichlet drops it and vanishes on the corner set V_0.
 """
 
 import functools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from . import geometry
-from .errors import ContractError, DomainError, NumericError
+from .errors import CapacityError, ContractError, DomainError, NumericError
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
@@ -24,6 +25,11 @@ DIRICHLET = "dirichlet"
 # relative gap below which consecutive eigenvalues count as one multiplet;
 # truncations never split a multiplet (kernel symmetry would break)
 _CLUSTER_RTOL = 1e-8
+
+# n x n float64 arrays live at the peak of assemble + solve: the stiffness,
+# the symmetrised matrix, eigh's eigenvectors, their mass scaling and the
+# full-vertex copy (peak RSS grew by 5.0-5.2 n^2 doubles at levels 6 and 7)
+_DENSE_ARRAYS = 5
 
 
 def check_bc(bc):
@@ -80,14 +86,26 @@ class Spectrum:
         return j
 
 
+def _physical_memory():
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def assemble_form(mesh, bc):
     """Assemble the level-m stiffness and lumped mass for one boundary condition.
 
     Off-diagonal stiffness entries are -(5/3)^m per shared cell; diagonals
     make rows sum to zero.  Mass weights are incidence * 3^-m / 3.
+    Raises CapacityError, before allocating, when the dense assemble and
+    solve would not fit in physical memory.
     """
     check_bc(bc)
     n = mesh.n_vertices
+    need, limit = _DENSE_ARRAYS * 8 * n * n, _physical_memory()
+    if need > limit:
+        raise CapacityError(
+            f"level {mesh.level}: the dense spectrum of n = {n} vertices needs "
+            f"about {need / 1e9:.2f} GB ({_DENSE_ARRAYS} n x n float64 arrays), "
+            f"more than the {limit / 1e9:.2f} GB of physical memory")
     pref = (5.0 / 3.0) ** mesh.level
     A = np.zeros((n, n))
     for u, v in mesh.edges:

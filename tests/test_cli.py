@@ -1,10 +1,122 @@
+import csv
+import functools
+import io
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 import gasketfields
+from gasketfields import fields, geometry, riesz, spectral, stable
 from gasketfields.cli import main
+
+
+def _reference_csv(header, rows):
+    """Reference bytes: `csv.writer` with one `writerow` per row, the rows
+    built cell by cell with floats as `repr(float(...))`."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow(row)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("bc,s", [("neumann", 0.9), ("dirichlet", 0.5)])
+def test_kernel_matrix_bytes_match_reference(tmp_path, bc, s):
+    # s = 0.5 is below d_h/d_w: the diagonal is still written from the matrix
+    out = tmp_path / "k"
+    assert main(["kernel", "--level", "3", "--bc", bc, "--s", str(s),
+                 "--out", str(out)]) == 0
+    mesh = geometry.build_mesh(3)
+    V = mesh.vertices
+    G = riesz.KernelEvaluator(
+        spectral.build_spectrum(3, bc, j_max=200), s).matrix()
+    rows = ([a, b, repr(float(np.hypot(*(V[a] - V[b])))), repr(float(G[a, b]))]
+            for a in range(mesh.n_vertices) for b in range(mesh.n_vertices))
+    got = (tmp_path / "k_kernel.csv").read_bytes()
+    assert got == _reference_csv(["xi", "yi", "d", "G"], rows)
+    assert got.count(b"\r\n") == mesh.n_vertices ** 2 + 1
+
+
+def test_kernel_pairs_bytes_match_reference(tmp_path):
+    out = tmp_path / "k"
+    assert main(["kernel", "--level", "3", "--s", "0.9", "--pairs", "20",
+                 "--seed", "5", "--out", str(out)]) == 0
+    mesh = geometry.build_mesh(3)
+    ev = riesz.KernelEvaluator(spectral.build_spectrum(3, "neumann", j_max=200), 0.9)
+    rng = np.random.default_rng(5)
+    rows = []
+    for _ in range(20):
+        a, b = rng.choice(mesh.n_vertices, 2, replace=False)
+        d = float(np.hypot(*(mesh.vertices[a] - mesh.vertices[b])))
+        rows.append([a, b, repr(d), repr(ev.value(a, b))])
+    assert ((tmp_path / "k_kernel.csv").read_bytes()
+            == _reference_csv(["xi", "yi", "d", "G"], rows))
+
+
+@pytest.mark.parametrize("route", ["lepage", "direct"])
+def test_stable_bytes_match_reference(tmp_path, route):
+    out = tmp_path / "r"
+    assert main(["stable", "--alpha", "1.5", "--n-terms", "500", "--route", route,
+                 "--replicates", "50", "--seed", "3", "--level", "3",
+                 "--out", str(out)]) == 0
+    mesh = geometry.build_mesh(3)
+    ones = np.ones(mesh.n_vertices)
+    if route == "lepage":
+        vals = stable.lepage_replicates(ones, mesh, 1.5, 500, 50, seed=3)
+    else:
+        vals = stable.direct_replicates(ones, mesh, 1.5, 50, seed=3)
+    rows = ([k, repr(float(v))] for k, v in enumerate(vals))
+    assert ((tmp_path / "r_replicates.csv").read_bytes()
+            == _reference_csv(["replicate_id", "value"], rows))
+
+
+def test_simulate_bytes_match_reference(tmp_path):
+    out = tmp_path / "f"
+    assert main(["simulate", "--alpha", "1.5", "--s", "0.9", "--level", "4",
+                 "--n-terms", "2000", "--seed", "7", "--replicates", "2",
+                 "--out", str(out)]) == 0
+    mesh = geometry.build_mesh(4)
+    spec = spectral.build_spectrum(4, "neumann", j_max=200)
+    samples = fields.field_replicates(0.9, 1.5, "neumann", mesh, spec,
+                                      range(7, 9), 2000, 200)
+    rows = ([rep, vid, repr(float(x)), repr(float(y)), repr(float(v))]
+            for rep, smp in enumerate(samples)
+            for vid, ((x, y), v) in enumerate(zip(mesh.vertices, smp.values)))
+    assert ((tmp_path / "f.csv").read_bytes()
+            == _reference_csv(["replicate_id", "vertex_id", "x", "y", "value"], rows))
+
+
+@pytest.mark.parametrize("argv,csv_name", [
+    (["kernel", "--level", "2", "--s", "0.9"], "x_kernel.csv"),
+    (["kernel", "--level", "2", "--s", "0.9", "--pairs", "7"], "x_kernel.csv"),
+    (["stable", "--alpha", "1.5", "--n-terms", "100", "--replicates", "9",
+      "--level", "2"], "x_replicates.csv"),
+    (["simulate", "--alpha", "1.5", "--s", "0.9", "--level", "2",
+      "--n-terms", "100", "--replicates", "3"], "x.csv"),
+])
+def test_export_meta_describes_csv(tmp_path, argv, csv_name):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 0
+    meta = json.loads((tmp_path / "x_meta.json").read_text())
+    data = (tmp_path / csv_name).read_bytes()
+    assert meta["rows"] == data.count(b"\r\n") - 1
+    assert meta["bytes"] == len(data)
+    assert set(meta["timings"]) == {"compute_s", "write_s"}
+    assert all(t >= 0.0 for t in meta["timings"].values())
+
+
+def test_spectrum_capacity_error_exit_two(tmp_path, monkeypatch, capsys):
+    # a fresh cache, so a spectrum solved by an earlier test cannot answer
+    monkeypatch.setattr(spectral, "_full_spectrum", functools.lru_cache(maxsize=8)(
+        spectral._full_spectrum.__wrapped__))
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: 1000)
+    assert main(["spectrum", "--level", "4", "--out", str(tmp_path / "s")]) == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert not (tmp_path / "s_eigenvalues.csv").exists()
 
 
 def test_mesh_export(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from gasketfields import geometry, spectral
 from gasketfields.constants import D_H, D_W
-from gasketfields.errors import ContractError, DomainError
+from gasketfields.errors import CapacityError, ContractError, DomainError
 
 
 def test_energy_level0_hand_value():
@@ -25,6 +25,20 @@ def test_mass_weights_sum_to_one(m):
     mesh = geometry.build_mesh(m)
     form = spectral.assemble_form(mesh, "neumann")
     assert form.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_dense_spectrum_capacity_error(monkeypatch):
+    # the estimate is five n x n float64 arrays; the limit is the memory probe
+    mesh = geometry.build_mesh(4)
+    need = 5 * 8 * mesh.n_vertices ** 2
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: need)
+    spectral.assemble_form(mesh, "neumann")
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: need - 1)
+    with pytest.raises(CapacityError) as exc:
+        spectral.assemble_form(mesh, "dirichlet")
+    msg = str(exc.value)
+    assert "level 4" in msg and f"n = {mesh.n_vertices}" in msg
+    assert f"{need / 1e9:.2f} GB" in msg and f"{(need - 1) / 1e9:.2f} GB" in msg
 
 
 def test_stiffness_structure(mesh6):
