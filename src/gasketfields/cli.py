@@ -174,8 +174,9 @@ def _cmd_kernel(cfg):
     if cfg.get("s") is None:
         raise _usage("kernel requires --s > 0")
     mesh = geometry.build_mesh(cfg["level"])
-    spec = spectral.build_spectrum(cfg["level"], cfg["bc"], j_max=cfg["jmax"])
-    ev = riesz.KernelEvaluator(spec, cfg["s"])
+    # the full spectrum, so tail_bound sees the modes --jmax drops
+    spec = spectral.build_spectrum(cfg["level"], cfg["bc"])
+    ev = riesz.KernelEvaluator(spec, cfg["s"], cfg["jmax"])
     V = mesh.vertices
     n = mesh.n_vertices
     if cfg.get("pairs"):

@@ -109,6 +109,16 @@ def test_export_meta_describes_csv(tmp_path, argv, csv_name):
     assert all(t >= 0.0 for t in meta["timings"].values())
 
 
+def test_kernel_meta_tail_bound_counts_dropped_modes(tmp_path):
+    # --jmax 20 keeps 20-odd of the 122 level-4 modes; the rest are the tail
+    out = tmp_path / "k"
+    assert main(["kernel", "--level", "4", "--s", "0.9", "--jmax", "20",
+                 "--pairs", "3", "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "k_meta.json").read_text())
+    assert meta["j_terms"] < 122
+    assert meta["tail_bound"] > 0.0
+
+
 def test_spectrum_capacity_error_exit_two(tmp_path, monkeypatch, capsys):
     # a fresh cache, so a spectrum solved by an earlier test cannot answer
     monkeypatch.setattr(spectral, "_full_spectrum", functools.lru_cache(maxsize=8)(

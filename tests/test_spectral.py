@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from gasketfields import geometry, spectral
+import gasketfields
+from gasketfields import geometry, riesz, spectral
 from gasketfields.constants import D_H, D_W
 from gasketfields.errors import CapacityError, ContractError, DomainError
 
@@ -28,9 +34,9 @@ def test_mass_weights_sum_to_one(m):
 
 
 def test_dense_spectrum_capacity_error(monkeypatch):
-    # the estimate is five n x n float64 arrays; the limit is the memory probe
+    # the estimate is three n x n float64 arrays; the limit is the memory probe
     mesh = geometry.build_mesh(4)
-    need = 5 * 8 * mesh.n_vertices ** 2
+    need = 3 * 8 * mesh.n_vertices ** 2
     monkeypatch.setattr(spectral, "_physical_memory", lambda: need)
     spectral.assemble_form(mesh, "neumann")
     monkeypatch.setattr(spectral, "_physical_memory", lambda: need - 1)
@@ -39,6 +45,31 @@ def test_dense_spectrum_capacity_error(monkeypatch):
     msg = str(exc.value)
     assert "level 4" in msg and f"n = {mesh.n_vertices}" in msg
     assert f"{need / 1e9:.2f} GB" in msg and f"{(need - 1) / 1e9:.2f} GB" in msg
+
+
+def _loop_stiffness(mesh, bc):
+    """Reference assembly: one Python pass over the edges, then the
+    Dirichlet restriction to interior rows."""
+    n = mesh.n_vertices
+    pref = (5.0 / 3.0) ** mesh.level
+    A = np.zeros((n, n))
+    for u, v in mesh.edges:
+        A[u, v] -= pref
+        A[v, u] -= pref
+        A[u, u] += pref
+        A[v, v] += pref
+    if bc == "dirichlet":
+        keep = np.setdiff1d(np.arange(n), mesh.boundary)
+        A = A[np.ix_(keep, keep)]
+    return A
+
+
+@pytest.mark.parametrize("m", range(0, 8))
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_stiffness_matches_loop_reference(m, bc):
+    mesh = geometry.build_mesh(m)
+    assert np.array_equal(spectral.assemble_form(mesh, bc).stiffness,
+                          _loop_stiffness(mesh, bc))
 
 
 def test_stiffness_structure(mesh6):
@@ -157,3 +188,89 @@ def test_heat_kernel_on_diagonal_dominates(mesh6, spec_n_full):
     for _ in range(40):
         a, b = rng.choice(mesh6.n_vertices, 2, replace=False)
         assert spectral.heat_kernel(t, a, b, spec_n_full) <= top + 1e-9
+
+
+def _unblocked_spectrum(form):
+    """Reference solve: plain eigh of the whole M^-1/2 A M^-1/2."""
+    d = 1.0 / np.sqrt(form.weights)
+    B = form.stiffness * d[:, None] * d[None, :]
+    lam, U = scipy.linalg.eigh(0.5 * (B + B.T))
+    vecs = U * d[:, None]
+    if form.bc == "neumann":
+        lam, vecs = lam[1:], vecs[:, 1:]
+    full = np.zeros((form.mesh.n_vertices, len(lam)))
+    full[form.index] = vecs
+    return spectral.Spectrum(form.bc, form.level, lam, full,
+                             form.mesh.mu_weights, form.mesh)
+
+
+@pytest.mark.parametrize("bc,exact", [("neumann", [3, 3, 6, 6, 6]),
+                                      ("dirichlet", [2, 5, 5])])
+def test_decimation_level1(bc, exact):
+    lam = spectral.build_spectrum(1, bc).eigenvalues
+    assert np.allclose(lam / (1.5 * 5), exact, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_decimation_maps_onto_coarser_level(bc):
+    # spectral decimation: scaled eigenvalues x = lambda / ((3/2) 5^m) outside
+    # the new values {2, 5, 6} satisfy x (5 - x) = a level-(m-1) value
+    prev = spectral.build_spectrum(1, bc).eigenvalues / (1.5 * 5)
+    for m in range(2, 7):
+        x = spectral.build_spectrum(m, bc).eigenvalues / (1.5 * 5 ** m)
+        new = np.isclose(x[:, None], [2, 5, 6], rtol=1e-9, atol=0).any(axis=1)
+        y = x[~new] * (5 - x[~new])
+        err = np.min(np.abs(y[:, None] - prev[None, :]), axis=1) / y
+        assert np.max(err) <= 1e-9, (m, np.max(err))
+        prev = x
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_spectrum_matches_unblocked_reference(m, bc):
+    form = spectral.assemble_form(geometry.build_mesh(m), bc)
+    spec, ref = spectral.solve_spectrum(form), _unblocked_spectrum(form)
+    lam = ref.eigenvalues
+    assert np.all(np.abs(spec.eigenvalues - lam) <= 1e-10 * np.maximum(lam, 1.0))
+    for j_terms in (None, 200):
+        G = riesz.KernelEvaluator(spec, 0.9, j_terms).matrix()
+        G_ref = riesz.KernelEvaluator(ref, 0.9, j_terms).matrix()
+        assert np.max(np.abs(G - G_ref)) <= 1e-12 * np.max(np.abs(G_ref))
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_eigenvectors_reflection_parity_and_mass_orthonormal(mesh6, bc):
+    spec = spectral.build_spectrum(6, bc)
+    phi = spec.eigenvectors
+    assert phi.flags.c_contiguous and phi.shape == (mesh6.n_vertices, spec.n_modes)
+    flipped = phi[geometry.reflection_permutation(mesh6, 2)]
+    even = np.all(flipped == phi, axis=0)
+    odd = np.all(flipped == -phi, axis=0)
+    assert np.all(even | odd)
+    gram = phi.T @ (spec.weights[:, None] * phi)
+    assert np.max(np.abs(gram - np.eye(spec.n_modes))) <= 1e-12
+
+
+def test_kernel_matrix_independent_of_blas_threads(tmp_path):
+    # inside a multiplet the eigenvector basis may depend on the BLAS
+    # thread count; the kernel is basis-invariant and must not
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from gasketfields import riesz, spectral\n"
+        "spec = spectral.build_spectrum(5, 'neumann')\n"
+        "np.save(sys.argv[1], riesz.KernelEvaluator(spec, 0.9).matrix())\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(gasketfields.__file__)),
+         env.get("PYTHONPATH", "")])
+    G = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        path = str(tmp_path / f"G{threads}.npy")
+        proc = subprocess.run([sys.executable, "-c", code, path], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        G.append(np.load(path))
+    assert np.max(np.abs(G[0] - G[1])) <= 1e-12 * np.max(np.abs(G[0]))
