@@ -65,7 +65,7 @@ def _build_parser():
            "replicates", "out")
 
     sp = sub.add_parser("verify", help="run named verification suites")
-    shared(sp, "level", "jmax", "out", "seed")
+    shared(sp, "level", "jmax", "out")
     sp.add_argument("--suite", action="append", required=True,
                     help="suite name or 'all' (repeatable)")
     return p
@@ -83,10 +83,12 @@ _DEFAULTS = {
 
 
 def _resolve(args, config):
-    """Merge flag values over config-file values over built-in defaults."""
-    merged = dict(_DEFAULTS)
-    merged.update({k: v for k, v in config.items() if k in _DEFAULTS or k in vars(args)})
-    for k, v in vars(args).items():
+    """Merge flag values over config-file values over built-in defaults,
+    for the flags of the chosen command only."""
+    flags = vars(args)
+    merged = {k: v for k, v in _DEFAULTS.items() if k in flags}
+    merged.update({k: v for k, v in config.items() if k in flags})
+    for k, v in flags.items():
         if v is not None:
             merged[k] = v
     return merged
@@ -97,24 +99,28 @@ def _write_json(path, obj):
         json.dump(obj, fh, indent=2, sort_keys=True, default=str)
 
 
-def _write_csv(path, header, blocks, started):
-    """Write `header`, then each block (a list of comma-joined rows), with
-    "\\r\\n" row ends; return the `rows`, `bytes` and `timings` fields of
-    the command's `_meta.json`.
+def _write_csv(files, started):
+    """Write each (path, header, blocks) file: the header line unless it is
+    None, then each block (a list of comma-joined rows), with "\\r\\n" row
+    ends; return the `rows`, `bytes` and `timings` fields of the command's
+    `_meta.json`, summed over the files.
 
     Values are ints and float reprs, which never need quoting, so the bytes
     are those `csv.writer` would write.  `compute_s` runs from `started` to
     this call, `write_s` covers the blocks' formatting and the writes.
     """
     written = time.perf_counter()
-    rows = 0
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
-        for block in blocks:
-            if block:
-                rows += len(block)
-                fh.write("\r\n".join(block) + "\r\n")
-    return {"rows": rows, "bytes": os.path.getsize(path),
+    rows = size = 0
+    for path, header, blocks in files:
+        with open(path, "w", newline="") as fh:
+            if header is not None:
+                fh.write(header + "\r\n")
+            for block in blocks:
+                if block:
+                    rows += len(block)
+                    fh.write("\r\n".join(block) + "\r\n")
+        size += os.path.getsize(path)
+    return {"rows": rows, "bytes": size,
             "timings": {"compute_s": written - started,
                         "write_s": time.perf_counter() - written}}
 
@@ -141,12 +147,21 @@ def _run_config(cfg, command):
 def _cmd_mesh(cfg):
     from . import geometry
 
+    started = time.perf_counter()
     mesh = geometry.build_mesh(cfg["level"])
+    boundary = set(mesh.boundary.tolist())
+    vertex_rows = [f"{k},{x!r},{y!r},{int(k in boundary)}"
+                   for k, (x, y) in enumerate(mesh.vertices.tolist())]
+    cell_rows = ["{},{},{},{}".format("".join(map(str, addr)), *corners)
+                 for addr, corners in mesh.cells]
     out = cfg["out"]
-    geometry.export_csv(mesh, f"{out}_vertices.csv", f"{out}_cells.csv")
+    exported = _write_csv(
+        [(f"{out}_vertices.csv", "vertex_id,x,y,is_boundary", [vertex_rows]),
+         (f"{out}_cells.csv", "cell_address,v0,v1,v2", [cell_rows])], started)
     _write_json(f"{out}_meta.json", {"config": _run_config(cfg, "mesh"),
                                      "n_vertices": mesh.n_vertices,
-                                     "n_cells": len(mesh.cells)})
+                                     "n_cells": len(mesh.cells),
+                                     **exported})
     print(f"mesh level {cfg['level']}: {mesh.n_vertices} vertices -> {out}_*.csv")
     return 0
 
@@ -154,13 +169,20 @@ def _cmd_mesh(cfg):
 def _cmd_spectrum(cfg):
     from . import spectral
 
+    started = time.perf_counter()
     spec = spectral.build_spectrum(cfg["level"], cfg["bc"], j_max=cfg["jmax"])
+    value_rows = [f"{j},{lam!r}"
+                  for j, lam in enumerate(spec.eigenvalues.tolist(), start=1)]
+    # one block per vertex row, formatted as it is written
+    vector_rows = ([",".join(map(repr, row))] for row in spec.eigenvectors.tolist())
     out = cfg["out"]
-    spectral.export_spectrum_csv(spec, f"{out}_eigenvalues.csv",
-                                 f"{out}_eigenvectors.csv")
+    exported = _write_csv(
+        [(f"{out}_eigenvalues.csv", "j,lambda_j", [value_rows]),
+         (f"{out}_eigenvectors.csv", None, vector_rows)], started)
     _write_json(f"{out}_meta.json", {"config": _run_config(cfg, "spectrum"),
                                      "n_modes": spec.n_modes,
-                                     "lambda_1": float(spec.eigenvalues[0])})
+                                     "lambda_1": float(spec.eigenvalues[0]),
+                                     **exported})
     print(f"spectrum {cfg['bc']} level {cfg['level']}: {spec.n_modes} modes -> {out}_*.csv")
     return 0
 
@@ -204,7 +226,7 @@ def _cmd_kernel(cfg):
         blocks = blocks_of_rows()
     out = cfg["out"]
     path = f"{out}_kernel.csv"
-    exported = _write_csv(path, "xi,yi,d,G", blocks, started)
+    exported = _write_csv([(path, "xi,yi,d,G", blocks)], started)
     _write_json(f"{out}_meta.json", {"config": _run_config(cfg, "kernel"),
                                      "j_terms": ev.j_terms,
                                      "tail_bound": ev.tail_bound(),
@@ -233,7 +255,7 @@ def _cmd_stable(cfg):
     path = f"{out}_replicates.csv"
     rows = [f"{k},{v!r}" for k, v in enumerate(vals.tolist())]
     meta = {"config": _run_config(cfg, "stable"),
-            **_write_csv(path, "replicate_id,value", [rows], started)}
+            **_write_csv([(path, "replicate_id,value", [rows])], started)}
     if cfg["route"] == "lepage":
         meta["tail_estimate"] = stable.arrival_tail_sum(cfg["alpha"], cfg["n_terms"])
     _write_json(f"{out}_meta.json", meta)
@@ -268,7 +290,8 @@ def _cmd_simulate(cfg):
               for rep, smp in enumerate(samples))
     meta = {"config": _run_config(cfg, "simulate"),
             "realizations": [smp.meta for smp in samples],
-            **_write_csv(path, "replicate_id,vertex_id,x,y,value", blocks, started)}
+            **_write_csv([(path, "replicate_id,vertex_id,x,y,value", blocks)],
+                         started)}
     _write_json(f"{out}_meta.json", meta)
     print(f"simulate: {cfg['replicates']} realization(s) on level {cfg['level']} -> {path}")
     return 0

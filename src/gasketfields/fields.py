@@ -3,10 +3,11 @@
 One realization evaluates the kernel-smoothed LePage series jointly on
 every mesh vertex from a single frozen draw, which is what makes the
 realization a sample of the *field* rather than independent marginals.
-Each site is placed on its nearest mesh vertex, read exactly from its
-digit word (`GasketMesh.site_vertices`); that placement law equals the
-lumped quadrature weights, so marginal scales agree with the quadrature
-norm of the kernel slice by construction.
+Each site is drawn as one integer measure word (`geometry.draw_sites`)
+and placed on its nearest mesh vertex, read exactly from the word
+(`GasketMesh.site_vertices`); that placement law equals the lumped
+quadrature weights, so marginal scales agree with the quadrature norm of
+the kernel slice by construction.
 
 alpha = 2 has no LePage normalization (D_alpha degenerates); the driving
 noise is then discrete white noise with variance twice the vertex
@@ -56,7 +57,7 @@ def _noise_coefficients(alpha, mesh, draw, seed):
         raise ContractError("alpha < 2 requires a LePage draw")
     if draw.alpha != alpha:
         raise ContractError(f"draw built for alpha = {draw.alpha}, not {alpha}")
-    idx = mesh.site_vertices(draw.addresses)
+    idx = mesh.site_vertices(draw.words)
     c = draw.d_alpha * draw.arrivals ** (-1.0 / alpha) * draw.gaussians
     return np.bincount(idx, weights=c, minlength=mesh.n_vertices)
 
@@ -134,7 +135,7 @@ def conditional_increment_scale(xi, yi, s, draw, spectrum, j_terms=None):
     s_alpha(x,y)^2 = D^2 E(g^2) sum_n T_n^(-2/alpha) |G(x,xi_n)-G(y,xi_n)|^2.
     """
     ev = KernelEvaluator(spectrum, s, j_terms)
-    idx = spectrum.mesh.site_vertices(draw.addresses)
+    idx = spectrum.mesh.site_vertices(draw.words)
     diff = ev.row(xi)[idx] - ev.row(yi)[idx]
     total = (draw.arrivals ** (-2.0 / draw.alpha) * diff * diff).sum()
     return float(draw.d_alpha * np.sqrt(total))
@@ -160,19 +161,10 @@ def scaled_subcell_field(word, s, alpha, mesh, spectrum, draw=None, seed=None,
     kernel_factor = 3.0 ** n * 5.0 ** (-n * s)
     h = hurst_index(s, alpha)
 
-    if alpha == 2.0:
-        if seed is None:
-            raise ContractError("alpha = 2 requires a seed for the white-noise route")
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        # white noise against the subcell measure mu restricted to K_w
-        eta = np.sqrt(2.0 * mesh.mu_weights * 3.0 ** -n) * rng.standard_normal(mesh.n_vertices)
-        values = kernel_factor * ev.apply(eta)
-    else:
-        # F_w commutes with placing each site on its nearest vertex
-        coeff = _noise_coefficients(alpha, mesh, draw, seed)
-        mass_factor = 3.0 ** (-n / alpha)
-        values = kernel_factor * mass_factor * ev.apply(coeff)
-
+    # F_w commutes with placing each site on its nearest vertex, and the
+    # subcell measure has mass 3^-n
+    coeff = _noise_coefficients(alpha, mesh, draw, seed)
+    values = kernel_factor * 3.0 ** (-n / alpha) * ev.apply(coeff)
     values = 2.0 ** (n * h) * values
     meta = {
         "s": s,

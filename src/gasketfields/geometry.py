@@ -11,7 +11,6 @@ V_m is (a / 2^(m+1), b * sqrt(3) / 2^(m+1)) with integers (a, b), so
 deduplication, ordering and the reflection permutations are exact.
 """
 
-import csv
 import functools
 
 import numpy as np
@@ -28,7 +27,10 @@ BARYCENTER = CORNERS.mean(axis=0)
 # derived vertex coordinates stay integral under the maps below
 _CORNERS_AB = np.array([[0, 0], [2, 0], [1, 1]], dtype=np.int64)
 
-# levels above this exhaust the dense-solver budget long before memory does
+# the deepest mesh `build_mesh` makes; it also fixes the depth of a site
+# word, whose MAX_LEVEL + 1 base-3 digits place the site on any mesh level.
+# Spectra are refused far below it by the dense eigensolve's own
+# CapacityError.
 MAX_LEVEL = 12
 
 
@@ -88,24 +90,18 @@ class GasketMesh:
             raise KeyError(f"not a vertex of V_{self.level}: {ab[~ok].tolist()}")
         return idx
 
-    def site_vertices(self, addresses):
-        """Nearest V_m vertex of each measure site given by its digit word.
+    def site_vertices(self, words):
+        """Nearest V_m vertex of each measure site given by its word.
 
-        A site with digits d_0 d_1 ... lies in the sub-cell F_w F_i(K),
+        The base-3 digits d_0 d_1 ... d_MAX_LEVEL of a word (see
+        `draw_sites`) put the site in the sub-cell F_w F_i(K),
         w = d_0..d_(m-1), i = d_m, so it is within 2^-(m+1) of the corner
         F_w(q_i), while every other vertex of V_m is at least 2^-m from that
         corner.  Its nearest vertex is therefore corner d_m of cell w, entry
         (base-3 value of d_0..d_m) of the corner table; ties have measure
-        zero.  `addresses` is an (N, >= m+1) digit array.
+        zero.
         """
-        m = self.level
-        if addresses.shape[1] <= m:
-            raise ContractError(
-                f"level {m} needs {m + 1} address digits, got {addresses.shape[1]}")
-        key = np.zeros(len(addresses), dtype=np.int64)
-        for r in range(m + 1):
-            key = 3 * key + addresses[:, r]
-        return self.corner_table[key]
+        return self.corner_table[words // 3 ** (MAX_LEVEL - self.level)]
 
     def snap(self, points):
         """Indices of the mesh vertices nearest to the given points."""
@@ -264,6 +260,18 @@ def sample_mu(rng, depth, size=None):
     return pts[0] if size is None else pts
 
 
+def draw_sites(rng, size):
+    """Measure sites as integer words uniform on [0, 3^(MAX_LEVEL+1)).
+
+    The base-3 digits of a word, most significant first, are the address
+    d_0..d_MAX_LEVEL of a site in F_{d_0} o F_{d_1} o ... (K); uniform words
+    have i.i.d. uniform digits, so the site lies in each level-n cell,
+    n <= MAX_LEVEL + 1, with its measure 3^-n.  Place words on a mesh with
+    `GasketMesh.site_vertices`.
+    """
+    return rng.integers(0, 3 ** (MAX_LEVEL + 1), size=size)
+
+
 def quadrature(f, mesh):
     """Integrate vertex values against the measure: sum of cell means * 3^-m.
 
@@ -290,19 +298,3 @@ def ball_measure_estimate(x, r, mesh):
     x = np.asarray(x, dtype=float)
     d = np.hypot(mesh.vertices[:, 0] - x[0], mesh.vertices[:, 1] - x[1])
     return float(mesh.mu_weights[d <= r + 1e-12].sum())
-
-
-def export_csv(mesh, vertices_path, cells_path):
-    """Write the mesh as two CSV files: vertex table and cell table."""
-    on_boundary = np.zeros(mesh.n_vertices, dtype=bool)
-    on_boundary[mesh.boundary] = True
-    with open(vertices_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["vertex_id", "x", "y", "is_boundary"])
-        for k, (x, y) in enumerate(mesh.vertices):
-            w.writerow([k, repr(float(x)), repr(float(y)), int(on_boundary[k])])
-    with open(cells_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["cell_address", "v0", "v1", "v2"])
-        for addr, (i, j, k) in mesh.cells:
-            w.writerow(["".join(map(str, addr)), i, j, k])

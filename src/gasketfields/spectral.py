@@ -250,15 +250,3 @@ def heat_kernel_row(t, xi, spectrum, j_terms=None):
     row = phi @ (np.exp(-lam * t) * phi[xi, :j])
     return row + 1.0 if spectrum.bc == NEUMANN else row
 
-
-def export_spectrum_csv(spectrum, values_path, vectors_path=None):
-    """Write eigenvalues (j, lambda_j) and optionally the eigenvector matrix."""
-    import csv
-
-    with open(values_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["j", "lambda_j"])
-        for j, lam in enumerate(spectrum.eigenvalues, start=1):
-            w.writerow([j, repr(float(lam))])
-    if vectors_path is not None:
-        np.savetxt(vectors_path, spectrum.eigenvectors, delimiter=",")

@@ -93,15 +93,14 @@ def arrival_tail_sum(alpha, n_terms):
 class LePageDraw:
     """Frozen LePage ingredients shared across all evaluation points.
 
-    Sites are kept as their measure digit words: `addresses[n]` holds the
-    leading digits d_0..d_MAX_LEVEL of site xi_n in the contraction
-    F_{d_0} o F_{d_1} o ..., enough to place it on any mesh level (see
-    `GasketMesh.site_vertices`).
+    Sites are kept as integer measure words (`geometry.draw_sites`):
+    `words[n]` carries the digits d_0..d_MAX_LEVEL of site xi_n, enough to
+    place it on any mesh level (see `GasketMesh.site_vertices`).
     """
     alpha: float
     n_terms: int
     arrivals: np.ndarray
-    addresses: np.ndarray
+    words: np.ndarray
     gaussians: np.ndarray
     d_alpha: float
     seed: int
@@ -121,14 +120,10 @@ def make_draw(seed, n_terms, alpha):
         raise DomainError(f"LePage representation requires alpha in (0, 2), got {alpha}")
     s_t, s_xi, s_g = np.random.SeedSequence(seed).spawn(3)
     arrivals = np.random.default_rng(s_t).exponential(1.0, n_terms).cumsum()
-    # drawing 40 digits per site (the depth of the former point sampler)
-    # keeps this stream, and so every draw, equal to earlier versions; a
-    # level-m mesh reads only digits 0..m
-    digits = np.random.default_rng(s_xi).integers(0, 3, size=(n_terms, 40))
-    addresses = digits[:, :geometry.MAX_LEVEL + 1].astype(np.uint8)
+    words = geometry.draw_sites(np.random.default_rng(s_xi), n_terms)
     gaussians = np.random.default_rng(s_g).standard_normal(n_terms)
     tail = n_terms ** (1.0 - 2.0 / alpha) / (2.0 / alpha - 1.0)
-    return LePageDraw(alpha, n_terms, arrivals, addresses, gaussians,
+    return LePageDraw(alpha, n_terms, arrivals, words, gaussians,
                       d_alpha(alpha), seed, tail)
 
 
@@ -150,9 +145,9 @@ def lepage_replicates(values, mesh, alpha, n_terms, n_replicates, seed,
     """Independent LePage partial sums D_alpha sum_n T_n^(-1/alpha) f(xi_n) g_n
     of a mesh function, vectorized.
 
-    Sites are drawn directly from the lumped vertex weights, which is
-    exactly the law of a measure site placed on its nearest vertex, so each
-    replicate has the law of the series over a `make_draw` draw.
+    Sites are drawn as measure words and placed on their nearest vertices
+    (`geometry.draw_sites`, `GasketMesh.site_vertices`), as in `make_draw`,
+    so each replicate has the law of the series over a `make_draw` draw.
     `tail_compensation` adds the Gaussian surrogate of the discarded small
     jumps (variance D^2 * arrival_tail_sum * mean f(xi)^2), which matters
     for alpha close to 2 where the raw series converges slowly.
@@ -164,15 +159,20 @@ def lepage_replicates(values, mesh, alpha, n_terms, n_replicates, seed,
     tail = arrival_tail_sum(alpha, n_terms) if tail_compensation else 0.0
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = np.empty(n_replicates)
-    w = mesh.mu_weights
     for start in range(0, n_replicates, _CHUNK):
         r = min(_CHUNK, n_replicates - start)
         arr = rng.exponential(1.0, (r, n_terms)).cumsum(axis=1)
-        idx = rng.choice(mesh.n_vertices, size=(r, n_terms), p=w)
+        fx = values[mesh.site_vertices(geometry.draw_sites(rng, (r, n_terms)))]
         g = rng.standard_normal((r, n_terms))
-        fx = values[idx]
-        out[start:start + r] = d_a * (arr ** (-1.0 / alpha) * fx * g).sum(axis=1)
         if tail_compensation:
-            var = d_a ** 2 * tail * (fx * fx).mean(axis=1)
+            var = d_a ** 2 * tail * np.einsum("ij,ij->i", fx, fx) / n_terms
+        # the products in place, so they add no (r, n_terms) temporaries
+        arr **= -1.0 / alpha
+        arr *= fx
+        arr *= g
+        out[start:start + r] = d_a * arr.sum(axis=1)
+        if tail_compensation:
             out[start:start + r] += np.sqrt(var) * rng.standard_normal(r)
+        # free this block before the next one is drawn
+        del arr, fx, g
     return out

@@ -16,10 +16,12 @@ from gasketfields.cli import main
 
 def _reference_csv(header, rows):
     """Reference bytes: `csv.writer` with one `writerow` per row, the rows
-    built cell by cell with floats as `repr(float(...))`."""
+    built cell by cell with floats as `repr(float(...))`; no header line
+    when `header` is None."""
     buf = io.StringIO(newline="")
     w = csv.writer(buf)
-    w.writerow(header)
+    if header is not None:
+        w.writerow(header)
     for row in rows:
         w.writerow(row)
     return buf.getvalue().encode()
@@ -89,6 +91,56 @@ def test_simulate_bytes_match_reference(tmp_path):
             for vid, ((x, y), v) in enumerate(zip(mesh.vertices, smp.values)))
     assert ((tmp_path / "f.csv").read_bytes()
             == _reference_csv(["replicate_id", "vertex_id", "x", "y", "value"], rows))
+
+
+@pytest.mark.parametrize("level", [0, 3])
+def test_mesh_bytes_match_reference(tmp_path, level):
+    # level 0 has the empty cell address
+    out = tmp_path / "m"
+    assert main(["mesh", "--level", str(level), "--out", str(out)]) == 0
+    mesh = geometry.build_mesh(level)
+    on_boundary = np.zeros(mesh.n_vertices, dtype=bool)
+    on_boundary[mesh.boundary] = True
+    vertex_rows = ([k, repr(float(x)), repr(float(y)), int(on_boundary[k])]
+                   for k, (x, y) in enumerate(mesh.vertices))
+    cell_rows = (["".join(map(str, addr)), i, j, k] for addr, (i, j, k) in mesh.cells)
+    assert ((tmp_path / "m_vertices.csv").read_bytes()
+            == _reference_csv(["vertex_id", "x", "y", "is_boundary"], vertex_rows))
+    assert ((tmp_path / "m_cells.csv").read_bytes()
+            == _reference_csv(["cell_address", "v0", "v1", "v2"], cell_rows))
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_spectrum_bytes_match_reference(tmp_path, bc):
+    out = tmp_path / "s"
+    assert main(["spectrum", "--level", "3", "--bc", bc, "--jmax", "20",
+                 "--out", str(out)]) == 0
+    spec = spectral.build_spectrum(3, bc, j_max=20)
+    value_rows = ([j, repr(float(lam))]
+                  for j, lam in enumerate(spec.eigenvalues, start=1))
+    assert ((tmp_path / "s_eigenvalues.csv").read_bytes()
+            == _reference_csv(["j", "lambda_j"], value_rows))
+    # the eigenvector matrix has no header: one row per vertex
+    vectors = (tmp_path / "s_eigenvectors.csv").read_bytes()
+    assert vectors == _reference_csv(
+        None, ([repr(float(v)) for v in row] for row in spec.eigenvectors))
+    assert np.array_equal(np.loadtxt(io.BytesIO(vectors), delimiter=",", ndmin=2),
+                          spec.eigenvectors)
+
+
+@pytest.mark.parametrize("argv,csv_names,headers", [
+    (["mesh", "--level", "2"], ("x_vertices.csv", "x_cells.csv"), 2),
+    (["spectrum", "--level", "2", "--jmax", "5"],
+     ("x_eigenvalues.csv", "x_eigenvectors.csv"), 1),
+])
+def test_two_file_meta_describes_csvs(tmp_path, argv, csv_names, headers):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 0
+    meta = json.loads((tmp_path / "x_meta.json").read_text())
+    data = [(tmp_path / name).read_bytes() for name in csv_names]
+    assert meta["rows"] == sum(d.count(b"\r\n") for d in data) - headers
+    assert meta["bytes"] == sum(len(d) for d in data)
+    assert set(meta["timings"]) == {"compute_s", "write_s"}
+    assert all(t >= 0.0 for t in meta["timings"].values())
 
 
 @pytest.mark.parametrize("argv,csv_name", [
@@ -206,6 +258,19 @@ def test_verify_semigroup_exit_zero(tmp_path):
     assert report["passed"]
     conv = [c for c in report["checks"] if c["name"].startswith("conv_residual")]
     assert conv and all(c["value"] <= 1e-3 for c in conv)
+
+
+def test_verify_has_no_seed(tmp_path):
+    # each suite fixes its own seeds and records them in its params
+    assert main(["verify", "--suite", "stable-cf", "--seed", "1",
+                 "--out", str(tmp_path)]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5}))
+    assert main(["--config", str(cfg), "verify", "--suite", "stable-cf",
+                 "--out", str(tmp_path)]) in (0, 1)
+    report = json.loads((tmp_path / "stable-cf.json").read_text())
+    assert "seed" not in report["config"]
+    assert report["params"]["seed"] == 11
 
 
 def test_verify_unknown_suite(tmp_path):

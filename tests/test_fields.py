@@ -190,7 +190,7 @@ def test_spectral_band_additivity_on_shared_draw(mesh6, spec_n_full):
     full = fields.simulate_field(0.9, 1.5, "neumann", mesh6, spec_n_full,
                                  draw=draw, j_terms=j2)
     # independent evaluation of the band j1+1..j2 contribution
-    idx = mesh6.site_vertices(draw.addresses)
+    idx = mesh6.site_vertices(draw.words)
     c = draw.d_alpha * draw.arrivals ** (-1.0 / 1.5) * draw.gaussians
     coeff = np.bincount(idx, weights=c, minlength=mesh6.n_vertices)
     phi = spec_n_full.eigenvectors[:, j1:j2]

@@ -98,16 +98,35 @@ def test_vertex_index_round_trip_and_non_vertices(mesh6):
 
 @pytest.mark.parametrize("m", range(0, 9))
 def test_site_vertices_equal_snapped_measure_points(m):
-    # exact digit-word lookup against snapping the depth-40 points built from
-    # the same digits
+    # exact word lookup against snapping the depth-40 points whose leading
+    # MAX_LEVEL + 1 digits make the word
     mesh = geometry.build_mesh(m)
     n = 100_000
     digits = np.random.default_rng(40 + m).integers(0, 3, size=(n, 40))
     pts = geometry.sample_mu(np.random.default_rng(40 + m), 40, size=n)
-    got = mesh.site_vertices(digits[:, :m + 1].astype(np.uint8))
-    assert np.array_equal(got, mesh.snap(pts))
-    with pytest.raises(ContractError):
-        mesh.site_vertices(digits[:, :m])
+    place_values = 3 ** np.arange(geometry.MAX_LEVEL, -1, -1)
+    words = digits[:, :geometry.MAX_LEVEL + 1] @ place_values
+    assert np.array_equal(mesh.site_vertices(words), mesh.snap(pts))
+
+
+def test_site_vertices_law_is_exactly_mu_weights():
+    # every word once: vertex v receives incidence(v) * 3^(MAX_LEVEL - m) of
+    # the 3^(MAX_LEVEL + 1) words, i.e. probability mu_weights[v] exactly
+    words = np.arange(3 ** (geometry.MAX_LEVEL + 1))
+    for m in range(0, 11):
+        mesh = geometry.build_mesh(m)
+        counts = np.bincount(mesh.site_vertices(words), minlength=mesh.n_vertices)
+        assert np.array_equal(counts, mesh.incidence * 3 ** (geometry.MAX_LEVEL - m))
+
+
+def test_draw_sites_range_and_digits():
+    words = geometry.draw_sites(np.random.default_rng(3), (4, 50_000))
+    assert words.shape == (4, 50_000) and words.dtype == np.int64
+    assert words.min() >= 0 and words.max() < 3 ** (geometry.MAX_LEVEL + 1)
+    # the leading and the last digit are each uniform on {0, 1, 2}
+    for digit in (words // 3 ** geometry.MAX_LEVEL, words % 3):
+        freq = np.bincount(digit.ravel(), minlength=3) / digit.size
+        assert np.all(np.abs(freq - 1 / 3) <= 5 * np.sqrt(2 / 9 / digit.size))
 
 
 def test_capacity_error():
@@ -256,13 +275,3 @@ def test_level_edges_distances(mesh6):
         d = np.hypot(*(mesh6.vertices[pairs[:, 0]] - mesh6.vertices[pairs[:, 1]]).T)
         assert np.allclose(d, 2.0 ** -j)
         assert len(pairs) == 3 ** (j + 1)
-
-
-def test_export_csv(tmp_path, mesh6):
-    vp, cp = tmp_path / "v.csv", tmp_path / "c.csv"
-    geometry.export_csv(mesh6, vp, cp)
-    vlines = vp.read_text().strip().splitlines()
-    clines = cp.read_text().strip().splitlines()
-    assert vlines[0] == "vertex_id,x,y,is_boundary"
-    assert len(vlines) == mesh6.n_vertices + 1
-    assert len(clines) == len(mesh6.cells) + 1

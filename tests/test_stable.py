@@ -56,9 +56,9 @@ def test_make_draw_deterministic():
     a = stable.make_draw(123, 500, 1.5)
     b = stable.make_draw(123, 500, 1.5)
     assert np.array_equal(a.arrivals, b.arrivals)
-    assert np.array_equal(a.addresses, b.addresses)
-    assert a.addresses.dtype == np.uint8
-    assert a.addresses.shape == (500, geometry.MAX_LEVEL + 1)
+    assert np.array_equal(a.words, b.words)
+    assert a.words.dtype == np.int64
+    assert a.words.shape == (500,)
     assert np.array_equal(a.gaussians, b.gaussians)
 
 
@@ -108,6 +108,27 @@ def test_lepage_vs_direct_ks(mesh6):
     assert analysis.two_sample(lp, dr)["p_value"] > 0.01
 
 
+def test_lepage_replicates_match_series_reference(mesh6):
+    # the in-place route, in blocks of 500 replicates, against the series
+    # written out over the same stream: arrivals, site words, gaussians,
+    # then the tail normals
+    values = np.random.default_rng(5).standard_normal(mesh6.n_vertices)
+    alpha, n_terms, n_rep = 1.9, 300, 700
+    got = stable.lepage_replicates(values, mesh6, alpha, n_terms, n_rep, seed=12,
+                                   tail_compensation=True)
+    rng = np.random.default_rng(np.random.SeedSequence(12))
+    d_a, tail = stable.d_alpha(alpha), stable.arrival_tail_sum(alpha, n_terms)
+    want = []
+    for r in (500, 200):
+        arr = rng.exponential(1.0, (r, n_terms)).cumsum(axis=1)
+        fx = values[mesh6.site_vertices(geometry.draw_sites(rng, (r, n_terms)))]
+        g = rng.standard_normal((r, n_terms))
+        series = d_a * (arr ** (-1.0 / alpha) * fx * g).sum(axis=1)
+        var = d_a ** 2 * tail * (fx * fx).mean(axis=1)
+        want.append(series + np.sqrt(var) * rng.standard_normal(r))
+    assert np.allclose(got, np.concatenate(want), rtol=1e-12, atol=1e-12)
+
+
 def test_tail_compensation_needed_near_two(mesh6):
     # at alpha = 1.9 the raw partial sum is visibly under-dispersed at
     # N = 1e4; the Gaussian small-jump surrogate restores the law
@@ -130,14 +151,19 @@ def test_arrival_tail_sum_matches_emitted_estimate():
 
 
 def test_draw_sites_match_snapped_measure_points():
-    # the digit words of a draw place its sites exactly where snapping the
-    # depth-40 measure points drawn from the same sub-stream puts them
+    # a draw's words come from its site sub-stream, and each word places its
+    # site where snapping the measure point with the word's digits puts it
     for seed, level in ((0, 4), (1, 6), (2, 7)):
         draw = stable.make_draw(seed, 20_000, 1.5)
         s_xi = np.random.SeedSequence(seed).spawn(2)[1]
-        pts = geometry.sample_mu(np.random.default_rng(s_xi), 40, size=20_000)
+        assert np.array_equal(
+            draw.words, geometry.draw_sites(np.random.default_rng(s_xi), 20_000))
+        pts = np.tile(geometry.BARYCENTER, (20_000, 1))
+        for r in range(geometry.MAX_LEVEL, -1, -1):
+            digit = draw.words // 3 ** (geometry.MAX_LEVEL - r) % 3
+            pts = 0.5 * (pts + geometry.CORNERS[digit])
         mesh = geometry.build_mesh(level)
-        assert np.array_equal(mesh.site_vertices(draw.addresses), mesh.snap(pts))
+        assert np.array_equal(mesh.site_vertices(draw.words), mesh.snap(pts))
 
 
 def test_snapped_site_law_matches_vertex_weights(mesh6):
