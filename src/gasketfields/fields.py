@@ -88,7 +88,7 @@ def simulate_field(s, alpha, bc, mesh, spectrum, draw=None, seed=None, j_terms=N
         "n_terms": None if draw is None else draw.n_terms,
         "seed": seed if draw is None else draw.seed,
         "regime": "divergent" if s <= D_H / D_W else "continuous",
-        "snap_scale": 2.0 ** -mesh.level,
+        "mesh_scale": 2.0 ** -mesh.level,
         "tail_estimate": None if draw is None else draw.tail_estimate,
         "mesh_sup": float(np.max(np.abs(values))),
     }

@@ -99,7 +99,8 @@ class GasketMesh:
         F_w(q_i), while every other vertex of V_m is at least 2^-m from that
         corner.  Its nearest vertex is therefore corner d_m of cell w, entry
         (base-3 value of d_0..d_m) of the corner table; ties have measure
-        zero.
+        zero.  `stable.lepage_replicates` applies the same division in
+        place to its own fresh words.
         """
         return self.corner_table[words // 3 ** (MAX_LEVEL - self.level)]
 

@@ -17,7 +17,7 @@ from scipy import integrate
 from scipy.special import gamma as gamma_fn, gammaln
 
 from . import geometry
-from .errors import DomainError
+from .errors import ContractError, DomainError
 
 # replicates drawn per block by `lepage_replicates`; the block size fixes
 # the order in which its stream is consumed
@@ -143,36 +143,52 @@ def direct_replicates(values, mesh, alpha, n_replicates, seed):
 def lepage_replicates(values, mesh, alpha, n_terms, n_replicates, seed,
                       tail_compensation=False):
     """Independent LePage partial sums D_alpha sum_n T_n^(-1/alpha) f(xi_n) g_n
-    of a mesh function, vectorized.
+    of mesh functions, vectorized.
 
-    Sites are drawn as measure words and placed on their nearest vertices
-    (`geometry.draw_sites`, `GasketMesh.site_vertices`), as in `make_draw`,
-    so each replicate has the law of the series over a `make_draw` draw.
+    `values` holds one function per column, shape (n_vertices, k), and the
+    result has shape (n_replicates, k); a 1-D `values` gives a 1-D result.
+    Each replicate is one draw of the random measure (T, xi, g) integrated
+    against every column, so the columns share their noise and the result
+    is linear in `values` on each draw.  Sites are drawn as measure words
+    and placed on their nearest vertices (`geometry.draw_sites`,
+    `GasketMesh.site_vertices`), as in `make_draw`, so each column has the
+    law of the series over a `make_draw` draw.
+
     `tail_compensation` adds the Gaussian surrogate of the discarded small
-    jumps (variance D^2 * arrival_tail_sum * mean f(xi)^2), which matters
-    for alpha close to 2 where the raw series converges slowly.
+    jumps, which matters for alpha close to 2 where the raw series
+    converges slowly.  It is folded into the site weights,
+        w_n = D_alpha sqrt(T_n^(-2/alpha) + tau / N) g_n,
+    tau = `arrival_tail_sum`: given T and xi, sum_n w_n f(xi_n) is Gaussian
+    with the series variance plus the surrogate's D^2 tau mean f(xi)^2.
     """
     if not 0.0 < alpha < 2.0:
         raise DomainError(f"LePage representation requires alpha in (0, 2), got {alpha}")
     values = np.asarray(values, dtype=float)
-    d_a = d_alpha(alpha)
-    tail = arrival_tail_sum(alpha, n_terms) if tail_compensation else 0.0
+    if values.ndim not in (1, 2) or len(values) != mesh.n_vertices:
+        raise ContractError(f"values of shape {values.shape} are not (n_vertices, k) "
+                            f"or (n_vertices,) with n_vertices = {mesh.n_vertices}")
+    columns = values.reshape(len(values), -1).T
+    # each site's share of the surrogate variance, tau / N
+    tail = arrival_tail_sum(alpha, n_terms) / n_terms if tail_compensation else 0.0
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    out = np.empty(n_replicates)
+    out = np.empty((n_replicates, len(columns)))
     for start in range(0, n_replicates, _CHUNK):
         r = min(_CHUNK, n_replicates - start)
-        arr = rng.exponential(1.0, (r, n_terms)).cumsum(axis=1)
-        fx = values[mesh.site_vertices(geometry.draw_sites(rng, (r, n_terms)))]
-        g = rng.standard_normal((r, n_terms))
-        if tail_compensation:
-            var = d_a ** 2 * tail * np.einsum("ij,ij->i", fx, fx) / n_terms
-        # the products in place, so they add no (r, n_terms) temporaries
-        arr **= -1.0 / alpha
-        arr *= fx
-        arr *= g
-        out[start:start + r] = d_a * arr.sum(axis=1)
-        if tail_compensation:
-            out[start:start + r] += np.sqrt(var) * rng.standard_normal(r)
+        w = rng.exponential(1.0, (r, n_terms))
+        np.cumsum(w, axis=1, out=w)
+        # the block's own words become level-m corner codes in place, so no
+        # quotient array is allocated (see `GasketMesh.site_vertices`)
+        sites = geometry.draw_sites(rng, (r, n_terms))
+        sites //= 3 ** (geometry.MAX_LEVEL - mesh.level)
+        sites = mesh.corner_table[sites]
+        # the weights in place: the gaussians are their only temporary
+        w **= -2.0 / alpha
+        w += tail
+        np.sqrt(w, out=w)
+        w *= rng.standard_normal((r, n_terms))
+        for k, f in enumerate(columns):
+            out[start:start + r, k] = np.einsum("ij,ij->i", w, f[sites])
         # free this block before the next one is drawn
-        del arr, fx, g
-    return out
+        del w, sites
+    out *= d_alpha(alpha)
+    return out.reshape((n_replicates,) + values.shape[1:])

@@ -202,5 +202,5 @@ def test_spectral_band_additivity_on_shared_draw(mesh6, spec_n_full):
 def test_field_metadata_complete(mesh6, spec_n):
     smp = _field(0.9, 1.5, "neumann", mesh6, spec_n, 9)
     for key in ("s", "alpha", "bc", "level", "j_terms", "n_terms", "seed",
-                "regime", "snap_scale", "tail_estimate", "mesh_sup"):
+                "regime", "mesh_scale", "tail_estimate", "mesh_sup"):
         assert key in smp.meta

@@ -1,8 +1,16 @@
+import copy
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gasketfields import analysis, geometry, stable
-from gasketfields.errors import DomainError
+import gasketfields
+from gasketfields import analysis, geometry, stable, verify
+from gasketfields.errors import ContractError, DomainError, InvariantError
 
 
 def test_alpha2_is_gaussian_variance_two():
@@ -108,25 +116,130 @@ def test_lepage_vs_direct_ks(mesh6):
     assert analysis.two_sample(lp, dr)["p_value"] > 0.01
 
 
-def test_lepage_replicates_match_series_reference(mesh6):
-    # the in-place route, in blocks of 500 replicates, against the series
-    # written out over the same stream: arrivals, site words, gaussians,
-    # then the tail normals
-    values = np.random.default_rng(5).standard_normal(mesh6.n_vertices)
-    alpha, n_terms, n_rep = 1.9, 300, 700
-    got = stable.lepage_replicates(values, mesh6, alpha, n_terms, n_rep, seed=12,
-                                   tail_compensation=True)
-    rng = np.random.default_rng(np.random.SeedSequence(12))
-    d_a, tail = stable.d_alpha(alpha), stable.arrival_tail_sum(alpha, n_terms)
-    want = []
-    for r in (500, 200):
+def _series_stream(values, mesh, n_terms, blocks, seed):
+    # the stream of `lepage_replicates` written out: per block of
+    # replicates, arrivals, site words, gaussians
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    for r in blocks:
         arr = rng.exponential(1.0, (r, n_terms)).cumsum(axis=1)
-        fx = values[mesh6.site_vertices(geometry.draw_sites(rng, (r, n_terms)))]
+        fx = values[mesh.site_vertices(geometry.draw_sites(rng, (r, n_terms)))]
         g = rng.standard_normal((r, n_terms))
-        series = d_a * (arr ** (-1.0 / alpha) * fx * g).sum(axis=1)
-        var = d_a ** 2 * tail * (fx * fx).mean(axis=1)
-        want.append(series + np.sqrt(var) * rng.standard_normal(r))
-    assert np.allclose(got, np.concatenate(want), rtol=1e-12, atol=1e-12)
+        yield arr, fx, g
+
+
+def test_lepage_replicates_match_series_reference(mesh6):
+    # compensated: the merged-weight series D sqrt(T^(-2/alpha) + tau/N) g f,
+    # over two blocks of replicates and a non-constant f
+    values = np.random.default_rng(5).standard_normal(mesh6.n_vertices)
+    alpha, n_terms = 1.9, 300
+    got = stable.lepage_replicates(values, mesh6, alpha, n_terms, 700, seed=12,
+                                   tail_compensation=True)
+    d_a, tail = stable.d_alpha(alpha), stable.arrival_tail_sum(alpha, n_terms)
+    want = np.concatenate([
+        d_a * (np.sqrt(arr ** (-2.0 / alpha) + tail / n_terms) * g * fx).sum(axis=1)
+        for arr, fx, g in _series_stream(values, mesh6, n_terms, (500, 200), 12)])
+    assert got.shape == (700,)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_lepage_replicates_raw_keep_series_stream(mesh6):
+    # uncompensated one-column calls are the plain series
+    # D sum_n T_n^(-1/alpha) f(xi_n) g_n over the same stream
+    values = np.random.default_rng(6).standard_normal(mesh6.n_vertices)
+    alpha, n_terms = 1.5, 400
+    got = stable.lepage_replicates(values, mesh6, alpha, n_terms, 600, seed=13)
+    want = np.concatenate([
+        stable.d_alpha(alpha) * (arr ** (-1.0 / alpha) * fx * g).sum(axis=1)
+        for arr, fx, g in _series_stream(values, mesh6, n_terms, (500, 100), 13)])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("tail_compensation", [False, True])
+def test_lepage_replicates_columns_share_one_draw(mesh6, tail_compensation):
+    # column j of a batched call is the one-column call on the same seed
+    F = np.random.default_rng(7).standard_normal((mesh6.n_vertices, 3))
+    kw = dict(mesh=mesh6, alpha=1.2, n_terms=300, n_replicates=600, seed=14,
+              tail_compensation=tail_compensation)
+    batch = stable.lepage_replicates(F, **kw)
+    assert batch.shape == (600, 3)
+    for j in range(3):
+        one = stable.lepage_replicates(F[:, j], **kw)
+        assert np.max(np.abs(batch[:, j] - one)) <= 1e-12 * np.max(np.abs(one))
+
+
+def test_lepage_replicates_rejects_misshaped_values(mesh6):
+    n = mesh6.n_vertices
+    for bad in (np.ones(n - 1), np.ones((n + 1, 2)), np.ones((n, 2, 2))):
+        with pytest.raises(ContractError):
+            stable.lepage_replicates(bad, mesh6, 1.5, 10, 10, seed=0)
+
+
+def test_lepage_replicates_linear_on_each_draw(mesh6):
+    # with the surrogate in the weights, the result is linear in the
+    # integrand draw by draw
+    rng = np.random.default_rng(8)
+    F = rng.standard_normal((mesh6.n_vertices, 3))
+    c = rng.standard_normal(3)
+    kw = dict(mesh=mesh6, alpha=1.9, n_terms=300, n_replicates=600, seed=15,
+              tail_compensation=True)
+    lhs = stable.lepage_replicates(F @ c, **kw)
+    rhs = stable.lepage_replicates(F, **kw) @ c
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+
+def test_lepage_replicates_block_peak_memory(mesh6):
+    # one 500 x 1e4 block holds at most three (r, n_terms) arrays at once
+    # (arrivals or weights, sites, and the gaussians or one gathered column)
+    ones = np.ones(mesh6.n_vertices)
+    tracemalloc.start()
+    try:
+        stable.lepage_replicates(ones, mesh6, 1.5, 10_000, 500, seed=16,
+                                 tail_compensation=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * 500 * 10_000 * 8
+
+
+def test_lepage_vs_direct_independent_of_blas_threads(tmp_path):
+    # the battery is built from basis-invariant quantities, so the report
+    # must not depend on the eigenvector basis the BLAS thread count picks
+    code = (
+        "import json, sys\n"
+        "from gasketfields import verify\n"
+        "rep = verify.run_suite('lepage-vs-direct', n=500, n_terms=200)\n"
+        "json.dump(rep, open(sys.argv[1], 'w'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(gasketfields.__file__)),
+         env.get("PYTHONPATH", "")])
+    reports = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        path = tmp_path / f"r{threads}.json"
+        proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(json.loads(path.read_text())["checks"])
+    one, two = reports
+    assert [c["name"] for c in one] == [c["name"] for c in two]
+    assert len(one) == 12
+    for a, b in zip(one, two):
+        assert a["passed"] == b["passed"]
+        assert a["value"]["stat"] == b["value"]["stat"]
+        assert a["value"]["p_value"] == pytest.approx(b["value"]["p_value"],
+                                                      rel=1e-12, abs=0.0)
+
+
+def test_lepage_vs_direct_refuses_vanishing_projection(monkeypatch, mesh6, spec_n):
+    # a constant x coordinate has no component in a non-constant eigenspace
+    flat = copy.copy(mesh6)
+    flat.vertices = np.column_stack([np.full(mesh6.n_vertices, 0.5),
+                                     mesh6.vertices[:, 1]])
+    monkeypatch.setattr(geometry, "build_mesh", lambda level: flat)
+    with pytest.raises(InvariantError):
+        verify.run_suite("lepage-vs-direct", n=500, n_terms=10)
 
 
 def test_tail_compensation_needed_near_two(mesh6):
