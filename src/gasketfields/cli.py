@@ -190,17 +190,17 @@ def _cmd_spectrum(cfg):
 def _cmd_kernel(cfg):
     import numpy as np
 
-    from . import geometry, riesz, spectral
+    from . import riesz, spectral
 
     started = time.perf_counter()
     if cfg.get("s") is None:
         raise _usage("kernel requires --s > 0")
-    mesh = geometry.build_mesh(cfg["level"])
-    # the full spectrum, so tail_bound sees the modes --jmax drops
-    spec = spectral.build_spectrum(cfg["level"], cfg["bc"])
-    ev = riesz.KernelEvaluator(spec, cfg["s"], cfg["jmax"])
-    V = mesh.vertices
-    n = mesh.n_vertices
+    # the full spectrum holds the modes --jmax drops, for the tail bound
+    full = spectral.build_spectrum(cfg["level"], cfg["bc"])
+    spec = full.truncated(cfg["jmax"])
+    ev = riesz.KernelEvaluator(spec, cfg["s"])
+    V = spec.mesh.vertices
+    n = spec.mesh.n_vertices
     if cfg.get("pairs"):
         rng = np.random.default_rng(cfg["seed"])
         rows = []
@@ -228,8 +228,8 @@ def _cmd_kernel(cfg):
     path = f"{out}_kernel.csv"
     exported = _write_csv([(path, "xi,yi,d,G", blocks)], started)
     _write_json(f"{out}_meta.json", {"config": _run_config(cfg, "kernel"),
-                                     "j_terms": ev.j_terms,
-                                     "tail_bound": ev.tail_bound(),
+                                     "j_terms": spec.n_modes,
+                                     "tail_bound": ev.tail_bound(full),
                                      **exported})
     print(f"kernel s={cfg['s']} -> {path}")
     return 0
@@ -264,24 +264,19 @@ def _cmd_stable(cfg):
 
 
 def _cmd_simulate(cfg):
-    from . import fields, geometry, spectral
-    from .constants import integrability_threshold
+    from . import fields, spectral
 
     started = time.perf_counter()
     for key in ("s", "alpha"):
         if cfg.get(key) is None:
             raise _usage(f"simulate requires --{key}")
     s, alpha = cfg["s"], cfg["alpha"]
-    if s <= integrability_threshold(alpha):
-        raise _usage(
-            f"s = {s} <= (alpha-1)*d_h/(alpha*d_w) = "
-            f"{integrability_threshold(alpha):.5f}: field undefined, "
-            "see integrability threshold")
-    mesh = geometry.build_mesh(cfg["level"])
+    # before the spectrum is solved
+    fields.check_integrable(s, alpha)
     spec = spectral.build_spectrum(cfg["level"], cfg["bc"], j_max=cfg["jmax"])
+    mesh = spec.mesh
     seeds = range(cfg["seed"], cfg["seed"] + cfg["replicates"])
-    samples = fields.field_replicates(s, alpha, cfg["bc"], mesh, spec, seeds,
-                                      cfg["n_terms"], cfg["jmax"])
+    samples = fields.field_replicates(s, alpha, spec, seeds, cfg["n_terms"])
     out = cfg["out"]
     path = f"{out}.csv"
     vertex_cols = [f"{vid},{x!r},{y!r},"

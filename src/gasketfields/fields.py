@@ -22,7 +22,6 @@ from .constants import D_H, D_W, integrability_threshold
 from .errors import ContractError, DomainError
 from .geometry import quadrature
 from .riesz import KernelEvaluator, fractional_laplacian_inv
-from .spectral import check_bc
 from .stable import make_draw, standard_stable
 
 
@@ -38,7 +37,8 @@ def hurst_index(s, alpha):
     return s * D_W - (alpha - 1.0) * D_H / alpha
 
 
-def _check_order(s, alpha):
+def check_integrable(s, alpha):
+    """Reject orders s at or below the integrability threshold of alpha."""
     thr = integrability_threshold(alpha)
     if s <= thr:
         raise DomainError(
@@ -62,8 +62,9 @@ def _noise_coefficients(alpha, mesh, draw, seed):
     return np.bincount(idx, weights=c, minlength=mesh.n_vertices)
 
 
-def simulate_field(s, alpha, bc, mesh, spectrum, draw=None, seed=None, j_terms=None):
-    """One joint realization of the fractional alpha-stable field on V_m.
+def simulate_field(s, alpha, spectrum, draw=None, seed=None):
+    """One joint realization of the fractional alpha-stable field on the
+    vertices of the spectrum's mesh, with the spectrum's truncation.
 
     For alpha < 2 the realization is
         D_alpha sum_n T_n^(-1/alpha) G_s(x, xi_n) g_n
@@ -72,19 +73,16 @@ def simulate_field(s, alpha, bc, mesh, spectrum, draw=None, seed=None, j_terms=N
     threshold are rejected; orders in (threshold, d_h/d_w] are permitted
     but tagged as the divergent regime.
     """
-    check_bc(bc)
-    if spectrum.bc != bc or spectrum.level != mesh.level:
-        raise ContractError("spectrum does not match the requested mesh/bc")
-    _check_order(s, alpha)
-    ev = KernelEvaluator(spectrum, s, j_terms)
+    check_integrable(s, alpha)
+    mesh = spectrum.mesh
     coeff = _noise_coefficients(alpha, mesh, draw, seed)
-    values = ev.apply(coeff)
+    values = KernelEvaluator(spectrum, s).apply(coeff)
     meta = {
         "s": s,
         "alpha": alpha,
-        "bc": bc,
+        "bc": spectrum.bc,
         "level": mesh.level,
-        "j_terms": ev.j_terms,
+        "j_terms": spectrum.n_modes,
         "n_terms": None if draw is None else draw.n_terms,
         "seed": seed if draw is None else draw.seed,
         "regime": "divergent" if s <= D_H / D_W else "continuous",
@@ -95,14 +93,13 @@ def simulate_field(s, alpha, bc, mesh, spectrum, draw=None, seed=None, j_terms=N
     return FieldSample(values, meta)
 
 
-def field_replicates(s, alpha, bc, mesh, spectrum, seeds, n_terms, j_terms=None):
+def field_replicates(s, alpha, spectrum, seeds, n_terms):
     """One `simulate_field` realization per seed: white noise from the seed
     at alpha = 2, else the LePage draw `make_draw(seed, n_terms, alpha)`."""
     out = []
     for seed in seeds:
         draw = None if alpha == 2.0 else make_draw(seed, n_terms, alpha)
-        out.append(simulate_field(s, alpha, bc, mesh, spectrum, draw=draw,
-                                  seed=seed, j_terms=j_terms))
+        out.append(simulate_field(s, alpha, spectrum, draw=draw, seed=seed))
     return out
 
 
@@ -112,9 +109,7 @@ def distributional_field(f, s, alpha, spectrum, rng):
     Exact in law for a single functional; CF is
     exp(-|u|^alpha ||(-Delta)^-s f||_alpha^alpha).
     """
-    g = fractional_laplacian_inv(s, f, spectrum)
-    scale = (np.abs(g) ** alpha @ spectrum.weights) ** (1.0 / alpha)
-    return scale * standard_stable(rng, alpha)
+    return functional_scale(f, s, alpha, spectrum) * standard_stable(rng, alpha)
 
 
 def functional_scale(f, s, alpha, spectrum):
@@ -123,26 +118,25 @@ def functional_scale(f, s, alpha, spectrum):
     return float((np.abs(g) ** alpha @ spectrum.weights) ** (1.0 / alpha))
 
 
-def marginal_scale(xi, s, alpha, spectrum, j_terms=None):
+def marginal_scale(xi, s, alpha, spectrum):
     """Scale of the field marginal at vertex x: ||G_s(x, .)||_alpha."""
-    row = KernelEvaluator(spectrum, s, j_terms).row(xi)
+    row = KernelEvaluator(spectrum, s).row(xi)
     return float((np.abs(row) ** alpha @ spectrum.weights) ** (1.0 / alpha))
 
 
-def conditional_increment_scale(xi, yi, s, draw, spectrum, j_terms=None):
+def conditional_increment_scale(xi, yi, s, draw, spectrum):
     """Conditional Gaussian scale of an increment given frozen (T, xi):
 
     s_alpha(x,y)^2 = D^2 E(g^2) sum_n T_n^(-2/alpha) |G(x,xi_n)-G(y,xi_n)|^2.
     """
-    ev = KernelEvaluator(spectrum, s, j_terms)
+    ev = KernelEvaluator(spectrum, s)
     idx = spectrum.mesh.site_vertices(draw.words)
     diff = ev.row(xi)[idx] - ev.row(yi)[idx]
     total = (draw.arrivals ** (-2.0 / draw.alpha) * diff * diff).sum()
     return float(draw.d_alpha * np.sqrt(total))
 
 
-def scaled_subcell_field(word, s, alpha, mesh, spectrum, draw=None, seed=None,
-                         j_terms=None):
+def scaled_subcell_field(word, s, alpha, spectrum, draw=None, seed=None):
     """Field of the level-n subcell copy at F_w(x), rescaled by 2^(nH).
 
     The subcell carries eigenvalues 5^n lambda_j, eigenfunctions
@@ -156,24 +150,24 @@ def scaled_subcell_field(word, s, alpha, mesh, spectrum, draw=None, seed=None,
     for d in word:
         if d not in (0, 1, 2):
             raise DomainError(f"address digit {d} not in {{0,1,2}}")
-    _check_order(s, alpha)
-    ev = KernelEvaluator(spectrum, s, j_terms)
+    check_integrable(s, alpha)
+    ev = KernelEvaluator(spectrum, s)
     kernel_factor = 3.0 ** n * 5.0 ** (-n * s)
     h = hurst_index(s, alpha)
 
     # F_w commutes with placing each site on its nearest vertex, and the
     # subcell measure has mass 3^-n
-    coeff = _noise_coefficients(alpha, mesh, draw, seed)
+    coeff = _noise_coefficients(alpha, spectrum.mesh, draw, seed)
     values = kernel_factor * 3.0 ** (-n / alpha) * ev.apply(coeff)
     values = 2.0 ** (n * h) * values
     meta = {
         "s": s,
         "alpha": alpha,
         "bc": spectrum.bc,
-        "level": mesh.level,
+        "level": spectrum.level,
         "word": tuple(word),
         "hurst": h,
-        "j_terms": ev.j_terms,
+        "j_terms": spectrum.n_modes,
         "seed": seed if draw is None else draw.seed,
     }
     return FieldSample(values, meta)

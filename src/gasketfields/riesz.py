@@ -22,18 +22,17 @@ from .spectral import NEUMANN, heat_kernel
 class KernelEvaluator:
     """Cached spectral evaluator of one Riesz kernel G_s.
 
-    Symmetric in its arguments and deterministic given (spectrum, s,
-    truncation).  The truncation never splits an eigenvalue multiplet.
+    Symmetric in its arguments and deterministic given (spectrum, s); the
+    sum runs over every mode of the spectrum.
     """
 
-    def __init__(self, spectrum, s, j_terms=None):
+    def __init__(self, spectrum, s):
         if s <= 0:
             raise DomainError("kernel order s must be positive")
         self.spectrum = spectrum
         self.s = float(s)
-        self.j_terms = spectrum.truncation(j_terms)
-        self.lam_pow = spectrum.eigenvalues[: self.j_terms] ** (-self.s)
-        self.phi = spectrum.eigenvectors[:, : self.j_terms]
+        self.lam_pow = spectrum.eigenvalues ** (-self.s)
+        self.phi = spectrum.eigenvectors
         self._matrix = None
 
     def value(self, xi, yi):
@@ -56,17 +55,17 @@ class KernelEvaluator:
         """Kernel action on a vector of point masses: sum_v G(., v) c_v."""
         return self.phi @ (self.lam_pow * (self.phi.T @ coeffs))
 
-    def tail_bound(self):
-        """Heuristic spectral-tail error bound for kernel sums."""
-        spec = self.spectrum
-        if self.j_terms >= spec.n_modes:
+    def tail_bound(self, full):
+        """Heuristic error bound of this kernel's sum against that over
+        `full`, a spectrum whose leading modes this one keeps."""
+        j = self.spectrum.n_modes
+        if j >= full.n_modes:
             return 0.0
-        lam_next = spec.eigenvalues[self.j_terms]
-        return float(lam_next ** (-self.s) * self.j_terms *
+        return float(full.eigenvalues[j] ** (-self.s) * j *
                      np.max(np.abs(self.phi)) ** 2)
 
 
-def fractional_laplacian_inv(s, f, spectrum, j_terms=None):
+def fractional_laplacian_inv(s, f, spectrum):
     """Apply the order -s operator to vertex values in coefficient space.
 
     Neumann input is first projected to quadrature mean zero; s = 0 is
@@ -78,18 +77,12 @@ def fractional_laplacian_inv(s, f, spectrum, j_terms=None):
     w = spectrum.weights
     if spectrum.bc == NEUMANN:
         f = f - (f @ w)
-    j = spectrum.truncation(j_terms)
-    phi = spectrum.eigenvectors[:, :j]
+    phi = spectrum.eigenvectors
     coeffs = phi.T @ (w * f)
-    return phi @ (spectrum.eigenvalues[:j] ** (-s) * coeffs)
+    return phi @ (spectrum.eigenvalues ** (-s) * coeffs)
 
 
-def kernel_integral(ev, f):
-    """Quadrature route: x -> integral G_s(x, y) f(y) mu(dy)."""
-    return ev.apply(ev.spectrum.weights * np.asarray(f, dtype=float))
-
-
-def kernel_semigroup_residual(s, t, xi, yi, spectrum, j_terms=None):
+def kernel_semigroup_residual(s, t, xi, yi, spectrum):
     """Convolution defect |G_{s+t}(x,y) - quad_u G_s(x,u) G_t(u,y)|.
 
     At matched truncation this is pure quadrature/orthonormality error.
@@ -98,14 +91,14 @@ def kernel_semigroup_residual(s, t, xi, yi, spectrum, j_terms=None):
         raise DomainError("orders s, t must be positive")
     if xi == yi and s + t <= D_H / D_W:
         raise DomainError("diagonal requires s+t > d_h/d_w")
-    ev_s = KernelEvaluator(spectrum, s, j_terms)
-    ev_t = KernelEvaluator(spectrum, t, j_terms)
-    ev_st = KernelEvaluator(spectrum, s + t, ev_s.j_terms)
+    ev_s = KernelEvaluator(spectrum, s)
+    ev_t = KernelEvaluator(spectrum, t)
+    ev_st = KernelEvaluator(spectrum, s + t)
     conv = ev_s.row(xi) @ (spectrum.weights * ev_t.row(yi))
     return abs(ev_st.value(xi, yi) - conv)
 
 
-def riesz_kernel_time_integral(spectrum, s, xi, yi, j_terms=None, t_max=60.0):
+def riesz_kernel_time_integral(spectrum, s, xi, yi, t_max=60.0):
     """Cross-check path: adaptive quadrature of the Mellin time integral.
 
     Integrates t^(s-1) (p_t(x,y) - 1) (Neumann; Dirichlet drops the 1)
@@ -118,7 +111,7 @@ def riesz_kernel_time_integral(spectrum, s, xi, yi, j_terms=None, t_max=60.0):
     shift = 1.0 if spectrum.bc == NEUMANN else 0.0
 
     def integrand(u):
-        return heat_kernel(u ** (1.0 / s), xi, yi, spectrum, j_terms) - shift
+        return heat_kernel(u ** (1.0 / s), xi, yi, spectrum) - shift
 
     val, _ = integrate.quad(integrand, 0.0, t_max ** s, limit=500,
                             epsabs=1e-13, epsrel=1e-11)
@@ -141,7 +134,7 @@ def dyadic_pair_bins(mesh, rng=None, max_pairs_per_bin=400):
     return bins
 
 
-def kernel_exponent_fit(ev, mesh, rng=None):
+def kernel_exponent_fit(ev, rng=None):
     """Fitted growth exponent of the kernel against distance.
 
     Valid for s < d_h/d_w where the kernel behaves like
@@ -155,7 +148,7 @@ def kernel_exponent_fit(ev, mesh, rng=None):
         raise DomainError("power-law fit requires s < d_h/d_w")
     G = ev.matrix()
     dists, means = [], []
-    for dist, pairs in dyadic_pair_bins(mesh, rng):
+    for dist, pairs in dyadic_pair_bins(ev.spectrum.mesh, rng):
         dists.append(dist)
         means.append(G[pairs[:, 0], pairs[:, 1]].mean())
     if len(dists) < 3:
@@ -169,7 +162,7 @@ def kernel_exponent_fit(ev, mesh, rng=None):
     return float(popt[1])
 
 
-def kernel_log_fit(ev, mesh, rng=None):
+def kernel_log_fit(ev, rng=None):
     """At the critical order s = d_h/d_w: fit G against -log d.
 
     Returns (slope, r_squared); the profile should be linear with
@@ -177,7 +170,7 @@ def kernel_log_fit(ev, mesh, rng=None):
     """
     G = ev.matrix()
     xs, ys = [], []
-    for dist, pairs in dyadic_pair_bins(mesh, rng):
+    for dist, pairs in dyadic_pair_bins(ev.spectrum.mesh, rng):
         xs.append(-np.log(dist))
         ys.append(G[pairs[:, 0], pairs[:, 1]].mean())
     xs, ys = np.array(xs), np.array(ys)
@@ -196,7 +189,7 @@ def holder_modulus(d, s):
     return d ** (D_W - D_H) * np.maximum(np.abs(np.log(d)), 1.0)
 
 
-def kernel_holder_ratio(ev, mesh, rng, n_z=40):
+def kernel_holder_ratio(ev, rng, n_z=40):
     """Max over triples of |G(x,z) - G(y,z)| / modulus(d(x,y)).
 
     (x, y) runs over all dyadic cell-mate pairs, z over a random vertex
@@ -205,6 +198,7 @@ def kernel_holder_ratio(ev, mesh, rng, n_z=40):
     """
     if ev.s <= D_H / D_W:
         raise DomainError("Hoelder ratio requires s > d_h/d_w")
+    mesh = ev.spectrum.mesh
     G = ev.matrix()
     zs = rng.choice(mesh.n_vertices, size=min(n_z, mesh.n_vertices), replace=False)
     worst = 0.0
@@ -221,13 +215,13 @@ def reflection_defect(ev, i):
     return float(np.max(np.abs(G[np.ix_(perm, perm)] - G)))
 
 
-def subcell_kernel_value(spectrum, s, n, xi, yi, j_terms=None):
+def subcell_kernel_value(spectrum, s, n, xi, yi):
     """Kernel of the level-n subcell copy, evaluated through its own
     spectral data lambda_j * 5^n and 3^(n/2) phi_j composed with the
     inverse cell map; arguments are base-mesh vertices x, y with the
     kernel taken at (F_w x, F_w y)."""
-    ev = KernelEvaluator(spectrum, s, j_terms)
-    lam_w_pow = (5.0 ** n * spectrum.eigenvalues[: ev.j_terms]) ** (-s)
+    ev = KernelEvaluator(spectrum, s)
+    lam_w_pow = (5.0 ** n * spectrum.eigenvalues) ** (-s)
     phi_w_x = 3.0 ** (n / 2.0) * ev.phi[xi]
     phi_w_y = 3.0 ** (n / 2.0) * ev.phi[yi]
     return float((phi_w_x * phi_w_y) @ lam_w_pow)

@@ -12,7 +12,7 @@ Dirichlet drops it and vanishes on the corner set V_0.
 
 import functools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -61,7 +61,10 @@ class Spectrum:
     """Ascending eigenpairs of the discrete Laplacian, mass-orthonormal.
 
     Eigenvectors are stored on the full vertex set; Dirichlet vectors are
-    zero on the boundary.  The Neumann constant mode is excluded.
+    zero on the boundary.  The Neumann constant mode is excluded.  Every
+    spectral sum over a Spectrum runs over all of its modes, so the
+    truncation of a kernel or a field is that of the Spectrum it is given
+    (see `truncated`).
     """
     bc: str
     level: int
@@ -74,19 +77,24 @@ class Spectrum:
     def n_modes(self):
         return len(self.eigenvalues)
 
-    def truncation(self, j_terms=None):
-        """Effective truncation index: j_terms extended to the end of any
+    def truncation(self, j):
+        """Effective truncation index: j extended to the end of any
         eigenvalue multiplet it would otherwise split."""
-        n = self.n_modes
-        if j_terms is None or j_terms >= n:
-            return n
-        if j_terms < 1:
+        if j < 1:
             raise ContractError("truncation must keep at least one mode")
-        lam = self.eigenvalues
-        j = j_terms
+        lam, n = self.eigenvalues, self.n_modes
         while j < n and lam[j] - lam[j - 1] <= _CLUSTER_RTOL * lam[j - 1]:
             j += 1
-        return j
+        return min(j, n)
+
+    def truncated(self, j):
+        """The spectrum cut to its leading `truncation(j)` modes; the
+        spectrum itself when that keeps every mode."""
+        j = self.truncation(j)
+        if j == self.n_modes:
+            return self
+        return replace(self, eigenvalues=self.eigenvalues[:j],
+                       eigenvectors=self.eigenvectors[:, :j])
 
 
 def _physical_memory():
@@ -136,8 +144,8 @@ def energy(form, f):
     return float(f @ form.stiffness @ f)
 
 
-def solve_spectrum(form, j_max=None):
-    """Solve the generalized eigenproblem and return the leading eigenpairs.
+def solve_spectrum(form):
+    """Solve the generalized eigenproblem and return every eigenpair.
 
     The diagonal mass reduces (A, M) to the symmetric matrix
     B = M^-1/2 A M^-1/2.  The reflection sigma_2 (x -> 1 - x) maps V_0 to
@@ -145,8 +153,7 @@ def solve_spectrum(form, j_max=None):
     over the fixed rows and the pair sums (e_a + e_b)/sqrt 2, and an odd
     block over the pair differences (e_a - e_b)/sqrt 2.  Each block is
     solved by divide and conquer; every eigenvector is therefore exactly
-    sigma_2-even or sigma_2-odd and comes out mass-orthonormal.  j_max may
-    be silently extended to avoid splitting a multiplet.
+    sigma_2-even or sigma_2-odd and comes out mass-orthonormal.
     """
     index, A = form.index, form.stiffness
     d = 1.0 / np.sqrt(form.weights)
@@ -189,13 +196,8 @@ def solve_spectrum(form, j_max=None):
     if lam[0] <= 0:
         raise NumericError(f"nonpositive leading eigenvalue {lam[0]}")
 
-    n_modes = len(lam)
-    if j_max is not None:
-        if j_max > n_modes:
-            raise ContractError(f"j_max {j_max} exceeds available modes {n_modes}")
-
     # eigenvalues ascend within a block, so the dropped mode leads its block
-    full = np.zeros((form.mesh.n_vertices, n_modes))
+    full = np.zeros((form.mesh.n_vertices, len(lam)))
     for (p, sign, _, g), (lam_k, vec) in zip(blocks, solved):
         cols, col = col[:len(lam_k)], col[len(lam_k):]
         k = np.count_nonzero(cols < 0)
@@ -205,12 +207,7 @@ def solve_spectrum(form, j_max=None):
         vec *= sign
         full[np.ix_(index[sigma[p]], cols[k:])] = vec
 
-    spec = Spectrum(form.bc, form.level, lam, full, form.mesh.mu_weights, form.mesh)
-    if j_max is not None and j_max < n_modes:
-        j = spec.truncation(j_max)
-        spec = Spectrum(form.bc, form.level, lam[:j], full[:, :j],
-                        form.mesh.mu_weights, form.mesh)
-    return spec
+    return Spectrum(form.bc, form.level, lam, full, form.mesh.mu_weights, form.mesh)
 
 
 @functools.lru_cache(maxsize=8)
@@ -220,33 +217,26 @@ def _full_spectrum(level, bc):
 
 
 def build_spectrum(level, bc, j_max=None):
-    """Cached mesh+form+solve pipeline; the full solve is shared across calls."""
+    """Cached mesh+form+solve pipeline; the full solve is shared across calls
+    and `Spectrum.truncated(j_max)` cuts it."""
     spec = _full_spectrum(level, check_bc(bc))
-    if j_max is None or j_max >= spec.n_modes:
-        return spec
-    j = spec.truncation(j_max)
-    return Spectrum(bc, level, spec.eigenvalues[:j], spec.eigenvectors[:, :j],
-                    spec.weights, spec.mesh)
+    return spec if j_max is None else spec.truncated(j_max)
 
 
-def heat_kernel(t, xi, yi, spectrum, j_terms=None):
+def heat_kernel(t, xi, yi, spectrum):
     """Truncated spectral heat kernel p_t(x, y) between two mesh vertices."""
     if t <= 0:
         raise DomainError("time must be positive")
-    j = spectrum.truncation(j_terms)
-    lam = spectrum.eigenvalues[:j]
     phi = spectrum.eigenvectors
-    s = float(np.exp(-lam * t) @ (phi[xi, :j] * phi[yi, :j]))
+    s = float(np.exp(-spectrum.eigenvalues * t) @ (phi[xi] * phi[yi]))
     return s + 1.0 if spectrum.bc == NEUMANN else s
 
 
-def heat_kernel_row(t, xi, spectrum, j_terms=None):
+def heat_kernel_row(t, xi, spectrum):
     """Heat kernel p_t(x, .) against every mesh vertex at once."""
     if t <= 0:
         raise DomainError("time must be positive")
-    j = spectrum.truncation(j_terms)
-    lam = spectrum.eigenvalues[:j]
-    phi = spectrum.eigenvectors[:, :j]
-    row = phi @ (np.exp(-lam * t) * phi[xi, :j])
+    phi = spectrum.eigenvectors
+    row = phi @ (np.exp(-spectrum.eigenvalues * t) * phi[xi])
     return row + 1.0 if spectrum.bc == NEUMANN else row
 

@@ -112,7 +112,7 @@ def make_draw(seed, n_terms, alpha):
 
     The three sequences come from split, non-overlapping sub-streams so
     each is independently reproducible.  Also records D_alpha and the
-    truncation tail estimate N^(1-2/alpha) / (2/alpha - 1).
+    truncation tail estimate `arrival_tail_sum(alpha, n_terms)`.
     """
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
@@ -122,9 +122,8 @@ def make_draw(seed, n_terms, alpha):
     arrivals = np.random.default_rng(s_t).exponential(1.0, n_terms).cumsum()
     words = geometry.draw_sites(np.random.default_rng(s_xi), n_terms)
     gaussians = np.random.default_rng(s_g).standard_normal(n_terms)
-    tail = n_terms ** (1.0 - 2.0 / alpha) / (2.0 / alpha - 1.0)
     return LePageDraw(alpha, n_terms, arrivals, words, gaussians,
-                      d_alpha(alpha), seed, tail)
+                      d_alpha(alpha), seed, arrival_tail_sum(alpha, n_terms))
 
 
 def direct_replicates(values, mesh, alpha, n_replicates, seed):

@@ -32,12 +32,28 @@ def _report(suite, params, checks):
     }
 
 
+def _eigenspace_projection(spec, h, k):
+    """Mass projection of vertex values h onto the k-th distinct eigenspace,
+    sum_j phi_j <phi_j, h>_mu over that multiplet (k = 1 for lambda_1).
+
+    Unlike any single eigenvector it does not depend on the basis the
+    eigensolver picks inside the multiplet, whose bounds come from
+    `Spectrum.truncation`.  Raises InvariantError if the projection vanishes.
+    """
+    lo = 0
+    for _ in range(k - 1):
+        lo = spec.truncation(lo + 1)
+    phi = spec.eigenvectors[:, lo:spec.truncation(lo + 1)]
+    proj = phi @ (phi.T @ (spec.weights * h))
+    if np.max(np.abs(proj)) <= 1e-8 * np.max(np.abs(h)):
+        raise InvariantError(f"the function has no component in eigenspace {k}")
+    return proj
+
+
 def _field_replicates(s, alpha, bc, level, n_terms, j_terms, n, seed0):
-    mesh = geometry.build_mesh(level)
     spec = spectral.build_spectrum(level, bc, j_max=j_terms)
-    return mesh, spec, fields.field_replicates(s, alpha, bc, mesh, spec,
-                                               range(seed0, seed0 + n), n_terms,
-                                               j_terms)
+    return spec.mesh, spec, fields.field_replicates(s, alpha, spec,
+                                                    range(seed0, seed0 + n), n_terms)
 
 
 def suite_ahlfors(level=6, slope_tol=0.05):
@@ -124,25 +140,26 @@ def suite_semigroup(level=6, j_terms=200, n_pairs=100, rel_tol=1e-3, seed=10):
         spec = spectral.build_spectrum(level, bc, j_max=j_terms)
         for (s, t) in ((0.5, 0.5), (0.9, 0.9), (0.7, 1.1)):
             worst = 0.0
-            ev_st = riesz.KernelEvaluator(spec, s + t, j_terms)
+            ev_st = riesz.KernelEvaluator(spec, s + t)
             for _ in range(n_pairs):
                 a, b = rng.choice(mesh.n_vertices, 2, replace=False)
-                resid = riesz.kernel_semigroup_residual(s, t, a, b, spec, j_terms)
+                resid = riesz.kernel_semigroup_residual(s, t, a, b, spec)
                 worst = max(worst, resid / max(abs(ev_st.value(a, b)), 1e-30))
             checks.append(_check(f"conv_residual_{bc}_s={s}_t={t}", worst,
                                  worst <= rel_tol, tolerance=rel_tol))
         f = rng.standard_normal(mesh.n_vertices)
-        via_coeff = riesz.fractional_laplacian_inv(0.7, f, spec, j_terms)
-        ev = riesz.KernelEvaluator(spec, 0.7, j_terms)
+        via_coeff = riesz.fractional_laplacian_inv(0.7, f, spec)
+        ev = riesz.KernelEvaluator(spec, 0.7)
         f0 = f - f @ mesh.mu_weights if bc == spectral.NEUMANN else f
-        via_kernel = riesz.kernel_integral(ev, f0)
+        # quadrature route: x -> integral G_s(x, y) f0(y) mu(dy)
+        via_kernel = ev.apply(spec.weights * f0)
         agree = float(np.max(np.abs(via_coeff - via_kernel)))
         checks.append(_check(f"spectral_vs_kernel_{bc}", agree, agree <= 1e-6,
                              tolerance=1e-6))
         comp = float(np.max(np.abs(
-            riesz.fractional_laplacian_inv(0.4, riesz.fractional_laplacian_inv(
-                0.3, f, spec, j_terms), spec, j_terms)
-            - riesz.fractional_laplacian_inv(0.7, f, spec, j_terms))))
+            riesz.fractional_laplacian_inv(
+                0.4, riesz.fractional_laplacian_inv(0.3, f, spec), spec)
+            - riesz.fractional_laplacian_inv(0.7, f, spec))))
         checks.append(_check(f"composition_{bc}", comp, comp <= 1e-9,
                              tolerance=1e-9))
     return _report("semigroup", {"level": level, "j_terms": j_terms,
@@ -163,14 +180,14 @@ def suite_kernel_bounds(level=6, j_terms=200, tol=0.1, seed=4):
         spec = spectral.build_spectrum(level, bc, j_max=j_terms)
         for s in (0.4, 0.6):
             ev = riesz.KernelEvaluator(spec, s)
-            fit = riesz.kernel_exponent_fit(ev, mesh, rng)
+            fit = riesz.kernel_exponent_fit(ev, rng)
             target = s * D_W - D_H
             checks.append(_check(f"exponent_{bc}_s={s}", fit,
                                  abs(fit - target) <= tol,
                                  target=target, tolerance=tol))
     spec_n = spectral.build_spectrum(level, spectral.NEUMANN, j_max=j_terms)
     ev_c = riesz.KernelEvaluator(spec_n, D_H / D_W)
-    slope, r2 = riesz.kernel_log_fit(ev_c, mesh, rng)
+    slope, r2 = riesz.kernel_log_fit(ev_c, rng)
     checks.append(_check("critical_log_slope", slope, slope > 0.0))
     checks.append(_check("critical_log_r2", r2, r2 >= 0.9, tolerance=0.9))
     # Dirichlet positivity away from the corners
@@ -193,11 +210,9 @@ def suite_kernel_holder(levels=(4, 5, 6), orders=(0.8, 1.0, 1.3), j_terms=200,
     for s in orders:
         ratios = []
         for m in levels:
-            mesh = geometry.build_mesh(m)
             spec = spectral.build_spectrum(m, spectral.NEUMANN, j_max=j_terms)
             ev = riesz.KernelEvaluator(spec, s)
-            ratios.append(riesz.kernel_holder_ratio(ev, mesh,
-                                                    np.random.default_rng(seed)))
+            ratios.append(riesz.kernel_holder_ratio(ev, np.random.default_rng(seed)))
         ok = all(r <= growth * ratios[0] for r in ratios[1:])
         checks.append(_check(f"holder_ratio_s={s}", ratios, ok,
                              tolerance=f"<= {growth}x level-{levels[0]} ratio"))
@@ -256,15 +271,13 @@ def suite_scaling(level=6, j_terms=200, s=0.9, alphas=(1.5, 2.0), n_terms=10_000
     xi = 140
     for alpha in alphas:
         base = np.array([r.values[xi] for r in fields.field_replicates(
-            s, alpha, spectral.NEUMANN, mesh, spec, range(seed0, seed0 + n_seeds),
-            n_terms, j_terms)])
+            s, alpha, spec, range(seed0, seed0 + n_seeds), n_terms)])
         sub = np.empty(n_seeds)
         for k in range(n_seeds):
             seed = seed0 + 70_000 + k
             draw = None if alpha == 2.0 else stable.make_draw(seed, n_terms, alpha)
             sub[k] = fields.scaled_subcell_field(
-                (1,), s, alpha, mesh, spec, draw=draw, seed=seed,
-                j_terms=j_terms).values[xi]
+                (1,), s, alpha, spec, draw=draw, seed=seed).values[xi]
         r = analysis.two_sample(base, sub)
         checks.append(_check(f"fdd_scaling_alpha={alpha}", r,
                              r["p_value"] > 0.01, significance=0.01))
@@ -304,16 +317,9 @@ def suite_lepage_vs_direct(level=6, j_terms=200, n_terms=10_000, n=10_000,
     """
     mesh = geometry.build_mesh(level)
     spec = spectral.build_spectrum(level, spectral.NEUMANN, j_max=j_terms)
-    # the x coordinate projected onto the lambda_1 eigenspace does not
-    # depend on the basis the eigensolver picks inside the multiplet
-    x = mesh.vertices[:, 0]
-    phi = spec.eigenvectors[:, :spec.truncation(1)]
-    eigenspace_1 = phi @ (phi.T @ (spec.weights * x))
-    if np.max(np.abs(eigenspace_1)) <= 1e-8 * np.max(np.abs(x)):
-        raise InvariantError("x has no component in the lambda_1 eigenspace")
     battery = {
         "constant": np.ones(mesh.n_vertices),
-        "eigenspace_1_x": eigenspace_1,
+        "eigenspace_1_x": _eigenspace_projection(spec, mesh.vertices[:, 0], 1),
         "kernel_slice_s0.9": riesz.KernelEvaluator(spec, 0.9).row(123),
     }
     columns = np.column_stack(list(battery.values()))
@@ -358,12 +364,16 @@ def suite_field_marginals(level=6, j_terms=200, s=0.9, alpha=1.5,
             _, _, batch = _field_replicates(s, alpha, bc, level, n_terms,
                                             j_terms, n_seeds, seed0 + 5000)
         vals = np.array([r.values[xi] for r in batch])
-        scale = fields.marginal_scale(xi, s, alpha, spec, j_terms)
+        scale = fields.marginal_scale(xi, s, alpha, spec)
         r = analysis.one_sample_ks(vals, alpha, scale)
         checks.append(_check(f"marginal_ks_{bc}", r, r["p_value"] > 0.01,
                              scale=scale, significance=0.01))
-    # duality <f, field> vs the distributional route, CF comparison
-    f = spec_n.eigenvectors[:, 0] + 0.5 * spec_n.eigenvectors[:, 3]
+    # duality <f, field> vs the distributional route, CF comparison; f is
+    # built from eigenspace projections of x, so it is basis-free (the
+    # second eigenspace is skipped: x and y have no component there)
+    x = mesh.vertices[:, 0]
+    f = (_eigenspace_projection(spec_n, x, 1)
+         + 0.5 * _eigenspace_projection(spec_n, x, 3))
     inner = np.array([geometry.quadrature(f * r.values, mesh) for r in reps])
     rng = np.random.default_rng(seed0 + 999)
     distr = np.array([fields.distributional_field(f, s, alpha, spec_n, rng)

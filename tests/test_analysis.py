@@ -88,10 +88,9 @@ def test_ahlfors_regression_contracts():
 
 
 def _replicates(s, alpha, n, level=6, seed0=1000):
-    mesh = geometry.build_mesh(level)
     spec = spectral.build_spectrum(level, "neumann")
-    return mesh, fields.field_replicates(s, alpha, "neumann", mesh, spec,
-                                         range(seed0, seed0 + n), 10_000)
+    return spec.mesh, fields.field_replicates(s, alpha, spec,
+                                              range(seed0, seed0 + n), 10_000)
 
 
 @pytest.mark.parametrize("alpha,s", [(2.0, 1.0), (2.0, 1.3), (1.5, 0.8)])
@@ -135,10 +134,9 @@ def test_divergence_diagnostic_contract():
 
 def test_divergence_diagnostic_shapes():
     def maker(level, seed):
-        mesh = geometry.build_mesh(level)
         spec = spectral.build_spectrum(level, "neumann")
         draw = stable.make_draw(seed, 2000, 1.2)
-        return fields.simulate_field(0.5, 1.2, "neumann", mesh, spec, draw=draw)
+        return fields.simulate_field(0.5, 1.2, spec, draw=draw)
 
     out = analysis.divergence_diagnostic(maker, [4, 5], n_seeds=5)
     assert out["levels"] == [4, 5]

@@ -84,8 +84,7 @@ def test_simulate_bytes_match_reference(tmp_path):
                  "--out", str(out)]) == 0
     mesh = geometry.build_mesh(4)
     spec = spectral.build_spectrum(4, "neumann", j_max=200)
-    samples = fields.field_replicates(0.9, 1.5, "neumann", mesh, spec,
-                                      range(7, 9), 2000, 200)
+    samples = fields.field_replicates(0.9, 1.5, spec, range(7, 9), 2000)
     rows = ([rep, vid, repr(float(x)), repr(float(y)), repr(float(v))]
             for rep, smp in enumerate(samples)
             for vid, ((x, y), v) in enumerate(zip(mesh.vertices, smp.values)))

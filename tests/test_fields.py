@@ -1,15 +1,20 @@
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gasketfields import analysis, fields, geometry, riesz, stable
+import gasketfields
+from gasketfields import analysis, fields, geometry, riesz, stable, verify
 from gasketfields.constants import D_H, D_W, integrability_threshold
-from gasketfields.errors import ContractError, DomainError
+from gasketfields.errors import ContractError, DomainError, InvariantError
 
 
-def _field(s, alpha, bc, mesh, spec, seed):
-    return fields.field_replicates(s, alpha, bc, mesh, spec, [seed], 10_000)[0]
+def _field(s, alpha, spec, seed):
+    return fields.field_replicates(s, alpha, spec, [seed], 10_000)[0]
 
 
 def test_hurst_index_consistency():
@@ -18,57 +23,61 @@ def test_hurst_index_consistency():
         assert abs(h - (s * D_W - (alpha - 1.0) * D_H / alpha)) <= 1e-12
 
 
-def test_threshold_enforced(mesh6, spec_n):
+def test_threshold_enforced(spec_n):
     with pytest.raises(DomainError, match="threshold"):
-        _field(0.2, 1.5, "neumann", mesh6, spec_n, 0)
+        _field(0.2, 1.5, spec_n, 0)
     # equality also rejected
     with pytest.raises(DomainError):
-        _field(integrability_threshold(1.5), 1.5, "neumann", mesh6, spec_n, 0)
+        _field(integrability_threshold(1.5), 1.5, spec_n, 0)
 
 
-def test_mismatched_spectrum_rejected(mesh6, spec_d):
-    with pytest.raises(ContractError):
-        _field(0.9, 1.5, "neumann", mesh6, spec_d, 0)
+def test_field_takes_mesh_bc_and_truncation_from_spectrum(mesh6, spec_d):
+    # the spectrum alone fixes the vertex set, the boundary condition and
+    # the truncation of the field
+    smp = _field(0.9, 1.5, spec_d, 0)
+    assert smp.values.shape == (mesh6.n_vertices,)
+    assert (smp.meta["bc"], smp.meta["level"]) == ("dirichlet", 6)
+    assert smp.meta["j_terms"] == spec_d.n_modes
 
 
-def test_draw_alpha_must_match(mesh6, spec_n):
+def test_draw_alpha_must_match(spec_n):
     draw = stable.make_draw(0, 100, 1.2)
     with pytest.raises(ContractError):
-        fields.simulate_field(0.9, 1.5, "neumann", mesh6, spec_n, draw=draw)
+        fields.simulate_field(0.9, 1.5, spec_n, draw=draw)
 
 
 def test_neumann_mean_zero_per_realization(mesh6, spec_n):
     for seed in range(5):
-        smp = _field(0.9, 1.5, "neumann", mesh6, spec_n, seed)
+        smp = _field(0.9, 1.5, spec_n, seed)
         scale = np.max(np.abs(smp.values))
         assert abs(fields.field_mean(smp, mesh6)) <= 1e-4 * scale
 
 
 def test_dirichlet_vanishes_at_corners(mesh6, spec_d):
-    smp = _field(0.9, 1.5, "dirichlet", mesh6, spec_d, 3)
+    smp = _field(0.9, 1.5, spec_d, 3)
     assert np.all(fields.field_boundary_values(smp, mesh6) == 0.0)
 
 
-def test_divergent_regime_tagged(mesh6, spec_n):
-    smp = _field(0.5, 1.2, "neumann", mesh6, spec_n, 1)
+def test_divergent_regime_tagged(spec_n):
+    smp = _field(0.5, 1.2, spec_n, 1)
     assert smp.meta["regime"] == "divergent"
     assert smp.meta["mesh_sup"] > 0
-    smp2 = _field(0.9, 1.2, "neumann", mesh6, spec_n, 1)
+    smp2 = _field(0.9, 1.2, spec_n, 1)
     assert smp2.meta["regime"] == "continuous"
 
 
-def test_marginal_law_matches_stable(mesh6, spec_n):
+def test_marginal_law_matches_stable(spec_n):
     s, alpha, xi = 0.9, 1.5, 140
-    vals = np.array([_field(s, alpha, "neumann", mesh6, spec_n, k).values[xi]
+    vals = np.array([_field(s, alpha, spec_n, k).values[xi]
                      for k in range(300)])
     scale = fields.marginal_scale(xi, s, alpha, spec_n)
     r = analysis.one_sample_ks(vals, alpha, scale)
     assert r["p_value"] > 0.01
 
 
-def test_alpha2_marginal_variance(mesh6, spec_n):
+def test_alpha2_marginal_variance(spec_n):
     s, xi = 1.0, 140
-    vals = np.array([_field(s, 2.0, "neumann", mesh6, spec_n, k).values[xi]
+    vals = np.array([_field(s, 2.0, spec_n, k).values[xi]
                      for k in range(3000)])
     target = 2.0 * fields.marginal_scale(xi, s, 2.0, spec_n) ** 2
     # sample variance of a Gaussian: relative sd sqrt(2/n)
@@ -80,7 +89,7 @@ def test_conditional_increment_scale_zero_at_equal_points(spec_n):
     assert fields.conditional_increment_scale(5, 5, 0.9, draw, spec_n) == 0.0
 
 
-def test_conditional_increment_resampling(mesh6, spec_n):
+def test_conditional_increment_resampling(spec_n):
     # freeze (T, xi), resample g: increment std matches the formula
     draw = stable.make_draw(42, 10_000, 1.5)
     target = fields.conditional_increment_scale(100, 400, 0.9, draw, spec_n)
@@ -88,7 +97,7 @@ def test_conditional_increment_resampling(mesh6, spec_n):
     reps = np.empty(400)
     for k in range(400):
         d2 = replace(draw, gaussians=rng.standard_normal(draw.n_terms))
-        f2 = fields.simulate_field(0.9, 1.5, "neumann", mesh6, spec_n, draw=d2)
+        f2 = fields.simulate_field(0.9, 1.5, spec_n, draw=d2)
         reps[k] = f2.values[100] - f2.values[400]
     assert abs(reps.std() / target - 1.0) <= 0.15
 
@@ -108,29 +117,29 @@ def test_conditional_increment_modulus_bounded(mesh6, spec_n):
     assert max(ratios) <= 10.0 * np.median(ratios)
 
 
-def test_subcell_field_matched_draw_identity(mesh6, spec_n):
+def test_subcell_field_matched_draw_identity(spec_n):
     # with a shared draw the 2^(nH)-scaled subcell construction collapses
     # to the base field exactly: the kernel, measure-mass and Hurst
     # factors cancel by construction
     draw = stable.make_draw(8, 2000, 1.5)
-    base = fields.simulate_field(0.9, 1.5, "neumann", mesh6, spec_n, draw=draw)
+    base = fields.simulate_field(0.9, 1.5, spec_n, draw=draw)
     for word in ((0,), (1, 2)):
-        sub = fields.scaled_subcell_field(word, 0.9, 1.5, mesh6, spec_n, draw=draw)
+        sub = fields.scaled_subcell_field(word, 0.9, 1.5, spec_n, draw=draw)
         assert np.allclose(sub.values, base.values, rtol=1e-10, atol=1e-14)
 
 
-def test_subcell_field_matched_seed_identity_gaussian(mesh6, spec_n):
-    base = fields.simulate_field(0.9, 2.0, "neumann", mesh6, spec_n, seed=77)
-    sub = fields.scaled_subcell_field((2,), 0.9, 2.0, mesh6, spec_n, seed=77)
+def test_subcell_field_matched_seed_identity_gaussian(spec_n):
+    base = fields.simulate_field(0.9, 2.0, spec_n, seed=77)
+    sub = fields.scaled_subcell_field((2,), 0.9, 2.0, spec_n, seed=77)
     assert np.allclose(sub.values, base.values, rtol=1e-10, atol=1e-14)
 
 
-def test_subcell_word_validation(mesh6, spec_n):
+def test_subcell_word_validation(spec_n):
     with pytest.raises(ContractError):
-        fields.scaled_subcell_field((), 0.9, 1.5, mesh6, spec_n,
+        fields.scaled_subcell_field((), 0.9, 1.5, spec_n,
                                     draw=stable.make_draw(0, 10, 1.5))
     with pytest.raises(DomainError):
-        fields.scaled_subcell_field((4,), 0.9, 1.5, mesh6, spec_n,
+        fields.scaled_subcell_field((4,), 0.9, 1.5, spec_n,
                                     draw=stable.make_draw(0, 10, 1.5))
 
 
@@ -150,11 +159,14 @@ def test_distributional_field_zero_function(spec_n):
 
 def test_duality_cf(mesh6, spec_n):
     # <f, field> against the distributional route, CF agreement at 3 MC sigma
+    # f is basis-free: eigenspace projections of the x coordinate
     s, alpha, n = 0.9, 1.5, 1200
-    f = spec_n.eigenvectors[:, 0] + 0.5 * spec_n.eigenvectors[:, 3]
+    x = mesh6.vertices[:, 0]
+    f = (verify._eigenspace_projection(spec_n, x, 1)
+         + 0.5 * verify._eigenspace_projection(spec_n, x, 3))
     inner = np.empty(n)
     for k in range(n):
-        smp = _field(s, alpha, "neumann", mesh6, spec_n, 40_000 + k)
+        smp = _field(s, alpha, spec_n, 40_000 + k)
         inner[k] = geometry.quadrature(f * smp.values, mesh6)
     rng = np.random.default_rng(27)
     distr = np.array([fields.distributional_field(f, s, alpha, spec_n, rng)
@@ -165,6 +177,80 @@ def test_duality_cf(mesh6, spec_n):
         assert abs(ca.mean() - cb.mean()) <= half
 
 
+def test_eigenspace_projection_is_basis_free(mesh6, spec_n):
+    # P h is the same for any orthonormal basis of the multiplet, and it
+    # refuses an eigenspace that h has no component in
+    x = mesh6.vertices[:, 0]
+    j = spec_n.truncation(1)
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((j, j)))
+    vecs = spec_n.eigenvectors.copy()
+    vecs[:, :j] = vecs[:, :j] @ q
+    turned = replace(spec_n, eigenvectors=vecs)
+    p = verify._eigenspace_projection(spec_n, x, 1)
+    assert np.max(np.abs(verify._eigenspace_projection(turned, x, 1) - p)) <= 1e-12
+    with pytest.raises(InvariantError):
+        verify._eigenspace_projection(spec_n, x, 2)
+
+
+def _leaves(value, path=""):
+    """(path, leaf) pairs of a nested report value."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _leaves(value[key], f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def test_field_marginals_independent_of_blas_threads(tmp_path):
+    # Inside a multiplet the eigenvector basis follows the BLAS thread
+    # count, so the suite may only see basis-free quantities: kernel sums
+    # and eigenspace projections.  Tolerance, from their roundoff: an
+    # eigenspace projection moves by about eps * lambda_max / gap, 5e-13
+    # relative at level 6 (lambda_max = 1.4e5, gap 60 around lambda_3), and
+    # a kernel by <= 1e-12 relative (see the kernel-matrix thread test);
+    # RTOL leaves a factor 100 for the statistics built on them.  The one-
+    # sample KS statistic is continuous in the sample values, so it too is
+    # compared to RTOL, not exactly.  The two checks whose value is itself
+    # a roundoff residual relative to the field scale compare to ATOL.
+    rtol, atol = 1e-10, 1e-12
+    residuals = ("neumann_mean_zero", "dirichlet_boundary_zero")
+    code = (
+        "import json, sys\n"
+        "from gasketfields import verify\n"
+        "rep = verify.run_suite('field-marginals', n_seeds=200)\n"
+        "json.dump(rep, open(sys.argv[1], 'w'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(gasketfields.__file__)),
+         env.get("PYTHONPATH", "")])
+    reports = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        path = tmp_path / f"r{threads}.json"
+        proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(json.loads(path.read_text())["checks"])
+    one, two = reports
+    assert [c["name"] for c in one] == [c["name"] for c in two]
+    assert len(one) == 7
+    for a, b in zip(one, two):
+        assert a["passed"] == b["passed"], a["name"]
+        leaves_a, leaves_b = list(_leaves(a)), list(_leaves(b))
+        assert [k for k, _ in leaves_a] == [k for k, _ in leaves_b]
+        for (key, x), (_, y) in zip(leaves_a, leaves_b):
+            if isinstance(x, float):
+                tol = ({"abs": atol} if a["name"] in residuals
+                       else {"rel": rtol, "abs": 0.0})
+                assert x == pytest.approx(y, **tol), (a["name"], key)
+            else:
+                assert x == y, (a["name"], key)
+
+
 def test_reflection_fdd_gaussian(mesh6, spec_n):
     # alpha = 2 white-noise route: field at reflected vertices over fresh
     # seeds matches the base law (two-sample KS on a marginal and the sum)
@@ -172,9 +258,9 @@ def test_reflection_fdd_gaussian(mesh6, spec_n):
     x1, x2 = 140, 600
     perm = geometry.reflection_permutation(mesh6, 1)
     A = np.array([[v.values[x1], v.values[x2]] for v in
-                  (_field(s, 2.0, "neumann", mesh6, spec_n, k) for k in range(600))])
+                  (_field(s, 2.0, spec_n, k) for k in range(600))])
     B = np.array([[v.values[perm[x1]], v.values[perm[x2]]] for v in
-                  (_field(s, 2.0, "neumann", mesh6, spec_n, 10_000 + k) for k in range(600))])
+                  (_field(s, 2.0, spec_n, 10_000 + k) for k in range(600))])
     assert analysis.two_sample(A[:, 0], B[:, 0])["p_value"] > 0.01
     assert analysis.two_sample(A.sum(1), B.sum(1))["p_value"] > 0.01
 
@@ -183,12 +269,10 @@ def test_spectral_band_additivity_on_shared_draw(mesh6, spec_n_full):
     # same driving noise, kernel split into spectral bands: the field is
     # additive across the bands
     draw = stable.make_draw(13, 3000, 1.5)
-    j1 = spec_n_full.truncation(60)
-    j2 = spec_n_full.truncation(240)
-    low = fields.simulate_field(0.9, 1.5, "neumann", mesh6, spec_n_full,
-                                draw=draw, j_terms=j1)
-    full = fields.simulate_field(0.9, 1.5, "neumann", mesh6, spec_n_full,
-                                 draw=draw, j_terms=j2)
+    low_spec, full_spec = spec_n_full.truncated(60), spec_n_full.truncated(240)
+    j1, j2 = low_spec.n_modes, full_spec.n_modes
+    low = fields.simulate_field(0.9, 1.5, low_spec, draw=draw)
+    full = fields.simulate_field(0.9, 1.5, full_spec, draw=draw)
     # independent evaluation of the band j1+1..j2 contribution
     idx = mesh6.site_vertices(draw.words)
     c = draw.d_alpha * draw.arrivals ** (-1.0 / 1.5) * draw.gaussians
@@ -199,8 +283,8 @@ def test_spectral_band_additivity_on_shared_draw(mesh6, spec_n_full):
     assert np.allclose(low.values + band, full.values, rtol=1e-10, atol=1e-13)
 
 
-def test_field_metadata_complete(mesh6, spec_n):
-    smp = _field(0.9, 1.5, "neumann", mesh6, spec_n, 9)
+def test_field_metadata_complete(spec_n):
+    smp = _field(0.9, 1.5, spec_n, 9)
     for key in ("s", "alpha", "bc", "level", "j_terms", "n_terms", "seed",
                 "regime", "mesh_scale", "tail_estimate", "mesh_sup"):
         assert key in smp.meta

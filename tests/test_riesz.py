@@ -75,7 +75,7 @@ def test_kernel_route_matches_coefficient_route(mesh6, spec_n):
     f = rng.standard_normal(mesh6.n_vertices)
     via_coeff = riesz.fractional_laplacian_inv(0.8, f, spec_n)
     ev = riesz.KernelEvaluator(spec_n, 0.8)
-    via_kernel = riesz.kernel_integral(ev, f - f @ mesh6.mu_weights)
+    via_kernel = ev.apply(spec_n.weights * (f - f @ mesh6.mu_weights))
     assert np.max(np.abs(via_coeff - via_kernel)) <= 1e-6
 
 
@@ -97,7 +97,7 @@ def test_semigroup_degenerate_order_rejected(spec_n):
 @pytest.mark.parametrize("s", [0.4, 0.6])
 def test_kernel_exponent_fit(mesh6, spec_n, s):
     ev = riesz.KernelEvaluator(spec_n, s)
-    fit = riesz.kernel_exponent_fit(ev, mesh6, np.random.default_rng(12))
+    fit = riesz.kernel_exponent_fit(ev, np.random.default_rng(12))
     assert abs(fit - (s * D_W - D_H)) <= 0.1
 
 
@@ -109,19 +109,19 @@ def test_dirichlet_kernel_exponent_and_positivity(mesh6, spec_d):
     interior = d_corner >= 0.25
     for s in (0.4, 0.6):
         ev = riesz.KernelEvaluator(spec_d, s)
-        fit = riesz.kernel_exponent_fit(ev, mesh6, np.random.default_rng(15))
+        fit = riesz.kernel_exponent_fit(ev, np.random.default_rng(15))
         assert abs(fit - (s * D_W - D_H)) <= 0.1
         assert ev.matrix()[np.ix_(interior, interior)].min() > 0.0
 
 
-def test_kernel_exponent_fit_requires_subcritical(mesh6, spec_n):
+def test_kernel_exponent_fit_requires_subcritical(spec_n):
     with pytest.raises(DomainError):
-        riesz.kernel_exponent_fit(riesz.KernelEvaluator(spec_n, 0.9), mesh6)
+        riesz.kernel_exponent_fit(riesz.KernelEvaluator(spec_n, 0.9))
 
 
-def test_kernel_log_fit_at_critical_order(mesh6, spec_n):
+def test_kernel_log_fit_at_critical_order(spec_n):
     ev = riesz.KernelEvaluator(spec_n, CRIT)
-    slope, r2 = riesz.kernel_log_fit(ev, mesh6)
+    slope, r2 = riesz.kernel_log_fit(ev)
     assert slope > 0.0
     assert r2 >= 0.9
 
@@ -130,16 +130,15 @@ def test_holder_ratio_bounded_across_levels():
     for s in (0.8, 1.0):
         ratios = []
         for m in (5, 6):
-            mesh = geometry.build_mesh(m)
             spec = spectral.build_spectrum(m, "neumann", j_max=200)
             ev = riesz.KernelEvaluator(spec, s)
-            ratios.append(riesz.kernel_holder_ratio(ev, mesh, np.random.default_rng(13)))
+            ratios.append(riesz.kernel_holder_ratio(ev, np.random.default_rng(13)))
         assert ratios[1] <= 1.2 * ratios[0]
 
 
-def test_holder_ratio_requires_supercritical(mesh6, spec_n):
+def test_holder_ratio_requires_supercritical(spec_n):
     with pytest.raises(DomainError):
-        riesz.kernel_holder_ratio(riesz.KernelEvaluator(spec_n, 0.5), mesh6,
+        riesz.kernel_holder_ratio(riesz.KernelEvaluator(spec_n, 0.5),
                                   np.random.default_rng(0))
 
 
@@ -165,9 +164,11 @@ def test_monotone_truncation_bound(spec_n_full):
     lam = spec_n_full.eigenvalues
     phi = spec_n_full.eigenvectors
     for j in (50, 120, 300):
-        ev_j = riesz.KernelEvaluator(spec_n_full, s, j)
-        ev_j1 = riesz.KernelEvaluator(spec_n_full, s, ev_j.j_terms + 1)
-        jj, j1 = ev_j.j_terms, ev_j1.j_terms
+        spec_j = spec_n_full.truncated(j)
+        spec_j1 = spec_n_full.truncated(spec_j.n_modes + 1)
+        jj, j1 = spec_j.n_modes, spec_j1.n_modes
+        ev_j = riesz.KernelEvaluator(spec_j, s)
+        ev_j1 = riesz.KernelEvaluator(spec_j1, s)
         # the added terms are one multiplet; Cauchy-Schwarz bounds its
         # eigenprojector kernel by its largest diagonal value, whatever
         # basis eigh picks inside the multiplet, and the bound is attained
@@ -185,5 +186,6 @@ def test_time_integral_cross_check(spec_n):
 
 
 def test_tail_bound_reported(spec_n):
-    ev = riesz.KernelEvaluator(spec_n, 0.9, 150)
-    assert ev.tail_bound() > 0.0
+    ev = riesz.KernelEvaluator(spec_n.truncated(150), 0.9)
+    assert ev.tail_bound(spec_n) > 0.0
+    assert riesz.KernelEvaluator(spec_n, 0.9).tail_bound(spec_n) == 0.0

@@ -110,22 +110,50 @@ def test_dirichlet_vectors_vanish_on_boundary(mesh6, spec_d):
     assert np.all(spec_d.eigenvectors[mesh6.boundary, :] == 0.0)
 
 
-def test_jmax_contract():
-    mesh = geometry.build_mesh(2)
-    form = spectral.assemble_form(mesh, "neumann")
-    with pytest.raises(ContractError):
-        spectral.solve_spectrum(form, j_max=mesh.n_vertices)
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_truncated_past_the_last_mode_is_the_spectrum(bc):
+    # the CLI default --jmax 200 exceeds every low level's mode count
+    full = spectral.build_spectrum(2, bc)
+    assert full.n_modes < 200
+    for j in (full.n_modes, full.n_modes + 1, 200):
+        assert full.truncated(j) is full
+    assert spectral.build_spectrum(2, bc, j_max=200) is full
+
+
+def test_truncated_keeps_at_least_one_mode(spec_n_full):
+    for j in (0, -3):
+        with pytest.raises(ContractError):
+            spec_n_full.truncated(j)
+        with pytest.raises(ContractError):
+            spectral.build_spectrum(6, "neumann", j_max=j)
 
 
 def test_truncation_respects_clusters(spec_n_full):
     lam = spec_n_full.eigenvalues
-    # find a truncation index landing inside a multiplet
-    for j in range(5, 300):
-        if lam[j] - lam[j - 1] <= 1e-8 * lam[j - 1]:
-            assert spec_n_full.truncation(j) > j
-            break
-    else:
-        pytest.fail("no eigenvalue multiplet found in range")
+    tied = lambda k: lam[k] - lam[k - 1] <= 1e-8 * lam[k - 1]
+    # the first cut that would split a multiplet: modes j-1 and j are tied;
+    # it extends exactly to the end of that multiplet
+    j = next(k for k in range(1, 300) if tied(k))
+    cut = spec_n_full.truncated(j)
+    k = cut.n_modes
+    assert k == spec_n_full.truncation(j)
+    assert k > j and all(tied(i) for i in range(j, k)) and not tied(k)
+    assert cut.truncated(j) is cut
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_truncated_slices_the_full_spectrum(bc):
+    full = spectral.build_spectrum(6, bc)
+    for j_max in (1, 60, 200, 240):
+        cut = spectral.build_spectrum(6, bc, j_max=j_max)
+        j = full.truncation(j_max)
+        assert cut.n_modes == j < full.n_modes
+        assert np.array_equal(cut.eigenvalues, full.eigenvalues[:j])
+        assert np.array_equal(cut.eigenvectors, full.eigenvectors[:, :j])
+        assert cut.weights is full.weights and cut.mesh is full.mesh
+        assert (cut.bc, cut.level) == (bc, 6)
+
+
 
 
 def test_dirichlet_lambda1_stabilizes():
@@ -232,9 +260,9 @@ def test_spectrum_matches_unblocked_reference(m, bc):
     spec, ref = spectral.solve_spectrum(form), _unblocked_spectrum(form)
     lam = ref.eigenvalues
     assert np.all(np.abs(spec.eigenvalues - lam) <= 1e-10 * np.maximum(lam, 1.0))
-    for j_terms in (None, 200):
-        G = riesz.KernelEvaluator(spec, 0.9, j_terms).matrix()
-        G_ref = riesz.KernelEvaluator(ref, 0.9, j_terms).matrix()
+    for j in (spec.n_modes, 200):
+        G = riesz.KernelEvaluator(spec.truncated(j), 0.9).matrix()
+        G_ref = riesz.KernelEvaluator(ref.truncated(j), 0.9).matrix()
         assert np.max(np.abs(G - G_ref)) <= 1e-12 * np.max(np.abs(G_ref))
 
 
