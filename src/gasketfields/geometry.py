@@ -243,6 +243,34 @@ def reflection_permutation(mesh, i):
     return mesh.vertex_index(np.stack([a2, b2], axis=-1))
 
 
+def rotation_permutation(mesh):
+    """Vertex permutation of the rotation rho = sigma_0 o sigma_1 by 2 pi/3
+    about the barycenter: vertices[perm[k]] == rho(vertices[k])."""
+    return reflection_permutation(mesh, 0)[reflection_permutation(mesh, 1)]
+
+
+def symmetry_orbits(mesh):
+    """The orbits of V_m under the symmetry group D3 of the gasket.
+
+    Element 3 s + r (s in {0, 1}, r in {0, 1, 2}) of D3 is
+    sigma_2^s o rho^r, and orbits[3 s + r, o] is the vertex
+    sigma_2^s(rho^r(v_o)) of the representative v_o of orbit o.  rho fixes
+    no vertex, so an orbit has 6 vertices, or 3 when they lie on the
+    reflection axes; the representative of such an orbit is its
+    sigma_2-fixed vertex, so orbits[3, o] == orbits[0, o] exactly for the
+    3-vertex orbits.  A 6-vertex orbit is represented by its least index.
+    Columns ascend in v_o.
+    """
+    rho = rotation_permutation(mesh)
+    sigma = reflection_permutation(mesh, 2)
+    ident = np.arange(mesh.n_vertices)
+    turns = [ident, rho, rho[rho]]
+    images = np.array(turns + [sigma[t] for t in turns])
+    on_axis = (images[3:] == ident).any(axis=0)
+    rep = np.where(on_axis, sigma == ident, images.min(axis=0) == ident)
+    return images[:, rep]
+
+
 def sample_mu(rng, depth, size=None):
     """Sample points from the self-similar measure by random contractions.
 

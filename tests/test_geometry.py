@@ -193,6 +193,47 @@ def test_reflection_vertex_set_invariance(mesh6):
         assert np.max(np.abs(imgs - mesh6.vertices[perm])) < 1e-12
 
 
+@pytest.mark.parametrize("m", range(1, 8))
+def test_symmetry_orbits(m):
+    mesh = geometry.build_mesh(m)
+    n = mesh.n_vertices
+    ident = np.arange(n)
+    rho = geometry.rotation_permutation(mesh)
+    sigma = geometry.reflection_permutation(mesh, 2)
+    # rho is the rotation by 2 pi/3, of order 3, and sigma_2 rho sigma_2 = rho^2
+    rot = geometry.reflect(0, geometry.reflect(1, mesh.vertices))
+    assert np.max(np.abs(mesh.vertices[rho] - rot)) < 1e-12
+    assert not np.any(rho == ident) and np.array_equal(rho[rho[rho]], ident)
+    assert np.array_equal(sigma[rho[sigma]], rho[rho])
+
+    orbits = geometry.symmetry_orbits(mesh)
+    turns = [ident, rho, rho[rho]]
+    images = np.array(turns + [sigma[t] for t in turns])
+    assert np.array_equal(orbits, images[:, orbits[0]])
+    assert np.all(np.diff(orbits[0]) > 0)
+    # the orbits partition V_m into sets of 6 or 3 vertices; the
+    # representative of a 3-vertex orbit is fixed by sigma_2
+    sizes = np.array([len(set(col)) for col in orbits.T])
+    assert set(sizes) <= {3, 6}
+    assert np.array_equal(sizes == 3, orbits[3] == orbits[0])
+    assert sizes.sum() == n
+    assert np.array_equal(np.unique(orbits), ident)
+    # each orbit is closed under all three reflections
+    label = np.empty(n, dtype=int)
+    label[orbits] = np.arange(orbits.shape[1])
+    for i in range(3):
+        assert np.array_equal(label[geometry.reflection_permutation(mesh, i)], label)
+    # the lumped weights are constant on orbits
+    w = mesh.mu_weights[orbits]
+    assert np.all(w == w[0])
+    # V_0 is a whole orbit, so the Dirichlet rows are a union of orbits
+    interior = np.setdiff1d(ident, mesh.boundary)
+    inside = np.isin(orbits, interior)
+    assert np.all(inside == inside[0])
+    assert np.array_equal(np.sort(orbits[:3, ~inside[0]].ravel()),
+                          np.sort(mesh.boundary))
+
+
 def test_sample_mu_depth_zero_is_anchor():
     rng = np.random.default_rng(2)
     assert np.allclose(geometry.sample_mu(rng, 0), geometry.BARYCENTER)

@@ -244,7 +244,7 @@ def test_decimation_maps_onto_coarser_level(bc):
     # spectral decimation: scaled eigenvalues x = lambda / ((3/2) 5^m) outside
     # the new values {2, 5, 6} satisfy x (5 - x) = a level-(m-1) value
     prev = spectral.build_spectrum(1, bc).eigenvalues / (1.5 * 5)
-    for m in range(2, 7):
+    for m in range(2, 8):
         x = spectral.build_spectrum(m, bc).eigenvalues / (1.5 * 5 ** m)
         new = np.isclose(x[:, None], [2, 5, 6], rtol=1e-9, atol=0).any(axis=1)
         y = x[~new] * (5 - x[~new])
@@ -277,6 +277,38 @@ def test_eigenvectors_reflection_parity_and_mass_orthonormal(mesh6, bc):
     assert np.all(even | odd)
     gram = phi.T @ (spec.weights[:, None] * phi)
     assert np.max(np.abs(gram - np.eye(spec.n_modes))) <= 1e-12
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_eigenvectors_lie_in_one_isotypic_component(m, bc):
+    # D3 = <rho, sigma_2>: A1 columns are rho-invariant and sigma_2-even, A2
+    # columns rho-invariant and sigma_2-odd, exactly; an E column phi is
+    # sigma_2-even with phi + phi o rho + phi o rho^2 = 0, and is followed
+    # by its partner (phi o rho^2 - phi o rho) / sqrt 3 at the same eigenvalue
+    mesh = geometry.build_mesh(m)
+    spec = spectral.solve_spectrum(spectral.assemble_form(mesh, bc))
+    phi, lam = spec.eigenvectors, spec.eigenvalues
+    rho = geometry.rotation_permutation(mesh)
+    sigma = geometry.reflection_permutation(mesh, 2)
+    top = np.max(np.abs(phi), axis=0)
+    even = np.all(phi[sigma] == phi, axis=0)
+    odd = np.all(phi[sigma] == -phi, axis=0)
+    invariant = np.all(phi[rho] == phi, axis=0)
+    e_even = even & ~invariant & (
+        np.max(np.abs(phi + phi[rho] + phi[rho[rho]]), axis=0) <= 1e-12 * top)
+    a1, a2 = invariant & even, invariant & odd
+    partner = np.zeros_like(a1)
+    for j in np.flatnonzero(e_even[:-1]):
+        assert odd[j + 1] and not invariant[j + 1] and lam[j + 1] == lam[j]
+        rotated = (phi[rho[rho], j] - phi[rho, j]) / np.sqrt(3.0)
+        assert np.max(np.abs(phi[:, j + 1] - rotated)) <= 1e-14 * top[j]
+        partner[j + 1] = True
+    assert np.all(a1.astype(int) + a2 + e_even + partner == 1)
+    # every irrep occurs (level 1 has no 6-vertex orbit, so no A2), and
+    # every sigma_2-even E column has its partner
+    assert a1.any() and e_even.any() and (a2.any() or m == 1)
+    assert e_even.sum() == partner.sum()
 
 
 def test_kernel_matrix_independent_of_blas_threads(tmp_path):
