@@ -212,7 +212,11 @@ def reflection_defect(ev, i):
     """Max |G(sigma_i x, sigma_i y) - G(x, y)| over all vertex pairs."""
     perm = reflection_permutation(ev.spectrum.mesh, i)
     G = ev.matrix()
-    return float(np.max(np.abs(G[np.ix_(perm, perm)] - G)))
+    # in place: two n x n arrays at once instead of four
+    D = G[np.ix_(perm, perm)]
+    D -= G
+    np.abs(D, out=D)
+    return float(np.max(D))
 
 
 def subcell_kernel_value(spectrum, s, n, xi, yi):

@@ -1,14 +1,15 @@
 """Energy forms, Laplacian eigenproblem and heat kernels on gasket meshes.
 
 The level-m energy form is the renormalized graph energy with prefactor
-(5/3)^m over cell-mate pairs; the measure enters through the lumped
-weights of the mesh.  The discrete Laplacian is the generalized
-symmetric eigenproblem (stiffness, mass); with a diagonal mass matrix it
-reduces to a dense standard eigensolve, which the symmetry group D3 of the
-gasket (rotations and reflections) splits into A1, A2 and E blocks of about
-n/6, n/6 and n/3 rows; the E block is solved once and each of its
-eigenvectors yields a second one by rotation.  Heat kernels are truncated
-spectral expansions; Neumann keeps the constant leading term 1,
+(5/3)^m over cell-mate pairs, assembled as a sparse stiffness matrix; the
+measure enters through the lumped weights of the mesh.  The discrete
+Laplacian is the generalized symmetric eigenproblem (stiffness, mass).
+The symmetry group D3 of the gasket (rotations and reflections) splits it
+over one sparse orbit-local basis P per irrep into dense A1, A2 and E
+blocks P^T A P of about n/6, n/6 and n/3 rows; each block eigenvector y
+gives the eigenvector phi = P y, the E block is solved once and each of
+its eigenvectors yields a second one by rotation.  Heat kernels are
+truncated spectral expansions; Neumann keeps the constant leading term 1,
 Dirichlet drops it and vanishes on the corner set V_0.
 """
 
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from . import geometry
 from .errors import CapacityError, ContractError, DomainError, NumericError
@@ -29,12 +31,12 @@ DIRICHLET = "dirichlet"
 # truncations never split a multiplet (kernel symmetry would break)
 _CLUSTER_RTOL = 1e-8
 
-# n x n float64 arrays live at the peak of assemble + solve: the stiffness
-# and the output eigenvectors, plus about n^2/3 of block eigenvectors and
-# orbit values while the output is written (the E block's divide-and-conquer
-# workspace, 2 (n/3)^2, is freed by then); peak RSS grew by 2.42 n^2 doubles
-# at level 8, 2.40 at level 7 and 2.43 at level 6
-_DENSE_ARRAYS = 3
+# n x n float64 arrays live at the peak of assemble + solve: the output
+# eigenvectors and the block eigenvectors (n^2/6); the stiffness is sparse
+# and products with the blocks are taken in column chunks.  Peak RSS grew
+# by 1.19 n^2 doubles at level 8, 1.27 at level 7 and 1.62 at level 6
+# (where fixed costs weigh more)
+_DENSE_ARRAYS = 2
 
 
 def check_bc(bc):
@@ -47,12 +49,16 @@ def check_bc(bc):
 class EnergyForm:
     """Assembled quadratic form (stiffness, lumped mass) at one level.
 
-    For Dirichlet the matrices are restricted to interior vertices;
-    `index` maps form rows back to mesh vertex indices.
+    The stiffness and the edge differences are sparse CSR arrays:
+    (difference f)_e = f_u - f_v over every mesh edge e = (u, v), with f = 0
+    off the form's rows, so E_m(f, f) = (5/3)^m |difference f|^2.  For
+    Dirichlet the matrices are restricted to interior vertices; `index`
+    maps form rows back to mesh vertex indices.
     """
     level: int
     bc: str
-    stiffness: np.ndarray
+    stiffness: scipy.sparse.csr_array
+    difference: scipy.sparse.csr_array
     weights: np.ndarray
     index: np.ndarray
     mesh: geometry.GasketMesh = field(repr=False)
@@ -108,8 +114,9 @@ def assemble_form(mesh, bc):
 
     Off-diagonal stiffness entries are -(5/3)^m per shared cell; diagonals
     make rows sum to zero.  Mass weights are incidence * 3^-m / 3.
-    Raises CapacityError, before allocating, when the dense assemble and
-    solve would not fit in physical memory.
+    Raises CapacityError, before allocating, when the dense solve would not
+    fit in physical memory, and DomainError for a Dirichlet form without
+    rows (level 0, where V_0 is the whole mesh).
     """
     check_bc(bc)
     n = mesh.n_vertices
@@ -123,19 +130,22 @@ def assemble_form(mesh, bc):
     if bc == DIRICHLET:
         index = np.setdiff1d(index, mesh.boundary)
     k = len(index)
+    if k == 0:
+        raise DomainError(f"level {mesh.level} has no interior vertex for a "
+                          "Dirichlet form")
     row = np.full(n, -1)
     row[index] = np.arange(k)
     ends = row[mesh.edges]
-    u, v = ends[(ends >= 0).all(axis=1)].T
-    diag = ends[ends >= 0]
-    # one sequential scatter: -(5/3)^m per shared cell off the diagonal,
-    # +(5/3)^m per incident edge on it (edges to V_0 count for Dirichlet)
-    pref = (5.0 / 3.0) ** mesh.level
-    flat = np.concatenate([u * k + v, v * k + u, diag * (k + 1)])
-    sign = np.repeat([-pref, pref], [2 * len(u), len(diag)])
-    A = np.bincount(flat, weights=sign, minlength=k * k).reshape(k, k)
+    # one row per edge (u, v), +1 at u and -1 at v, its V_0 end dropped for
+    # Dirichlet; so the stiffness has -(5/3)^m per shared cell off the
+    # diagonal and +(5/3)^m per incident edge on it
+    inside = ends >= 0
+    D = scipy.sparse.csr_array(
+        (np.tile([1.0, -1.0], (len(ends), 1))[inside], ends[inside],
+         np.concatenate([[0], np.cumsum(inside.sum(axis=1))])), shape=(len(ends), k))
+    A = ((5.0 / 3.0) ** mesh.level * (D.T @ D)).tocsr()
     weights = mesh.mu_weights[index]
-    return EnergyForm(mesh.level, bc, A, weights, index, mesh)
+    return EnergyForm(mesh.level, bc, A, D, weights, index, mesh)
 
 
 def energy(form, f):
@@ -143,87 +153,91 @@ def energy(form, f):
     f = np.asarray(f, dtype=float)
     if f.shape != (len(form.index),):
         raise ContractError(f"expected {len(form.index)} values, got {f.shape}")
-    return float(f @ form.stiffness @ f)
+    return float(f @ (form.stiffness @ f))
 
 
-# D3 = {sigma_2^s o rho^r}, element 3 s + r, in the order of
-# geometry.symmetry_orbits; as maps, (s, r) o (s', r') = (s + s', (-1)^s' r + r')
-_S, _R = np.divmod(np.arange(6), 3)
-_PRODUCT = 3 * ((_S[:, None] + _S) % 2) + (np.where(_S, -1, 1) * _R[:, None] + _R) % 3
-
-# An orbit-local basis vector takes the value c(g) at g(v_o), times a scale.
-# A1 is rho-invariant and sigma_2-even, A2 rho-invariant and sigma_2-odd;
-# E0 and E1 are sigma_2-even and sum to zero over every rho-orbit.  A2 and
-# E1 contradict themselves where sigma_2 fixes v_o, so they live on the
-# 6-vertex orbits only.
+# A pattern c puts c(g) on the vertex g(v_o) of an orbit o.  A1 is
+# rho-invariant and sigma_2-even, A2 rho-invariant and sigma_2-odd; E0 and
+# E1 are sigma_2-even and sum to zero over every rho-orbit.
 _A1 = np.array([1.0, 1, 1, 1, 1, 1])
 _A2 = np.array([1.0, 1, 1, -1, -1, -1])
 _E0 = np.array([2.0, -1, -1, 2, -1, -1])
 _E1 = np.array([0.0, 1, -1, 0, 1, -1])
 
 
+def _block_basis(orbits, weights, patterns):
+    """Sparse basis M^-1/2 Q of one isotypic block, Q with orthonormal columns.
+
+    Column (p, o) of Q is patterns[p] on orbit o, normalized: c(g) at
+    orbits[g, o], summed where a 3-vertex orbit lists a vertex twice.
+    Columns that sum to zero are dropped, so A2 and E1 live on the 6-vertex
+    orbits only (sigma_2 fixes the representative of a 3-vertex orbit).
+    """
+    k = len(weights)
+    rows = np.tile(orbits.T.ravel(), len(patterns))
+    vals = np.tile(np.stack(patterns), (1, orbits.shape[1])).ravel()
+    key, at = np.unique(np.arange(len(rows)) // len(orbits) * k + rows,
+                        return_inverse=True)
+    vals = np.bincount(at, weights=vals)
+    keep = vals != 0
+    cols, rows = np.divmod(key[keep], k)
+    vals = vals[keep]
+    norm = np.sqrt(np.bincount(cols, weights=vals * vals))
+    vals /= norm[cols] * np.sqrt(weights[rows])
+    counts = np.bincount(cols)
+    indptr = np.concatenate([[0], np.cumsum(counts[counts > 0])])
+    return scipy.sparse.csc_array((vals, rows, indptr), shape=(k, len(indptr) - 1))
+
+
+def _column_chunks(y):
+    """Slices of at most 32 columns of y, at least one (an empty block has
+    one empty chunk): products with y are taken a chunk at a time, so their
+    scratch stays small and is reused."""
+    return [slice(j, j + 32) for j in range(0, max(y.shape[1], 1), 32)]
+
+
 def solve_spectrum(form):
     """Solve the generalized eigenproblem and return every eigenpair.
 
-    The diagonal mass reduces (A, M) to the symmetric matrix
-    B = M^-1/2 A M^-1/2.  The symmetry group D3 of the gasket (rotation rho
-    and reflection sigma_2) maps V_0 to itself and leaves A and M invariant,
-    so B splits over an orthonormal basis of orbit-local vectors with
-    constant coefficients into an A1 block (rho-invariant, sigma_2-even), an
-    A2 block (rho-invariant, sigma_2-odd) and two equal E blocks.  Only the
-    sigma_2-even E block is solved; each of its eigenvectors phi has the
-    sigma_2-odd partner (phi o rho^2 - phi o rho)/sqrt 3 with the same
-    eigenvalue, stored in the column after phi.  The three blocks are
-    solved by divide and conquer.  Every eigenvector lies in one isotypic
+    The symmetry group D3 of the gasket (rotation rho and reflection
+    sigma_2) maps V_0 to itself and leaves the stiffness A and the diagonal
+    mass M invariant.  So each isotypic component has a sparse basis
+    P = M^-1/2 Q of orbit-local vectors with constant coefficients
+    (`_block_basis`), and the eigenpairs of (A, M) in it are those of the
+    dense block P^T A P: an A1 block (rho-invariant, sigma_2-even), an A2
+    block (rho-invariant, sigma_2-odd) and the sigma_2-even half of E.  The
+    blocks are solved by divide and conquer; a block eigenvector y gives
+    the eigenvector phi = P y, and its eigenvalue is the edge energy
+    (5/3)^m |difference phi|^2.  Each E eigenvector phi has the sigma_2-odd
+    partner (phi o rho^2 - phi o rho)/sqrt 3 with the same eigenvalue,
+    stored in the column after phi.  Every eigenvector lies in one isotypic
     component, is exactly sigma_2-even or sigma_2-odd (A1 and A2 vectors
     exactly rho-invariant too) and is mass-orthonormal; across blocks the
     order inside a multiplet follows eigenvalue roundoff.
     """
-    index, A = form.index, form.stiffness
+    index = form.index
     orbits = geometry.symmetry_orbits(form.mesh)
-    # the Dirichlet rows are a union of orbits (V_0 is one); map them to
-    # rows, 6-vertex orbits first
+    # the Dirichlet rows are a union of orbits (V_0 is one); map them to rows
     orbits = np.searchsorted(index, orbits[:, np.isin(orbits[0], index)])
-    orbits = orbits[:, np.argsort(orbits[3] == orbits[0], kind="stable")]
-    large = orbits[3] != orbits[0]
-    n, six = len(large), np.count_nonzero(large)
-    # each block's vectors: a pattern c on each of the leading orbits
-    blocks = [[(_A1, n)], [(_A2, six)], [(_E0, n), (_E1, six)]]
-    # c on orbit o has norm |c| share_o: g -> g(v_o) covers a 3-vertex
-    # orbit twice
-    share = np.where(large, 1.0, np.sqrt(0.5))
-    mass = 1.0 / np.sqrt(form.weights[orbits[0]])
-
-    # As B[g x, g y] == B[x, y], the entry of c on o and c' on o' is
-    # sum_k (sum_g c(g) c'(g k)) B[v_o, k(v_o')] share_o share_o'
-    # / (|c| |c'|): six gathers of representative rows give every block.
-    mats = [np.zeros((m, m)) for m in (sum(r for _, r in blk) for blk in blocks)]
-    for k in range(6):
-        G = A[np.ix_(orbits[0], orbits[k])]
-        for B, blk in zip(mats, blocks):
-            i = 0
-            for c, rows in blk:
-                j = 0
-                for c2, cols in blk:
-                    coef = c @ c2[_PRODUCT[:, k]]
-                    if coef:
-                        B[i:i + rows, j:j + cols] += coef * G[:rows, :cols]
-                    j += cols
-                i += rows
+    bases = [_block_basis(orbits, form.weights, c) for c in ([_A1], [_A2], [_E0, _E1])]
+    pref = (5.0 / 3.0) ** form.level
     solved = []
-    for B, blk in zip(mats, blocks):
-        w = np.concatenate([(mass * share)[:rows] / np.linalg.norm(c)
-                            for c, rows in blk])
-        B *= w[:, None]
-        B *= w[None, :]
+    for P in bases:
+        # the block P^T A P is (5/3)^m G^T G for the edge differences G of
+        # the basis; its eigenvectors are those of G^T G
+        G = form.difference @ P
+        B = (G.T @ G).toarray(order="F")
         try:
-            # B.T is B in Fortran order, so LAPACK solves it in place
-            solved.append(scipy.linalg.eigh(B.T, driver="evd", overwrite_a=True))
+            lam, y = scipy.linalg.eigh(B, driver="evd", overwrite_a=True)
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover
             raise NumericError(f"eigensolver failed: {exc}") from exc
-    del mats, B, G
+        # eigh leaves each eigenvalue off by about eps lambda_max; the edge
+        # energy of phi = P y, a sum of squares, gives it to a few eps
+        # relative (the mode's error enters only quadratically)
+        lam = pref * np.concatenate([np.einsum("ij,ij->j", g, g) for g in
+                                     (G @ y[:, c] for c in _column_chunks(y))])
+        solved.append((lam, y))
     (lam_a1, y_a1), (lam_a2, y_a2), (lam_e, y_e) = solved
-    del solved  # so that the block eigenvectors can be freed below
 
     if form.bc == NEUMANN:
         # drop the constant mode, the first of the A1 block; it must sit at
@@ -242,37 +256,15 @@ def solve_spectrum(form):
         raise NumericError(f"nonpositive leading eigenvalue {lam[0]}")
     col_a1, col_a2, col_e = np.split(col, [len(lam_a1), len(lam_a1) + len(lam_a2)])
 
-    # The value at g(v_o) of a block eigenvector y is the sum over its
-    # vectors of c(g) y mass_o / (share_o |c|).  Each array of values is
-    # written to every vertex that carries it, so sigma_2 parity and
-    # rho-invariance are exact.
+    # phi o rho = P[rho] y, so the partner of phi = P y is partner @ y
+    rho = np.searchsorted(index, geometry.rotation_permutation(form.mesh)[index])
+    p_a1, p_a2, p_e = bases
+    partner = (p_e[rho[rho]] - p_e[rho]) / np.sqrt(3.0)
     full = np.zeros((form.mesh.n_vertices, len(lam)))
-    at = index[orbits]
-    scale = mass / share
-    for (c, rows), y, cols in ((blocks[0][0], y_a1, col_a1),
-                               (blocks[1][0], y_a2, col_a2)):
-        y *= (scale[:rows] / np.linalg.norm(c))[:, None]
-        for g in range(6):
-            full[np.ix_(at[g, :rows], cols)] = y if c[g] > 0 else -y
-    e0, e1 = y_e[:n], y_e[n:]
-    e0 *= (scale / np.linalg.norm(_E0))[:, None]
-    e1 *= (scale[:six] / np.linalg.norm(_E1))[:, None]
-    # the sigma_2-even member phi on rho^r(v_o) and sigma_2(rho^r(v_o))
-    even = []
-    for r in range(3):
-        vals = _E0[r] * e0
-        vals[:six] += _E1[r] * e1
-        full[np.ix_(at[r], col_e[0::2])] = vals
-        full[np.ix_(at[3 + r], col_e[0::2])] = vals
-        even.append(vals)
-    del y_a1, y_a2, y_e, e0, e1
-    # its partner (phi o rho^2 - phi o rho) / sqrt 3, sigma_2-odd
-    for r in range(3):
-        vals = (even[(r + 2) % 3] - even[(r + 1) % 3]) / np.sqrt(3.0)
-        full[np.ix_(at[r], col_e[1::2])] = vals
-        vals *= -1.0
-        full[np.ix_(at[3 + r], col_e[1::2])] = vals
-
+    for P, y, cols in ((p_a1, y_a1, col_a1), (p_a2, y_a2, col_a2),
+                       (p_e, y_e, col_e[0::2]), (partner, y_e, col_e[1::2])):
+        for c in _column_chunks(y):
+            full[np.ix_(index, cols[c])] = P @ y[:, c]
     return Spectrum(form.bc, form.level, lam, full, form.mesh.mu_weights, form.mesh)
 
 

@@ -180,6 +180,15 @@ def test_spectrum_capacity_error_exit_two(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "s_eigenvalues.csv").exists()
 
 
+def test_spectrum_level0_dirichlet_exit_two(tmp_path, capsys):
+    # V_0 is the whole level-0 mesh, so the Dirichlet form has no rows
+    out = tmp_path / "s"
+    assert main(["spectrum", "--level", "0", "--bc", "dirichlet",
+                 "--out", str(out)]) == 2
+    assert "no interior vertex" in capsys.readouterr().err
+    assert not (tmp_path / "s_eigenvalues.csv").exists()
+
+
 def test_mesh_export(tmp_path):
     out = tmp_path / "m"
     assert main(["mesh", "--level", "2", "--out", str(out)]) == 0

@@ -1,10 +1,12 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 import gasketfields
 from gasketfields import geometry, riesz, spectral
@@ -34,9 +36,9 @@ def test_mass_weights_sum_to_one(m):
 
 
 def test_dense_spectrum_capacity_error(monkeypatch):
-    # the estimate is three n x n float64 arrays; the limit is the memory probe
+    # the estimate is two n x n float64 arrays; the limit is the memory probe
     mesh = geometry.build_mesh(4)
-    need = 3 * 8 * mesh.n_vertices ** 2
+    need = 2 * 8 * mesh.n_vertices ** 2
     monkeypatch.setattr(spectral, "_physical_memory", lambda: need)
     spectral.assemble_form(mesh, "neumann")
     monkeypatch.setattr(spectral, "_physical_memory", lambda: need - 1)
@@ -45,6 +47,19 @@ def test_dense_spectrum_capacity_error(monkeypatch):
     msg = str(exc.value)
     assert "level 4" in msg and f"n = {mesh.n_vertices}" in msg
     assert f"{need / 1e9:.2f} GB" in msg and f"{(need - 1) / 1e9:.2f} GB" in msg
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_assemble_and_solve_peak_memory(mesh6, bc):
+    # the stiffness is sparse and the output eigenvectors are the only n x n
+    # array: the traced peak stays within two n x n float64 arrays
+    tracemalloc.start()
+    try:
+        spectral.solve_spectrum(spectral.assemble_form(mesh6, bc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * 8 * mesh6.n_vertices ** 2
 
 
 def _loop_stiffness(mesh, bc):
@@ -64,17 +79,37 @@ def _loop_stiffness(mesh, bc):
     return A
 
 
-@pytest.mark.parametrize("m", range(0, 8))
-@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+# the level-0 Dirichlet form has no rows (test_level0_dirichlet_has_no_form)
+@pytest.mark.parametrize("bc,m", [(bc, m) for bc in ("neumann", "dirichlet")
+                                  for m in range(0, 8) if (bc, m) != ("dirichlet", 0)])
 def test_stiffness_matches_loop_reference(m, bc):
     mesh = geometry.build_mesh(m)
-    assert np.array_equal(spectral.assemble_form(mesh, bc).stiffness,
+    assert np.array_equal(spectral.assemble_form(mesh, bc).stiffness.toarray(),
                           _loop_stiffness(mesh, bc))
+
+
+def test_level0_dirichlet_has_no_form():
+    # V_0 is the whole level-0 mesh, so no vertex is left to carry a mode
+    with pytest.raises(DomainError, match="no interior vertex"):
+        spectral.assemble_form(geometry.build_mesh(0), "dirichlet")
+    with pytest.raises(DomainError, match="no interior vertex"):
+        spectral.build_spectrum(0, "dirichlet")
+
+
+@pytest.mark.parametrize("m", [1, 6])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_stiffness_is_sparse(m, bc):
+    # one stored entry per row on the diagonal and two per in-form edge
+    mesh = geometry.build_mesh(m)
+    form = spectral.assemble_form(mesh, bc)
+    inside = np.isin(mesh.edges, form.index).all(axis=1)
+    assert isinstance(form.stiffness, scipy.sparse.csr_array)
+    assert form.stiffness.nnz == len(form.index) + 2 * np.count_nonzero(inside)
 
 
 def test_stiffness_structure(mesh6):
     form = spectral.assemble_form(mesh6, "neumann")
-    A = form.stiffness
+    A = form.stiffness.toarray()
     assert np.allclose(A, A.T)
     assert np.allclose(A.sum(axis=1), 0.0, atol=1e-9)
     pref = (5.0 / 3.0) ** mesh6.level
@@ -221,7 +256,7 @@ def test_heat_kernel_on_diagonal_dominates(mesh6, spec_n_full):
 def _unblocked_spectrum(form):
     """Reference solve: plain eigh of the whole M^-1/2 A M^-1/2."""
     d = 1.0 / np.sqrt(form.weights)
-    B = form.stiffness * d[:, None] * d[None, :]
+    B = form.stiffness.toarray() * d[:, None] * d[None, :]
     lam, U = scipy.linalg.eigh(0.5 * (B + B.T))
     vecs = U * d[:, None]
     if form.bc == "neumann":
@@ -264,6 +299,17 @@ def test_spectrum_matches_unblocked_reference(m, bc):
         G = riesz.KernelEvaluator(spec.truncated(j), 0.9).matrix()
         G_ref = riesz.KernelEvaluator(ref.truncated(j), 0.9).matrix()
         assert np.max(np.abs(G - G_ref)) <= 1e-12 * np.max(np.abs(G_ref))
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_eigenvalues_are_edge_energies(mesh6, bc):
+    # each eigenvalue is the energy of its mass-normalized mode, summed over
+    # the edges as squares (no cancellation), to roundoff relative to itself
+    spec = spectral.build_spectrum(6, bc)
+    u, v = mesh6.edges.T
+    phi = spec.eigenvectors
+    energy = (5.0 / 3.0) ** 6 * np.einsum("ij,ij->j", phi[u] - phi[v], phi[u] - phi[v])
+    assert np.max(np.abs(energy - spec.eigenvalues) / spec.eigenvalues) <= 1e-13
 
 
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
