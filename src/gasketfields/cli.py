@@ -94,6 +94,16 @@ def _resolve(args, config):
     return merged
 
 
+def _check_counts(cfg):
+    """Reject a count flag below 1, from the command line or from the config
+    file (which argparse does not see)."""
+    for key in ("replicates", "n_terms", "pairs"):
+        value = cfg.get(key)
+        if value is not None and (not isinstance(value, int) or value < 1):
+            raise _usage(f"--{key.replace('_', '-')} must be an integer >= 1, "
+                         f"got {value!r}")
+
+
 def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, default=str)
@@ -372,6 +382,7 @@ def main(argv=None):
                          NumericError, ResolutionError, UsageError)
 
     try:
+        _check_counts(cfg)
         return _COMMANDS[args.command](cfg)
     except (UsageError, DomainError, ContractError, CapacityError,
             ResolutionError) as exc:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .constants import D_H, D_W, integrability_threshold
 from .errors import ContractError, DomainError
-from .geometry import quadrature
 from .riesz import KernelEvaluator, fractional_laplacian_inv
 from .stable import make_draw, standard_stable
 
@@ -172,12 +171,3 @@ def scaled_subcell_field(word, s, alpha, spectrum, draw=None, seed=None):
     }
     return FieldSample(values, meta)
 
-
-def field_mean(sample, mesh):
-    """Quadrature mean of a realization (zero for Neumann by construction)."""
-    return float(quadrature(sample.values, mesh))
-
-
-def field_boundary_values(sample, mesh):
-    """Values at the three corner vertices (zero for Dirichlet)."""
-    return sample.values[mesh.boundary]

@@ -2,8 +2,9 @@
 
 The kernel of the order -s operator is evaluated as the truncated
 spectral sum  sum_j lambda_j^-s phi_j(x) phi_j(y)  (term-wise Mellin
-integral of the centered heat kernel, exact via the Gamma integral).
-A numerical time-integration path is retained as a cross-check only.
+integral of the centered heat kernel, exact via the Gamma integral), the
+Spectrum sums with weights lambda_j^-s.  A numerical time-integration path
+is retained as a cross-check only.
 
 Diagonal policy: the kernel diagonal diverges with the truncation for
 s <= d_h/d_w and is rejected there; it is well defined for s > d_h/d_w.
@@ -32,28 +33,27 @@ class KernelEvaluator:
         self.spectrum = spectrum
         self.s = float(s)
         self.lam_pow = spectrum.eigenvalues ** (-self.s)
-        self.phi = spectrum.eigenvectors
         self._matrix = None
 
     def value(self, xi, yi):
         if xi == yi and self.s <= D_H / D_W:
             raise DomainError(
                 f"diagonal kernel values require s > d_h/d_w = {D_H / D_W:.5f}")
-        return float((self.phi[xi] * self.phi[yi]) @ self.lam_pow)
+        return self.spectrum.value(self.lam_pow, xi, yi)
 
     def row(self, xi):
         """G_s(x, .) against every mesh vertex."""
-        return self.phi @ (self.lam_pow * self.phi[xi])
+        return self.spectrum.row(self.lam_pow, xi)
 
     def matrix(self):
         """Full kernel matrix on V_m x V_m (cached)."""
         if self._matrix is None:
-            self._matrix = (self.phi * self.lam_pow) @ self.phi.T
+            self._matrix = self.spectrum.matrix(self.lam_pow)
         return self._matrix
 
     def apply(self, coeffs):
         """Kernel action on a vector of point masses: sum_v G(., v) c_v."""
-        return self.phi @ (self.lam_pow * (self.phi.T @ coeffs))
+        return self.spectrum.apply(self.lam_pow, coeffs)
 
     def tail_bound(self, full):
         """Heuristic error bound of this kernel's sum against that over
@@ -62,7 +62,7 @@ class KernelEvaluator:
         if j >= full.n_modes:
             return 0.0
         return float(full.eigenvalues[j] ** (-self.s) * j *
-                     np.max(np.abs(self.phi)) ** 2)
+                     self.spectrum.sup_norm() ** 2)
 
 
 def fractional_laplacian_inv(s, f, spectrum):
@@ -77,9 +77,7 @@ def fractional_laplacian_inv(s, f, spectrum):
     w = spectrum.weights
     if spectrum.bc == NEUMANN:
         f = f - (f @ w)
-    phi = spectrum.eigenvectors
-    coeffs = phi.T @ (w * f)
-    return phi @ (spectrum.eigenvalues ** (-s) * coeffs)
+    return spectrum.apply(spectrum.eigenvalues ** (-s), w * f)
 
 
 def kernel_semigroup_residual(s, t, xi, yi, spectrum):
@@ -221,11 +219,10 @@ def reflection_defect(ev, i):
 
 def subcell_kernel_value(spectrum, s, n, xi, yi):
     """Kernel of the level-n subcell copy, evaluated through its own
-    spectral data lambda_j * 5^n and 3^(n/2) phi_j composed with the
-    inverse cell map; arguments are base-mesh vertices x, y with the
-    kernel taken at (F_w x, F_w y)."""
-    ev = KernelEvaluator(spectrum, s)
+    spectral data lambda_j * 5^n and 3^(n/2) phi_j o F_w^-1 (3^n out of
+    the sum); arguments are base-mesh vertices x, y with the kernel taken
+    at (F_w x, F_w y)."""
+    if s <= 0:
+        raise DomainError("kernel order s must be positive")
     lam_w_pow = (5.0 ** n * spectrum.eigenvalues) ** (-s)
-    phi_w_x = 3.0 ** (n / 2.0) * ev.phi[xi]
-    phi_w_y = 3.0 ** (n / 2.0) * ev.phi[yi]
-    return float((phi_w_x * phi_w_y) @ lam_w_pow)
+    return 3.0 ** n * spectrum.value(lam_w_pow, xi, yi)

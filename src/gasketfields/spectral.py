@@ -22,7 +22,8 @@ import scipy.linalg
 import scipy.sparse
 
 from . import geometry
-from .errors import CapacityError, ContractError, DomainError, NumericError
+from .errors import (CapacityError, ContractError, DomainError, InvariantError,
+                     NumericError)
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
@@ -70,8 +71,9 @@ class Spectrum:
 
     Eigenvectors are stored on the full vertex set; Dirichlet vectors are
     zero on the boundary.  The Neumann constant mode is excluded.  Every
-    spectral sum over a Spectrum runs over all of its modes, so the
-    truncation of a kernel or a field is that of the Spectrum it is given
+    sum_j g_j phi_j(x) phi_j(y) over a weight g_j per mode (lambda_j^-s,
+    e^(-lambda_j t)) is `value`, `row`, `matrix` or `apply`, over all of the
+    modes: the truncation of a kernel or a field is that of its Spectrum
     (see `truncated`).
     """
     bc: str
@@ -103,6 +105,39 @@ class Spectrum:
             return self
         return replace(self, eigenvalues=self.eigenvalues[:j],
                        eigenvectors=self.eigenvectors[:, :j])
+
+    def value(self, g, xi, yi):
+        """sum_j g_j phi_j(x) phi_j(y) between two mesh vertices."""
+        return float((self.eigenvectors[xi] * self.eigenvectors[yi]) @ g)
+
+    def row(self, g, xi):
+        """sum_j g_j phi_j(x) phi_j(.) against every mesh vertex."""
+        return self.eigenvectors @ (g * self.eigenvectors[xi])
+
+    def matrix(self, g):
+        """sum_j g_j phi_j phi_j^T on V_m x V_m."""
+        return (self.eigenvectors * g) @ self.eigenvectors.T
+
+    def apply(self, g, coeffs):
+        """sum_j g_j phi_j (phi_j . c) for point-mass coefficients c."""
+        return self.eigenvectors @ (g * (self.eigenvectors.T @ coeffs))
+
+    def sup_norm(self):
+        """max_j max_x |phi_j(x)|."""
+        return float(np.max(np.abs(self.eigenvectors)))
+
+    def project(self, h, k):
+        """Mass projection sum_j phi_j <phi_j, h>_mu of h onto the k-th
+        distinct eigenspace (k = 1 for lambda_1), free of the basis inside its
+        multiplet (bounds from `truncation`); InvariantError if it vanishes."""
+        lo = 0
+        for _ in range(k - 1):
+            lo = self.truncation(lo + 1)
+        phi = self.eigenvectors[:, lo:self.truncation(lo + 1)]
+        proj = phi @ (phi.T @ (self.weights * h))
+        if np.max(np.abs(proj)) <= 1e-8 * np.max(np.abs(h)):
+            raise InvariantError(f"the function has no component in eigenspace {k}")
+        return proj
 
 
 def _physical_memory():
@@ -281,20 +316,19 @@ def build_spectrum(level, bc, j_max=None):
     return spec if j_max is None else spec.truncated(j_max)
 
 
-def heat_kernel(t, xi, yi, spectrum):
-    """Truncated spectral heat kernel p_t(x, y) between two mesh vertices."""
+def _heat_weights(t, spectrum):
     if t <= 0:
         raise DomainError("time must be positive")
-    phi = spectrum.eigenvectors
-    s = float(np.exp(-spectrum.eigenvalues * t) @ (phi[xi] * phi[yi]))
+    return np.exp(-spectrum.eigenvalues * t)
+
+
+def heat_kernel(t, xi, yi, spectrum):
+    """Truncated spectral heat kernel p_t(x, y) between two mesh vertices."""
+    s = spectrum.value(_heat_weights(t, spectrum), xi, yi)
     return s + 1.0 if spectrum.bc == NEUMANN else s
 
 
 def heat_kernel_row(t, xi, spectrum):
     """Heat kernel p_t(x, .) against every mesh vertex at once."""
-    if t <= 0:
-        raise DomainError("time must be positive")
-    phi = spectrum.eigenvectors
-    row = phi @ (np.exp(-spectrum.eigenvalues * t) * phi[xi])
+    row = spectrum.row(_heat_weights(t, spectrum), xi)
     return row + 1.0 if spectrum.bc == NEUMANN else row
-

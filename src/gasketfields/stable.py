@@ -160,6 +160,8 @@ def lepage_replicates(values, mesh, alpha, n_terms, n_replicates, seed,
     tau = `arrival_tail_sum`: given T and xi, sum_n w_n f(xi_n) is Gaussian
     with the series variance plus the surrogate's D^2 tau mean f(xi)^2.
     """
+    if n_terms < 1:
+        raise DomainError("n_terms must be >= 1")
     if not 0.0 < alpha < 2.0:
         raise DomainError(f"LePage representation requires alpha in (0, 2), got {alpha}")
     values = np.asarray(values, dtype=float)

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import analysis, fields, geometry, riesz, spectral, stable
 from .constants import D_H, D_W
-from .errors import InvariantError
 
 
 def _check(name, value, passed, **extra):
@@ -30,24 +29,6 @@ def _report(suite, params, checks):
         "checks": checks,
         "passed": bool(all(c["passed"] for c in checks)),
     }
-
-
-def _eigenspace_projection(spec, h, k):
-    """Mass projection of vertex values h onto the k-th distinct eigenspace,
-    sum_j phi_j <phi_j, h>_mu over that multiplet (k = 1 for lambda_1).
-
-    Unlike any single eigenvector it does not depend on the basis the
-    eigensolver picks inside the multiplet, whose bounds come from
-    `Spectrum.truncation`.  Raises InvariantError if the projection vanishes.
-    """
-    lo = 0
-    for _ in range(k - 1):
-        lo = spec.truncation(lo + 1)
-    phi = spec.eigenvectors[:, lo:spec.truncation(lo + 1)]
-    proj = phi @ (phi.T @ (spec.weights * h))
-    if np.max(np.abs(proj)) <= 1e-8 * np.max(np.abs(h)):
-        raise InvariantError(f"the function has no component in eigenspace {k}")
-    return proj
 
 
 def _field_replicates(s, alpha, bc, level, n_terms, j_terms, n, seed0):
@@ -319,7 +300,7 @@ def suite_lepage_vs_direct(level=6, j_terms=200, n_terms=10_000, n=10_000,
     spec = spectral.build_spectrum(level, spectral.NEUMANN, j_max=j_terms)
     battery = {
         "constant": np.ones(mesh.n_vertices),
-        "eigenspace_1_x": _eigenspace_projection(spec, mesh.vertices[:, 0], 1),
+        "eigenspace_1_x": spec.project(mesh.vertices[:, 0], 1),
         "kernel_slice_s0.9": riesz.KernelEvaluator(spec, 0.9).row(123),
     }
     columns = np.column_stack(list(battery.values()))
@@ -347,14 +328,13 @@ def suite_field_marginals(level=6, j_terms=200, s=0.9, alpha=1.5,
     mesh, spec_n, reps = _field_replicates(s, alpha, spectral.NEUMANN, level,
                                            n_terms, j_terms, n_seeds, seed0)
     # realization-wise Neumann mean zero, relative to the field scale
-    worst = max(abs(fields.field_mean(r, mesh)) /
+    worst = max(abs(geometry.quadrature(r.values, mesh)) /
                 max(np.max(np.abs(r.values)), 1e-300) for r in reps)
     checks.append(_check("neumann_mean_zero", worst, worst <= 1e-4,
                          tolerance="1e-4 x field scale"))
     _, spec_d, reps_d = _field_replicates(s, alpha, spectral.DIRICHLET, level,
                                           n_terms, j_terms, 20, seed0)
-    worst_b = max(np.max(np.abs(fields.field_boundary_values(r, mesh)))
-                  for r in reps_d)
+    worst_b = max(np.max(np.abs(r.values[mesh.boundary])) for r in reps_d)
     checks.append(_check("dirichlet_boundary_zero", worst_b, worst_b <= 1e-12,
                          tolerance="truncation (exact zero by construction)"))
     for bc, spec, batch in (("neumann", spec_n, reps),
@@ -372,8 +352,7 @@ def suite_field_marginals(level=6, j_terms=200, s=0.9, alpha=1.5,
     # built from eigenspace projections of x, so it is basis-free (the
     # second eigenspace is skipped: x and y have no component there)
     x = mesh.vertices[:, 0]
-    f = (_eigenspace_projection(spec_n, x, 1)
-         + 0.5 * _eigenspace_projection(spec_n, x, 3))
+    f = spec_n.project(x, 1) + 0.5 * spec_n.project(x, 3)
     inner = np.array([geometry.quadrature(f * r.values, mesh) for r in reps])
     rng = np.random.default_rng(seed0 + 999)
     distr = np.array([fields.distributional_field(f, s, alpha, spec_n, rng)

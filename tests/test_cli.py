@@ -189,6 +189,34 @@ def test_spectrum_level0_dirichlet_exit_two(tmp_path, capsys):
     assert not (tmp_path / "s_eigenvalues.csv").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("argv,key,value", [
+    (["stable", "--alpha", "1.5"], "n_terms", 0),
+    (["stable", "--alpha", "1.5"], "n_terms", -5),
+    (["stable", "--alpha", "1.5"], "replicates", -2),
+    (["stable", "--alpha", "1.5", "--route", "direct"], "replicates", -2),
+    (["simulate", "--alpha", "1.5", "--s", "0.9"], "n_terms", 0),
+    (["simulate", "--alpha", "1.5", "--s", "0.9"], "replicates", -2),
+    (["kernel", "--s", "0.9"], "pairs", 0),
+    (["kernel", "--s", "0.9"], "pairs", -3),
+], ids=["stable-n_terms-0", "stable-n_terms-neg", "stable-replicates-neg",
+        "direct-replicates-neg", "simulate-n_terms-0", "simulate-replicates-neg",
+        "kernel-pairs-0", "kernel-pairs-neg"])
+def test_count_below_one_exit_two(tmp_path, capsys, argv, key, value, source):
+    # a count below 1 is refused before any output, also from a config file,
+    # which argparse does not see
+    flag = "--" + key.replace("_", "-")
+    if source == "flag":
+        args = argv + [flag, str(value)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        args = ["--config", str(cfg)] + argv
+    assert main(args + ["--level", "2", "--out", str(tmp_path / "x")]) == 2
+    assert f"{flag} must be an integer >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x*"))
+
+
 def test_mesh_export(tmp_path):
     out = tmp_path / "m"
     assert main(["mesh", "--level", "2", "--out", str(out)]) == 0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gasketfields
-from gasketfields import analysis, fields, geometry, riesz, stable, verify
+from gasketfields import analysis, fields, geometry, riesz, stable
 from gasketfields.constants import D_H, D_W, integrability_threshold
 from gasketfields.errors import ContractError, DomainError, InvariantError
 
@@ -50,12 +50,12 @@ def test_neumann_mean_zero_per_realization(mesh6, spec_n):
     for seed in range(5):
         smp = _field(0.9, 1.5, spec_n, seed)
         scale = np.max(np.abs(smp.values))
-        assert abs(fields.field_mean(smp, mesh6)) <= 1e-4 * scale
+        assert abs(geometry.quadrature(smp.values, mesh6)) <= 1e-4 * scale
 
 
 def test_dirichlet_vanishes_at_corners(mesh6, spec_d):
     smp = _field(0.9, 1.5, spec_d, 3)
-    assert np.all(fields.field_boundary_values(smp, mesh6) == 0.0)
+    assert np.all(smp.values[mesh6.boundary] == 0.0)
 
 
 def test_divergent_regime_tagged(spec_n):
@@ -162,8 +162,7 @@ def test_duality_cf(mesh6, spec_n):
     # f is basis-free: eigenspace projections of the x coordinate
     s, alpha, n = 0.9, 1.5, 1200
     x = mesh6.vertices[:, 0]
-    f = (verify._eigenspace_projection(spec_n, x, 1)
-         + 0.5 * verify._eigenspace_projection(spec_n, x, 3))
+    f = spec_n.project(x, 1) + 0.5 * spec_n.project(x, 3)
     inner = np.empty(n)
     for k in range(n):
         smp = _field(s, alpha, spec_n, 40_000 + k)
@@ -186,10 +185,10 @@ def test_eigenspace_projection_is_basis_free(mesh6, spec_n):
     vecs = spec_n.eigenvectors.copy()
     vecs[:, :j] = vecs[:, :j] @ q
     turned = replace(spec_n, eigenvectors=vecs)
-    p = verify._eigenspace_projection(spec_n, x, 1)
-    assert np.max(np.abs(verify._eigenspace_projection(turned, x, 1) - p)) <= 1e-12
+    p = spec_n.project(x, 1)
+    assert np.max(np.abs(turned.project(x, 1) - p)) <= 1e-12
     with pytest.raises(InvariantError):
-        verify._eigenspace_projection(spec_n, x, 2)
+        spec_n.project(x, 2)
 
 
 def _leaves(value, path=""):

@@ -1,8 +1,10 @@
-"""Signature guards: the Spectrum passed in is the only truncation, and a
+"""Signature guards: the Spectrum passed in is the only truncation, a
 spectrum or kernel evaluator already carries its mesh and boundary
-condition."""
+condition, and only the Spectrum reads its eigenvector matrix."""
 
+import ast
 import inspect
+from pathlib import Path
 
 from gasketfields import fields, riesz, spectral
 
@@ -11,6 +13,9 @@ MODULES = (spectral, riesz, fields)
 TRUNCATION_SETTERS = {"spectral.build_spectrum", "spectral.Spectrum.truncated",
                       "spectral.Spectrum.truncation"}
 CARRIERS = {"spectrum", "spec", "ev", "evaluator"}
+# (module, function) of the one eigenvector read outside spectral.py: the
+# eigenvector CSV export
+EIGENVECTOR_READERS = {("cli", "_cmd_spectrum")}
 
 
 def _signatures():
@@ -46,3 +51,38 @@ def test_no_mesh_or_bc_next_to_a_spectrum():
     offenders = [name for name, params in _signatures()
                  if params & CARRIERS and params & {"mesh", "bc"}]
     assert offenders == []
+
+
+def _eigenvector_reads():
+    """(module, innermost enclosing function or class) of every
+    `.eigenvectors` read in the package outside spectral.py."""
+    reads = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "eigenvectors":
+            reads.add((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
+        if path.name != "spectral.py":
+            visit(ast.parse(path.read_text()), path.stem, None)
+    return reads
+
+
+def test_only_the_spectrum_reads_its_eigenvectors():
+    # every spectral sum is a Spectrum method; the CSV export is the one
+    # reader of the dense eigenvector matrix outside spectral.py
+    assert _eigenvector_reads() == EIGENVECTOR_READERS
+
+
+def test_kernel_evaluator_holds_no_eigenvectors():
+    spec = spectral.build_spectrum(2, spectral.NEUMANN)
+    ev = riesz.KernelEvaluator(spec, 0.9)
+    assert not hasattr(ev, "phi")
+    assert not any(v is spec.eigenvectors for v in vars(ev).values())
+    tree = ast.parse(inspect.getsource(riesz.KernelEvaluator))
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "phi"]

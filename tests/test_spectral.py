@@ -233,6 +233,29 @@ def test_heat_semigroup_identity(mesh6, spec_n):
             assert abs(conv - spectral.heat_kernel(t + s, a, b, spec_n)) <= 1e-5
 
 
+@pytest.mark.parametrize("weight", ["riesz", "heat"])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_spectrum_sums_agree(bc, weight):
+    # value, row, matrix and apply are one sum sum_j g_j phi_j(x) phi_j(y):
+    # entry, row, whole matrix and the action on a point mass e_x
+    spec = spectral.build_spectrum(4, bc)
+    lam = spec.eigenvalues
+    g = lam ** -0.9 if weight == "riesz" else np.exp(-0.1 * lam)
+    G = spec.matrix(g)
+    n = spec.mesh.n_vertices
+    # three vertices off V_0, where Dirichlet rows vanish
+    for x in np.setdiff1d(np.arange(n), spec.mesh.boundary)[[0, 40, -1]]:
+        row = spec.row(g, x)
+        tol = 1e-13 * np.max(np.abs(row))
+        assert tol > 0.0
+        values = np.array([spec.value(g, x, y) for y in range(n)])
+        assert np.max(np.abs(values - row)) <= tol
+        assert np.max(np.abs(G[x] - row)) <= tol
+        e = np.zeros(n)
+        e[x] = 1.0
+        assert np.max(np.abs(spec.apply(g, e) - row)) <= tol
+
+
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
 def test_eigenvalue_growth_slope(bc):
     spec = spectral.build_spectrum(6, bc)

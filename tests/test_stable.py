@@ -101,6 +101,16 @@ def test_make_draw_rejects_alpha_two():
         stable.make_draw(0, 10, 2.0)
 
 
+@pytest.mark.parametrize("n_terms", [0, -5])
+def test_lepage_replicates_rejects_no_terms(mesh6, n_terms):
+    # as make_draw does: no term would give all-zero replicates
+    with pytest.raises(DomainError):
+        stable.make_draw(0, n_terms, 1.5)
+    with pytest.raises(DomainError):
+        stable.lepage_replicates(np.ones(mesh6.n_vertices), mesh6, 1.5, n_terms,
+                                 10, seed=0)
+
+
 def test_direct_integral_constant_scale(mesh6):
     # homogeneity: scaling f scales the integral exactly (same seed stream)
     ones = np.ones(mesh6.n_vertices)
