@@ -3,7 +3,11 @@
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 numeric error.
 Every artifact embeds the resolved run configuration and the library
 version, so any output is reproducible from its own metadata.  A JSON
-config file may supplement flags; explicit flags win on conflict.
+config file may supplement flags: each entry that names a flag of the
+chosen command (or `threads`) is parsed exactly as that flag's text would
+be, ahead of the explicit flags, so an explicit flag wins and a bad value
+exits 2 as the flag would.  Keys of other commands are ignored, and a null
+entry is unset.  `--help` shows each flag's default.
 """
 
 import argparse
@@ -14,94 +18,74 @@ import sys
 import time
 
 
-def _build_parser():
-    p = argparse.ArgumentParser(
-        prog="gasketfields",
-        description="Fractional stable random fields on the Sierpinski gasket")
-    p.add_argument("--config", help="JSON file supplying defaults for unset flags")
-    p.add_argument("--threads", type=int,
-                   help="cap BLAS/worker thread count (set before numpy loads)")
-    sub = p.add_subparsers(dest="command", required=True)
+class _Count(argparse.Action):
+    """Store an integer flag value, refusing one below 1."""
 
-    def shared(sp, *names):
-        if "level" in names:
-            sp.add_argument("--level", type=int, help="mesh level m (default 6)")
-        if "bc" in names:
-            sp.add_argument("--bc", choices=["neumann", "dirichlet"],
-                            help="boundary condition (default neumann)")
-        if "s" in names:
-            sp.add_argument("--s", type=float, help="kernel order s")
-        if "alpha" in names:
-            sp.add_argument("--alpha", type=float, help="stability index in (0, 2]")
-        if "jmax" in names:
-            sp.add_argument("--jmax", type=int, help="spectral truncation (default 200)")
-        if "n-terms" in names:
-            sp.add_argument("--n-terms", dest="n_terms", type=int,
-                            help="LePage truncation N (default 10000)")
-        if "seed" in names:
-            sp.add_argument("--seed", type=int, help="master seed (default 0)")
-        if "replicates" in names:
-            sp.add_argument("--replicates", type=int, help="replicate count")
-        if "out" in names:
-            sp.add_argument("--out", help="output path prefix/directory")
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, type=int, **kwargs)
 
-    sp = sub.add_parser("mesh", help="export a gasket mesh as CSV")
-    shared(sp, "level", "out")
-
-    sp = sub.add_parser("spectrum", help="solve and export the Laplacian spectrum")
-    shared(sp, "level", "bc", "jmax", "out")
-
-    sp = sub.add_parser("kernel", help="dump Riesz kernel values")
-    shared(sp, "level", "bc", "s", "jmax", "seed", "out")
-    sp.add_argument("--pairs", type=int,
-                    help="emit this many sampled pairs instead of the full matrix")
-
-    sp = sub.add_parser("stable", help="emit stable-integral replicates")
-    shared(sp, "alpha", "n-terms", "seed", "replicates", "out", "level")
-    sp.add_argument("--route", choices=["lepage", "direct"], default="lepage")
-
-    sp = sub.add_parser("simulate", help="simulate field realizations on V_m")
-    shared(sp, "level", "bc", "s", "alpha", "jmax", "n-terms", "seed",
-           "replicates", "out")
-
-    sp = sub.add_parser("verify", help="run named verification suites")
-    shared(sp, "level", "jmax", "out")
-    sp.add_argument("--suite", action="append", required=True,
-                    help="suite name or 'all' (repeatable)")
-    return p
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 1:
+            raise argparse.ArgumentError(
+                None, f"{self.option_strings[0]} must be an integer >= 1, got {value}")
+        setattr(namespace, self.dest, value)
 
 
-_DEFAULTS = {
-    "level": 6,
-    "bc": "neumann",
-    "jmax": 200,
-    "n_terms": 10_000,
-    "seed": 0,
-    "replicates": 1,
-    "out": "gasketfields_out",
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser; `config_args`, flag text from the config file,
+    are parsed ahead of the command line's own flags, so those win."""
+
+    config_args = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        return super().parse_known_args([*self.config_args, *args], namespace)
+
+
+# every command flag: its dest and its `add_argument` keywords
+_FLAGS = {
+    "level": {"type": int, "default": 6, "help": "mesh level m"},
+    "bc": {"choices": ["neumann", "dirichlet"], "default": "neumann",
+           "help": "boundary condition"},
+    "s": {"type": float, "help": "kernel order s"},
+    "alpha": {"type": float, "help": "stability index in (0, 2]"},
+    "jmax": {"type": int, "default": 200, "help": "spectral truncation"},
+    "n_terms": {"action": _Count, "default": 10_000, "help": "LePage truncation N"},
+    "seed": {"type": int, "default": 0, "help": "master seed"},
+    "replicates": {"action": _Count, "default": 1, "help": "replicate count"},
+    "pairs": {"action": _Count,
+              "help": "emit this many sampled pairs instead of the full matrix"},
+    "route": {"choices": ["lepage", "direct"], "default": "lepage",
+              "help": "stable-integral route"},
+    "suite": {"action": "append", "required": True,
+              "help": "suite name or 'all' (repeatable)"},
+    "out": {"default": "gasketfields_out", "help": "output path prefix/directory"},
 }
 
 
-def _resolve(args, config):
-    """Merge flag values over config-file values over built-in defaults,
-    for the flags of the chosen command only."""
-    flags = vars(args)
-    merged = {k: v for k, v in _DEFAULTS.items() if k in flags}
-    merged.update({k: v for k, v in config.items() if k in flags})
-    for k, v in flags.items():
-        if v is not None:
-            merged[k] = v
-    return merged
+def _build_parser():
+    """The parser and the map from command name to the command's parser."""
+    p = argparse.ArgumentParser(
+        prog="gasketfields",
+        description="Fractional stable random fields on the Sierpinski gasket")
+    p.add_argument("--config", help="JSON file of flag values; explicit flags win")
+    p.add_argument("--threads", action=_Count,
+                   help="cap BLAS/worker thread count (set before numpy loads)")
+    sub = p.add_subparsers(dest="command", required=True,
+                           parser_class=_CommandParser)
+    for command, (_, summary, flags) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=summary)
+        for dest in flags:
+            spec = dict(_FLAGS[dest])
+            if "default" in spec:
+                spec["help"] += " (default %(default)s)"
+            sp.add_argument("--" + dest.replace("_", "-"), **spec)
+    return p, sub.choices
 
 
-def _check_counts(cfg):
-    """Reject a count flag below 1, from the command line or from the config
-    file (which argparse does not see)."""
-    for key in ("replicates", "n_terms", "pairs"):
-        value = cfg.get(key)
-        if value is not None and (not isinstance(value, int) or value < 1):
-            raise _usage(f"--{key.replace('_', '-')} must be an integer >= 1, "
-                         f"got {value!r}")
+def _flag_text(config, dests):
+    """The `config` entries named in `dests`, as flag text; null is unset."""
+    return [f"--{dest.replace('_', '-')}={value}" for dest, value in config.items()
+            if dest in dests and value is not None]
 
 
 def _write_json(path, obj):
@@ -143,34 +127,35 @@ class _Reprs(dict):
         return text
 
 
-def _run_config(cfg, command):
+def _run_config(cfg):
     from . import __version__
 
-    keep = ("level", "bc", "s", "alpha", "jmax", "n_terms", "seed",
-            "replicates", "out", "suite", "route", "pairs")
-    rc = {k: cfg.get(k) for k in keep if cfg.get(k) is not None}
-    rc["command"] = command
-    rc["version"] = __version__
-    return rc
+    return {**cfg, "version": __version__}
 
 
 def _cmd_mesh(cfg):
+    import numpy as np
+
     from . import geometry
 
     started = time.perf_counter()
-    mesh = geometry.build_mesh(cfg["level"])
+    m = cfg["level"]
+    mesh = geometry.build_mesh(m)
     boundary = set(mesh.boundary.tolist())
     vertex_rows = [f"{k},{x!r},{y!r},{int(k in boundary)}"
                    for k, (x, y) in enumerate(mesh.vertices.tolist())]
-    cell_rows = ["{},{},{},{}".format("".join(map(str, addr)), *corners)
-                 for addr, corners in mesh.cells]
+    corners = mesh.corner_table.reshape(-1, 3)
+    # the address of cell c is c as m base-3 digits, most significant first
+    digits = np.arange(len(corners))[:, None] // 3 ** np.arange(m - 1, -1, -1) % 3
+    cell_rows = ["{},{},{},{}".format("".join(map(str, addr)), *c)
+                 for addr, c in zip(digits.tolist(), corners.tolist())]
     out = cfg["out"]
     exported = _write_csv(
         [(f"{out}_vertices.csv", "vertex_id,x,y,is_boundary", [vertex_rows]),
          (f"{out}_cells.csv", "cell_address,v0,v1,v2", [cell_rows])], started)
-    _write_json(f"{out}_meta.json", {"config": _run_config(cfg, "mesh"),
+    _write_json(f"{out}_meta.json", {"config": _run_config(cfg),
                                      "n_vertices": mesh.n_vertices,
-                                     "n_cells": len(mesh.cells),
+                                     "n_cells": len(corners),
                                      **exported})
     print(f"mesh level {cfg['level']}: {mesh.n_vertices} vertices -> {out}_*.csv")
     return 0
@@ -189,7 +174,7 @@ def _cmd_spectrum(cfg):
     exported = _write_csv(
         [(f"{out}_eigenvalues.csv", "j,lambda_j", [value_rows]),
          (f"{out}_eigenvectors.csv", None, vector_rows)], started)
-    _write_json(f"{out}_meta.json", {"config": _run_config(cfg, "spectrum"),
+    _write_json(f"{out}_meta.json", {"config": _run_config(cfg),
                                      "n_modes": spec.n_modes,
                                      "lambda_1": float(spec.eigenvalues[0]),
                                      **exported})
@@ -237,7 +222,7 @@ def _cmd_kernel(cfg):
     out = cfg["out"]
     path = f"{out}_kernel.csv"
     exported = _write_csv([(path, "xi,yi,d,G", blocks)], started)
-    _write_json(f"{out}_meta.json", {"config": _run_config(cfg, "kernel"),
+    _write_json(f"{out}_meta.json", {"config": _run_config(cfg),
                                      "j_terms": spec.n_modes,
                                      "tail_bound": ev.tail_bound(full),
                                      **exported})
@@ -264,7 +249,7 @@ def _cmd_stable(cfg):
     out = cfg["out"]
     path = f"{out}_replicates.csv"
     rows = [f"{k},{v!r}" for k, v in enumerate(vals.tolist())]
-    meta = {"config": _run_config(cfg, "stable"),
+    meta = {"config": _run_config(cfg),
             **_write_csv([(path, "replicate_id,value", [rows])], started)}
     if cfg["route"] == "lepage":
         meta["tail_estimate"] = stable.arrival_tail_sum(cfg["alpha"], cfg["n_terms"])
@@ -293,7 +278,7 @@ def _cmd_simulate(cfg):
                    for vid, (x, y) in enumerate(mesh.vertices.tolist())]
     blocks = ([f"{rep},{p}{v!r}" for p, v in zip(vertex_cols, smp.values.tolist())]
               for rep, smp in enumerate(samples))
-    meta = {"config": _run_config(cfg, "simulate"),
+    meta = {"config": _run_config(cfg),
             "realizations": [smp.meta for smp in samples],
             **_write_csv([(path, "replicate_id,vertex_id,x,y,value", blocks)],
                          started)}
@@ -312,11 +297,7 @@ def _cmd_verify(cfg):
         if name not in verify.SUITES:
             raise _usage(f"unknown suite {name!r}; choose from {sorted(verify.SUITES)}")
 
-    overrides = {}
-    if cfg.get("level") is not None:
-        overrides["level"] = cfg["level"]
-    if cfg.get("jmax") is not None:
-        overrides["j_terms"] = cfg["jmax"]
+    overrides = {"level": cfg["level"], "j_terms": cfg["jmax"]}
 
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
@@ -326,7 +307,7 @@ def _cmd_verify(cfg):
         accepted = set(inspect.signature(fn).parameters)
         kwargs = {k: v for k, v in overrides.items() if k in accepted}
         report = fn(**kwargs)
-        report["config"] = _run_config(cfg, "verify")
+        report["config"] = _run_config(cfg)
         _write_json(os.path.join(out_dir, f"{name}.json"), report)
         status = "PASS" if report["passed"] else "FAIL"
         print(f"[{status}] suite {name}")
@@ -343,47 +324,57 @@ def _usage(msg):
     return UsageError(msg)
 
 
+# each command: its handler, its help line and its flags
 _COMMANDS = {
-    "mesh": _cmd_mesh,
-    "spectrum": _cmd_spectrum,
-    "kernel": _cmd_kernel,
-    "stable": _cmd_stable,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
+    "mesh": (_cmd_mesh, "export a gasket mesh as CSV", ("level", "out")),
+    "spectrum": (_cmd_spectrum, "solve and export the Laplacian spectrum",
+                 ("level", "bc", "jmax", "out")),
+    "kernel": (_cmd_kernel, "dump Riesz kernel values",
+               ("level", "bc", "s", "jmax", "seed", "pairs", "out")),
+    "stable": (_cmd_stable, "emit stable-integral replicates",
+               ("alpha", "n_terms", "seed", "replicates", "route", "level", "out")),
+    "simulate": (_cmd_simulate, "simulate field realizations on V_m",
+                 ("level", "bc", "s", "alpha", "jmax", "n_terms", "seed",
+                  "replicates", "out")),
+    "verify": (_cmd_verify, "run named verification suites",
+               ("suite", "level", "jmax", "out")),
 }
 
 
 def main(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            try:
+                with open(args.config) as fh:
+                    config = json.load(fh)
+            except (OSError, json.JSONDecodeError) as exc:
+                parser.error(f"cannot read config {args.config}: {exc}")
+            if not isinstance(config, dict):
+                parser.error(f"config {args.config} is not a JSON object")
+            commands[args.command].config_args = _flag_text(
+                config, _COMMANDS[args.command][2])
+            args = parser.parse_args(_flag_text(config, ("threads",)) + argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
-    if args.threads:
+    if args.threads is not None:
         # takes effect because importing the package does not load numpy;
-        # an explicit flag wins over an inherited setting
+        # the flag (or config entry) wins over an inherited setting
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
 
-    config = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"usage error: cannot read config {args.config}: {exc}",
-                  file=sys.stderr)
-            return 2
-
-    cfg = _resolve(args, config)
+    # the command's own flags, minus unset ones
+    cfg = {k: v for k, v in vars(args).items()
+           if v is not None and k not in ("config", "threads")}
 
     from .errors import (CapacityError, ContractError, DomainError,
                          NumericError, ResolutionError, UsageError)
 
     try:
-        _check_counts(cfg)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (UsageError, DomainError, ContractError, CapacityError,
             ResolutionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -43,21 +43,20 @@ class GasketMesh:
     vertices : (n, 2) float array, sorted by (y, x)
     coords_ab : (n, 2) int array, exact coordinates, x = a/2^(m+1),
         y = b*sqrt(3)/2^(m+1)
-    cells : list of (address, (i, j, k)) with address a digit tuple
     edges : (3*3^m, 2) int array of cell-mate vertex pairs
     corner_table : (3*3^m,) int array, entry 3c + j is the vertex index of
-        corner j of cell c (cells in lexicographic address order)
+        corner j of cell c; cells are in lexicographic address order, so
+        the address of cell c is c written as m base-3 digits
     boundary : (3,) int array, indices of q0, q1, q2
     incidence : (n,) int array, number of cells containing each vertex
     mu_weights : (n,) float array, lumped measure weights
         incidence * 3^-m / 3; they sum to 1
     """
 
-    def __init__(self, level, vertices, coords_ab, cells, corner_table):
+    def __init__(self, level, vertices, coords_ab, corner_table):
         self.level = level
         self.vertices = vertices
         self.coords_ab = coords_ab
-        self.cells = cells
         self.corner_table = corner_table
         cell_idx = corner_table.reshape(-1, 3)
         self.edges = np.sort(np.concatenate(
@@ -164,9 +163,7 @@ def build_mesh(m):
     vertices[:, 0] = coords_ab[:, 0] / denom
     vertices[:, 1] = coords_ab[:, 1] * (np.sqrt(3.0) / denom)
 
-    cells = [(tuple(int(d) for d in words[c]), tuple(int(v) for v in cell_idx[c]))
-             for c in range(n_cells)]
-    mesh = GasketMesh(m, vertices, coords_ab, cells, cell_idx.ravel())
+    mesh = GasketMesh(m, vertices, coords_ab, cell_idx.ravel())
     _check_mesh(mesh)
     return mesh
 

@@ -1,6 +1,7 @@
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -102,7 +103,10 @@ def test_mesh_bytes_match_reference(tmp_path, level):
     on_boundary[mesh.boundary] = True
     vertex_rows = ([k, repr(float(x)), repr(float(y)), int(on_boundary[k])]
                    for k, (x, y) in enumerate(mesh.vertices))
-    cell_rows = (["".join(map(str, addr)), i, j, k] for addr, (i, j, k) in mesh.cells)
+    # cells in lexicographic address order
+    addresses = itertools.product(range(3), repeat=level)
+    cell_rows = (["".join(map(str, addr)), i, j, k]
+                 for addr, (i, j, k) in zip(addresses, mesh.corner_table.reshape(-1, 3)))
     assert ((tmp_path / "m_vertices.csv").read_bytes()
             == _reference_csv(["vertex_id", "x", "y", "is_boundary"], vertex_rows))
     assert ((tmp_path / "m_cells.csv").read_bytes()
@@ -217,6 +221,77 @@ def test_count_below_one_exit_two(tmp_path, capsys, argv, key, value, source):
     assert not list(tmp_path.glob("x*"))
 
 
+def test_threads_below_one_exit_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 0}))
+    for top in (["--threads", "0"], ["--threads", "-1"], ["--config", str(cfg)]):
+        assert main(top + ["mesh", "--level", "1", "--out", str(tmp_path / "x")]) == 2
+        assert "--threads must be an integer >= 1" in capsys.readouterr().err
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
+    assert not list(tmp_path.glob("x*"))
+
+
+def _run_in(directory, argv, config=None):
+    """(exit code, {file name: bytes}, meta config without `out`) of one
+    run writing into its own new directory, with `config` as the file."""
+    directory.mkdir()
+    if config is not None:
+        path = directory.parent / f"{directory.name}.json"
+        path.write_text(json.dumps(config))
+        argv = ["--config", str(path)] + argv
+    code = main(argv + ["--out", str(directory / "x")])
+    files = {p.name: p.read_bytes() for p in directory.iterdir()}
+    meta = json.loads(files.pop("x_meta.json", b"null"))
+    if meta is not None:
+        meta = meta["config"]
+        assert meta.pop("out") == str(directory / "x")
+    return code, files, meta
+
+
+_STABLE = ["stable", "--alpha", "1.5", "--level", "2"]
+
+# each typed flag: a command line without it, config values it takes, and
+# values it refuses (wrong type, outside the choices, below range)
+_CONFIG_CASES = {
+    "level": (["mesh"], [2, "3"], [2.5, True, "two", -1]),
+    "bc": (["spectrum", "--level", "2"], ["dirichlet"], ["robin", 1, True]),
+    "s": (["kernel", "--level", "2", "--pairs", "5"], [0.7, "0.8"], ["x", True, -0.5]),
+    "alpha": (["stable", "--level", "2", "--n-terms", "100", "--replicates", "5"],
+              [1.2], ["x", True, 2.5]),
+    "jmax": (["spectrum", "--level", "2"], [5], [2.5, True, "five"]),
+    "n_terms": (_STABLE + ["--replicates", "5"], [50], [0, 2.5, True]),
+    "seed": (_STABLE + ["--n-terms", "100", "--replicates", "5"], [9], [1.5, True, "x"]),
+    "replicates": (_STABLE + ["--n-terms", "100"], [4], [0, "many", 2.5]),
+    "pairs": (["kernel", "--level", "2", "--s", "0.9"], [4], [0, True, 1.5]),
+    "route": (_STABLE + ["--n-terms", "100", "--replicates", "5"], ["direct"],
+              ["foo", 1, True]),
+}
+
+
+@pytest.mark.parametrize("key", list(_CONFIG_CASES))
+def test_config_value_parsed_as_flag(tmp_path, capsys, key):
+    # a config entry is parsed as the flag's text: a value the flag takes
+    # writes the flag's bytes (so {"route": "direct"} runs the direct route),
+    # one it refuses exits 2 before any output
+    argv, valid, refused = _CONFIG_CASES[key]
+    flag = "--" + key.replace("_", "-")
+    unset = _run_in(tmp_path / "unset", argv)
+    # null is unset
+    assert _run_in(tmp_path / "null", argv, {key: None}) == unset
+    for k, value in enumerate(valid):
+        by_flag = _run_in(tmp_path / f"flag{k}", argv + [flag, str(value)])
+        by_config = _run_in(tmp_path / f"config{k}", argv, {key: value})
+        assert by_flag[0] == 0
+        assert by_config == by_flag
+        assert by_config != unset
+    capsys.readouterr()
+    for k, value in enumerate(refused):
+        assert _run_in(tmp_path / f"bad{k}", argv, {key: value}) == (2, {}, None)
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err
+
+
 def test_mesh_export(tmp_path):
     out = tmp_path / "m"
     assert main(["mesh", "--level", "2", "--out", str(out)]) == 0
@@ -328,6 +403,18 @@ def test_config_file_merge(tmp_path):
     assert meta2["config"]["level"] == 1
 
 
+@pytest.mark.parametrize("text", [None, "{not json", "[2]"])
+def test_config_file_unreadable_exit_two(tmp_path, capsys, text):
+    # a missing file, a parse error, and JSON that is not an object
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["--config", str(cfg), "mesh", "--level", "1",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "config" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x*"))
+
+
 def test_missing_required_flag(tmp_path):
     assert main(["kernel", "--level", "3", "--out", str(tmp_path / "k")]) == 2
 
@@ -338,21 +425,28 @@ def test_threads_flag(tmp_path):
 
 
 def test_threads_flag_sets_blas_before_numpy_loads(tmp_path):
-    # the package import must not load numpy, so the flag can still cap BLAS
-    code = (
-        "import os, sys\n"
-        "os.environ['OPENBLAS_NUM_THREADS'] = '7'\n"
-        "import gasketfields\n"
-        "assert 'numpy' not in sys.modules, 'package import loaded numpy'\n"
-        "from gasketfields.cli import main\n"
-        "assert 'numpy' not in sys.modules, 'cli import loaded numpy'\n"
-        f"assert main(['--threads', '1', 'mesh', '--level', '1', '--out', {str(tmp_path / 'm')!r}]) == 0\n"
-        "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'\n"
-    )
+    # the package import must not load numpy, so the flag, or a config-file
+    # entry, can still cap BLAS; an explicit flag wins over the entry
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 1}))
+    mesh = ["mesh", "--level", "1", "--out", str(tmp_path / "m")]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(gasketfields.__file__)),
          env.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    for argv, want in [(["--threads", "1"], "1"),
+                       (["--config", str(cfg)], "1"),
+                       (["--config", str(cfg), "--threads", "2"], "2")]:
+        code = (
+            "import os, sys\n"
+            "os.environ['OPENBLAS_NUM_THREADS'] = '7'\n"
+            "import gasketfields\n"
+            "assert 'numpy' not in sys.modules, 'package import loaded numpy'\n"
+            "from gasketfields.cli import main\n"
+            "assert 'numpy' not in sys.modules, 'cli import loaded numpy'\n"
+            f"assert main({argv + mesh!r}) == 0\n"
+            f"assert os.environ['OPENBLAS_NUM_THREADS'] == {want!r}\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr)

@@ -20,7 +20,7 @@ def in_triangle(p, tol=1e-12):
 def test_level0_mesh():
     mesh = geometry.build_mesh(0)
     assert mesh.n_vertices == 3
-    assert len(mesh.cells) == 1
+    assert len(mesh.corner_table) == 3
     assert len(mesh.edges) == 3
     assert np.allclose(np.sort(mesh.vertices, axis=0), np.sort(Q, axis=0))
 
@@ -39,7 +39,7 @@ def test_level1_matches_hand_enumeration():
 
     mesh = geometry.build_mesh(1)
     assert mesh.n_vertices == 6
-    assert len(mesh.cells) == 3
+    assert len(mesh.corner_table) == 3 * 3
     got = {tuple(np.round(v, 12)) for v in mesh.vertices}
     want = {tuple(np.round(u, 12)) for u in uniq}
     assert got == want
@@ -49,7 +49,7 @@ def test_level1_matches_hand_enumeration():
 def test_vertex_count_formula(m):
     mesh = geometry.build_mesh(m)
     assert mesh.n_vertices == (3 ** (m + 1) + 3) // 2
-    assert len(mesh.cells) == 3 ** m
+    assert len(mesh.corner_table) == 3 * 3 ** m
 
 
 def test_level6_vertex_count():
@@ -58,7 +58,7 @@ def test_level6_vertex_count():
 
 def test_cells_are_cliques(mesh6):
     edge_set = {tuple(e) for e in mesh6.edges}
-    for _, (a, b, c) in mesh6.cells:
+    for a, b, c in mesh6.corner_table.reshape(-1, 3):
         for u, v in ((a, b), (a, c), (b, c)):
             assert (min(u, v), max(u, v)) in edge_set
 
