@@ -198,12 +198,13 @@ def _cmd_kernel(cfg):
     n = spec.mesh.n_vertices
     if cfg.get("pairs"):
         rng = np.random.default_rng(cfg["seed"])
-        rows = []
-        for _ in range(cfg["pairs"]):
-            a, b = rng.choice(n, 2, replace=False)
-            d = float(np.hypot(*(V[a] - V[b])))
-            rows.append(f"{a},{b},{d!r},{ev.value(a, b)!r}")
-        blocks = [rows]
+        a, b = np.array([rng.choice(n, 2, replace=False) for _ in range(cfg["pairs"])]).T
+        d = np.hypot(*(V[a] - V[b]).T).tolist()
+        # 1024 pairs a read, so its (pairs, modes) scratch stays bounded
+        g = np.concatenate([ev.value(a[i:i + 1024], b[i:i + 1024])
+                            for i in range(0, len(a), 1024)]).tolist()
+        blocks = [[f"{x},{y},{u!r},{v!r}"
+                   for x, y, u, v in zip(a.tolist(), b.tolist(), d, g)]]
     else:
         G = ev.matrix()
         # one repr per distinct distance: 2316 of them among 1.2 M pairs at L6

@@ -21,10 +21,10 @@ from .spectral import NEUMANN, heat_kernel
 
 
 class KernelEvaluator:
-    """Cached spectral evaluator of one Riesz kernel G_s.
+    """Spectral evaluator of one Riesz kernel G_s.
 
     Symmetric in its arguments and deterministic given (spectrum, s); the
-    sum runs over every mode of the spectrum.
+    sum runs over every mode of the spectrum, at the entries asked for.
     """
 
     def __init__(self, spectrum, s):
@@ -33,10 +33,10 @@ class KernelEvaluator:
         self.spectrum = spectrum
         self.s = float(s)
         self.lam_pow = spectrum.eigenvalues ** (-self.s)
-        self._matrix = None
 
     def value(self, xi, yi):
-        if xi == yi and self.s <= D_H / D_W:
+        """G_s(x, y) at a vertex pair or elementwise at index arrays."""
+        if self.s <= D_H / D_W and np.any(xi == yi):
             raise DomainError(
                 f"diagonal kernel values require s > d_h/d_w = {D_H / D_W:.5f}")
         return self.spectrum.value(self.lam_pow, xi, yi)
@@ -45,11 +45,9 @@ class KernelEvaluator:
         """G_s(x, .) against every mesh vertex."""
         return self.spectrum.row(self.lam_pow, xi)
 
-    def matrix(self):
-        """Full kernel matrix on V_m x V_m (cached)."""
-        if self._matrix is None:
-            self._matrix = self.spectrum.matrix(self.lam_pow)
-        return self._matrix
+    def matrix(self, rows=slice(None), cols=slice(None)):
+        """Kernel block G_s(rows, cols) over index sets, V_m x V_m by default."""
+        return self.spectrum.matrix(self.lam_pow, rows, cols)
 
     def apply(self, coeffs):
         """Kernel action on a vector of point masses: sum_v G(., v) c_v."""
@@ -81,19 +79,17 @@ def fractional_laplacian_inv(s, f, spectrum):
 
 
 def kernel_semigroup_residual(s, t, xi, yi, spectrum):
-    """Convolution defect |G_{s+t}(x,y) - quad_u G_s(x,u) G_t(u,y)|.
+    """Convolution defect |G_{s+t}(x,y) - quad_u G_s(x,u) G_t(u,y)| at vertex pairs.
 
     At matched truncation this is pure quadrature/orthonormality error.
     """
     if s <= 0 or t <= 0:
         raise DomainError("orders s, t must be positive")
-    if xi == yi and s + t <= D_H / D_W:
+    if s + t <= D_H / D_W and np.any(xi == yi):
         raise DomainError("diagonal requires s+t > d_h/d_w")
-    ev_s = KernelEvaluator(spectrum, s)
-    ev_t = KernelEvaluator(spectrum, t)
-    ev_st = KernelEvaluator(spectrum, s + t)
-    conv = ev_s.row(xi) @ (spectrum.weights * ev_t.row(yi))
-    return abs(ev_st.value(xi, yi) - conv)
+    conv = np.sum(KernelEvaluator(spectrum, s).matrix(xi) * spectrum.weights
+                  * KernelEvaluator(spectrum, t).matrix(yi), axis=-1)
+    return np.abs(KernelEvaluator(spectrum, s + t).value(xi, yi) - conv)
 
 
 def riesz_kernel_time_integral(spectrum, s, xi, yi, t_max=60.0):
@@ -132,6 +128,13 @@ def dyadic_pair_bins(mesh, rng=None, max_pairs_per_bin=400):
     return bins
 
 
+def _binned_means(ev, rng):
+    """Distances and mean kernel values of the dyadic pair bins."""
+    bins = dyadic_pair_bins(ev.spectrum.mesh, rng)
+    return (np.array([dist for dist, _ in bins]),
+            np.array([ev.value(pairs[:, 0], pairs[:, 1]).mean() for _, pairs in bins]))
+
+
 def kernel_exponent_fit(ev, rng=None):
     """Fitted growth exponent of the kernel against distance.
 
@@ -144,18 +147,14 @@ def kernel_exponent_fit(ev, rng=None):
     """
     if ev.s >= D_H / D_W:
         raise DomainError("power-law fit requires s < d_h/d_w")
-    G = ev.matrix()
-    dists, means = [], []
-    for dist, pairs in dyadic_pair_bins(ev.spectrum.mesh, rng):
-        dists.append(dist)
-        means.append(G[pairs[:, 0], pairs[:, 1]].mean())
+    dists, means = _binned_means(ev, rng)
     if len(dists) < 3:
         raise ContractError("fewer than 3 dyadic scales for the fit")
 
     def model(d, c, p, b):
         return c * d ** p - b
 
-    popt, _ = optimize.curve_fit(model, np.array(dists), np.array(means),
+    popt, _ = optimize.curve_fit(model, dists, means,
                                  p0=[1.0, ev.s * D_W - D_H, 0.5], maxfev=20000)
     return float(popt[1])
 
@@ -166,12 +165,8 @@ def kernel_log_fit(ev, rng=None):
     Returns (slope, r_squared); the profile should be linear with
     positive slope.
     """
-    G = ev.matrix()
-    xs, ys = [], []
-    for dist, pairs in dyadic_pair_bins(ev.spectrum.mesh, rng):
-        xs.append(-np.log(dist))
-        ys.append(G[pairs[:, 0], pairs[:, 1]].mean())
-    xs, ys = np.array(xs), np.array(ys)
+    dists, ys = _binned_means(ev, rng)
+    xs = -np.log(dists)
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = ys - (slope * xs + intercept)
     r2 = 1.0 - resid @ resid / ((ys - ys.mean()) @ (ys - ys.mean()))
@@ -191,30 +186,32 @@ def kernel_holder_ratio(ev, rng, n_z=40):
     """Max over triples of |G(x,z) - G(y,z)| / modulus(d(x,y)).
 
     (x, y) runs over all dyadic cell-mate pairs, z over a random vertex
-    subset; boundedness of this statistic across refinement levels is the
+    subset, whose kernel rows G(z, .) are the only entries read;
+    boundedness of this statistic across refinement levels is the
     empirical form of the kernel Hoelder property.
     """
     if ev.s <= D_H / D_W:
         raise DomainError("Hoelder ratio requires s > d_h/d_w")
     mesh = ev.spectrum.mesh
-    G = ev.matrix()
     zs = rng.choice(mesh.n_vertices, size=min(n_z, mesh.n_vertices), replace=False)
-    worst = 0.0
-    for dist, pairs in dyadic_pair_bins(mesh):
-        diff = np.abs(G[np.ix_(pairs[:, 0], zs)] - G[np.ix_(pairs[:, 1], zs)])
-        worst = max(worst, float(diff.max()) / holder_modulus(dist, ev.s))
-    return worst
+    G = ev.matrix(zs)
+    return max(float(np.abs(G[:, p[:, 0]] - G[:, p[:, 1]]).max())
+               / holder_modulus(d, ev.s) for d, p in dyadic_pair_bins(mesh))
 
 
-def reflection_defect(ev, i):
-    """Max |G(sigma_i x, sigma_i y) - G(x, y)| over all vertex pairs."""
-    perm = reflection_permutation(ev.spectrum.mesh, i)
+def reflection_defects(ev):
+    """Max |G(sigma_i x, sigma_i y) - G(x, y)| over all vertex pairs for
+    i = 0, 1, 2, from one kernel matrix."""
     G = ev.matrix()
-    # in place: two n x n arrays at once instead of four
-    D = G[np.ix_(perm, perm)]
-    D -= G
-    np.abs(D, out=D)
-    return float(np.max(D))
+    defects = []
+    for i in range(3):
+        perm = reflection_permutation(ev.spectrum.mesh, i)
+        # in place, and freed before the next: two n x n arrays at once
+        D = G[np.ix_(perm, perm)]
+        D -= G
+        defects.append(float(max(D.max(), -D.min())))
+        del D
+    return defects
 
 
 def subcell_kernel_value(spectrum, s, n, xi, yi):

@@ -72,9 +72,9 @@ class Spectrum:
     Eigenvectors are stored on the full vertex set; Dirichlet vectors are
     zero on the boundary.  The Neumann constant mode is excluded.  Every
     sum_j g_j phi_j(x) phi_j(y) over a weight g_j per mode (lambda_j^-s,
-    e^(-lambda_j t)) is `value`, `row`, `matrix` or `apply`, over all of the
-    modes: the truncation of a kernel or a field is that of its Spectrum
-    (see `truncated`).
+    e^(-lambda_j t)) is `value` (at vertex pairs), `row`, `matrix` (on a
+    block of index sets) or `apply`, over all of the modes: the truncation
+    of a kernel or a field is that of its Spectrum (see `truncated`).
     """
     bc: str
     level: int
@@ -107,16 +107,17 @@ class Spectrum:
                        eigenvectors=self.eigenvectors[:, :j])
 
     def value(self, g, xi, yi):
-        """sum_j g_j phi_j(x) phi_j(y) between two mesh vertices."""
-        return float((self.eigenvectors[xi] * self.eigenvectors[yi]) @ g)
+        """sum_j g_j phi_j(x) phi_j(y) at vertex pairs; index arrays pair elementwise."""
+        # one dot per pair: a pair's value does not depend on the pairs read with it
+        return ((self.eigenvectors[xi] * self.eigenvectors[yi])[..., None, :] @ g)[..., 0]
 
     def row(self, g, xi):
         """sum_j g_j phi_j(x) phi_j(.) against every mesh vertex."""
         return self.eigenvectors @ (g * self.eigenvectors[xi])
 
-    def matrix(self, g):
-        """sum_j g_j phi_j phi_j^T on V_m x V_m."""
-        return (self.eigenvectors * g) @ self.eigenvectors.T
+    def matrix(self, g, rows=slice(None), cols=slice(None)):
+        """sum_j g_j phi_j(x) phi_j(y) on the block rows x cols, V_m x V_m by default."""
+        return (self.eigenvectors[rows] * g) @ self.eigenvectors[cols].T
 
     def apply(self, g, coeffs):
         """sum_j g_j phi_j (phi_j . c) for point-mass coefficients c."""
@@ -323,7 +324,7 @@ def _heat_weights(t, spectrum):
 
 
 def heat_kernel(t, xi, yi, spectrum):
-    """Truncated spectral heat kernel p_t(x, y) between two mesh vertices."""
+    """Truncated spectral heat kernel p_t(x, y) at vertex pairs, as `Spectrum.value`."""
     s = spectrum.value(_heat_weights(t, spectrum), xi, yi)
     return s + 1.0 if spectrum.bc == NEUMANN else s
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import analysis, fields, geometry, riesz, spectral, stable
 from .constants import D_H, D_W
+from .errors import ResolutionError
 
 
 def _check(name, value, passed, **extra):
@@ -38,9 +39,12 @@ def _field_replicates(s, alpha, bc, level, n_terms, j_terms, n, seed0):
 
 
 def suite_ahlfors(level=6, slope_tol=0.05):
-    """Ball-measure regularity: log-log slope = d_h and two-sided bounds."""
-    mesh = geometry.build_mesh(level)
+    """Ball-measure regularity: log-log slope = d_h over the radii
+    2^-1..2^-(m-2), at least four (level >= 6), and two-sided bounds."""
     radii = [2.0 ** -j for j in range(1, level - 1)]
+    if len(radii) < 4:
+        raise ResolutionError(f"ahlfors needs level >= 6 (four radii), got {level}")
+    mesh = geometry.build_mesh(level)
     anchors = [mesh.vertices[i] for i in mesh.boundary]
     anchors.append(mesh.vertices[mesh.snap(np.array([[0.5, 0.0]]))[0]])
     anchors.append(mesh.vertices[mesh.snap(np.array([[0.25, 0.2]]))[0]])
@@ -94,14 +98,12 @@ def suite_spectral(level=6, slope_tol=0.08):
     # sub-Gaussian sanity: binned off-diagonal decay is monotone, and the
     # fitted on-diagonal constants share the t^(-dh/dw) scaling (qualitative)
     consts = []
+    diag = np.arange(0, mesh.n_vertices, 7)
     for t in (0.01, 0.05):
-        diag = np.array([spectral.heat_kernel(t, i, i, spec_n)
-                         for i in range(0, mesh.n_vertices, 7)])
-        consts.append(diag.max() * t ** (D_H / D_W))
-        means = []
-        for dist, pairs in riesz.dyadic_pair_bins(mesh):
-            vals = [spectral.heat_kernel(t, u, v, spec_n) for u, v in pairs[:120]]
-            means.append(np.mean(vals))
+        consts.append(spectral.heat_kernel(t, diag, diag, spec_n).max()
+                      * t ** (D_H / D_W))
+        means = [spectral.heat_kernel(t, pairs[:120, 0], pairs[:120, 1], spec_n).mean()
+                 for _, pairs in riesz.dyadic_pair_bins(mesh)]
         monotone = all(means[k] < means[k + 1] for k in range(len(means) - 1))
         checks.append(_check(f"subgaussian_decay_t={t}", means, monotone,
                              note="binned kernel increases as distance shrinks"))
@@ -120,12 +122,11 @@ def suite_semigroup(level=6, j_terms=200, n_pairs=100, rel_tol=1e-3, seed=10):
     for bc in (spectral.NEUMANN, spectral.DIRICHLET):
         spec = spectral.build_spectrum(level, bc, j_max=j_terms)
         for (s, t) in ((0.5, 0.5), (0.9, 0.9), (0.7, 1.1)):
-            worst = 0.0
-            ev_st = riesz.KernelEvaluator(spec, s + t)
-            for _ in range(n_pairs):
-                a, b = rng.choice(mesh.n_vertices, 2, replace=False)
-                resid = riesz.kernel_semigroup_residual(s, t, a, b, spec)
-                worst = max(worst, resid / max(abs(ev_st.value(a, b)), 1e-30))
+            a, b = np.array([rng.choice(mesh.n_vertices, 2, replace=False)
+                             for _ in range(n_pairs)]).T
+            resid = riesz.kernel_semigroup_residual(s, t, a, b, spec)
+            scale = np.abs(riesz.KernelEvaluator(spec, s + t).value(a, b))
+            worst = float(np.max(resid / np.maximum(scale, 1e-30)))
             checks.append(_check(f"conv_residual_{bc}_s={s}_t={t}", worst,
                                  worst <= rel_tol, tolerance=rel_tol))
         f = rng.standard_normal(mesh.n_vertices)
@@ -157,27 +158,26 @@ def suite_kernel_bounds(level=6, j_terms=200, tol=0.1, seed=4):
     mesh = geometry.build_mesh(level)
     rng = np.random.default_rng(seed)
     checks = []
-    for bc in (spectral.NEUMANN, spectral.DIRICHLET):
-        spec = spectral.build_spectrum(level, bc, j_max=j_terms)
+    spec_n, spec_d = (spectral.build_spectrum(level, bc, j_max=j_terms)
+                      for bc in (spectral.NEUMANN, spectral.DIRICHLET))
+    for spec in (spec_n, spec_d):
         for s in (0.4, 0.6):
             ev = riesz.KernelEvaluator(spec, s)
             fit = riesz.kernel_exponent_fit(ev, rng)
             target = s * D_W - D_H
-            checks.append(_check(f"exponent_{bc}_s={s}", fit,
+            checks.append(_check(f"exponent_{spec.bc}_s={s}", fit,
                                  abs(fit - target) <= tol,
                                  target=target, tolerance=tol))
-    spec_n = spectral.build_spectrum(level, spectral.NEUMANN, j_max=j_terms)
     ev_c = riesz.KernelEvaluator(spec_n, D_H / D_W)
     slope, r2 = riesz.kernel_log_fit(ev_c, rng)
     checks.append(_check("critical_log_slope", slope, slope > 0.0))
     checks.append(_check("critical_log_r2", r2, r2 >= 0.9, tolerance=0.9))
     # Dirichlet positivity away from the corners
-    spec_d = spectral.build_spectrum(level, spectral.DIRICHLET, j_max=j_terms)
     d_corner = np.min([np.hypot(*(mesh.vertices - mesh.vertices[b]).T)
                        for b in mesh.boundary], axis=0)
     interior = d_corner >= 0.25
-    worst = min(riesz.KernelEvaluator(spec_d, s).matrix()
-                [np.ix_(interior, interior)].min() for s in (0.4, 0.6))
+    worst = min(riesz.KernelEvaluator(spec_d, s).matrix(interior, interior).min()
+                for s in (0.4, 0.6))
     checks.append(_check("dirichlet_interior_positive", float(worst), worst > 0.0,
                          note="interior = distance >= 1/4 from every corner"))
     return _report("kernel-bounds", {"level": level, "j_terms": j_terms,
@@ -208,8 +208,7 @@ def suite_symmetry(level=6, j_terms=200, s=0.9, alpha=1.5, n_terms=10_000,
     spec = spectral.build_spectrum(level, spectral.NEUMANN, j_max=j_terms)
     checks = []
     ev = riesz.KernelEvaluator(spec, s)
-    for i in range(3):
-        defect = riesz.reflection_defect(ev, i)
+    for i, defect in enumerate(riesz.reflection_defects(ev)):
         checks.append(_check(f"kernel_reflection_sigma{i}", defect,
                              defect <= kernel_tol, tolerance=kernel_tol))
     x1, x2 = 140, 600
@@ -242,11 +241,11 @@ def suite_scaling(level=6, j_terms=200, s=0.9, alphas=(1.5, 2.0), n_terms=10_000
     rng = np.random.default_rng(8)
     worst = 0.0
     for n in (1, 2):
-        for _ in range(50):
-            a, b = rng.choice(mesh.n_vertices, 2, replace=False)
-            lhs = riesz.subcell_kernel_value(spec, s, n, a, b)
-            rhs = 3.0 ** n * 5.0 ** (-n * s) * ev.value(a, b)
-            worst = max(worst, abs(lhs - rhs))
+        a, b = np.array([rng.choice(mesh.n_vertices, 2, replace=False)
+                         for _ in range(50)]).T
+        lhs = riesz.subcell_kernel_value(spec, s, n, a, b)
+        rhs = 3.0 ** n * 5.0 ** (-n * s) * ev.value(a, b)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     checks.append(_check("subcell_kernel_identity", worst, worst <= identity_tol,
                          tolerance=identity_tol))
     xi = 140

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import gasketfields
-from gasketfields import fields, geometry, riesz, spectral, stable
+from gasketfields import fields, geometry, riesz, spectral, stable, verify
 from gasketfields.cli import main
+from gasketfields.errors import ResolutionError
 
 
 def _reference_csv(header, rows):
@@ -52,13 +53,18 @@ def test_kernel_pairs_bytes_match_reference(tmp_path):
     mesh = geometry.build_mesh(3)
     ev = riesz.KernelEvaluator(spectral.build_spectrum(3, "neumann", j_max=200), 0.9)
     rng = np.random.default_rng(5)
-    rows = []
-    for _ in range(20):
-        a, b = rng.choice(mesh.n_vertices, 2, replace=False)
-        d = float(np.hypot(*(mesh.vertices[a] - mesh.vertices[b])))
-        rows.append([a, b, repr(d), repr(ev.value(a, b))])
-    assert ((tmp_path / "k_kernel.csv").read_bytes()
-            == _reference_csv(["xi", "yi", "d", "G"], rows))
+    a, b = np.array([rng.choice(mesh.n_vertices, 2, replace=False)
+                     for _ in range(20)]).T
+    g = ev.value(a, b)
+    # the pairs' index-array read is the per-pair sum up to roundoff
+    single = np.array([ev.value(x, y) for x, y in zip(a, b)])
+    assert np.max(np.abs(g - single)) <= 1e-14 * np.max(np.abs(single))
+    rows = [[x, y, repr(float(np.hypot(*(mesh.vertices[x] - mesh.vertices[y])))),
+             repr(float(v))] for x, y, v in zip(a, b, g)]
+    got = (tmp_path / "k_kernel.csv").read_bytes()
+    # floats are plain reprs, never numpy scalar reprs such as np.float64(...)
+    assert b"np.float64(" not in got and b"float" not in got
+    assert got == _reference_csv(["xi", "yi", "d", "G"], rows)
 
 
 @pytest.mark.parametrize("route", ["lepage", "direct"])
@@ -382,6 +388,19 @@ def test_verify_has_no_seed(tmp_path):
     report = json.loads((tmp_path / "stable-cf.json").read_text())
     assert "seed" not in report["config"]
     assert report["params"]["seed"] == 11
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_ahlfors_refuses_levels_below_6(level):
+    # the slope fit needs at least the four dyadic radii 2^-1..2^-4
+    with pytest.raises(ResolutionError):
+        verify.suite_ahlfors(level=level)
+
+
+def test_verify_ahlfors_below_level_6_exits_2(tmp_path, capsys):
+    assert main(["verify", "--suite", "ahlfors", "--level", "5",
+                 "--out", str(tmp_path)]) == 2
+    assert "level >= 6" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite(tmp_path):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import optimize
 
-from gasketfields import geometry, riesz, spectral
+from gasketfields import geometry, riesz, spectral, verify
 from gasketfields.constants import D_H, D_W
 from gasketfields.errors import DomainError
 
@@ -111,7 +114,7 @@ def test_dirichlet_kernel_exponent_and_positivity(mesh6, spec_d):
         ev = riesz.KernelEvaluator(spec_d, s)
         fit = riesz.kernel_exponent_fit(ev, np.random.default_rng(15))
         assert abs(fit - (s * D_W - D_H)) <= 0.1
-        assert ev.matrix()[np.ix_(interior, interior)].min() > 0.0
+        assert ev.matrix(interior, interior).min() > 0.0
 
 
 def test_kernel_exponent_fit_requires_subcritical(spec_n):
@@ -143,9 +146,9 @@ def test_holder_ratio_requires_supercritical(spec_n):
 
 
 def test_reflection_invariance(spec_n):
-    ev = riesz.KernelEvaluator(spec_n, 0.9)
-    for i in range(3):
-        assert riesz.reflection_defect(ev, i) <= 1e-8
+    defects = riesz.reflection_defects(riesz.KernelEvaluator(spec_n, 0.9))
+    assert len(defects) == 3
+    assert max(defects) <= 1e-8
 
 
 def test_subcell_scaling_identity(spec_n):
@@ -189,3 +192,108 @@ def test_tail_bound_reported(spec_n):
     ev = riesz.KernelEvaluator(spec_n.truncated(150), 0.9)
     assert ev.tail_bound(spec_n) > 0.0
     assert riesz.KernelEvaluator(spec_n, 0.9).tail_bound(spec_n) == 0.0
+
+
+# Test-local references: the kernel statistics as they read the whole
+# dense matrix G = Spectrum.matrix(g) before reading only the entries used.
+
+def _dense_binned_means(G, mesh, rng):
+    dists, means = [], []
+    for dist, pairs in riesz.dyadic_pair_bins(mesh, rng):
+        dists.append(dist)
+        means.append(G[pairs[:, 0], pairs[:, 1]].mean())
+    return np.array(dists), np.array(means)
+
+
+def _dense_exponent_fit(G, ev, rng):
+    dists, means = _dense_binned_means(G, ev.spectrum.mesh, rng)
+    popt, _ = optimize.curve_fit(lambda d, c, p, b: c * d ** p - b, dists, means,
+                                 p0=[1.0, ev.s * D_W - D_H, 0.5], maxfev=20000)
+    return float(popt[1])
+
+
+def _dense_log_fit(G, ev, rng):
+    dists, ys = _dense_binned_means(G, ev.spectrum.mesh, rng)
+    xs = -np.log(dists)
+    slope, intercept = np.polyfit(xs, ys, 1)
+    resid = ys - (slope * xs + intercept)
+    return float(slope), float(1.0 - resid @ resid / ((ys - ys.mean()) @ (ys - ys.mean())))
+
+
+def _dense_holder_ratio(G, ev, rng, n_z=40):
+    mesh = ev.spectrum.mesh
+    zs = rng.choice(mesh.n_vertices, size=min(n_z, mesh.n_vertices), replace=False)
+    worst = 0.0
+    for dist, pairs in riesz.dyadic_pair_bins(mesh):
+        diff = np.abs(G[np.ix_(pairs[:, 0], zs)] - G[np.ix_(pairs[:, 1], zs)])
+        worst = max(worst, float(diff.max()) / riesz.holder_modulus(dist, ev.s))
+    return worst
+
+
+@pytest.mark.parametrize("s", [0.4, 0.6, 0.9, 1.3])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("level", [5, 6])
+def test_entry_reads_match_dense_matrix(level, bc, s):
+    spec = spectral.build_spectrum(level, bc, j_max=200)
+    ev = riesz.KernelEvaluator(spec, s)
+    G = spec.matrix(ev.lam_pow)
+    tol = 1e-12 * np.max(np.abs(G))
+    n = spec.mesh.n_vertices
+    rng = np.random.default_rng(16)
+    a, b = np.array([rng.choice(n, 2, replace=False) for _ in range(300)]).T
+    # one pair, a 1-D and a 2-D array of pairs
+    assert abs(ev.value(a[0], b[0]) - G[a[0], b[0]]) <= tol
+    assert np.max(np.abs(ev.value(a, b) - G[a, b])) <= tol
+    grid = ev.value(a.reshape(20, 15), b.reshape(20, 15))
+    assert np.max(np.abs(grid - G[a, b].reshape(20, 15))) <= tol
+    if s > CRIT:
+        assert np.max(np.abs(ev.value(a, a) - G[a, a])) <= tol
+    # blocks over index arrays and a mask; the default is the whole matrix
+    assert np.max(np.abs(ev.matrix(a[:40], b[:70]) - G[np.ix_(a[:40], b[:70])])) <= tol
+    assert np.max(np.abs(ev.matrix(a[:40]) - G[a[:40]])) <= tol
+    mask = rng.random(n) < 0.3
+    assert np.max(np.abs(ev.matrix(mask, mask) - G[np.ix_(mask, mask)])) <= tol
+    assert np.array_equal(ev.matrix(), G)
+    # the semigroup residual over arrays is the per-pair one
+    resid = riesz.kernel_semigroup_residual(s, 0.5, a[:30], b[:30], spec)
+    single = [riesz.kernel_semigroup_residual(s, 0.5, x, y, spec)
+              for x, y in zip(a[:30], b[:30])]
+    assert np.max(np.abs(resid - single)) <= tol
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("level", [5, 6])
+def test_kernel_statistics_match_dense_references(level, bc):
+    spec = spectral.build_spectrum(level, bc, j_max=200)
+    for s in (0.4, 0.6):
+        ev = riesz.KernelEvaluator(spec, s)
+        G = spec.matrix(ev.lam_pow)
+        fit = riesz.kernel_exponent_fit(ev, np.random.default_rng(17))
+        assert abs(fit - _dense_exponent_fit(G, ev, np.random.default_rng(17))) <= 1e-6
+    ev = riesz.KernelEvaluator(spec, CRIT)
+    G = spec.matrix(ev.lam_pow)
+    got = riesz.kernel_log_fit(ev, np.random.default_rng(18))
+    ref = _dense_log_fit(G, ev, np.random.default_rng(18))
+    assert np.max(np.abs(np.subtract(got, ref))) <= 1e-6
+    for s in (0.9, 1.3):
+        ev = riesz.KernelEvaluator(spec, s)
+        G = spec.matrix(ev.lam_pow)
+        ratio = riesz.kernel_holder_ratio(ev, np.random.default_rng(19))
+        ref = _dense_holder_ratio(G, ev, np.random.default_rng(19))
+        assert abs(ratio - ref) <= 1e-12 * ref
+
+
+def test_kernel_statistics_stay_below_one_dense_matrix():
+    # the suites read only the kernel entries their statistics use, so
+    # their traced allocation peak stays below one n x n float64 array
+    n = geometry.build_mesh(6).n_vertices
+    for level, bc in ((6, "neumann"), (6, "dirichlet"), (4, "neumann"), (5, "neumann")):
+        spectral.build_spectrum(level, bc, j_max=200)   # solved outside the trace
+    for suite in (lambda: verify.suite_kernel_bounds(level=6), verify.suite_kernel_holder):
+        tracemalloc.start()
+        try:
+            suite()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n, f"peak {peak / (8 * n * n):.2f} n^2 doubles"

@@ -250,6 +250,7 @@ def test_spectrum_sums_agree(bc, weight):
         assert tol > 0.0
         values = np.array([spec.value(g, x, y) for y in range(n)])
         assert np.max(np.abs(values - row)) <= tol
+        assert np.max(np.abs(spec.value(g, np.full(n, x), np.arange(n)) - values)) <= tol
         assert np.max(np.abs(G[x] - row)) <= tol
         e = np.zeros(n)
         e[x] = 1.0
