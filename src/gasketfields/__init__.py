@@ -21,8 +21,7 @@ _MODULE_EXPORTS = {
     "spectral": ("assemble_form", "solve_spectrum", "build_spectrum", "heat_kernel"),
     "riesz": ("KernelEvaluator", "fractional_laplacian_inv"),
     "stable": ("standard_stable", "d_alpha", "make_draw"),
-    "fields": ("simulate_field", "field_replicates", "distributional_field",
-               "hurst_index"),
+    "fields": ("simulate_field", "distributional_field", "hurst_index"),
 }
 # exported name -> defining module
 _EXPORTS = {name: mod for mod, names in _MODULE_EXPORTS.items() for name in names}

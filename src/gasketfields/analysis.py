@@ -43,31 +43,29 @@ class RegularityReport:
     passed: bool
 
 
-def max_increments_by_scale(values, mesh, j_range=None):
-    """Max |f(x) - f(y)| over cell-mate pairs at each dyadic scale 2^-j."""
-    if j_range is None:
-        j_range = range(1, mesh.level)
+def max_increments_by_scale(values, mesh):
+    """Max |f(x) - f(y)| over the cell-mate pairs at each dyadic scale 2^-j,
+    j = 1 .. m-1, for each row f of `values`: one column per scale."""
     out = []
-    for j in j_range:
+    for j in range(1, mesh.level):
         pairs = mesh.level_edges(j)
-        diff = values[pairs[:, 0]] - values[pairs[:, 1]]
-        out.append((2.0 ** -j, float(np.max(np.abs(diff)))))
-    return out
+        diff = values[..., pairs[:, 0]] - values[..., pairs[:, 1]]
+        out.append(np.max(np.abs(diff), axis=-1))
+    return np.stack(out, axis=-1)
 
 
-def holder_exponent_estimate(samples, mesh, tolerance=0.15):
-    """Estimate the path Hoelder exponent from replicate field samples.
+def holder_exponent_estimate(sample, mesh, tolerance=0.15):
+    """Estimate the path Hoelder exponent from a batch of field realizations.
 
-    Averages log max-increments per dyadic scale over the replicates and
+    Averages log max-increments per dyadic scale over the realizations and
     fits the slope against log scale.  The modulus log factor is slowly
     varying over the desk-scale ladder and is absorbed into the
     regression intercept; its theoretical power is recorded in the
     report.  Divergent-regime samples are refused.
     """
-    samples = list(samples)
-    if not samples:
-        raise ContractError("at least one field sample required")
-    meta = samples[0].meta
+    if len(sample.values) == 0:
+        raise ContractError("at least one field realization required")
+    meta = sample.meta
     if meta["regime"] == "divergent":
         raise ContractError(
             "divergent-regime sample: s <= d_h/d_w has unbounded paths, "
@@ -76,8 +74,7 @@ def holder_exponent_estimate(samples, mesh, tolerance=0.15):
         raise ContractError("regression needs at least 2 dyadic scales")
 
     s, alpha = meta["s"], meta["alpha"]
-    rows = np.array([[m for _, m in max_increments_by_scale(smp.values, mesh)]
-                     for smp in samples])
+    rows = max_increments_by_scale(sample.values, mesh)
     scales = np.array([2.0 ** -j for j in range(1, mesh.level)])
     slope, _ = np.polyfit(np.log(scales), np.log(rows).mean(axis=0), 1)
     target = holder_exponent_target(s)
@@ -89,20 +86,17 @@ def holder_exponent_estimate(samples, mesh, tolerance=0.15):
         tolerance=tolerance, passed=bool(abs(slope - target) <= tolerance))
 
 
-def divergence_diagnostic(field_maker, levels, n_seeds=30):
+def divergence_diagnostic(field_maker, levels):
     """Median mesh supremum of |field| per level; verdict on growth.
 
-    `field_maker(level, seed)` must return a FieldSample on the level-m
-    mesh.  Strict increase of the medians across levels is the finite-
-    mesh signature of unbounded sample paths.
+    `field_maker(level)` must return a batch of realizations (a
+    FieldSample) on the level-m mesh.  Strict increase of the medians
+    across levels is the finite-mesh signature of unbounded sample paths.
     """
     levels = list(levels)
     if not levels:
         raise ContractError("empty level list")
-    medians = []
-    for m in levels:
-        sups = [field_maker(m, seed).meta["mesh_sup"] for seed in range(n_seeds)]
-        medians.append(float(np.median(sups)))
+    medians = [float(np.median(field_maker(m).meta["mesh_sup"])) for m in levels]
     increasing = all(b > a for a, b in zip(medians, medians[1:]))
     return {
         "levels": levels,

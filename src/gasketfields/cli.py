@@ -272,15 +272,15 @@ def _cmd_simulate(cfg):
     spec = spectral.build_spectrum(cfg["level"], cfg["bc"], j_max=cfg["jmax"])
     mesh = spec.mesh
     seeds = range(cfg["seed"], cfg["seed"] + cfg["replicates"])
-    samples = fields.field_replicates(s, alpha, spec, seeds, cfg["n_terms"])
+    batch = fields.simulate_field(s, alpha, spec, seeds, cfg["n_terms"])
     out = cfg["out"]
     path = f"{out}.csv"
     vertex_cols = [f"{vid},{x!r},{y!r},"
                    for vid, (x, y) in enumerate(mesh.vertices.tolist())]
-    blocks = ([f"{rep},{p}{v!r}" for p, v in zip(vertex_cols, smp.values.tolist())]
-              for rep, smp in enumerate(samples))
+    blocks = ([f"{rep},{p}{v!r}" for p, v in zip(vertex_cols, row.tolist())]
+              for rep, row in enumerate(batch.values))
     meta = {"config": _run_config(cfg),
-            "realizations": [smp.meta for smp in samples],
+            "realizations": batch.meta,
             **_write_csv([(path, "replicate_id,vertex_id,x,y,value", blocks)],
                          started)}
     _write_json(f"{out}_meta.json", meta)
@@ -298,7 +298,8 @@ def _cmd_verify(cfg):
         if name not in verify.SUITES:
             raise _usage(f"unknown suite {name!r}; choose from {sorted(verify.SUITES)}")
 
-    overrides = {"level": cfg["level"], "j_terms": cfg["jmax"]}
+    # each flag and the suite parameter it sets
+    overrides = {"level": "level", "jmax": "j_terms"}
 
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
@@ -306,9 +307,11 @@ def _cmd_verify(cfg):
     for name in names:
         fn = verify.SUITES[name]
         accepted = set(inspect.signature(fn).parameters)
-        kwargs = {k: v for k, v in overrides.items() if k in accepted}
-        report = fn(**kwargs)
-        report["config"] = _run_config(cfg)
+        taken = [flag for flag, param in overrides.items() if param in accepted]
+        report = fn(**{overrides[flag]: cfg[flag] for flag in taken})
+        # a report records only the flags its suite took
+        report["config"] = _run_config({k: v for k, v in cfg.items()
+                                        if k not in overrides or k in taken})
         _write_json(os.path.join(out_dir, f"{name}.json"), report)
         status = "PASS" if report["passed"] else "FAIL"
         print(f"[{status}] suite {name}")

@@ -7,7 +7,9 @@ Each site is drawn as one integer measure word (`geometry.draw_sites`)
 and placed on its nearest mesh vertex, read exactly from the word
 (`GasketMesh.site_vertices`); that placement law equals the lumped
 quadrature weights, so marginal scales agree with the quadrature norm of
-the kernel slice by construction.
+the kernel slice by construction.  The field is one linear map applied
+to the noise, so the realizations of a batch of seeds are one kernel
+apply to their stacked noise coefficients.
 
 alpha = 2 has no LePage normalization (D_alpha degenerates); the driving
 noise is then discrete white noise with variance twice the vertex
@@ -21,12 +23,12 @@ import numpy as np
 from .constants import D_H, D_W, integrability_threshold
 from .errors import ContractError, DomainError
 from .riesz import KernelEvaluator, fractional_laplacian_inv
-from .stable import make_draw, standard_stable
+from .stable import arrival_tail_sum, make_draw, standard_stable
 
 
 @dataclass(frozen=True)
 class FieldSample:
-    """Vertex values of one field realization plus full provenance."""
+    """Vertex values of field realizations, one row each, plus full provenance."""
     values: np.ndarray
     meta: dict
 
@@ -45,61 +47,61 @@ def check_integrable(s, alpha):
             "field undefined, see integrability threshold")
 
 
-def _noise_coefficients(alpha, mesh, draw, seed):
-    """Point-mass coefficient vector of the driving noise on the vertex set."""
-    if alpha == 2.0:
-        if seed is None:
-            raise ContractError("alpha = 2 requires a seed for the white-noise route")
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        return np.sqrt(2.0 * mesh.mu_weights) * rng.standard_normal(mesh.n_vertices)
-    if draw is None:
-        raise ContractError("alpha < 2 requires a LePage draw")
-    if draw.alpha != alpha:
-        raise ContractError(f"draw built for alpha = {draw.alpha}, not {alpha}")
-    idx = mesh.site_vertices(draw.words)
-    c = draw.d_alpha * draw.arrivals ** (-1.0 / alpha) * draw.gaussians
-    return np.bincount(idx, weights=c, minlength=mesh.n_vertices)
+def _noise_coefficients(alpha, mesh, seeds, n_terms):
+    """Point-mass coefficients of the driving noise on the vertex set, one
+    column per seed: the LePage draw `make_draw(seed, n_terms, alpha)` for
+    alpha < 2, else discrete white noise from the seed."""
+    coeff = np.empty((mesh.n_vertices, len(seeds)), order="F")
+    for k, seed in enumerate(seeds):
+        if alpha == 2.0:
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            coeff[:, k] = np.sqrt(2.0 * mesh.mu_weights) * rng.standard_normal(
+                mesh.n_vertices)
+        else:
+            draw = make_draw(seed, n_terms, alpha)
+            c = draw.d_alpha * draw.arrivals ** (-1.0 / alpha) * draw.gaussians
+            coeff[:, k] = np.bincount(mesh.site_vertices(draw.words), weights=c,
+                                      minlength=mesh.n_vertices)
+    return coeff
 
 
-def simulate_field(s, alpha, spectrum, draw=None, seed=None):
-    """One joint realization of the fractional alpha-stable field on the
-    vertices of the spectrum's mesh, with the spectrum's truncation.
-
-    For alpha < 2 the realization is
-        D_alpha sum_n T_n^(-1/alpha) G_s(x, xi_n) g_n
-    over the shared draw; for alpha = 2 it is the kernel applied to
-    discrete white noise.  Orders at or below the integrability
-    threshold are rejected; orders in (threshold, d_h/d_w] are permitted
-    but tagged as the divergent regime.
-    """
+def _kernel_batch(s, alpha, spectrum, seeds, n_terms):
+    """The order -s kernel applied to every seed's noise at once; one row
+    per seed."""
     check_integrable(s, alpha)
+    coeff = _noise_coefficients(alpha, spectrum.mesh, seeds, n_terms)
+    return KernelEvaluator(spectrum, s).apply(coeff).T
+
+
+def simulate_field(s, alpha, spectrum, seeds, n_terms):
+    """Joint realizations of the fractional alpha-stable field on the
+    vertices of the spectrum's mesh, with the spectrum's truncation, one
+    per seed: `values` has one row per seed.
+
+    For alpha < 2 a realization is
+        D_alpha sum_n T_n^(-1/alpha) G_s(x, xi_n) g_n
+    over the LePage draw `make_draw(seed, n_terms, alpha)`; for alpha = 2
+    it is the kernel applied to discrete white noise from the seed, and
+    n_terms is unused.  Orders at or below the integrability threshold are
+    rejected; orders in (threshold, d_h/d_w] are permitted but tagged as
+    the divergent regime.
+    """
+    values = _kernel_batch(s, alpha, spectrum, seeds, n_terms)
     mesh = spectrum.mesh
-    coeff = _noise_coefficients(alpha, mesh, draw, seed)
-    values = KernelEvaluator(spectrum, s).apply(coeff)
     meta = {
         "s": s,
         "alpha": alpha,
         "bc": spectrum.bc,
         "level": mesh.level,
         "j_terms": spectrum.n_modes,
-        "n_terms": None if draw is None else draw.n_terms,
-        "seed": seed if draw is None else draw.seed,
+        "n_terms": None if alpha == 2.0 else n_terms,
+        "seeds": list(seeds),
         "regime": "divergent" if s <= D_H / D_W else "continuous",
         "mesh_scale": 2.0 ** -mesh.level,
-        "tail_estimate": None if draw is None else draw.tail_estimate,
-        "mesh_sup": float(np.max(np.abs(values))),
+        "tail_estimate": None if alpha == 2.0 else arrival_tail_sum(alpha, n_terms),
+        "mesh_sup": np.max(np.abs(values), axis=1).tolist(),
     }
     return FieldSample(values, meta)
-
-
-def field_replicates(s, alpha, spectrum, seeds, n_terms):
-    """One `simulate_field` realization per seed: white noise from the seed
-    at alpha = 2, else the LePage draw `make_draw(seed, n_terms, alpha)`."""
-    out = []
-    for seed in seeds:
-        draw = None if alpha == 2.0 else make_draw(seed, n_terms, alpha)
-        out.append(simulate_field(s, alpha, spectrum, draw=draw, seed=seed))
-    return out
 
 
 def distributional_field(f, s, alpha, spectrum, rng):
@@ -114,29 +116,18 @@ def distributional_field(f, s, alpha, spectrum, rng):
 def functional_scale(f, s, alpha, spectrum):
     """Stable scale parameter ||(-Delta)^-s f||_alpha by quadrature."""
     g = fractional_laplacian_inv(s, f, spectrum)
-    return float((np.abs(g) ** alpha @ spectrum.weights) ** (1.0 / alpha))
+    return float((np.abs(g) ** alpha @ spectrum.mesh.mu_weights) ** (1.0 / alpha))
 
 
 def marginal_scale(xi, s, alpha, spectrum):
     """Scale of the field marginal at vertex x: ||G_s(x, .)||_alpha."""
     row = KernelEvaluator(spectrum, s).row(xi)
-    return float((np.abs(row) ** alpha @ spectrum.weights) ** (1.0 / alpha))
+    return float((np.abs(row) ** alpha @ spectrum.mesh.mu_weights) ** (1.0 / alpha))
 
 
-def conditional_increment_scale(xi, yi, s, draw, spectrum):
-    """Conditional Gaussian scale of an increment given frozen (T, xi):
-
-    s_alpha(x,y)^2 = D^2 E(g^2) sum_n T_n^(-2/alpha) |G(x,xi_n)-G(y,xi_n)|^2.
-    """
-    ev = KernelEvaluator(spectrum, s)
-    idx = spectrum.mesh.site_vertices(draw.words)
-    diff = ev.row(xi)[idx] - ev.row(yi)[idx]
-    total = (draw.arrivals ** (-2.0 / draw.alpha) * diff * diff).sum()
-    return float(draw.d_alpha * np.sqrt(total))
-
-
-def scaled_subcell_field(word, s, alpha, spectrum, draw=None, seed=None):
-    """Field of the level-n subcell copy at F_w(x), rescaled by 2^(nH).
+def scaled_subcell_field(word, s, alpha, spectrum, seeds, n_terms):
+    """Fields of the level-n subcell copy at F_w(x), rescaled by 2^(nH), one
+    row per seed, on the noise of `simulate_field`.
 
     The subcell carries eigenvalues 5^n lambda_j, eigenfunctions
     3^(n/2) phi_j o F_w^(-1) and measure mass 3^-n; its kernel obeys
@@ -149,25 +140,22 @@ def scaled_subcell_field(word, s, alpha, spectrum, draw=None, seed=None):
     for d in word:
         if d not in (0, 1, 2):
             raise DomainError(f"address digit {d} not in {{0,1,2}}")
-    check_integrable(s, alpha)
-    ev = KernelEvaluator(spectrum, s)
     kernel_factor = 3.0 ** n * 5.0 ** (-n * s)
     h = hurst_index(s, alpha)
 
     # F_w commutes with placing each site on its nearest vertex, and the
     # subcell measure has mass 3^-n
-    coeff = _noise_coefficients(alpha, spectrum.mesh, draw, seed)
-    values = kernel_factor * 3.0 ** (-n / alpha) * ev.apply(coeff)
+    values = kernel_factor * 3.0 ** (-n / alpha) * _kernel_batch(
+        s, alpha, spectrum, seeds, n_terms)
     values = 2.0 ** (n * h) * values
     meta = {
         "s": s,
         "alpha": alpha,
         "bc": spectrum.bc,
-        "level": spectrum.level,
+        "level": spectrum.mesh.level,
         "word": tuple(word),
         "hurst": h,
         "j_terms": spectrum.n_modes,
-        "seed": seed if draw is None else draw.seed,
+        "seeds": list(seeds),
     }
     return FieldSample(values, meta)
-

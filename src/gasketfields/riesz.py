@@ -72,7 +72,7 @@ def fractional_laplacian_inv(s, f, spectrum):
     if s < 0:
         raise DomainError("order s must be >= 0")
     f = np.asarray(f, dtype=float)
-    w = spectrum.weights
+    w = spectrum.mesh.mu_weights
     if spectrum.bc == NEUMANN:
         f = f - (f @ w)
     return spectrum.apply(spectrum.eigenvalues ** (-s), w * f)
@@ -87,7 +87,7 @@ def kernel_semigroup_residual(s, t, xi, yi, spectrum):
         raise DomainError("orders s, t must be positive")
     if s + t <= D_H / D_W and np.any(xi == yi):
         raise DomainError("diagonal requires s+t > d_h/d_w")
-    conv = np.sum(KernelEvaluator(spectrum, s).matrix(xi) * spectrum.weights
+    conv = np.sum(KernelEvaluator(spectrum, s).matrix(xi) * spectrum.mesh.mu_weights
                   * KernelEvaluator(spectrum, t).matrix(yi), axis=-1)
     return np.abs(KernelEvaluator(spectrum, s + t).value(xi, yi) - conv)
 

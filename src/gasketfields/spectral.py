@@ -77,10 +77,8 @@ class Spectrum:
     of a kernel or a field is that of its Spectrum (see `truncated`).
     """
     bc: str
-    level: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    weights: np.ndarray
     mesh: geometry.GasketMesh = field(repr=False)
 
     @property
@@ -120,8 +118,9 @@ class Spectrum:
         return (self.eigenvectors[rows] * g) @ self.eigenvectors[cols].T
 
     def apply(self, g, coeffs):
-        """sum_j g_j phi_j (phi_j . c) for point-mass coefficients c."""
-        return self.eigenvectors @ (g * (self.eigenvectors.T @ coeffs))
+        """sum_j g_j phi_j (phi_j . c) for point-mass coefficients c, of shape
+        (n,) or (n, R) with one coefficient vector per column."""
+        return self.eigenvectors @ (g * (self.eigenvectors.T @ coeffs).T).T
 
     def sup_norm(self):
         """max_j max_x |phi_j(x)|."""
@@ -135,7 +134,7 @@ class Spectrum:
         for _ in range(k - 1):
             lo = self.truncation(lo + 1)
         phi = self.eigenvectors[:, lo:self.truncation(lo + 1)]
-        proj = phi @ (phi.T @ (self.weights * h))
+        proj = phi @ (phi.T @ (self.mesh.mu_weights * h))
         if np.max(np.abs(proj)) <= 1e-8 * np.max(np.abs(h)):
             raise InvariantError(f"the function has no component in eigenspace {k}")
         return proj
@@ -301,7 +300,7 @@ def solve_spectrum(form):
                        (p_e, y_e, col_e[0::2]), (partner, y_e, col_e[1::2])):
         for c in _column_chunks(y):
             full[np.ix_(index, cols[c])] = P @ y[:, c]
-    return Spectrum(form.bc, form.level, lam, full, form.mesh.mu_weights, form.mesh)
+    return Spectrum(form.bc, lam, full, form.mesh)
 
 
 @functools.lru_cache(maxsize=8)

@@ -103,7 +103,6 @@ class LePageDraw:
     words: np.ndarray
     gaussians: np.ndarray
     d_alpha: float
-    seed: int
     tail_estimate: float
 
 
@@ -123,7 +122,7 @@ def make_draw(seed, n_terms, alpha):
     words = geometry.draw_sites(np.random.default_rng(s_xi), n_terms)
     gaussians = np.random.default_rng(s_g).standard_normal(n_terms)
     return LePageDraw(alpha, n_terms, arrivals, words, gaussians,
-                      d_alpha(alpha), seed, arrival_tail_sum(alpha, n_terms))
+                      d_alpha(alpha), arrival_tail_sum(alpha, n_terms))
 
 
 def direct_replicates(values, mesh, alpha, n_replicates, seed):

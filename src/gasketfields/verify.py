@@ -11,6 +11,7 @@ field-marginals, symmetry, scaling, holder-paths, divergence.
 """
 
 import numpy as np
+import scipy.sparse.linalg
 
 from . import analysis, fields, geometry, riesz, spectral, stable
 from .constants import D_H, D_W
@@ -32,10 +33,22 @@ def _report(suite, params, checks):
     }
 
 
-def _field_replicates(s, alpha, bc, level, n_terms, j_terms, n, seed0):
+def _field_batch(s, alpha, bc, level, n_terms, j_terms, n, seed0):
+    """The spectrum and the batch of realizations of seeds seed0 .. seed0+n-1."""
     spec = spectral.build_spectrum(level, bc, j_max=j_terms)
-    return spec.mesh, spec, fields.field_replicates(s, alpha, spec,
-                                                    range(seed0, seed0 + n), n_terms)
+    return spec, fields.simulate_field(s, alpha, spec, range(seed0, seed0 + n), n_terms)
+
+
+def _inverse_laplacian(form, f):
+    """(-Delta)^-1 f on the form's rows by the sparse solve A u = M f.  Neumann
+    takes the mass-mean-free part of f, pins row 0 and shifts the solution
+    to mass mean zero."""
+    A, w, f = form.stiffness.tocsc(), form.weights, f[form.index]
+    if form.bc == spectral.DIRICHLET:
+        return scipy.sparse.linalg.spsolve(A, w * f)
+    u = np.zeros(len(f))
+    u[1:] = scipy.sparse.linalg.spsolve(A[1:, 1:], (w * (f - f @ w))[1:])
+    return u - u @ w
 
 
 def suite_ahlfors(level=6, slope_tol=0.05):
@@ -130,12 +143,13 @@ def suite_semigroup(level=6, j_terms=200, n_pairs=100, rel_tol=1e-3, seed=10):
             checks.append(_check(f"conv_residual_{bc}_s={s}_t={t}", worst,
                                  worst <= rel_tol, tolerance=rel_tol))
         f = rng.standard_normal(mesh.n_vertices)
-        via_coeff = riesz.fractional_laplacian_inv(0.7, f, spec)
-        ev = riesz.KernelEvaluator(spec, 0.7)
-        f0 = f - f @ mesh.mu_weights if bc == spectral.NEUMANN else f
-        # quadrature route: x -> integral G_s(x, y) f0(y) mu(dy)
-        via_kernel = ev.apply(spec.weights * f0)
-        agree = float(np.max(np.abs(via_coeff - via_kernel)))
+        # a route that shares nothing with the eigensolve: at s = 1 the sum
+        # over the full spectrum is the sparse solve A u = M f (Dirichlet
+        # rows exclude V_0, where both routes are zero by construction)
+        form = spectral.assemble_form(mesh, bc)
+        via_spectrum = riesz.fractional_laplacian_inv(
+            1.0, f, spectral.build_spectrum(level, bc))[form.index]
+        agree = float(np.max(np.abs(via_spectrum - _inverse_laplacian(form, f))))
         checks.append(_check(f"spectral_vs_kernel_{bc}", agree, agree <= 1e-6,
                              tolerance=1e-6))
         comp = float(np.max(np.abs(
@@ -213,12 +227,10 @@ def suite_symmetry(level=6, j_terms=200, s=0.9, alpha=1.5, n_terms=10_000,
                              defect <= kernel_tol, tolerance=kernel_tol))
     x1, x2 = 140, 600
     perm = geometry.reflection_permutation(mesh, 0)
-    _, _, reps_a = _field_replicates(s, alpha, spectral.NEUMANN, level, n_terms,
-                                     j_terms, n_seeds, seed0)
-    _, _, reps_b = _field_replicates(s, alpha, spectral.NEUMANN, level, n_terms,
-                                     j_terms, n_seeds, seed0 + 50_000)
-    A = np.array([[r.values[x1], r.values[x2]] for r in reps_a])
-    B = np.array([[r.values[perm[x1]], r.values[perm[x2]]] for r in reps_b])
+    A = _field_batch(s, alpha, spectral.NEUMANN, level, n_terms, j_terms,
+                     n_seeds, seed0)[1].values[:, [x1, x2]]
+    B = _field_batch(s, alpha, spectral.NEUMANN, level, n_terms, j_terms,
+                     n_seeds, seed0 + 50_000)[1].values[:, perm[[x1, x2]]]
     for name, a, b in (("marginal_x1", A[:, 0], B[:, 0]),
                        ("marginal_x2", A[:, 1], B[:, 1]),
                        ("pair_sum", A.sum(axis=1), B.sum(axis=1)),
@@ -250,14 +262,12 @@ def suite_scaling(level=6, j_terms=200, s=0.9, alphas=(1.5, 2.0), n_terms=10_000
                          tolerance=identity_tol))
     xi = 140
     for alpha in alphas:
-        base = np.array([r.values[xi] for r in fields.field_replicates(
-            s, alpha, spec, range(seed0, seed0 + n_seeds), n_terms)])
-        sub = np.empty(n_seeds)
-        for k in range(n_seeds):
-            seed = seed0 + 70_000 + k
-            draw = None if alpha == 2.0 else stable.make_draw(seed, n_terms, alpha)
-            sub[k] = fields.scaled_subcell_field(
-                (1,), s, alpha, spec, draw=draw, seed=seed).values[xi]
+        # copies of one column, so each batch is freed at once
+        base = fields.simulate_field(s, alpha, spec, range(seed0, seed0 + n_seeds),
+                                     n_terms).values[:, xi].copy()
+        sub = fields.scaled_subcell_field(
+            (1,), s, alpha, spec, range(seed0 + 70_000, seed0 + 70_000 + n_seeds),
+            n_terms).values[:, xi].copy()
         r = analysis.two_sample(base, sub)
         checks.append(_check(f"fdd_scaling_alpha={alpha}", r,
                              r["p_value"] > 0.01, significance=0.01))
@@ -324,25 +334,25 @@ def suite_field_marginals(level=6, j_terms=200, s=0.9, alpha=1.5,
     """Pointwise field laws: boundary/mean constraints, stable marginals,
     duality of the pointwise and distributional routes."""
     checks = []
-    mesh, spec_n, reps = _field_replicates(s, alpha, spectral.NEUMANN, level,
-                                           n_terms, j_terms, n_seeds, seed0)
+    spec_n, batch = _field_batch(s, alpha, spectral.NEUMANN, level, n_terms,
+                                 j_terms, n_seeds, seed0)
+    mesh, values = spec_n.mesh, batch.values
     # realization-wise Neumann mean zero, relative to the field scale
-    worst = max(abs(geometry.quadrature(r.values, mesh)) /
-                max(np.max(np.abs(r.values)), 1e-300) for r in reps)
+    worst = float(np.max(np.abs(geometry.quadrature(values, mesh)) /
+                         np.maximum(np.max(np.abs(values), axis=1), 1e-300)))
     checks.append(_check("neumann_mean_zero", worst, worst <= 1e-4,
                          tolerance="1e-4 x field scale"))
-    _, spec_d, reps_d = _field_replicates(s, alpha, spectral.DIRICHLET, level,
-                                          n_terms, j_terms, 20, seed0)
-    worst_b = max(np.max(np.abs(r.values[mesh.boundary])) for r in reps_d)
+    spec_d, batch_d = _field_batch(s, alpha, spectral.DIRICHLET, level, n_terms,
+                                   j_terms, 20, seed0)
+    worst_b = float(np.max(np.abs(batch_d.values[:, mesh.boundary])))
     checks.append(_check("dirichlet_boundary_zero", worst_b, worst_b <= 1e-12,
                          tolerance="truncation (exact zero by construction)"))
-    for bc, spec, batch in (("neumann", spec_n, reps),
-                            ("dirichlet", spec_d, None)):
-        xi = 140
-        if batch is None:
-            _, _, batch = _field_replicates(s, alpha, bc, level, n_terms,
-                                            j_terms, n_seeds, seed0 + 5000)
-        vals = np.array([r.values[xi] for r in batch])
+    xi = 140
+    # a copy of one column, so the Dirichlet batch is freed at once
+    vals_d = _field_batch(s, alpha, spectral.DIRICHLET, level, n_terms, j_terms,
+                          n_seeds, seed0 + 5000)[1].values[:, xi].copy()
+    for bc, spec, vals in (("neumann", spec_n, values[:, xi]),
+                           ("dirichlet", spec_d, vals_d)):
         scale = fields.marginal_scale(xi, s, alpha, spec)
         r = analysis.one_sample_ks(vals, alpha, scale)
         checks.append(_check(f"marginal_ks_{bc}", r, r["p_value"] > 0.01,
@@ -352,7 +362,7 @@ def suite_field_marginals(level=6, j_terms=200, s=0.9, alpha=1.5,
     # second eigenspace is skipped: x and y have no component there)
     x = mesh.vertices[:, 0]
     f = spec_n.project(x, 1) + 0.5 * spec_n.project(x, 3)
-    inner = np.array([geometry.quadrature(f * r.values, mesh) for r in reps])
+    inner = geometry.quadrature(f * values, mesh)
     rng = np.random.default_rng(seed0 + 999)
     distr = np.array([fields.distributional_field(f, s, alpha, spec_n, rng)
                       for _ in range(n_seeds)])
@@ -379,9 +389,9 @@ def suite_holder_paths(level=6, n_terms=10_000, n_reps=60, seed0=1000,
     """
     checks = []
     for alpha, s in cells:
-        mesh, _, reps = _field_replicates(s, alpha, spectral.NEUMANN, level,
-                                          n_terms, None, n_reps, seed0)
-        rep = analysis.holder_exponent_estimate(reps, mesh, tolerance)
+        spec, batch = _field_batch(s, alpha, spectral.NEUMANN, level, n_terms,
+                                   None, n_reps, seed0)
+        rep = analysis.holder_exponent_estimate(batch, spec.mesh, tolerance)
         checks.append(_check(
             f"holder_alpha={alpha}_s={s}", rep.estimate, rep.passed,
             target=rep.target, tolerance=tolerance, log_power=rep.log_power))
@@ -400,18 +410,17 @@ def suite_divergence(levels=(4, 5, 6), s=0.5, alpha=1.2, n_terms=10_000,
     """
 
     def maker(s_, alpha_):
-        def make(level, seed):
-            _, _, (sample,) = _field_replicates(s_, alpha_, spectral.NEUMANN,
-                                                level, n_terms, None, 1, seed)
-            return sample
+        def make(level):
+            return _field_batch(s_, alpha_, spectral.NEUMANN, level, n_terms,
+                                None, n_seeds, 0)[1]
         return make
 
     checks = []
-    diag = analysis.divergence_diagnostic(maker(s, alpha), levels, n_seeds)
+    diag = analysis.divergence_diagnostic(maker(s, alpha), levels)
     checks.append(_check("divergent_growth", diag["median_sup"],
                          diag["increasing"], verdict=diag["verdict"]))
     s_c, alpha_c = control
-    ctrl = analysis.divergence_diagnostic(maker(s_c, alpha_c), levels, n_seeds)
+    ctrl = analysis.divergence_diagnostic(maker(s_c, alpha_c), levels)
     meds = ctrl["median_sup"]
     spread = (max(meds) - min(meds)) / min(meds)
     checks.append(_check("control_stability", meds, spread <= control_spread,

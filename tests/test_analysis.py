@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gasketfields import analysis, fields, geometry, spectral, stable
+from gasketfields import analysis, fields, spectral, stable
 from gasketfields.constants import D_H, D_W
 from gasketfields.errors import ContractError, DomainError
 
@@ -89,8 +89,8 @@ def test_ahlfors_regression_contracts():
 
 def _replicates(s, alpha, n, level=6, seed0=1000):
     spec = spectral.build_spectrum(level, "neumann")
-    return spec.mesh, fields.field_replicates(s, alpha, spec,
-                                              range(seed0, seed0 + n), 10_000)
+    return spec.mesh, fields.simulate_field(s, alpha, spec,
+                                            range(seed0, seed0 + n), 10_000)
 
 
 @pytest.mark.parametrize("alpha,s", [(2.0, 1.0), (2.0, 1.3), (1.5, 0.8)])
@@ -116,29 +116,31 @@ def test_holder_estimator_needs_scales():
 
 
 def test_holder_estimator_empty():
+    mesh, empty = _replicates(0.9, 1.5, 0, level=2)
     with pytest.raises(ContractError):
-        analysis.holder_exponent_estimate([], geometry.build_mesh(2))
+        analysis.holder_exponent_estimate(empty, mesh)
 
 
 def test_max_increments_by_scale(mesh6):
-    values = mesh6.vertices[:, 0]  # linear ramp: increments halve per level
-    rows = analysis.max_increments_by_scale(values, mesh6)
-    for (d, inc) in rows:
-        assert inc == pytest.approx(d)
+    ramp = mesh6.vertices[:, 0]  # linear ramp: increments halve per level
+    scales = 2.0 ** -np.arange(1, mesh6.level)
+    assert analysis.max_increments_by_scale(ramp, mesh6) == pytest.approx(scales)
+    # one row per realization
+    rows = analysis.max_increments_by_scale(np.stack([ramp, -3.0 * ramp]), mesh6)
+    assert rows == pytest.approx(np.stack([scales, 3.0 * scales]))
 
 
 def test_divergence_diagnostic_contract():
     with pytest.raises(ContractError):
-        analysis.divergence_diagnostic(lambda level, seed: None, [])
+        analysis.divergence_diagnostic(lambda level: None, [])
 
 
 def test_divergence_diagnostic_shapes():
-    def maker(level, seed):
+    def maker(level):
         spec = spectral.build_spectrum(level, "neumann")
-        draw = stable.make_draw(seed, 2000, 1.2)
-        return fields.simulate_field(0.5, 1.2, spec, draw=draw)
+        return fields.simulate_field(0.5, 1.2, spec, range(5), 2000)
 
-    out = analysis.divergence_diagnostic(maker, [4, 5], n_seeds=5)
+    out = analysis.divergence_diagnostic(maker, [4, 5])
     assert out["levels"] == [4, 5]
     assert len(out["median_sup"]) == 2
     assert out["verdict"] in ("consistent with unboundedness", "no growth")

@@ -91,10 +91,10 @@ def test_simulate_bytes_match_reference(tmp_path):
                  "--out", str(out)]) == 0
     mesh = geometry.build_mesh(4)
     spec = spectral.build_spectrum(4, "neumann", j_max=200)
-    samples = fields.field_replicates(0.9, 1.5, spec, range(7, 9), 2000)
+    batch = fields.simulate_field(0.9, 1.5, spec, range(7, 9), 2000)
     rows = ([rep, vid, repr(float(x)), repr(float(y)), repr(float(v))]
-            for rep, smp in enumerate(samples)
-            for vid, ((x, y), v) in enumerate(zip(mesh.vertices, smp.values)))
+            for rep, row in enumerate(batch.values)
+            for vid, ((x, y), v) in enumerate(zip(mesh.vertices, row)))
     assert ((tmp_path / "f.csv").read_bytes()
             == _reference_csv(["replicate_id", "vertex_id", "x", "y", "value"], rows))
 
@@ -357,7 +357,9 @@ def test_simulate_reproducible(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     meta = json.loads((tmp_path / "a_meta.json").read_text())
     assert meta["config"]["seed"] == 7
-    assert meta["realizations"][0]["bc"] == "dirichlet"
+    assert meta["realizations"]["bc"] == "dirichlet"
+    assert meta["realizations"]["seeds"] == [7, 8]
+    assert len(meta["realizations"]["mesh_sup"]) == 2
 
 
 def test_simulate_threshold_usage_error(tmp_path, capsys):
@@ -373,6 +375,7 @@ def test_verify_semigroup_exit_zero(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "semigroup.json").read_text())
     assert report["passed"]
+    assert (report["config"]["level"], report["config"]["jmax"]) == (6, 200)
     conv = [c for c in report["checks"] if c["name"].startswith("conv_residual")]
     assert conv and all(c["value"] <= 1e-3 for c in conv)
 
@@ -388,6 +391,18 @@ def test_verify_has_no_seed(tmp_path):
     report = json.loads((tmp_path / "stable-cf.json").read_text())
     assert "seed" not in report["config"]
     assert report["params"]["seed"] == 11
+
+
+def test_verify_reports_record_only_the_flags_taken(tmp_path):
+    # stable-cf takes neither --level nor --jmax; kernel-holder takes --jmax
+    # as its j_terms but runs its own levels 4-6
+    assert main(["verify", "--suite", "stable-cf", "--suite", "kernel-holder",
+                 "--level", "3", "--jmax", "7", "--out", str(tmp_path)]) in (0, 1)
+    stable_cf = json.loads((tmp_path / "stable-cf.json").read_text())
+    assert not {"level", "jmax"} & set(stable_cf["config"])
+    holder = json.loads((tmp_path / "kernel-holder.json").read_text())
+    assert "level" not in holder["config"] and holder["config"]["jmax"] == 7
+    assert holder["params"]["j_terms"] == 7 and holder["params"]["levels"] == [4, 5, 6]
 
 
 @pytest.mark.parametrize("level", [3, 4, 5])

@@ -8,13 +8,47 @@ import numpy as np
 import pytest
 
 import gasketfields
-from gasketfields import analysis, fields, geometry, riesz, stable
+from gasketfields import analysis, fields, geometry, riesz, spectral, stable
 from gasketfields.constants import D_H, D_W, integrability_threshold
 from gasketfields.errors import ContractError, DomainError, InvariantError
 
 
-def _field(s, alpha, spec, seed):
-    return fields.field_replicates(s, alpha, spec, [seed], 10_000)[0]
+def _batch(s, alpha, spec, seeds):
+    return fields.simulate_field(s, alpha, spec, seeds, 10_000)
+
+
+def _draw_coefficients(draw, mesh):
+    """Point-mass coefficients of one LePage draw on the vertex set."""
+    c = draw.d_alpha * draw.arrivals ** (-1.0 / draw.alpha) * draw.gaussians
+    return np.bincount(mesh.site_vertices(draw.words), weights=c,
+                       minlength=mesh.n_vertices)
+
+
+def _conditional_increment_scale(xi, yi, s, draw, spectrum):
+    """Conditional Gaussian scale of an increment given frozen (T, xi):
+
+    s_alpha(x,y)^2 = D^2 E(g^2) sum_n T_n^(-2/alpha) |G(x,xi_n)-G(y,xi_n)|^2.
+    """
+    ev = riesz.KernelEvaluator(spectrum, s)
+    idx = spectrum.mesh.site_vertices(draw.words)
+    diff = ev.row(xi)[idx] - ev.row(yi)[idx]
+    total = (draw.arrivals ** (-2.0 / draw.alpha) * diff * diff).sum()
+    return float(draw.d_alpha * np.sqrt(total))
+
+
+def _per_seed_reference(s, alpha, spec, seeds, n_terms):
+    """One kernel apply per seed, to the noise of `make_draw(seed)` for
+    alpha < 2 and to white noise from the seed at alpha = 2."""
+    mesh, ev = spec.mesh, riesz.KernelEvaluator(spec, s)
+    rows = []
+    for seed in seeds:
+        if alpha == 2.0:
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            coeff = np.sqrt(2.0 * mesh.mu_weights) * rng.standard_normal(mesh.n_vertices)
+        else:
+            coeff = _draw_coefficients(stable.make_draw(seed, n_terms, alpha), mesh)
+        rows.append(ev.apply(coeff))
+    return np.array(rows)
 
 
 def test_hurst_index_consistency():
@@ -25,51 +59,68 @@ def test_hurst_index_consistency():
 
 def test_threshold_enforced(spec_n):
     with pytest.raises(DomainError, match="threshold"):
-        _field(0.2, 1.5, spec_n, 0)
+        _batch(0.2, 1.5, spec_n, [0])
     # equality also rejected
     with pytest.raises(DomainError):
-        _field(integrability_threshold(1.5), 1.5, spec_n, 0)
+        _batch(integrability_threshold(1.5), 1.5, spec_n, [0])
 
 
 def test_field_takes_mesh_bc_and_truncation_from_spectrum(mesh6, spec_d):
     # the spectrum alone fixes the vertex set, the boundary condition and
     # the truncation of the field
-    smp = _field(0.9, 1.5, spec_d, 0)
-    assert smp.values.shape == (mesh6.n_vertices,)
+    smp = _batch(0.9, 1.5, spec_d, [0])
+    assert smp.values.shape == (1, mesh6.n_vertices)
     assert (smp.meta["bc"], smp.meta["level"]) == ("dirichlet", 6)
     assert smp.meta["j_terms"] == spec_d.n_modes
 
 
-def test_draw_alpha_must_match(spec_n):
-    draw = stable.make_draw(0, 100, 1.2)
-    with pytest.raises(ContractError):
-        fields.simulate_field(0.9, 1.5, spec_n, draw=draw)
+@pytest.mark.parametrize("level", [5, 6])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+def test_batch_matches_per_seed_apply(level, bc, alpha):
+    # the batch is one kernel apply to the stacked noise; each row equals the
+    # apply to its own seed's noise up to the roundoff of the matrix product
+    spec = spectral.build_spectrum(level, bc, j_max=200)
+    seeds = range(30, 37)
+    got = fields.simulate_field(0.9, alpha, spec, seeds, 2000).values
+    want = _per_seed_reference(0.9, alpha, spec, seeds, 2000)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+def test_rows_do_not_depend_on_the_batch(spec_n, alpha):
+    # a realization's values depend on its batch only at roundoff
+    big = fields.simulate_field(0.9, alpha, spec_n, range(100, 120), 2000).values
+    scale = np.max(np.abs(big))
+    for size in (1, 2, 7):
+        seeds = range(105, 105 + size)
+        got = fields.simulate_field(0.9, alpha, spec_n, seeds, 2000).values
+        assert np.max(np.abs(got - big[5:5 + size])) <= 1e-12 * scale
 
 
 def test_neumann_mean_zero_per_realization(mesh6, spec_n):
-    for seed in range(5):
-        smp = _field(0.9, 1.5, spec_n, seed)
-        scale = np.max(np.abs(smp.values))
-        assert abs(geometry.quadrature(smp.values, mesh6)) <= 1e-4 * scale
+    smp = _batch(0.9, 1.5, spec_n, range(5))
+    scale = np.max(np.abs(smp.values), axis=1)
+    assert np.all(np.abs(geometry.quadrature(smp.values, mesh6)) <= 1e-4 * scale)
 
 
 def test_dirichlet_vanishes_at_corners(mesh6, spec_d):
-    smp = _field(0.9, 1.5, spec_d, 3)
-    assert np.all(smp.values[mesh6.boundary] == 0.0)
+    smp = _batch(0.9, 1.5, spec_d, [3])
+    assert np.all(smp.values[:, mesh6.boundary] == 0.0)
 
 
 def test_divergent_regime_tagged(spec_n):
-    smp = _field(0.5, 1.2, spec_n, 1)
+    smp = _batch(0.5, 1.2, spec_n, [1])
     assert smp.meta["regime"] == "divergent"
-    assert smp.meta["mesh_sup"] > 0
-    smp2 = _field(0.9, 1.2, spec_n, 1)
+    assert smp.meta["mesh_sup"][0] > 0
+    smp2 = _batch(0.9, 1.2, spec_n, [1])
     assert smp2.meta["regime"] == "continuous"
 
 
 def test_marginal_law_matches_stable(spec_n):
     s, alpha, xi = 0.9, 1.5, 140
-    vals = np.array([_field(s, alpha, spec_n, k).values[xi]
-                     for k in range(300)])
+    vals = _batch(s, alpha, spec_n, range(300)).values[:, xi]
     scale = fields.marginal_scale(xi, s, alpha, spec_n)
     r = analysis.one_sample_ks(vals, alpha, scale)
     assert r["p_value"] > 0.01
@@ -77,8 +128,7 @@ def test_marginal_law_matches_stable(spec_n):
 
 def test_alpha2_marginal_variance(spec_n):
     s, xi = 1.0, 140
-    vals = np.array([_field(s, 2.0, spec_n, k).values[xi]
-                     for k in range(3000)])
+    vals = _batch(s, 2.0, spec_n, range(3000)).values[:, xi]
     target = 2.0 * fields.marginal_scale(xi, s, 2.0, spec_n) ** 2
     # sample variance of a Gaussian: relative sd sqrt(2/n)
     assert abs(vals.var() / target - 1.0) <= 4 * np.sqrt(2.0 / len(vals))
@@ -86,19 +136,20 @@ def test_alpha2_marginal_variance(spec_n):
 
 def test_conditional_increment_scale_zero_at_equal_points(spec_n):
     draw = stable.make_draw(11, 2000, 1.5)
-    assert fields.conditional_increment_scale(5, 5, 0.9, draw, spec_n) == 0.0
+    assert _conditional_increment_scale(5, 5, 0.9, draw, spec_n) == 0.0
 
 
 def test_conditional_increment_resampling(spec_n):
     # freeze (T, xi), resample g: increment std matches the formula
     draw = stable.make_draw(42, 10_000, 1.5)
-    target = fields.conditional_increment_scale(100, 400, 0.9, draw, spec_n)
+    target = _conditional_increment_scale(100, 400, 0.9, draw, spec_n)
+    ev = riesz.KernelEvaluator(spec_n, 0.9)
     rng = np.random.default_rng(25)
     reps = np.empty(400)
     for k in range(400):
         d2 = replace(draw, gaussians=rng.standard_normal(draw.n_terms))
-        f2 = fields.simulate_field(0.9, 1.5, spec_n, draw=d2)
-        reps[k] = f2.values[100] - f2.values[400]
+        f2 = ev.apply(_draw_coefficients(d2, spec_n.mesh))
+        reps[k] = f2[100] - f2[400]
     assert abs(reps.std() / target - 1.0) <= 0.15
 
 
@@ -111,7 +162,7 @@ def test_conditional_increment_modulus_bounded(mesh6, spec_n):
                                               max_pairs_per_bin=30):
         mod = riesz.holder_modulus(dist, s)
         for a, b in pairs[:10]:
-            sc = fields.conditional_increment_scale(a, b, s, draw, spec_n)
+            sc = _conditional_increment_scale(a, b, s, draw, spec_n)
             ratios.append(sc / mod)
     assert np.isfinite(ratios).all()
     assert max(ratios) <= 10.0 * np.median(ratios)
@@ -121,33 +172,30 @@ def test_subcell_field_matched_draw_identity(spec_n):
     # with a shared draw the 2^(nH)-scaled subcell construction collapses
     # to the base field exactly: the kernel, measure-mass and Hurst
     # factors cancel by construction
-    draw = stable.make_draw(8, 2000, 1.5)
-    base = fields.simulate_field(0.9, 1.5, spec_n, draw=draw)
+    base = fields.simulate_field(0.9, 1.5, spec_n, [8], 2000)
     for word in ((0,), (1, 2)):
-        sub = fields.scaled_subcell_field(word, 0.9, 1.5, spec_n, draw=draw)
+        sub = fields.scaled_subcell_field(word, 0.9, 1.5, spec_n, [8], 2000)
         assert np.allclose(sub.values, base.values, rtol=1e-10, atol=1e-14)
 
 
 def test_subcell_field_matched_seed_identity_gaussian(spec_n):
-    base = fields.simulate_field(0.9, 2.0, spec_n, seed=77)
-    sub = fields.scaled_subcell_field((2,), 0.9, 2.0, spec_n, seed=77)
+    base = fields.simulate_field(0.9, 2.0, spec_n, [77], 2000)
+    sub = fields.scaled_subcell_field((2,), 0.9, 2.0, spec_n, [77], 2000)
     assert np.allclose(sub.values, base.values, rtol=1e-10, atol=1e-14)
 
 
 def test_subcell_word_validation(spec_n):
     with pytest.raises(ContractError):
-        fields.scaled_subcell_field((), 0.9, 1.5, spec_n,
-                                    draw=stable.make_draw(0, 10, 1.5))
+        fields.scaled_subcell_field((), 0.9, 1.5, spec_n, [0], 10)
     with pytest.raises(DomainError):
-        fields.scaled_subcell_field((4,), 0.9, 1.5, spec_n,
-                                    draw=stable.make_draw(0, 10, 1.5))
+        fields.scaled_subcell_field((4,), 0.9, 1.5, spec_n, [0], 10)
 
 
 def test_distributional_field_eigenfunction_scale(spec_n):
     phi1 = spec_n.eigenvectors[:, 0]
     lam1 = spec_n.eigenvalues[0]
     alpha = 1.5
-    norm_alpha = (np.abs(phi1) ** alpha @ spec_n.weights) ** (1.0 / alpha)
+    norm_alpha = (np.abs(phi1) ** alpha @ spec_n.mesh.mu_weights) ** (1.0 / alpha)
     got = fields.functional_scale(phi1, 0.9, alpha, spec_n)
     assert got == pytest.approx(lam1 ** -0.9 * norm_alpha, rel=1e-10)
 
@@ -163,10 +211,8 @@ def test_duality_cf(mesh6, spec_n):
     s, alpha, n = 0.9, 1.5, 1200
     x = mesh6.vertices[:, 0]
     f = spec_n.project(x, 1) + 0.5 * spec_n.project(x, 3)
-    inner = np.empty(n)
-    for k in range(n):
-        smp = _field(s, alpha, spec_n, 40_000 + k)
-        inner[k] = geometry.quadrature(f * smp.values, mesh6)
+    smp = _batch(s, alpha, spec_n, range(40_000, 40_000 + n))
+    inner = geometry.quadrature(f * smp.values, mesh6)
     rng = np.random.default_rng(27)
     distr = np.array([fields.distributional_field(f, s, alpha, spec_n, rng)
                       for _ in range(n)])
@@ -256,10 +302,8 @@ def test_reflection_fdd_gaussian(mesh6, spec_n):
     s = 0.9
     x1, x2 = 140, 600
     perm = geometry.reflection_permutation(mesh6, 1)
-    A = np.array([[v.values[x1], v.values[x2]] for v in
-                  (_field(s, 2.0, spec_n, k) for k in range(600))])
-    B = np.array([[v.values[perm[x1]], v.values[perm[x2]]] for v in
-                  (_field(s, 2.0, spec_n, 10_000 + k) for k in range(600))])
+    A = _batch(s, 2.0, spec_n, range(600)).values[:, [x1, x2]]
+    B = _batch(s, 2.0, spec_n, range(10_000, 10_600)).values[:, perm[[x1, x2]]]
     assert analysis.two_sample(A[:, 0], B[:, 0])["p_value"] > 0.01
     assert analysis.two_sample(A.sum(1), B.sum(1))["p_value"] > 0.01
 
@@ -267,23 +311,21 @@ def test_reflection_fdd_gaussian(mesh6, spec_n):
 def test_spectral_band_additivity_on_shared_draw(mesh6, spec_n_full):
     # same driving noise, kernel split into spectral bands: the field is
     # additive across the bands
-    draw = stable.make_draw(13, 3000, 1.5)
     low_spec, full_spec = spec_n_full.truncated(60), spec_n_full.truncated(240)
     j1, j2 = low_spec.n_modes, full_spec.n_modes
-    low = fields.simulate_field(0.9, 1.5, low_spec, draw=draw)
-    full = fields.simulate_field(0.9, 1.5, full_spec, draw=draw)
+    low = fields.simulate_field(0.9, 1.5, low_spec, [13], 3000).values[0]
+    full = fields.simulate_field(0.9, 1.5, full_spec, [13], 3000).values[0]
     # independent evaluation of the band j1+1..j2 contribution
-    idx = mesh6.site_vertices(draw.words)
-    c = draw.d_alpha * draw.arrivals ** (-1.0 / 1.5) * draw.gaussians
-    coeff = np.bincount(idx, weights=c, minlength=mesh6.n_vertices)
+    coeff = _draw_coefficients(stable.make_draw(13, 3000, 1.5), mesh6)
     phi = spec_n_full.eigenvectors[:, j1:j2]
     lam = spec_n_full.eigenvalues[j1:j2] ** -0.9
     band = phi @ (lam * (phi.T @ coeff))
-    assert np.allclose(low.values + band, full.values, rtol=1e-10, atol=1e-13)
+    assert np.allclose(low + band, full, rtol=1e-10, atol=1e-13)
 
 
 def test_field_metadata_complete(spec_n):
-    smp = _field(0.9, 1.5, spec_n, 9)
-    for key in ("s", "alpha", "bc", "level", "j_terms", "n_terms", "seed",
+    smp = _batch(0.9, 1.5, spec_n, [9, 10])
+    for key in ("s", "alpha", "bc", "level", "j_terms", "n_terms", "seeds",
                 "regime", "mesh_scale", "tail_estimate", "mesh_sup"):
         assert key in smp.meta
+    assert smp.meta["seeds"] == [9, 10] and len(smp.meta["mesh_sup"]) == 2

@@ -78,8 +78,39 @@ def test_kernel_route_matches_coefficient_route(mesh6, spec_n):
     f = rng.standard_normal(mesh6.n_vertices)
     via_coeff = riesz.fractional_laplacian_inv(0.8, f, spec_n)
     ev = riesz.KernelEvaluator(spec_n, 0.8)
-    via_kernel = ev.apply(spec_n.weights * (f - f @ mesh6.mu_weights))
+    via_kernel = ev.apply(mesh6.mu_weights * (f - f @ mesh6.mu_weights))
     assert np.max(np.abs(via_coeff - via_kernel)) <= 1e-6
+
+
+def _dense_inverse_laplacian(form, f):
+    """A^-1 M f by a dense solve on the form's rows.  Neumann solves the
+    rank-one completion (A + M1 (M1)^T) u = M f0, f0 the mass-mean-free part
+    of f, whose solution is the mass-mean-zero one."""
+    w = form.weights
+    A = form.stiffness.toarray()
+    f = f[form.index]
+    if form.bc == "neumann":
+        f = f - f @ w
+        A += np.outer(w, w)
+    u = np.zeros(form.mesh.n_vertices)
+    u[form.index] = np.linalg.solve(A, w * f)
+    return u
+
+
+@pytest.mark.parametrize("level", [4, 5, 6])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_integer_orders_are_sparse_solves(level, bc):
+    # at full truncation (-Delta)^-1 is A^-1 M and (-Delta)^-2 is
+    # A^-1 M A^-1 M, Neumann on mass-mean-zero functions: an oracle that
+    # shares nothing with the eigensolve
+    spec = spectral.build_spectrum(level, bc)
+    form = spectral.assemble_form(spec.mesh, bc)
+    f = np.random.default_rng(level).standard_normal(spec.mesh.n_vertices)
+    once = _dense_inverse_laplacian(form, f)
+    twice = _dense_inverse_laplacian(form, once)
+    for s, want in ((1.0, once), (2.0, twice)):
+        got = riesz.fractional_laplacian_inv(s, f, spec)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("s,t", [(0.9, 0.9), (0.5, 0.5), (0.7, 1.1)])

@@ -1,6 +1,7 @@
 """Signature guards: the Spectrum passed in is the only truncation, a
 spectrum or kernel evaluator already carries its mesh and boundary
-condition, and only the Spectrum reads its eigenvector matrix."""
+condition, only the Spectrum reads its eigenvector matrix, and one noise
+builder draws the LePage series of every field."""
 
 import ast
 import inspect
@@ -53,29 +54,42 @@ def test_no_mesh_or_bc_next_to_a_spectrum():
     assert offenders == []
 
 
-def _eigenvector_reads():
-    """(module, innermost enclosing function or class) of every
-    `.eigenvectors` read in the package outside spectral.py."""
-    reads = set()
+def _sites(matches, skip=()):
+    """(module, innermost enclosing function or class) of every syntax node
+    of the package for which `matches(node)` holds, outside the modules
+    named in `skip`."""
+    found = set()
 
     def visit(node, module, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = node.name
-        if isinstance(node, ast.Attribute) and node.attr == "eigenvectors":
-            reads.add((module, scope))
+        if matches(node):
+            found.add((module, scope))
         for child in ast.iter_child_nodes(node):
             visit(child, module, scope)
 
     for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
-        if path.name != "spectral.py":
+        if path.stem not in skip:
             visit(ast.parse(path.read_text()), path.stem, None)
-    return reads
+    return found
 
 
 def test_only_the_spectrum_reads_its_eigenvectors():
     # every spectral sum is a Spectrum method; the CSV export is the one
     # reader of the dense eigenvector matrix outside spectral.py
-    assert _eigenvector_reads() == EIGENVECTOR_READERS
+    reads = _sites(lambda node: isinstance(node, ast.Attribute)
+                   and node.attr == "eigenvectors", skip=("spectral",))
+    assert reads == EIGENVECTOR_READERS
+
+
+def test_one_noise_builder():
+    # every field realization takes its LePage draw from the one noise builder
+    def calls_make_draw(node):
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and "make_draw" in (
+            getattr(func, "id", None), getattr(func, "attr", None))
+
+    assert _sites(calls_make_draw) == {("fields", "_noise_coefficients")}
 
 
 def test_kernel_evaluator_holds_no_eigenvectors():
