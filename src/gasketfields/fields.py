@@ -22,8 +22,9 @@ import numpy as np
 
 from .constants import D_H, D_W, integrability_threshold
 from .errors import ContractError, DomainError
+from .geometry import alpha_norm
 from .riesz import KernelEvaluator, fractional_laplacian_inv
-from .stable import arrival_tail_sum, make_draw, standard_stable
+from .stable import arrival_tail_sum, point_masses, standard_stable
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,8 @@ def check_integrable(s, alpha):
 
 def _noise_coefficients(alpha, mesh, seeds, n_terms):
     """Point-mass coefficients of the driving noise on the vertex set, one
-    column per seed: the LePage draw `make_draw(seed, n_terms, alpha)` for
-    alpha < 2, else discrete white noise from the seed."""
+    column per seed: the LePage draw `point_masses(seed, n_terms, alpha,
+    mesh)` for alpha < 2, else discrete white noise from the seed."""
     coeff = np.empty((mesh.n_vertices, len(seeds)), order="F")
     for k, seed in enumerate(seeds):
         if alpha == 2.0:
@@ -58,10 +59,7 @@ def _noise_coefficients(alpha, mesh, seeds, n_terms):
             coeff[:, k] = np.sqrt(2.0 * mesh.mu_weights) * rng.standard_normal(
                 mesh.n_vertices)
         else:
-            draw = make_draw(seed, n_terms, alpha)
-            c = draw.d_alpha * draw.arrivals ** (-1.0 / alpha) * draw.gaussians
-            coeff[:, k] = np.bincount(mesh.site_vertices(draw.words), weights=c,
-                                      minlength=mesh.n_vertices)
+            coeff[:, k] = point_masses(seed, n_terms, alpha, mesh)
     return coeff
 
 
@@ -104,25 +102,26 @@ def simulate_field(s, alpha, spectrum, seeds, n_terms):
     return FieldSample(values, meta)
 
 
-def distributional_field(f, s, alpha, spectrum, rng):
-    """The field tested against f: stable integral of the order -s image.
+def distributional_field(f, s, alpha, spectrum, rng, n_draws):
+    """The field tested against f: stable integral of the order -s image,
+    `n_draws` independent variates, each its own `standard_stable` call on
+    rng.
 
     Exact in law for a single functional; CF is
     exp(-|u|^alpha ||(-Delta)^-s f||_alpha^alpha).
     """
-    return functional_scale(f, s, alpha, spectrum) * standard_stable(rng, alpha)
+    scale = functional_scale(f, s, alpha, spectrum)
+    return scale * np.array([standard_stable(rng, alpha) for _ in range(n_draws)])
 
 
 def functional_scale(f, s, alpha, spectrum):
     """Stable scale parameter ||(-Delta)^-s f||_alpha by quadrature."""
-    g = fractional_laplacian_inv(s, f, spectrum)
-    return float((np.abs(g) ** alpha @ spectrum.mesh.mu_weights) ** (1.0 / alpha))
+    return alpha_norm(fractional_laplacian_inv(s, f, spectrum), alpha, spectrum.mesh)
 
 
 def marginal_scale(xi, s, alpha, spectrum):
     """Scale of the field marginal at vertex x: ||G_s(x, .)||_alpha."""
-    row = KernelEvaluator(spectrum, s).row(xi)
-    return float((np.abs(row) ** alpha @ spectrum.mesh.mu_weights) ** (1.0 / alpha))
+    return alpha_norm(KernelEvaluator(spectrum, s).row(xi), alpha, spectrum.mesh)
 
 
 def scaled_subcell_field(word, s, alpha, spectrum, seeds, n_terms):

@@ -98,8 +98,7 @@ class GasketMesh:
         F_w(q_i), while every other vertex of V_m is at least 2^-m from that
         corner.  Its nearest vertex is therefore corner d_m of cell w, entry
         (base-3 value of d_0..d_m) of the corner table; ties have measure
-        zero.  `stable.lepage_replicates` applies the same division in
-        place to its own fresh words.
+        zero.
         """
         return self.corner_table[words // 3 ** (MAX_LEVEL - self.level)]
 
@@ -309,6 +308,12 @@ def quadrature(f, mesh):
         raise ContractError(
             f"expected {mesh.n_vertices} vertex values, got {f.shape[-1]}")
     return f @ mesh.mu_weights
+
+
+def alpha_norm(f, alpha, mesh):
+    """Quadrature alpha-norm (integral |f|^alpha dmu)^(1/alpha) of vertex
+    values: the scale of the symmetric alpha-stable integral of f."""
+    return float(quadrature(np.abs(f) ** alpha, mesh) ** (1.0 / alpha))
 
 
 def ball_measure_estimate(x, r, mesh):

@@ -19,11 +19,6 @@ from scipy.special import gamma as gamma_fn, gammaln
 from . import geometry
 from .errors import ContractError, DomainError
 
-# replicates drawn per block by `lepage_replicates`; the block size fixes
-# the order in which its stream is consumed
-_CHUNK = 500
-
-
 def standard_stable(rng, alpha, size=None):
     """Symmetric alpha-stable variate(s) with CF exp(-|u|^alpha).
 
@@ -107,7 +102,8 @@ class LePageDraw:
 
 
 def make_draw(seed, n_terms, alpha):
-    """Draw the frozen triple (T, xi, g) from one master seed.
+    """Draw the frozen triple (T, xi, g) from one master seed, an integer or
+    a `np.random.SeedSequence`.
 
     The three sequences come from split, non-overlapping sub-streams so
     each is independently reproducible.  Also records D_alpha and the
@@ -117,12 +113,38 @@ def make_draw(seed, n_terms, alpha):
         raise DomainError("n_terms must be >= 1")
     if not 0.0 < alpha < 2.0:
         raise DomainError(f"LePage representation requires alpha in (0, 2), got {alpha}")
-    s_t, s_xi, s_g = np.random.SeedSequence(seed).spawn(3)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    s_t, s_xi, s_g = seed.spawn(3)
     arrivals = np.random.default_rng(s_t).exponential(1.0, n_terms).cumsum()
     words = geometry.draw_sites(np.random.default_rng(s_xi), n_terms)
     gaussians = np.random.default_rng(s_g).standard_normal(n_terms)
     return LePageDraw(alpha, n_terms, arrivals, words, gaussians,
                       d_alpha(alpha), arrival_tail_sum(alpha, n_terms))
+
+
+def point_masses(seed, n_terms, alpha, mesh, tail_compensation=False):
+    """The LePage draw `make_draw(seed, n_terms, alpha)` as point masses on
+    the mesh vertices: each site xi_n is placed on its nearest vertex
+    (`GasketMesh.site_vertices`) with weight D_alpha w_n g_n, summed per
+    vertex, so the series integral of vertex values f is `masses @ f`.
+
+    The raw series has w_n = T_n^(-1/alpha).  `tail_compensation` adds the
+    Gaussian surrogate of the discarded small jumps, which matters for
+    alpha close to 2 where the raw series converges slowly; it is folded
+    into the weights, w_n = sqrt(T_n^(-2/alpha) + tau / N),
+    tau = `arrival_tail_sum`: given T and xi, sum_n w_n g_n f(xi_n) is
+    Gaussian with the series variance plus the surrogate's D^2 tau mean
+    f(xi)^2.
+    """
+    draw = make_draw(seed, n_terms, alpha)
+    if tail_compensation:
+        w = np.sqrt(draw.arrivals ** (-2.0 / alpha) + draw.tail_estimate / n_terms)
+    else:
+        w = draw.arrivals ** (-1.0 / alpha)
+    return np.bincount(mesh.site_vertices(draw.words),
+                       weights=draw.d_alpha * w * draw.gaussians,
+                       minlength=mesh.n_vertices)
 
 
 def direct_replicates(values, mesh, alpha, n_replicates, seed):
@@ -132,63 +154,31 @@ def direct_replicates(values, mesh, alpha, n_replicates, seed):
     ||f||_alpha, so standard variates scaled by the quadrature norm
     realize it.
     """
-    values = np.asarray(values, dtype=float)
-    scale = geometry.quadrature(np.abs(values) ** alpha, mesh) ** (1.0 / alpha)
+    scale = geometry.alpha_norm(values, alpha, mesh)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return scale * standard_stable(rng, alpha, size=n_replicates)
 
 
 def lepage_replicates(values, mesh, alpha, n_terms, n_replicates, seed,
                       tail_compensation=False):
-    """Independent LePage partial sums D_alpha sum_n T_n^(-1/alpha) f(xi_n) g_n
-    of mesh functions, vectorized.
+    """Independent LePage partial sums D_alpha sum_n w_n f(xi_n) g_n of mesh
+    functions, one `point_masses` draw per replicate.
 
     `values` holds one function per column, shape (n_vertices, k), and the
     result has shape (n_replicates, k); a 1-D `values` gives a 1-D result.
-    Each replicate is one draw of the random measure (T, xi, g) integrated
-    against every column, so the columns share their noise and the result
-    is linear in `values` on each draw.  Sites are drawn as measure words
-    and placed on their nearest vertices (`geometry.draw_sites`,
-    `GasketMesh.site_vertices`), as in `make_draw`, so each column has the
-    law of the series over a `make_draw` draw.
-
-    `tail_compensation` adds the Gaussian surrogate of the discarded small
-    jumps, which matters for alpha close to 2 where the raw series
-    converges slowly.  It is folded into the site weights,
-        w_n = D_alpha sqrt(T_n^(-2/alpha) + tau / N) g_n,
-    tau = `arrival_tail_sum`: given T and xi, sum_n w_n f(xi_n) is Gaussian
-    with the series variance plus the surrogate's D^2 tau mean f(xi)^2.
+    Replicate k is the draw of `np.random.SeedSequence(seed, spawn_key=(k,))`,
+    the k-th spawned child of the seed, integrated against every column,
+    so the columns share their noise, the result is linear in `values` on
+    each draw, and replicate k does not depend on `n_replicates`.  The
+    weights w_n, with or without `tail_compensation`, are those of
+    `point_masses`.
     """
-    if n_terms < 1:
-        raise DomainError("n_terms must be >= 1")
-    if not 0.0 < alpha < 2.0:
-        raise DomainError(f"LePage representation requires alpha in (0, 2), got {alpha}")
     values = np.asarray(values, dtype=float)
     if values.ndim not in (1, 2) or len(values) != mesh.n_vertices:
         raise ContractError(f"values of shape {values.shape} are not (n_vertices, k) "
                             f"or (n_vertices,) with n_vertices = {mesh.n_vertices}")
-    columns = values.reshape(len(values), -1).T
-    # each site's share of the surrogate variance, tau / N
-    tail = arrival_tail_sum(alpha, n_terms) / n_terms if tail_compensation else 0.0
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    out = np.empty((n_replicates, len(columns)))
-    for start in range(0, n_replicates, _CHUNK):
-        r = min(_CHUNK, n_replicates - start)
-        w = rng.exponential(1.0, (r, n_terms))
-        np.cumsum(w, axis=1, out=w)
-        # the block's own words become level-m corner codes in place, so no
-        # quotient array is allocated (see `GasketMesh.site_vertices`)
-        sites = geometry.draw_sites(rng, (r, n_terms))
-        sites //= 3 ** (geometry.MAX_LEVEL - mesh.level)
-        sites = mesh.corner_table[sites]
-        # the weights in place: the gaussians are their only temporary
-        w **= -2.0 / alpha
-        w += tail
-        np.sqrt(w, out=w)
-        w *= rng.standard_normal((r, n_terms))
-        for k, f in enumerate(columns):
-            out[start:start + r, k] = np.einsum("ij,ij->i", w, f[sites])
-        # free this block before the next one is drawn
-        del w, sites
-    out *= d_alpha(alpha)
-    return out.reshape((n_replicates,) + values.shape[1:])
+    out = np.empty((n_replicates,) + values.shape[1:])
+    for k in range(n_replicates):
+        out[k] = point_masses(np.random.SeedSequence(seed, spawn_key=(k,)), n_terms,
+                              alpha, mesh, tail_compensation) @ values
+    return out

@@ -202,7 +202,8 @@ def test_distributional_field_eigenfunction_scale(spec_n):
 
 def test_distributional_field_zero_function(spec_n):
     rng = np.random.default_rng(26)
-    assert fields.distributional_field(np.zeros(1095), 0.9, 1.5, spec_n, rng) == 0.0
+    assert np.array_equal(
+        fields.distributional_field(np.zeros(1095), 0.9, 1.5, spec_n, rng, 3), np.zeros(3))
 
 
 def test_duality_cf(mesh6, spec_n):
@@ -214,8 +215,7 @@ def test_duality_cf(mesh6, spec_n):
     smp = _batch(s, alpha, spec_n, range(40_000, 40_000 + n))
     inner = geometry.quadrature(f * smp.values, mesh6)
     rng = np.random.default_rng(27)
-    distr = np.array([fields.distributional_field(f, s, alpha, spec_n, rng)
-                      for _ in range(n)])
+    distr = fields.distributional_field(f, s, alpha, spec_n, rng, n)
     for u in (0.5, 1.0, 2.0):
         ca, cb = np.cos(u * inner), np.cos(u * distr)
         half = 3.0 * np.sqrt(ca.var() / n + cb.var() / n)

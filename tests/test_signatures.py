@@ -1,7 +1,7 @@
 """Signature guards: the Spectrum passed in is the only truncation, a
 spectrum or kernel evaluator already carries its mesh and boundary
 condition, only the Spectrum reads its eigenvector matrix, and one noise
-builder draws the LePage series of every field."""
+builder turns every LePage draw into point masses on the mesh."""
 
 import ast
 import inspect
@@ -82,14 +82,23 @@ def test_only_the_spectrum_reads_its_eigenvectors():
     assert reads == EIGENVECTOR_READERS
 
 
-def test_one_noise_builder():
-    # every field realization takes its LePage draw from the one noise builder
-    def calls_make_draw(node):
+def _calls(name):
+    """Matcher for call nodes of a function or method called `name`."""
+    def matches(node):
         func = getattr(node, "func", None)
-        return isinstance(node, ast.Call) and "make_draw" in (
+        return isinstance(node, ast.Call) and name in (
             getattr(func, "id", None), getattr(func, "attr", None))
+    return matches
 
-    assert _sites(calls_make_draw) == {("fields", "_noise_coefficients")}
+
+def test_one_noise_builder():
+    # every LePage draw, of a field or of a stable integral, comes from
+    # make_draw through the one builder that places its sites on the mesh
+    # and forms its weights
+    builder = {("stable", "point_masses")}
+    assert _sites(_calls("make_draw")) == builder
+    assert _sites(_calls("site_vertices")) == builder
+    assert _sites(_calls("draw_sites")) == {("stable", "make_draw")}
 
 
 def test_kernel_evaluator_holds_no_eigenvectors():

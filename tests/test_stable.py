@@ -126,42 +126,52 @@ def test_lepage_vs_direct_ks(mesh6):
     assert analysis.two_sample(lp, dr)["p_value"] > 0.01
 
 
-def _series_stream(values, mesh, n_terms, blocks, seed):
-    # the stream of `lepage_replicates` written out: per block of
-    # replicates, arrivals, site words, gaussians
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    for r in blocks:
-        arr = rng.exponential(1.0, (r, n_terms)).cumsum(axis=1)
-        fx = values[mesh.site_vertices(geometry.draw_sites(rng, (r, n_terms)))]
-        g = rng.standard_normal((r, n_terms))
-        yield arr, fx, g
+def _series_terms(values, mesh, alpha, n_terms, seeds):
+    # each replicate's series ingredients, written out from its own draw
+    # make_draw(seed): arrivals, f at the placed sites, gaussians
+    for seed in seeds:
+        draw = stable.make_draw(seed, n_terms, alpha)
+        yield draw.arrivals, values[mesh.site_vertices(draw.words)], draw.gaussians
 
 
 def test_lepage_replicates_match_series_reference(mesh6):
-    # compensated: the merged-weight series D sqrt(T^(-2/alpha) + tau/N) g f,
-    # over two blocks of replicates and a non-constant f
+    # compensated: the merged-weight series D sqrt(T^(-2/alpha) + tau/N) g f
+    # over replicate k's draw from SeedSequence(seed, spawn_key=(k,)), for a
+    # non-constant f
     values = np.random.default_rng(5).standard_normal(mesh6.n_vertices)
     alpha, n_terms = 1.9, 300
     got = stable.lepage_replicates(values, mesh6, alpha, n_terms, 700, seed=12,
                                    tail_compensation=True)
     d_a, tail = stable.d_alpha(alpha), stable.arrival_tail_sum(alpha, n_terms)
-    want = np.concatenate([
-        d_a * (np.sqrt(arr ** (-2.0 / alpha) + tail / n_terms) * g * fx).sum(axis=1)
-        for arr, fx, g in _series_stream(values, mesh6, n_terms, (500, 200), 12)])
+    seeds = (np.random.SeedSequence(12, spawn_key=(k,)) for k in range(700))
+    want = np.array([
+        d_a * (np.sqrt(arr ** (-2.0 / alpha) + tail / n_terms) * g * fx).sum()
+        for arr, fx, g in _series_terms(values, mesh6, alpha, n_terms, seeds)])
     assert got.shape == (700,)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_lepage_replicates_raw_keep_series_stream(mesh6):
     # uncompensated one-column calls are the plain series
-    # D sum_n T_n^(-1/alpha) f(xi_n) g_n over the same stream
+    # D sum_n T_n^(-1/alpha) f(xi_n) g_n over the draws of the seed's
+    # spawned children, one per replicate
     values = np.random.default_rng(6).standard_normal(mesh6.n_vertices)
     alpha, n_terms = 1.5, 400
     got = stable.lepage_replicates(values, mesh6, alpha, n_terms, 600, seed=13)
-    want = np.concatenate([
-        stable.d_alpha(alpha) * (arr ** (-1.0 / alpha) * fx * g).sum(axis=1)
-        for arr, fx, g in _series_stream(values, mesh6, n_terms, (500, 100), 13)])
+    seeds = np.random.SeedSequence(13).spawn(600)
+    want = np.array([
+        stable.d_alpha(alpha) * (arr ** (-1.0 / alpha) * fx * g).sum()
+        for arr, fx, g in _series_terms(values, mesh6, alpha, n_terms, seeds)])
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_lepage_replicate_independent_of_batch(mesh6):
+    # replicate k does not depend on n_replicates: a longer call extends a
+    # shorter one row for row
+    F = np.random.default_rng(9).standard_normal((mesh6.n_vertices, 3))
+    kw = dict(mesh=mesh6, alpha=1.5, n_terms=300, seed=17, tail_compensation=True)
+    long = stable.lepage_replicates(F, n_replicates=300, **kw)
+    assert np.array_equal(long[:100], stable.lepage_replicates(F, n_replicates=100, **kw))
 
 
 @pytest.mark.parametrize("tail_compensation", [False, True])
@@ -197,18 +207,20 @@ def test_lepage_replicates_linear_on_each_draw(mesh6):
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
-def test_lepage_replicates_block_peak_memory(mesh6):
-    # one 500 x 1e4 block holds at most three (r, n_terms) arrays at once
-    # (arrivals or weights, sites, and the gaussians or one gathered column)
+def test_lepage_replicates_peak_memory(mesh6):
+    # one draw is held at a time: the peak of a 500 x 1e4 call is a few
+    # arrays of n_terms and n_vertices entries, not a block of replicates
+    # (which would be 3 x 500 x 1e4 doubles)
     ones = np.ones(mesh6.n_vertices)
+    n_terms = 10_000
     tracemalloc.start()
     try:
-        stable.lepage_replicates(ones, mesh6, 1.5, 10_000, 500, seed=16,
+        stable.lepage_replicates(ones, mesh6, 1.5, n_terms, 500, seed=16,
                                  tail_compensation=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.2 * 500 * 10_000 * 8
+    assert peak <= 10 * 8 * (n_terms + mesh6.n_vertices)
 
 
 def test_lepage_vs_direct_independent_of_blas_threads(tmp_path):
