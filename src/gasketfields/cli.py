@@ -168,8 +168,11 @@ def _cmd_spectrum(cfg):
     spec = spectral.build_spectrum(cfg["level"], cfg["bc"], j_max=cfg["jmax"])
     value_rows = [f"{j},{lam!r}"
                   for j, lam in enumerate(spec.eigenvalues.tolist(), start=1)]
-    # one block per vertex row, formatted as it is written
-    vector_rows = ([",".join(map(repr, row))] for row in spec.eigenvectors.tolist())
+    # one block per 256 vertex rows, formed from the spectrum's blocks and
+    # formatted as it is written: the n x m matrix is never held
+    vector_rows = ([",".join(map(repr, row)) for row in
+                    spec.eigenvectors(slice(start, start + 256)).tolist()]
+                   for start in range(0, spec.mesh.n_vertices, 256))
     out = cfg["out"]
     exported = _write_csv(
         [(f"{out}_eigenvalues.csv", "j,lambda_j", [value_rows]),

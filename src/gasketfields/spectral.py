@@ -8,7 +8,9 @@ The symmetry group D3 of the gasket (rotations and reflections) splits it
 over one sparse orbit-local basis P per irrep into dense A1, A2 and E
 blocks P^T A P of about n/6, n/6 and n/3 rows; each block eigenvector y
 gives the eigenvector phi = P y, the E block is solved once and each of
-its eigenvectors yields a second one by rotation.  Heat kernels are
+its eigenvectors yields a second one by rotation.  A Spectrum stores the
+pairs (P, y), about n^2/6 doubles, never the dense n x n eigenvector
+matrix, and evaluates its sums block by block.  Heat kernels are
 truncated spectral expansions; Neumann keeps the constant leading term 1,
 Dirichlet drops it and vanishes on the corner set V_0.
 """
@@ -31,13 +33,6 @@ DIRICHLET = "dirichlet"
 # relative gap below which consecutive eigenvalues count as one multiplet;
 # truncations never split a multiplet (kernel symmetry would break)
 _CLUSTER_RTOL = 1e-8
-
-# n x n float64 arrays live at the peak of assemble + solve: the output
-# eigenvectors and the block eigenvectors (n^2/6); the stiffness is sparse
-# and products with the blocks are taken in column chunks.  Peak RSS grew
-# by 1.19 n^2 doubles at level 8, 1.27 at level 7 and 1.62 at level 6
-# (where fixed costs weigh more)
-_DENSE_ARRAYS = 2
 
 
 def check_bc(bc):
@@ -69,16 +64,24 @@ class EnergyForm:
 class Spectrum:
     """Ascending eigenpairs of the discrete Laplacian, mass-orthonormal.
 
-    Eigenvectors are stored on the full vertex set; Dirichlet vectors are
-    zero on the boundary.  The Neumann constant mode is excluded.  Every
+    The eigenvectors are stored by D3 block: `blocks` holds one
+    (y, cols, bases) per block, with y the dense block eigenvectors
+    (C-contiguous, one column per mode, ascending), cols the spectrum
+    column of each, and bases one sparse basis P_t per mode family on the
+    full vertex set, so that P_t y are the family's eigenvectors at the
+    columns cols + t: (P,) for A1 and A2, and (P, its rotation partner)
+    for E, whose pairs share y.  Dirichlet vectors are zero on the
+    boundary, and the Neumann constant mode is excluded.
+    `eigenvectors(rows)` forms dense rows on demand.  Every
     sum_j g_j phi_j(x) phi_j(y) over a weight g_j per mode (lambda_j^-s,
     e^(-lambda_j t)) is `value` (at vertex pairs), `row`, `matrix` (on a
-    block of index sets) or `apply`, over all of the modes: the truncation
-    of a kernel or a field is that of its Spectrum (see `truncated`).
+    block of index sets) or `apply`, over all of the modes, block by block:
+    the truncation of a kernel or a field is that of its Spectrum (see
+    `truncated`).
     """
     bc: str
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    blocks: tuple = field(repr=False)
     mesh: geometry.GasketMesh = field(repr=False)
 
     @property
@@ -99,32 +102,79 @@ class Spectrum:
         """The spectrum cut to its leading `truncation(j)` modes; the
         spectrum itself when that keeps every mode."""
         j = self.truncation(j)
-        if j == self.n_modes:
-            return self
-        return replace(self, eigenvalues=self.eigenvalues[:j],
-                       eigenvectors=self.eigenvectors[:, :j])
+        return self if j == self.n_modes else self._modes(0, j)
+
+    def _modes(self, lo, hi):
+        """The modes lo..hi-1, multiplet bounds from `truncation`, as a
+        Spectrum: each block keeps its columns in that range (an E pair is
+        one multiplet, so it is kept whole)."""
+        blocks = []
+        for y, cols, bases in self.blocks:
+            a, b = np.searchsorted(cols, (lo, hi))
+            # a C-contiguous copy: sparse products copy any other layout per call
+            blocks.append((np.ascontiguousarray(y[:, a:b]), cols[a:b] - lo, bases))
+        return replace(self, eigenvalues=self.eigenvalues[lo:hi], blocks=tuple(blocks))
+
+    def _parts(self):
+        """(P, y, cols) per mode family: its eigenvectors P y sit at the
+        spectrum columns cols."""
+        for y, cols, bases in self.blocks:
+            for t, P in enumerate(bases):
+                yield P, y, cols + t
+
+    def eigenvectors(self, rows=slice(None)):
+        """Dense eigenvector values phi_j(x), modes along the last axis, at
+        the vertices `rows` (an index, index array, slice or mask; every
+        vertex by default), formed from the blocks as P y."""
+        at = np.arange(self.mesh.n_vertices)[rows]
+        parts = list(self._parts())
+        out = np.hstack([P[at.ravel()] @ y for P, y, _ in parts])
+        order = np.argsort(np.concatenate([cols for _, _, cols in parts]))
+        return np.take(out, order, axis=1).reshape(at.shape + (self.n_modes,))
 
     def value(self, g, xi, yi):
         """sum_j g_j phi_j(x) phi_j(y) at vertex pairs; index arrays pair elementwise."""
-        # one dot per pair: a pair's value does not depend on the pairs read with it
-        return ((self.eigenvectors[xi] * self.eigenvectors[yi])[..., None, :] @ g)[..., 0]
+        # one dot per pair and block: a pair's value does not depend on the
+        # pairs read with it
+        xi, yi = np.broadcast_arrays(xi, yi)
+        return sum((((P[xi.ravel()] @ y) * (P[yi.ravel()] @ y))[:, None, :] @ g[cols])[:, 0]
+                   for P, y, cols in self._parts()).reshape(xi.shape)[()]
 
     def row(self, g, xi):
         """sum_j g_j phi_j(x) phi_j(.) against every mesh vertex."""
-        return self.eigenvectors @ (g * self.eigenvectors[xi])
+        return self.matrix(g, xi)
 
     def matrix(self, g, rows=slice(None), cols=slice(None)):
-        """sum_j g_j phi_j(x) phi_j(y) on the block rows x cols, V_m x V_m by default."""
-        return (self.eigenvectors[rows] * g) @ self.eigenvectors[cols].T
+        """sum_j g_j phi_j(x) phi_j(y) on the block rows x cols, V_m x V_m by
+        default; rows may be a single vertex, cols is an index set, slice or
+        mask."""
+        # block by block, 64 rows x at a time: g phi(x) goes through y back
+        # to the block's basis, and P reads it at cols, about k m products per
+        # row and block rather than one per mode and entry; the scratch is
+        # that of 64 rows
+        at = np.arange(self.mesh.n_vertices)[rows]
+        parts = [(P[cols], P, y, c) for P, y, c in self._parts()]
+        out = np.empty((at.size, parts[0][0].shape[0]))
+        for i in range(0, at.size, 64):
+            x = at.ravel()[i:i + 64]
+            terms = (Pc @ (y @ (g[c] * (P[x] @ y)).T) for Pc, P, y, c in parts)
+            block = next(terms)
+            for term in terms:
+                block += term
+            out[i:i + 64] = block.T
+        return out.reshape(at.shape + out.shape[1:])
 
     def apply(self, g, coeffs):
         """sum_j g_j phi_j (phi_j . c) for point-mass coefficients c, of shape
         (n,) or (n, R) with one coefficient vector per column."""
-        return self.eigenvectors @ (g * (self.eigenvectors.T @ coeffs).T).T
+        return sum(P @ (y @ (g[cols] * (y.T @ (P.T @ coeffs)).T).T)
+                   for P, y, cols in self._parts())
 
     def sup_norm(self):
-        """max_j max_x |phi_j(x)|."""
-        return float(np.max(np.abs(self.eigenvectors)))
+        """max_j max_x |phi_j(x)|, over 256 vertex rows at a time."""
+        return float(max(np.max(np.abs(P[i:i + 256] @ y), initial=0.0)
+                         for P, y, _ in self._parts()
+                         for i in range(0, self.mesh.n_vertices, 256)))
 
     def project(self, h, k):
         """Mass projection sum_j phi_j <phi_j, h>_mu of h onto the k-th
@@ -133,8 +183,8 @@ class Spectrum:
         lo = 0
         for _ in range(k - 1):
             lo = self.truncation(lo + 1)
-        phi = self.eigenvectors[:, lo:self.truncation(lo + 1)]
-        proj = phi @ (phi.T @ (self.mesh.mu_weights * h))
+        space = self._modes(lo, self.truncation(lo + 1))
+        proj = space.apply(np.ones(space.n_modes), self.mesh.mu_weights * h)
         if np.max(np.abs(proj)) <= 1e-8 * np.max(np.abs(h)):
             raise InvariantError(f"the function has no component in eigenspace {k}")
         return proj
@@ -149,18 +199,23 @@ def assemble_form(mesh, bc):
 
     Off-diagonal stiffness entries are -(5/3)^m per shared cell; diagonals
     make rows sum to zero.  Mass weights are incidence * 3^-m / 3.
-    Raises CapacityError, before allocating, when the dense solve would not
+    Raises CapacityError, before allocating, when the block solve would not
     fit in physical memory, and DomainError for a Dirichlet form without
     rows (level 0, where V_0 is the whole mesh).
     """
     check_bc(bc)
     n = mesh.n_vertices
-    need, limit = _DENSE_ARRAYS * 8 * n * n, _physical_memory()
+    # n^2/2 float64 (4 n^2 bytes) live at the peak of assemble + solve: the
+    # stored block eigenvectors, about n^2/6 (blocks of n/6, n/6 and n/3
+    # rows), and the E block's eigensolve, which holds its n/3 x n/3 matrix
+    # and a divide-and-conquer workspace of twice that, 3 (n/3)^2 = n^2/3
+    need, limit = 4 * n * n, _physical_memory()
     if need > limit:
         raise CapacityError(
-            f"level {mesh.level}: the dense spectrum of n = {n} vertices needs "
-            f"about {need / 1e9:.2f} GB ({_DENSE_ARRAYS} n x n float64 arrays), "
-            f"more than the {limit / 1e9:.2f} GB of physical memory")
+            f"level {mesh.level}: the block spectrum of n = {n} vertices needs "
+            f"about {need / 1e9:.2f} GB (n^2/2 float64: the D3 block eigenvectors "
+            f"and the E block's eigensolve), more than the {limit / 1e9:.2f} GB "
+            "of physical memory")
     index = np.arange(n)
     if bc == DIRICHLET:
         index = np.setdiff1d(index, mesh.boundary)
@@ -201,27 +256,43 @@ _E1 = np.array([0.0, 1, -1, 0, 1, -1])
 
 
 def _block_basis(orbits, weights, patterns):
-    """Sparse basis M^-1/2 Q of one isotypic block, Q with orthonormal columns.
+    """Sparse basis M^-1/2 Q of one isotypic block on V_m, built in CSR
+    order; Q has orthonormal columns.
 
     Column (p, o) of Q is patterns[p] on orbit o, normalized: c(g) at
     orbits[g, o], summed where a 3-vertex orbit lists a vertex twice.
     Columns that sum to zero are dropped, so A2 and E1 live on the 6-vertex
-    orbits only (sigma_2 fixes the representative of a 3-vertex orbit).
+    orbits only (sigma_2 fixes the representative of a 3-vertex orbit).  A
+    vertex whose pattern value is zero in a kept column keeps it as an
+    explicit zero, so every vertex of an orbit stores the same columns.
     """
-    k = len(weights)
+    n, width = len(weights), len(patterns) * orbits.shape[1]
     rows = np.tile(orbits.T.ravel(), len(patterns))
     vals = np.tile(np.stack(patterns), (1, orbits.shape[1])).ravel()
-    key, at = np.unique(np.arange(len(rows)) // len(orbits) * k + rows,
+    key, at = np.unique(rows * width + np.arange(len(rows)) // len(orbits),
                         return_inverse=True)
     vals = np.bincount(at, weights=vals)
-    keep = vals != 0
-    cols, rows = np.divmod(key[keep], k)
-    vals = vals[keep]
-    norm = np.sqrt(np.bincount(cols, weights=vals * vals))
-    vals /= norm[cols] * np.sqrt(weights[rows])
-    counts = np.bincount(cols)
-    indptr = np.concatenate([[0], np.cumsum(counts[counts > 0])])
-    return scipy.sparse.csc_array((vals, rows, indptr), shape=(k, len(indptr) - 1))
+    rows, cols = np.divmod(key, width)
+    square = np.bincount(cols, weights=vals * vals, minlength=width)
+    keep = square[cols] > 0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    vals /= np.sqrt(square)[cols] * np.sqrt(weights[rows])
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    return scipy.sparse.csr_array((vals, (np.cumsum(square > 0) - 1)[cols], indptr),
+                                  shape=(n, np.count_nonzero(square)))
+
+
+def _rotation_partner(P, rho):
+    """The basis (P[rho^2] - P[rho]) / sqrt 3 of the rotation partners of
+    the vectors P y, from P's own index arrays: rho permutes each orbit,
+    whose vertices store the same columns."""
+    counts = np.diff(P.indptr)
+    offset = np.arange(P.nnz) - np.repeat(P.indptr[:-1], counts)
+    turned, once = (P.data[np.repeat(P.indptr[perm], counts) + offset]
+                    for perm in (rho[rho], rho))
+    # times 1 / sqrt 3, as a sparse array divides by a scalar
+    vals = (turned - once) * (1.0 / np.sqrt(3.0))
+    return scipy.sparse.csr_array((vals, P.indices, P.indptr), shape=P.shape)
 
 
 def _column_chunks(y):
@@ -229,6 +300,30 @@ def _column_chunks(y):
     one empty chunk): products with y are taken a chunk at a time, so their
     scratch stays small and is reused."""
     return [slice(j, j + 32) for j in range(0, max(y.shape[1], 1), 32)]
+
+
+def _solve_block(form, P):
+    """Ascending eigenvalues, as edge energies, and C-contiguous block
+    eigenvectors y of the block P^T A P, for a basis P on V_m."""
+    # P has no entry off the form's rows, so its rows there share its arrays
+    P = scipy.sparse.csr_array((P.data, P.indices, np.append(P.indptr[form.index], P.nnz)),
+                               shape=(len(form.index), P.shape[1]))
+    # the block P^T A P is (5/3)^m G^T G for the edge differences G of the
+    # basis; its eigenvectors are those of G^T G
+    G = form.difference @ P
+    B = (G.T @ G).toarray(order="F")
+    try:
+        lam, y = scipy.linalg.eigh(B, driver="evd", overwrite_a=True)
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NumericError(f"eigensolver failed: {exc}") from exc
+    del B
+    # eigh leaves each eigenvalue off by about eps lambda_max; the edge
+    # energy of phi = P y, a sum of squares, gives it to a few eps relative
+    # (the mode's error enters only quadratically)
+    lam = (5.0 / 3.0) ** form.level * np.concatenate(
+        [np.einsum("ij,ij->j", g, g) for g in (G @ y[:, c] for c in _column_chunks(y))])
+    order = np.argsort(lam, kind="stable")
+    return lam[order], np.ascontiguousarray(y[:, order])
 
 
 def solve_spectrum(form):
@@ -241,47 +336,32 @@ def solve_spectrum(form):
     (`_block_basis`), and the eigenpairs of (A, M) in it are those of the
     dense block P^T A P: an A1 block (rho-invariant, sigma_2-even), an A2
     block (rho-invariant, sigma_2-odd) and the sigma_2-even half of E.  The
-    blocks are solved by divide and conquer; a block eigenvector y gives
-    the eigenvector phi = P y, and its eigenvalue is the edge energy
-    (5/3)^m |difference phi|^2.  Each E eigenvector phi has the sigma_2-odd
-    partner (phi o rho^2 - phi o rho)/sqrt 3 with the same eigenvalue,
-    stored in the column after phi.  Every eigenvector lies in one isotypic
-    component, is exactly sigma_2-even or sigma_2-odd (A1 and A2 vectors
-    exactly rho-invariant too) and is mass-orthonormal; across blocks the
-    order inside a multiplet follows eigenvalue roundoff.
+    blocks are solved by divide and conquer, the largest, E, first; a block
+    eigenvector y gives the eigenvector phi = P y, and its eigenvalue is the
+    edge energy (5/3)^m |difference phi|^2.  Each E eigenvector phi has the
+    sigma_2-odd partner (phi o rho^2 - phi o rho)/sqrt 3 with the same
+    eigenvalue, in the column after phi.  Every eigenvector lies in one
+    isotypic component, is exactly sigma_2-even or sigma_2-odd (A1 and A2
+    vectors exactly rho-invariant too) and is mass-orthonormal; across
+    blocks the order inside a multiplet follows eigenvalue roundoff.  The
+    Spectrum keeps each block's pair (P, y), P on the full vertex set.
     """
-    index = form.index
-    orbits = geometry.symmetry_orbits(form.mesh)
-    # the Dirichlet rows are a union of orbits (V_0 is one); map them to rows
-    orbits = np.searchsorted(index, orbits[:, np.isin(orbits[0], index)])
-    bases = [_block_basis(orbits, form.weights, c) for c in ([_A1], [_A2], [_E0, _E1])]
-    pref = (5.0 / 3.0) ** form.level
-    solved = []
-    for P in bases:
-        # the block P^T A P is (5/3)^m G^T G for the edge differences G of
-        # the basis; its eigenvectors are those of G^T G
-        G = form.difference @ P
-        B = (G.T @ G).toarray(order="F")
-        try:
-            lam, y = scipy.linalg.eigh(B, driver="evd", overwrite_a=True)
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericError(f"eigensolver failed: {exc}") from exc
-        # eigh leaves each eigenvalue off by about eps lambda_max; the edge
-        # energy of phi = P y, a sum of squares, gives it to a few eps
-        # relative (the mode's error enters only quadratically)
-        lam = pref * np.concatenate([np.einsum("ij,ij->j", g, g) for g in
-                                     (G @ y[:, c] for c in _column_chunks(y))])
-        solved.append((lam, y))
-    (lam_a1, y_a1), (lam_a2, y_a2), (lam_e, y_e) = solved
-
+    mesh = form.mesh
+    orbits = geometry.symmetry_orbits(mesh)
+    # the Dirichlet rows are a union of orbits (V_0 is one), so P has no
+    # entry on V_0
+    orbits = orbits[:, np.isin(orbits[0], form.index)]
+    bases = [_block_basis(orbits, mesh.mu_weights, c) for c in ([_E0, _E1], [_A1], [_A2])]
+    (lam_e, y_e), (lam_a1, y_a1), (lam_a2, y_a2) = [_solve_block(form, P) for P in bases]
     if form.bc == NEUMANN:
         # drop the constant mode, the first of the A1 block; it must sit at
         # numerical zero
         if not abs(lam_a1[0]) <= 1e-8 * max(lam_a1[-1], lam_e[-1], 1.0):
             raise NumericError(f"Neumann kernel mode not found: lambda0={lam_a1[0]}")
-        lam_a1, y_a1 = lam_a1[1:], y_a1[:, 1:]
+        lam_a1, y_a1 = lam_a1[1:], np.ascontiguousarray(y_a1[:, 1:])
     # np.repeat keeps each E pair adjacent, sigma_2-even member first,
-    # under the stable sort even where eigenvalues tie
+    # under the stable sort even where eigenvalues tie; each block is
+    # ascending, so its columns are too
     lam = np.concatenate([lam_a1, lam_a2, np.repeat(lam_e, 2)])
     order = np.argsort(lam, kind="stable")
     col = np.empty(len(lam), dtype=int)
@@ -291,16 +371,11 @@ def solve_spectrum(form):
         raise NumericError(f"nonpositive leading eigenvalue {lam[0]}")
     col_a1, col_a2, col_e = np.split(col, [len(lam_a1), len(lam_a1) + len(lam_a2)])
 
-    # phi o rho = P[rho] y, so the partner of phi = P y is partner @ y
-    rho = np.searchsorted(index, geometry.rotation_permutation(form.mesh)[index])
-    p_a1, p_a2, p_e = bases
-    partner = (p_e[rho[rho]] - p_e[rho]) / np.sqrt(3.0)
-    full = np.zeros((form.mesh.n_vertices, len(lam)))
-    for P, y, cols in ((p_a1, y_a1, col_a1), (p_a2, y_a2, col_a2),
-                       (p_e, y_e, col_e[0::2]), (partner, y_e, col_e[1::2])):
-        for c in _column_chunks(y):
-            full[np.ix_(index, cols[c])] = P @ y[:, c]
-    return Spectrum(form.bc, lam, full, form.mesh)
+    p_e, p_a1, p_a2 = bases
+    partner = _rotation_partner(p_e, geometry.rotation_permutation(mesh))
+    blocks = ((y_a1, col_a1, (p_a1,)), (y_a2, col_a2, (p_a2,)),
+              (y_e, col_e[0::2], (p_e, partner)))
+    return Spectrum(form.bc, lam, blocks, mesh)
 
 
 @functools.lru_cache(maxsize=8)

@@ -132,9 +132,9 @@ def test_spectrum_bytes_match_reference(tmp_path, bc):
     # the eigenvector matrix has no header: one row per vertex
     vectors = (tmp_path / "s_eigenvectors.csv").read_bytes()
     assert vectors == _reference_csv(
-        None, ([repr(float(v)) for v in row] for row in spec.eigenvectors))
+        None, ([repr(float(v)) for v in row] for row in spec.eigenvectors()))
     assert np.array_equal(np.loadtxt(io.BytesIO(vectors), delimiter=",", ndmin=2),
-                          spec.eigenvectors)
+                          spec.eigenvectors())
 
 
 @pytest.mark.parametrize("argv,csv_names,headers", [

@@ -264,7 +264,7 @@ def test_quadrature_linear_exact(mesh6):
 
 
 def test_quadrature_first_eigenfunction(mesh6, spec_n):
-    val = geometry.quadrature(spec_n.eigenvectors[:, 0], mesh6)
+    val = geometry.quadrature(spec_n.eigenvectors()[:, 0], mesh6)
     assert abs(val) <= 1e-8
 
 

@@ -1,11 +1,13 @@
 """Signature guards: the Spectrum passed in is the only truncation, a
 spectrum or kernel evaluator already carries its mesh and boundary
-condition, only the Spectrum reads its eigenvector matrix, and one noise
+condition, only the Spectrum forms dense eigenvector rows, and one noise
 builder turns every LePage draw into point masses on the mesh."""
 
 import ast
 import inspect
 from pathlib import Path
+
+import numpy as np
 
 from gasketfields import fields, riesz, spectral
 
@@ -14,8 +16,8 @@ MODULES = (spectral, riesz, fields)
 TRUNCATION_SETTERS = {"spectral.build_spectrum", "spectral.Spectrum.truncated",
                       "spectral.Spectrum.truncation"}
 CARRIERS = {"spectrum", "spec", "ev", "evaluator"}
-# (module, function) of the one eigenvector read outside spectral.py: the
-# eigenvector CSV export
+# (module, function) of the one dense eigenvector read outside spectral.py:
+# the eigenvector CSV export
 EIGENVECTOR_READERS = {("cli", "_cmd_spectrum")}
 
 
@@ -76,10 +78,13 @@ def _sites(matches, skip=()):
 
 def test_only_the_spectrum_reads_its_eigenvectors():
     # every spectral sum is a Spectrum method; the CSV export is the one
-    # reader of the dense eigenvector matrix outside spectral.py
+    # reader of dense eigenvector rows outside spectral.py, and the block
+    # storage is read nowhere else
     reads = _sites(lambda node: isinstance(node, ast.Attribute)
                    and node.attr == "eigenvectors", skip=("spectral",))
     assert reads == EIGENVECTOR_READERS
+    assert _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "blocks",
+                  skip=("spectral",)) == set()
 
 
 def _calls(name):
@@ -105,7 +110,9 @@ def test_kernel_evaluator_holds_no_eigenvectors():
     spec = spectral.build_spectrum(2, spectral.NEUMANN)
     ev = riesz.KernelEvaluator(spec, 0.9)
     assert not hasattr(ev, "phi")
-    assert not any(v is spec.eigenvectors for v in vars(ev).values())
+    # its arrays hold one value per mode at most, never n x m eigenvector values
+    arrays = [v for v in vars(ev).values() if isinstance(v, np.ndarray)]
+    assert arrays and all(a.size < spec.mesh.n_vertices * spec.n_modes for a in arrays)
     tree = ast.parse(inspect.getsource(riesz.KernelEvaluator))
     assert not [node for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "phi"]

@@ -36,9 +36,10 @@ def test_mass_weights_sum_to_one(m):
 
 
 def test_dense_spectrum_capacity_error(monkeypatch):
-    # the estimate is two n x n float64 arrays; the limit is the memory probe
+    # the estimate is n^2/2 float64: the stored blocks, about n^2/6, and the
+    # E block's eigensolve, 3 (n/3)^2; the limit is the memory probe
     mesh = geometry.build_mesh(4)
-    need = 2 * 8 * mesh.n_vertices ** 2
+    need = 4 * mesh.n_vertices ** 2
     monkeypatch.setattr(spectral, "_physical_memory", lambda: need)
     spectral.assemble_form(mesh, "neumann")
     monkeypatch.setattr(spectral, "_physical_memory", lambda: need - 1)
@@ -51,15 +52,16 @@ def test_dense_spectrum_capacity_error(monkeypatch):
 
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
 def test_assemble_and_solve_peak_memory(mesh6, bc):
-    # the stiffness is sparse and the output eigenvectors are the only n x n
-    # array: the traced peak stays within two n x n float64 arrays
+    # the stiffness is sparse and no n x n array is formed: the peak is the
+    # E block's eigensolve, 4 (n/3)^2 float64, which the A1 and A2 solves
+    # and the stored blocks (about n^2/6) stay below
     tracemalloc.start()
     try:
         spectral.solve_spectrum(spectral.assemble_form(mesh6, bc))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.0 * 8 * mesh6.n_vertices ** 2
+    assert peak <= 0.5 * 8 * mesh6.n_vertices ** 2
 
 
 def _loop_stiffness(mesh, bc):
@@ -136,14 +138,15 @@ def test_spectrum_invariants(spec_n):
     # mass orthonormality
     k = 80
     w = spec_n.mesh.mu_weights
-    gram = spec_n.eigenvectors[:, :k].T @ (w[:, None] * spec_n.eigenvectors[:, :k])
+    phi = spec_n.eigenvectors()[:, :k]
+    gram = phi.T @ (w[:, None] * phi)
     assert np.max(np.abs(gram - np.eye(k))) <= 1e-9
     # orthogonal to constants
-    assert np.max(np.abs(w @ spec_n.eigenvectors[:, :k])) <= 1e-9
+    assert np.max(np.abs(w @ phi)) <= 1e-9
 
 
 def test_dirichlet_vectors_vanish_on_boundary(mesh6, spec_d):
-    assert np.all(spec_d.eigenvectors[mesh6.boundary, :] == 0.0)
+    assert np.all(spec_d.eigenvectors(mesh6.boundary) == 0.0)
 
 
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
@@ -185,7 +188,7 @@ def test_truncated_slices_the_full_spectrum(bc):
         j = full.truncation(j_max)
         assert cut.n_modes == j < full.n_modes
         assert np.array_equal(cut.eigenvalues, full.eigenvalues[:j])
-        assert np.array_equal(cut.eigenvectors, full.eigenvectors[:, :j])
+        assert np.array_equal(cut.eigenvectors(), full.eigenvectors()[:, :j])
         assert cut.mesh is full.mesh
         assert (cut.bc, cut.mesh.level) == (bc, 6)
 
@@ -286,9 +289,65 @@ def _unblocked_spectrum(form):
     vecs = U * d[:, None]
     if form.bc == "neumann":
         lam, vecs = lam[1:], vecs[:, 1:]
-    full = np.zeros((form.mesh.n_vertices, len(lam)))
+    n = form.mesh.n_vertices
+    full = np.zeros((n, len(lam)))
     full[form.index] = vecs
-    return spectral.Spectrum(form.bc, lam, full, form.mesh)
+    # one block whose basis is the identity: y is the dense matrix itself
+    block = (full, np.arange(len(lam)), (scipy.sparse.eye_array(n, format="csr"),))
+    return spectral.Spectrum(form.bc, lam, (block,), form.mesh)
+
+
+def _dense_eigenvectors(spec):
+    """Reference: the n x m eigenvector matrix, each mode family's dense
+    basis times its block eigenvectors."""
+    phi = np.full((spec.mesh.n_vertices, spec.n_modes), np.nan)
+    for y, cols, bases in spec.blocks:
+        for t, P in enumerate(bases):
+            phi[:, cols + t] = P.toarray() @ y
+    return phi
+
+
+@pytest.mark.parametrize("m", [5, 6])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_block_sums_match_dense_reference(m, bc):
+    # every Spectrum sum, full and truncated, against the same sum over the
+    # dense eigenvector matrix, to 1e-12 max|.| (a bound set before any run)
+    full = spectral.build_spectrum(m, bc)
+    n, w = full.mesh.n_vertices, full.mesh.mu_weights
+    rng = np.random.default_rng(15)
+
+    def close(got, ref):
+        return got.shape == ref.shape and np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    for spec in (full, full.truncated(200)):
+        phi, g = _dense_eigenvectors(spec), spec.eigenvalues ** -0.7
+        assert not np.isnan(phi).any() and close(spec.eigenvectors(), phi)
+        xi, yi = rng.integers(n, size=(2, 60))
+        assert close(spec.value(g, xi, yi), np.einsum("ij,ij,j->i", phi[xi], phi[yi], g))
+        x = int(rng.integers(n))
+        assert close(spec.row(g, x), phi @ (g * phi[x]))
+        rows, mask = rng.choice(n, 40, replace=False), rng.random(n) < 0.3
+        assert close(spec.matrix(g, rows, mask), (phi[rows] * g) @ phi[mask].T)
+        assert close(spec.matrix(g), (phi * g) @ phi.T)
+        c = rng.standard_normal((n, 3))
+        assert close(spec.apply(g, c), phi @ (g[:, None] * (phi.T @ c)))
+        assert close(spec.apply(g, c[:, 0]), phi @ (g * (phi.T @ c[:, 0])))
+        assert close(np.array(spec.sup_norm()), np.max(np.abs(phi)))
+        h, lo = rng.standard_normal(n), 0
+        for k in (1, 2, 3):
+            hi = spec.truncation(lo + 1)
+            band = phi[:, lo:hi]
+            assert close(spec.project(h, k), band @ (band.T @ (w * h)))
+            lo = hi
+
+
+def test_spectrum_stores_blocks_not_the_dense_matrix(spec_n_full):
+    # the block eigenvectors hold about n^2/6 values; no array of the
+    # spectrum has one entry per (vertex, mode)
+    n, m = spec_n_full.mesh.n_vertices, spec_n_full.n_modes
+    ys = [y for y, _, _ in spec_n_full.blocks]
+    assert sum(y.size for y in ys) <= n * n / 5
+    assert all(y.flags.c_contiguous and y.size < n * m for y in ys)
 
 
 @pytest.mark.parametrize("bc,exact", [("neumann", [3, 3, 6, 6, 6]),
@@ -331,7 +390,7 @@ def test_eigenvalues_are_edge_energies(mesh6, bc):
     # the edges as squares (no cancellation), to roundoff relative to itself
     spec = spectral.build_spectrum(6, bc)
     u, v = mesh6.edges.T
-    phi = spec.eigenvectors
+    phi = spec.eigenvectors()
     energy = (5.0 / 3.0) ** 6 * np.einsum("ij,ij->j", phi[u] - phi[v], phi[u] - phi[v])
     assert np.max(np.abs(energy - spec.eigenvalues) / spec.eigenvalues) <= 1e-13
 
@@ -339,7 +398,7 @@ def test_eigenvalues_are_edge_energies(mesh6, bc):
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
 def test_eigenvectors_reflection_parity_and_mass_orthonormal(mesh6, bc):
     spec = spectral.build_spectrum(6, bc)
-    phi = spec.eigenvectors
+    phi = spec.eigenvectors()
     assert phi.flags.c_contiguous and phi.shape == (mesh6.n_vertices, spec.n_modes)
     flipped = phi[geometry.reflection_permutation(mesh6, 2)]
     even = np.all(flipped == phi, axis=0)
@@ -358,7 +417,7 @@ def test_eigenvectors_lie_in_one_isotypic_component(m, bc):
     # by its partner (phi o rho^2 - phi o rho) / sqrt 3 at the same eigenvalue
     mesh = geometry.build_mesh(m)
     spec = spectral.solve_spectrum(spectral.assemble_form(mesh, bc))
-    phi, lam = spec.eigenvectors, spec.eigenvalues
+    phi, lam = spec.eigenvectors(), spec.eigenvalues
     rho = geometry.rotation_permutation(mesh)
     sigma = geometry.reflection_permutation(mesh, 2)
     top = np.max(np.abs(phi), axis=0)
