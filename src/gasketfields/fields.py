@@ -78,7 +78,7 @@ def simulate_field(s, alpha, spectrum, seeds, n_terms):
 
     For alpha < 2 a realization is
         D_alpha sum_n T_n^(-1/alpha) G_s(x, xi_n) g_n
-    over the LePage draw `make_draw(seed, n_terms, alpha)`; for alpha = 2
+    over the LePage draw `make_draw(seed, n_terms)`; for alpha = 2
     it is the kernel applied to discrete white noise from the seed, and
     n_terms is unused.  Orders at or below the integrability threshold are
     rejected; orders in (threshold, d_h/d_w] are permitted but tagged as

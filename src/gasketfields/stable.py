@@ -7,9 +7,12 @@ exp(-|u|^alpha); alpha = 2 is Gaussian with variance 2, alpha = 1 Cauchy.
 A LePage draw freezes the three independent ingredient sequences
 (Poisson arrival times T_n, measure-distributed sites xi_n, Gaussian
 weights g_n) behind one master seed with split sub-streams, so every
-stochastic integral evaluated on the same draw shares its noise.
+stochastic integral evaluated on the same draw shares its noise.  None
+of the three depends on alpha, so one draw serves every alpha: only the
+weights D_alpha T_n^(-1/alpha) g_n, formed by `point_masses`, do.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,48 +89,68 @@ def arrival_tail_sum(alpha, n_terms):
 
 @dataclass(frozen=True)
 class LePageDraw:
-    """Frozen LePage ingredients shared across all evaluation points.
+    """Frozen LePage ingredients shared across all evaluation points and
+    every alpha: none of them depends on alpha, only the weights formed
+    from them by `point_masses` do.
 
     Sites are kept as integer measure words (`geometry.draw_sites`):
     `words[n]` carries the digits d_0..d_MAX_LEVEL of site xi_n, enough to
     place it on any mesh level (see `GasketMesh.site_vertices`).
     """
-    alpha: float
     n_terms: int
     arrivals: np.ndarray
     words: np.ndarray
     gaussians: np.ndarray
-    d_alpha: float
-    tail_estimate: float
 
 
-def make_draw(seed, n_terms, alpha):
+def make_draw(seed, n_terms):
     """Draw the frozen triple (T, xi, g) from one master seed, an integer or
     a `np.random.SeedSequence`.
 
     The three sequences come from split, non-overlapping sub-streams so
-    each is independently reproducible.  Also records D_alpha and the
-    truncation tail estimate `arrival_tail_sum(alpha, n_terms)`.
+    each is independently reproducible.
     """
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
-    if not 0.0 < alpha < 2.0:
-        raise DomainError(f"LePage representation requires alpha in (0, 2), got {alpha}")
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     s_t, s_xi, s_g = seed.spawn(3)
     arrivals = np.random.default_rng(s_t).exponential(1.0, n_terms).cumsum()
     words = geometry.draw_sites(np.random.default_rng(s_xi), n_terms)
     gaussians = np.random.default_rng(s_g).standard_normal(n_terms)
-    return LePageDraw(alpha, n_terms, arrivals, words, gaussians,
-                      d_alpha(alpha), arrival_tail_sum(alpha, n_terms))
+    return LePageDraw(n_terms, arrivals, words, gaussians)
+
+
+def _lepage_alphas(alpha, n_terms):
+    """The alphas of a LePage call, a float or a sequence, as a tuple of
+    floats, once n_terms >= 1 and every alpha in (0, 2) are checked."""
+    if n_terms < 1:
+        raise DomainError("n_terms must be >= 1")
+    alphas = np.asarray(alpha, dtype=float)
+    if alphas.ndim > 1:
+        raise ContractError(f"alpha must be a float or a sequence, got shape {alphas.shape}")
+    alphas = tuple(alphas.reshape(-1).tolist())
+    for a in alphas:
+        if not 0.0 < a < 2.0:
+            raise DomainError(f"LePage representation requires alpha in (0, 2), got {a}")
+    return alphas
+
+
+@functools.lru_cache(maxsize=32)
+def _series_constants(alpha, n_terms):
+    """D_alpha and the per-term surrogate variance tau / N of one alpha."""
+    return d_alpha(alpha), arrival_tail_sum(alpha, n_terms) / n_terms
 
 
 def point_masses(seed, n_terms, alpha, mesh, tail_compensation=False):
-    """The LePage draw `make_draw(seed, n_terms, alpha)` as point masses on
-    the mesh vertices: each site xi_n is placed on its nearest vertex
+    """The LePage draw `make_draw(seed, n_terms)` as point masses on the
+    mesh vertices: each site xi_n is placed on its nearest vertex
     (`GasketMesh.site_vertices`) with weight D_alpha w_n g_n, summed per
     vertex, so the series integral of vertex values f is `masses @ f`.
+
+    `alpha` is a float, giving shape (n_vertices,), or a sequence, giving
+    one row per alpha, all from the one draw: its sites are placed once and
+    each alpha has its own weights and its own per-vertex sum.
 
     The raw series has w_n = T_n^(-1/alpha).  `tail_compensation` adds the
     Gaussian surrogate of the discarded small jumps, which matters for
@@ -137,14 +160,19 @@ def point_masses(seed, n_terms, alpha, mesh, tail_compensation=False):
     Gaussian with the series variance plus the surrogate's D^2 tau mean
     f(xi)^2.
     """
-    draw = make_draw(seed, n_terms, alpha)
-    if tail_compensation:
-        w = np.sqrt(draw.arrivals ** (-2.0 / alpha) + draw.tail_estimate / n_terms)
-    else:
-        w = draw.arrivals ** (-1.0 / alpha)
-    return np.bincount(mesh.site_vertices(draw.words),
-                       weights=draw.d_alpha * w * draw.gaussians,
-                       minlength=mesh.n_vertices)
+    alphas = _lepage_alphas(alpha, n_terms)
+    draw = make_draw(seed, n_terms)
+    sites = mesh.site_vertices(draw.words)
+    masses = np.empty((len(alphas), mesh.n_vertices))
+    for i, a in enumerate(alphas):
+        d_a, tail = _series_constants(a, n_terms)
+        if tail_compensation:
+            w = np.sqrt(draw.arrivals ** (-2.0 / a) + tail)
+        else:
+            w = draw.arrivals ** (-1.0 / a)
+        masses[i] = np.bincount(sites, weights=d_a * w * draw.gaussians,
+                                minlength=mesh.n_vertices)
+    return masses if np.ndim(alpha) else masses[0]
 
 
 def direct_replicates(values, mesh, alpha, n_replicates, seed):
@@ -166,19 +194,23 @@ def lepage_replicates(values, mesh, alpha, n_terms, n_replicates, seed,
 
     `values` holds one function per column, shape (n_vertices, k), and the
     result has shape (n_replicates, k); a 1-D `values` gives a 1-D result.
+    A sequence `alpha` adds a leading axis, one entry per alpha.
     Replicate k is the draw of `np.random.SeedSequence(seed, spawn_key=(k,))`,
-    the k-th spawned child of the seed, integrated against every column,
-    so the columns share their noise, the result is linear in `values` on
-    each draw, and replicate k does not depend on `n_replicates`.  The
-    weights w_n, with or without `tail_compensation`, are those of
-    `point_masses`.
+    the k-th spawned child of the seed, integrated against every column
+    and for every alpha, so the columns and the alphas share their noise,
+    the result is linear in `values` on each draw, and replicate k does not
+    depend on `n_replicates` or on the other alphas.  The weights w_n, with
+    or without `tail_compensation`, are those of `point_masses`.
     """
+    alphas = _lepage_alphas(alpha, n_terms)
     values = np.asarray(values, dtype=float)
     if values.ndim not in (1, 2) or len(values) != mesh.n_vertices:
         raise ContractError(f"values of shape {values.shape} are not (n_vertices, k) "
                             f"or (n_vertices,) with n_vertices = {mesh.n_vertices}")
-    out = np.empty((n_replicates,) + values.shape[1:])
+    out = np.empty((len(alphas), n_replicates) + values.shape[1:])
     for k in range(n_replicates):
-        out[k] = point_masses(np.random.SeedSequence(seed, spawn_key=(k,)), n_terms,
-                              alpha, mesh, tail_compensation) @ values
-    return out
+        masses = point_masses(np.random.SeedSequence(seed, spawn_key=(k,)), n_terms,
+                              alphas, mesh, tail_compensation)
+        for i, m in enumerate(masses):
+            out[i, k] = m @ values
+    return out if np.ndim(alpha) else out[0]

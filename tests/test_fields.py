@@ -17,14 +17,14 @@ def _batch(s, alpha, spec, seeds):
     return fields.simulate_field(s, alpha, spec, seeds, 10_000)
 
 
-def _draw_coefficients(draw, mesh):
+def _draw_coefficients(draw, alpha, mesh):
     """Point-mass coefficients of one LePage draw on the vertex set."""
-    c = draw.d_alpha * draw.arrivals ** (-1.0 / draw.alpha) * draw.gaussians
+    c = stable.d_alpha(alpha) * draw.arrivals ** (-1.0 / alpha) * draw.gaussians
     return np.bincount(mesh.site_vertices(draw.words), weights=c,
                        minlength=mesh.n_vertices)
 
 
-def _conditional_increment_scale(xi, yi, s, draw, spectrum):
+def _conditional_increment_scale(xi, yi, s, draw, alpha, spectrum):
     """Conditional Gaussian scale of an increment given frozen (T, xi):
 
     s_alpha(x,y)^2 = D^2 E(g^2) sum_n T_n^(-2/alpha) |G(x,xi_n)-G(y,xi_n)|^2.
@@ -32,8 +32,8 @@ def _conditional_increment_scale(xi, yi, s, draw, spectrum):
     ev = riesz.KernelEvaluator(spectrum, s)
     idx = spectrum.mesh.site_vertices(draw.words)
     diff = ev.row(xi)[idx] - ev.row(yi)[idx]
-    total = (draw.arrivals ** (-2.0 / draw.alpha) * diff * diff).sum()
-    return float(draw.d_alpha * np.sqrt(total))
+    total = (draw.arrivals ** (-2.0 / alpha) * diff * diff).sum()
+    return float(stable.d_alpha(alpha) * np.sqrt(total))
 
 
 def _per_seed_reference(s, alpha, spec, seeds, n_terms):
@@ -46,7 +46,7 @@ def _per_seed_reference(s, alpha, spec, seeds, n_terms):
             rng = np.random.default_rng(np.random.SeedSequence(seed))
             coeff = np.sqrt(2.0 * mesh.mu_weights) * rng.standard_normal(mesh.n_vertices)
         else:
-            coeff = _draw_coefficients(stable.make_draw(seed, n_terms, alpha), mesh)
+            coeff = _draw_coefficients(stable.make_draw(seed, n_terms), alpha, mesh)
         rows.append(ev.apply(coeff))
     return np.array(rows)
 
@@ -135,34 +135,34 @@ def test_alpha2_marginal_variance(spec_n):
 
 
 def test_conditional_increment_scale_zero_at_equal_points(spec_n):
-    draw = stable.make_draw(11, 2000, 1.5)
-    assert _conditional_increment_scale(5, 5, 0.9, draw, spec_n) == 0.0
+    draw = stable.make_draw(11, 2000)
+    assert _conditional_increment_scale(5, 5, 0.9, draw, 1.5, spec_n) == 0.0
 
 
 def test_conditional_increment_resampling(spec_n):
     # freeze (T, xi), resample g: increment std matches the formula
-    draw = stable.make_draw(42, 10_000, 1.5)
-    target = _conditional_increment_scale(100, 400, 0.9, draw, spec_n)
+    draw = stable.make_draw(42, 10_000)
+    target = _conditional_increment_scale(100, 400, 0.9, draw, 1.5, spec_n)
     ev = riesz.KernelEvaluator(spec_n, 0.9)
     rng = np.random.default_rng(25)
     reps = np.empty(400)
     for k in range(400):
         d2 = replace(draw, gaussians=rng.standard_normal(draw.n_terms))
-        f2 = ev.apply(_draw_coefficients(d2, spec_n.mesh))
+        f2 = ev.apply(_draw_coefficients(d2, 1.5, spec_n.mesh))
         reps[k] = f2[100] - f2[400]
     assert abs(reps.std() / target - 1.0) <= 0.15
 
 
 def test_conditional_increment_modulus_bounded(mesh6, spec_n):
     # s_alpha(x, y) / (d^eta max(|ln d|^beta, 1)) bounded over dyadic pairs
-    draw = stable.make_draw(7, 5000, 1.5)
+    draw = stable.make_draw(7, 5000)
     s = 0.9
     ratios = []
     for dist, pairs in riesz.dyadic_pair_bins(mesh6, np.random.default_rng(0),
                                               max_pairs_per_bin=30):
         mod = riesz.holder_modulus(dist, s)
         for a, b in pairs[:10]:
-            sc = _conditional_increment_scale(a, b, s, draw, spec_n)
+            sc = _conditional_increment_scale(a, b, s, draw, 1.5, spec_n)
             ratios.append(sc / mod)
     assert np.isfinite(ratios).all()
     assert max(ratios) <= 10.0 * np.median(ratios)
@@ -314,7 +314,7 @@ def test_spectral_band_additivity_on_shared_draw(mesh6, spec_n_full):
     low = fields.simulate_field(0.9, 1.5, low_spec, [13], 3000).values[0]
     full = fields.simulate_field(0.9, 1.5, full_spec, [13], 3000).values[0]
     # independent evaluation of the band j1+1..j2 contribution
-    coeff = _draw_coefficients(stable.make_draw(13, 3000, 1.5), mesh6)
+    coeff = _draw_coefficients(stable.make_draw(13, 3000), 1.5, mesh6)
     phi = spec_n_full.eigenvectors()[:, j1:j2]
     lam = spec_n_full.eigenvalues[j1:j2] ** -0.9
     band = phi @ (lam * (phi.T @ coeff))

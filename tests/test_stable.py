@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gasketfields
-from gasketfields import analysis, geometry, stable, verify
+from gasketfields import analysis, fields, geometry, spectral, stable, verify
 from gasketfields.errors import ContractError, DomainError, InvariantError
 
 
@@ -61,8 +61,8 @@ def test_d_alpha_domain():
 
 
 def test_make_draw_deterministic():
-    a = stable.make_draw(123, 500, 1.5)
-    b = stable.make_draw(123, 500, 1.5)
+    a = stable.make_draw(123, 500)
+    b = stable.make_draw(123, 500)
     assert np.array_equal(a.arrivals, b.arrivals)
     assert np.array_equal(a.words, b.words)
     assert a.words.dtype == np.int64
@@ -72,13 +72,13 @@ def test_make_draw_deterministic():
 
 def test_make_draw_streams_are_split():
     # changing n_terms must not change the leading arrivals
-    a = stable.make_draw(9, 100, 1.5)
-    b = stable.make_draw(9, 200, 1.5)
+    a = stable.make_draw(9, 100)
+    b = stable.make_draw(9, 200)
     assert np.array_equal(a.arrivals, b.arrivals[:100])
 
 
 def test_arrivals_strictly_increasing():
-    d = stable.make_draw(1, 1000, 1.2)
+    d = stable.make_draw(1, 1000)
     assert np.all(np.diff(d.arrivals) > 0)
     assert d.arrivals[0] > 0
     assert d.arrivals[4] > d.arrivals[3]
@@ -90,22 +90,30 @@ def test_arrival_times_match_gamma_mean():
     n, seeds = 10_000, 100
     tot = 0.0
     for seed in range(seeds):
-        d = stable.make_draw(seed, n, 1.5)
+        d = stable.make_draw(seed, n)
         tot += (d.arrivals - np.arange(1, n + 1)).mean()
     grand = tot / seeds
     assert abs(grand) <= 3 * np.sqrt(n / 3.0) / np.sqrt(seeds)
 
 
-def test_make_draw_rejects_alpha_two():
-    with pytest.raises(DomainError):
-        stable.make_draw(0, 10, 2.0)
+def test_lepage_builders_validate_before_drawing(monkeypatch, mesh6):
+    # the draw has no alpha; the builders that form its weights refuse
+    # alpha = 2, in any position of an alpha sequence, and n_terms < 1
+    # before drawing, even when zero replicates would draw nothing
+    ones = np.ones(mesh6.n_vertices)
+    monkeypatch.setattr(stable, "make_draw", None)
+    for alpha, n_terms in ((2.0, 0), (2.0, 10), (1.5, 0), ((0.7, 1.0, 1.5, 2.0), 10)):
+        with pytest.raises(DomainError):
+            stable.lepage_replicates(ones, mesh6, alpha, n_terms, 0, seed=0)
+        with pytest.raises(DomainError):
+            stable.point_masses(0, n_terms, alpha, mesh6)
 
 
 @pytest.mark.parametrize("n_terms", [0, -5])
 def test_lepage_replicates_rejects_no_terms(mesh6, n_terms):
     # as make_draw does: no term would give all-zero replicates
     with pytest.raises(DomainError):
-        stable.make_draw(0, n_terms, 1.5)
+        stable.make_draw(0, n_terms)
     with pytest.raises(DomainError):
         stable.lepage_replicates(np.ones(mesh6.n_vertices), mesh6, 1.5, n_terms,
                                  10, seed=0)
@@ -130,7 +138,7 @@ def _series_terms(values, mesh, alpha, n_terms, seeds):
     # each replicate's series ingredients, written out from its own draw
     # make_draw(seed): arrivals, f at the placed sites, gaussians
     for seed in seeds:
-        draw = stable.make_draw(seed, n_terms, alpha)
+        draw = stable.make_draw(seed, n_terms)
         yield draw.arrivals, values[mesh.site_vertices(draw.words)], draw.gaussians
 
 
@@ -185,6 +193,44 @@ def test_lepage_replicates_columns_share_one_draw(mesh6, tail_compensation):
     for j in range(3):
         one = stable.lepage_replicates(F[:, j], **kw)
         assert np.max(np.abs(batch[:, j] - one)) <= 1e-12 * np.max(np.abs(one))
+
+
+@pytest.mark.parametrize("tail_compensation", [False, True])
+@pytest.mark.parametrize("columns", [None, 3])
+def test_lepage_replicates_alphas_share_one_draw(mesh6, tail_compensation, columns):
+    # row i of a call over several alphas is the one-alpha call on the same
+    # seed, bit for bit, for 1-D and 2-D values
+    shape = (mesh6.n_vertices,) if columns is None else (mesh6.n_vertices, columns)
+    F = np.random.default_rng(10).standard_normal(shape)
+    alphas = (0.7, 1.0, 1.5, 1.9)
+    kw = dict(mesh=mesh6, n_terms=300, n_replicates=200, seed=18,
+              tail_compensation=tail_compensation)
+    batch = stable.lepage_replicates(F, alpha=alphas, **kw)
+    assert batch.shape == (len(alphas), 200) + shape[1:]
+    masses = stable.point_masses(3, 300, alphas, mesh6, tail_compensation)
+    assert masses.shape == (len(alphas), mesh6.n_vertices)
+    for i, alpha in enumerate(alphas):
+        assert np.array_equal(batch[i], stable.lepage_replicates(F, alpha=alpha, **kw))
+        assert np.array_equal(masses[i],
+                              stable.point_masses(3, 300, alpha, mesh6, tail_compensation))
+
+
+def test_lepage_vs_direct_draws_once_per_replicate(monkeypatch):
+    # the four alphas share each replicate's draw: n draws, not 4 n (n is
+    # the smallest sample two_sample accepts); the report names the shared
+    # draw seed in its params and each cell's direct-sample seed
+    calls = []
+    make_draw = stable.make_draw
+    monkeypatch.setattr(stable, "make_draw",
+                        lambda *args: calls.append(args) or make_draw(*args))
+    rep = verify.run_suite("lepage-vs-direct", n=500, n_terms=100, seed0=4)
+    assert len(rep["checks"]) == 12
+    assert len(calls) == 500
+    assert rep["params"]["seed0"] == 4
+    assert rep["params"]["alphas"] == [0.7, 1.0, 1.5, 1.9]
+    assert "SeedSequence(seed0, spawn_key=(k,))" in rep["params"]["lepage_draws"]
+    seeds = [c["direct_seed"] for c in rep["checks"]]
+    assert seeds == [4 + 1000 * ai + fi + 500_000 for ai in range(4) for fi in range(3)]
 
 
 def test_lepage_replicates_rejects_misshaped_values(mesh6):
@@ -277,20 +323,22 @@ def test_tail_compensation_needed_near_two(mesh6):
 
 
 def test_arrival_tail_sum_matches_emitted_estimate():
-    # the draw records the exact tail sum, which sits within 1e-3 of its
-    # asymptote N^(1-2/alpha)/(2/alpha - 1)
+    # a field's metadata records the exact tail sum, which sits within 1e-3
+    # of its asymptote N^(1-2/alpha)/(2/alpha - 1)
+    spec = spectral.build_spectrum(2, spectral.NEUMANN)
     for alpha in (1.2, 1.5, 1.9):
         exact = stable.arrival_tail_sum(alpha, 10_000)
         approx = 10_000 ** (1 - 2 / alpha) / (2 / alpha - 1)
         assert exact == pytest.approx(approx, rel=1e-3)
-        assert stable.make_draw(0, 10_000, alpha).tail_estimate == exact
+        meta = fields.simulate_field(1.5, alpha, spec, [0], 10_000).meta
+        assert meta["tail_estimate"] == exact
 
 
 def test_draw_sites_match_snapped_measure_points():
     # a draw's words come from its site sub-stream, and each word places its
     # site where snapping the measure point with the word's digits puts it
     for seed, level in ((0, 4), (1, 6), (2, 7)):
-        draw = stable.make_draw(seed, 20_000, 1.5)
+        draw = stable.make_draw(seed, 20_000)
         s_xi = np.random.SeedSequence(seed).spawn(2)[1]
         assert np.array_equal(
             draw.words, geometry.draw_sites(np.random.default_rng(s_xi), 20_000))
