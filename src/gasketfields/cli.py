@@ -209,18 +209,20 @@ def _cmd_kernel(cfg):
         blocks = [[f"{x},{y},{u!r},{v!r}"
                    for x, y, u, v in zip(a.tolist(), b.tolist(), d, g)]]
     else:
-        G = ev.matrix()
         # one repr per distinct distance: 2316 of them among 1.2 M pairs at L6
         dist_repr = _Reprs()
 
         def blocks_of_rows():
-            for a in range(n):
-                # elementwise, so the same values as hypot of each pair's difference
-                diff = V[a] - V
-                d = np.hypot(diff[:, 0], diff[:, 1]).tolist()
-                d = map(dist_repr.__getitem__, d)
-                yield [f"{a},{b},{x},{g!r}"
-                       for b, x, g in zip(range(n), d, G[a].tolist())]
+            # each 64-row kernel block is formatted as it is read: the n x n
+            # matrix is never held
+            for rows, G in ev.row_blocks():
+                for a, g_row in zip(rows.tolist(), G):
+                    # elementwise, so the same values as hypot of each pair's difference
+                    diff = V[a] - V
+                    d = np.hypot(diff[:, 0], diff[:, 1]).tolist()
+                    d = map(dist_repr.__getitem__, d)
+                    yield [f"{a},{b},{x},{g!r}"
+                           for b, x, g in zip(range(n), d, g_row.tolist())]
 
         blocks = blocks_of_rows()
     out = cfg["out"]

@@ -16,7 +16,7 @@ from scipy.special import gamma as gamma_fn
 
 from .constants import D_H, D_W
 from .errors import ContractError, DomainError
-from .geometry import reflection_permutation
+from .geometry import reflection_permutation, symmetry_orbits
 from .spectral import NEUMANN, heat_kernel
 
 
@@ -44,6 +44,10 @@ class KernelEvaluator:
     def row(self, xi):
         """G_s(x, .) against every mesh vertex."""
         return self.spectrum.row(self.lam_pow, xi)
+
+    def row_blocks(self, rows=slice(None), cols=slice(None)):
+        """Kernel block G_s(rows, cols) 64 rows at a time, as (x, G_s(x, cols))."""
+        return self.spectrum.row_blocks(self.lam_pow, rows, cols)
 
     def matrix(self, rows=slice(None), cols=slice(None)):
         """Kernel block G_s(rows, cols) over index sets, V_m x V_m by default."""
@@ -201,16 +205,22 @@ def kernel_holder_ratio(ev, rng, n_z=40):
 
 def reflection_defects(ev):
     """Max |G(sigma_i x, sigma_i y) - G(x, y)| over all vertex pairs for
-    i = 0, 1, 2, from one kernel matrix."""
-    G = ev.matrix()
-    defects = []
-    for i in range(3):
-        perm = reflection_permutation(ev.spectrum.mesh, i)
-        # in place, and freed before the next: two n x n arrays at once
-        D = G[np.ix_(perm, perm)]
-        D -= G
-        defects.append(float(max(D.max(), -D.min())))
-        del D
+    i = 0, 1, 2, read on row blocks of whole D3 orbits: such a block holds
+    the sigma_i images of its rows, so every entry is evaluated once."""
+    mesh = ev.spectrum.mesh
+    perms = [reflection_permutation(mesh, i) for i in range(3)]
+    orbits = symmetry_orbits(mesh)
+    # 10 orbits of at most 6 vertices a block, within the 64 rows of a read
+    local = np.empty(mesh.n_vertices, dtype=int)
+    defects = [0.0] * 3
+    for o in range(0, orbits.shape[1], 10):
+        rows = np.unique(orbits[:, o:o + 10])
+        local[rows] = np.arange(len(rows))
+        G = ev.matrix(rows)
+        for i, perm in enumerate(perms):
+            D = G[np.ix_(local[perm[rows]], perm)]
+            D -= G
+            defects[i] = max(defects[i], float(np.abs(D).max()))
     return defects
 
 

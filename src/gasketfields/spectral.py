@@ -74,8 +74,9 @@ class Spectrum:
     boundary, and the Neumann constant mode is excluded.
     `eigenvectors(rows)` forms dense rows on demand.  Every
     sum_j g_j phi_j(x) phi_j(y) over a weight g_j per mode (lambda_j^-s,
-    e^(-lambda_j t)) is `value` (at vertex pairs), `row`, `matrix` (on a
-    block of index sets) or `apply`, over all of the modes, block by block:
+    e^(-lambda_j t)) is `value` (at vertex pairs), `row`, `row_blocks` (64
+    rows of a block of index sets at a time), `matrix` (the whole block) or
+    `apply`, over all of the modes, block by block:
     the truncation of a kernel or a field is that of its Spectrum (see
     `truncated`).
     """
@@ -144,24 +145,34 @@ class Spectrum:
         """sum_j g_j phi_j(x) phi_j(.) against every mesh vertex."""
         return self.matrix(g, xi)
 
-    def matrix(self, g, rows=slice(None), cols=slice(None)):
-        """sum_j g_j phi_j(x) phi_j(y) on the block rows x cols, V_m x V_m by
-        default; rows may be a single vertex, cols is an index set, slice or
-        mask."""
-        # block by block, 64 rows x at a time: g phi(x) goes through y back
-        # to the block's basis, and P reads it at cols, about k m products per
-        # row and block rather than one per mode and entry; the scratch is
-        # that of 64 rows
-        at = np.arange(self.mesh.n_vertices)[rows]
+    def row_blocks(self, g, rows=slice(None), cols=slice(None)):
+        """sum_j g_j phi_j(x) phi_j(y) on rows x cols, 64 rows x at a time:
+        yields (x, block) with x the block's vertex indices, in the order of
+        rows (an index set, slice or mask; V_m by default), and block the
+        (len(x), cols) values; cols is an index set, slice or mask."""
+        # block by block: g phi(x) goes through y back to the block's basis,
+        # and P reads it at cols, about k m products per row and block rather
+        # than one per mode and entry; the scratch is that of 64 rows
+        at = np.arange(self.mesh.n_vertices)[rows].ravel()
         parts = [(P[cols], P, y, c) for P, y, c in self._parts()]
-        out = np.empty((at.size, parts[0][0].shape[0]))
         for i in range(0, at.size, 64):
-            x = at.ravel()[i:i + 64]
+            x = at[i:i + 64]
             terms = (Pc @ (y @ (g[c] * (P[x] @ y)).T) for Pc, P, y, c in parts)
             block = next(terms)
             for term in terms:
                 block += term
-            out[i:i + 64] = block.T
+            yield x, block.T
+
+    def matrix(self, g, rows=slice(None), cols=slice(None)):
+        """The `row_blocks` sum as one array on rows x cols, V_m x V_m by
+        default; rows may be a single vertex."""
+        ids = np.arange(self.mesh.n_vertices)
+        at = ids[rows]
+        out = np.empty((at.size, ids[cols].size))
+        i = 0
+        for x, block in self.row_blocks(g, at, cols):
+            out[i:i + len(x)] = block
+            i += len(x)
         return out.reshape(at.shape + out.shape[1:])
 
     def apply(self, g, coeffs):

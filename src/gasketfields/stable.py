@@ -112,7 +112,12 @@ def make_draw(seed, n_terms):
     """
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
-    if not isinstance(seed, np.random.SeedSequence):
+    if isinstance(seed, np.random.SeedSequence):
+        # spawn from a fresh copy: spawning advances the caller's object, and
+        # one seed must give one draw however often it is passed
+        seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
+                                      pool_size=seed.pool_size)
+    else:
         seed = np.random.SeedSequence(seed)
     s_t, s_xi, s_g = seed.spawn(3)
     arrivals = np.random.default_rng(s_t).exponential(1.0, n_terms).cumsum()

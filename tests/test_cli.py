@@ -31,19 +31,22 @@ def _reference_csv(header, rows):
 
 @pytest.mark.parametrize("bc,s", [("neumann", 0.9), ("dirichlet", 0.5)])
 def test_kernel_matrix_bytes_match_reference(tmp_path, bc, s):
-    # s = 0.5 is below d_h/d_w: the diagonal is still written from the matrix
-    out = tmp_path / "k"
-    assert main(["kernel", "--level", "3", "--bc", bc, "--s", str(s),
-                 "--out", str(out)]) == 0
-    mesh = geometry.build_mesh(3)
-    V = mesh.vertices
-    G = riesz.KernelEvaluator(
-        spectral.build_spectrum(3, bc, j_max=200), s).matrix()
-    rows = ([a, b, repr(float(np.hypot(*(V[a] - V[b])))), repr(float(G[a, b]))]
-            for a in range(mesh.n_vertices) for b in range(mesh.n_vertices))
-    got = (tmp_path / "k_kernel.csv").read_bytes()
-    assert got == _reference_csv(["xi", "yi", "d", "G"], rows)
-    assert got.count(b"\r\n") == mesh.n_vertices ** 2 + 1
+    # s = 0.5 is below d_h/d_w: the diagonal is still written from the matrix;
+    # the CLI formats 64-row blocks (level 4 has 123 rows), the reference the
+    # whole dense matrix
+    for level in (3, 4):
+        out = tmp_path / f"k{level}"
+        assert main(["kernel", "--level", str(level), "--bc", bc, "--s", str(s),
+                     "--out", str(out)]) == 0
+        mesh = geometry.build_mesh(level)
+        V = mesh.vertices
+        G = riesz.KernelEvaluator(
+            spectral.build_spectrum(level, bc, j_max=200), s).matrix()
+        rows = ([a, b, repr(float(np.hypot(*(V[a] - V[b])))), repr(float(G[a, b]))]
+                for a in range(mesh.n_vertices) for b in range(mesh.n_vertices))
+        got = (tmp_path / f"k{level}_kernel.csv").read_bytes()
+        assert got == _reference_csv(["xi", "yi", "d", "G"], rows)
+        assert got.count(b"\r\n") == mesh.n_vertices ** 2 + 1
 
 
 def test_kernel_pairs_bytes_match_reference(tmp_path):

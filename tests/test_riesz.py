@@ -182,6 +182,26 @@ def test_reflection_invariance(spec_n):
     assert max(defects) <= 1e-8
 
 
+def _dense_reflection_defects(ev):
+    """Reference: the defects read from the whole kernel matrix."""
+    G = ev.matrix()
+    defects = []
+    for i in range(3):
+        perm = geometry.reflection_permutation(ev.spectrum.mesh, i)
+        D = G[np.ix_(perm, perm)] - G
+        defects.append(float(max(D.max(), -D.min())))
+    return defects
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("level", [4, 5, 6])
+def test_reflection_defects_match_dense_matrix(level, bc):
+    # blocks of whole D3 orbits read each entry as the whole matrix does
+    for j_max in (200, None):
+        ev = riesz.KernelEvaluator(spectral.build_spectrum(level, bc, j_max=j_max), 0.9)
+        assert riesz.reflection_defects(ev) == _dense_reflection_defects(ev)
+
+
 def test_subcell_scaling_identity(spec_n):
     ev = riesz.KernelEvaluator(spec_n, 0.9)
     rng = np.random.default_rng(14)
@@ -314,17 +334,54 @@ def test_kernel_statistics_match_dense_references(level, bc):
         assert abs(ratio - ref) <= 1e-12 * ref
 
 
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_kernel_statistics_stay_below_one_dense_matrix():
     # the suites read only the kernel entries their statistics use, so
     # their traced allocation peak stays below one n x n float64 array
     n = geometry.build_mesh(6).n_vertices
     for level, bc in ((6, "neumann"), (6, "dirichlet"), (4, "neumann"), (5, "neumann")):
         spectral.build_spectrum(level, bc, j_max=200)   # solved outside the trace
-    for suite in (lambda: verify.suite_kernel_bounds(level=6), verify.suite_kernel_holder):
-        tracemalloc.start()
-        try:
-            suite()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    ev = riesz.KernelEvaluator(spectral.build_spectrum(6, "neumann"), 0.9)
+    for run in (lambda: verify.suite_kernel_bounds(level=6), verify.suite_kernel_holder,
+                lambda: riesz.reflection_defects(ev)):
+        peak = _traced_peak(run)
         assert peak < 8 * n * n, f"peak {peak / (8 * n * n):.2f} n^2 doubles"
+
+
+def test_kernel_reads_at_level_7_stay_below_a_quarter_matrix():
+    # no n x n kernel array at level 7 either: kernel-bounds' positivity
+    # block and the reflection defects are read 64 rows at a time
+    n = geometry.build_mesh(7).n_vertices
+    for bc in ("neumann", "dirichlet"):
+        spectral.build_spectrum(7, bc, j_max=200)   # solved outside the trace
+    ev = riesz.KernelEvaluator(spectral.build_spectrum(7, "neumann"), 0.9)
+    for run in (lambda: verify.suite_kernel_bounds(level=7),
+                lambda: riesz.reflection_defects(ev)):
+        peak = _traced_peak(run)
+        assert peak < 0.25 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} n^2 doubles"
+
+
+@pytest.mark.parametrize("level", [5, 6])
+def test_dirichlet_positivity_is_the_dense_minimum(level):
+    # the check's value is the minimum of the dense interior block, and it
+    # names the order and the vertex pair where that minimum sits
+    report = verify.suite_kernel_bounds(level=level)
+    check = next(c for c in report["checks"] if c["name"] == "dirichlet_interior_positive")
+    mesh = geometry.build_mesh(level)
+    d_corner = np.min([np.hypot(*(mesh.vertices - mesh.vertices[b]).T)
+                       for b in mesh.boundary], axis=0)
+    interior = d_corner >= 0.25
+    spec = spectral.build_spectrum(level, "dirichlet", j_max=200)
+    G = {s: riesz.KernelEvaluator(spec, s).matrix(interior, interior) for s in (0.4, 0.6)}
+    assert check["value"] == min(block.min() for block in G.values())
+    x, y = np.searchsorted(np.flatnonzero(interior), (check["x"], check["y"]))
+    assert interior[check["x"]] and interior[check["y"]]
+    assert G[check["s"]][x, y] == check["value"]

@@ -341,6 +341,34 @@ def test_block_sums_match_dense_reference(m, bc):
             lo = hi
 
 
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_row_blocks_concatenate_to_matrix(bc):
+    # row blocks of at most 64 rows, in the order of rows, whose
+    # concatenation is `matrix` bit for bit, for every kind of row set; an
+    # entry of a block of two or more rows does not depend on the rows read
+    # with it, so both are the entries of the whole matrix (a one-row block
+    # is a matrix-vector product, whose sums round differently)
+    spec = spectral.build_spectrum(5, bc)
+    n, g = spec.mesh.n_vertices, spec.eigenvalues ** -0.7
+    full = spec.matrix(g)
+    rng = np.random.default_rng(21)
+    mask = rng.random(n) < 0.4
+    picks = rng.choice(n, 150, replace=False)
+    for rows in (slice(None), slice(7, 300, 3), picks, mask, 17, np.array([], dtype=int),
+                 np.zeros(n, dtype=bool)):
+        for cols in (slice(None), picks[:70], mask):
+            at, width = np.arange(n)[rows].ravel(), np.arange(n)[cols].size
+            blocks = list(spec.row_blocks(g, rows, cols))
+            assert all(0 < len(x) <= 64 and B.shape == (len(x), width) for x, B in blocks)
+            assert np.array_equal(np.concatenate([at[:0]] + [x for x, _ in blocks]), at)
+            got = np.concatenate([np.empty((0, width))] + [B for _, B in blocks])
+            assert np.array_equal(got, spec.matrix(g, rows, cols).reshape(got.shape))
+            if at.size == 1:
+                assert np.max(np.abs(got - full[at][:, cols])) <= 1e-14 * np.max(np.abs(full))
+            else:
+                assert np.array_equal(got, full[at][:, cols])
+
+
 def test_spectrum_stores_blocks_not_the_dense_matrix(spec_n_full):
     # the block eigenvectors hold about n^2/6 values; no array of the
     # spectrum has one entry per (vertex, mode)

@@ -70,6 +70,19 @@ def test_make_draw_deterministic():
     assert np.array_equal(a.gaussians, b.gaussians)
 
 
+def test_make_draw_reuses_a_seed_sequence():
+    # spawning must not advance the caller's SeedSequence: two calls on one
+    # object give one draw, that of a fresh equal seed
+    ss = np.random.SeedSequence(42, spawn_key=(3,))
+    a, b = stable.make_draw(ss, 300), stable.make_draw(ss, 300)
+    c = stable.make_draw(np.random.SeedSequence(42, spawn_key=(3,)), 300)
+    for d in (b, c):
+        assert np.array_equal(a.arrivals, d.arrivals)
+        assert np.array_equal(a.words, d.words)
+        assert np.array_equal(a.gaussians, d.gaussians)
+    assert ss.n_children_spawned == 0
+
+
 def test_make_draw_streams_are_split():
     # changing n_terms must not change the leading arrivals
     a = stable.make_draw(9, 100)
