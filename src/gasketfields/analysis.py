@@ -12,7 +12,6 @@ the report.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .constants import D_H, D_W
 from .errors import ContractError, DomainError
@@ -132,6 +131,8 @@ def two_sample(a, b, min_size=500):
     b = np.asarray(b, dtype=float)
     if len(a) < min_size or len(b) < min_size:
         raise ContractError(f"both samples must have >= {min_size} points")
+    from scipy import stats
+
     res = stats.ks_2samp(a, b)
     return {"stat": float(res.statistic), "p_value": float(res.pvalue)}
 
@@ -139,6 +140,8 @@ def two_sample(a, b, min_size=500):
 def stable_cdf(alpha, scale):
     """CDF callable of the symmetric alpha-stable law with the library's
     CF convention exp(-|u*scale|^alpha)."""
+    from scipy import stats
+
     if alpha == 2.0:
         dist = stats.norm(scale=np.sqrt(2.0) * scale)
     elif alpha == 1.0:
@@ -150,6 +153,8 @@ def stable_cdf(alpha, scale):
 
 def one_sample_ks(samples, alpha, scale):
     """One-sample KS of replicates against the exact stable CDF."""
+    from scipy import stats
+
     samples = np.asarray(samples, dtype=float)
     res = stats.kstest(samples, stable_cdf(alpha, scale))
     return {"stat": float(res.statistic), "p_value": float(res.pvalue)}

@@ -14,8 +14,10 @@ import argparse
 import inspect
 import json
 import os
+import resource
 import sys
 import time
+from itertools import repeat
 
 
 class _Count(argparse.Action):
@@ -96,12 +98,14 @@ def _write_json(path, obj):
 def _write_csv(files, started):
     """Write each (path, header, blocks) file: the header line unless it is
     None, then each block (a list of comma-joined rows), with "\\r\\n" row
-    ends; return the `rows`, `bytes` and `timings` fields of the command's
-    `_meta.json`, summed over the files.
+    ends; return the `rows` and `bytes` fields of the command's
+    `_meta.json`, summed over the files, and its `timings` and `peak_rss_mb`.
 
     Values are ints and float reprs, which never need quoting, so the bytes
     are those `csv.writer` would write.  `compute_s` runs from `started` to
     this call, `write_s` covers the blocks' formatting and the writes.
+    `peak_rss_mb` is the process's peak resident set size so far, in MiB:
+    Linux reports `ru_maxrss` in KiB.
     """
     written = time.perf_counter()
     rows = size = 0
@@ -116,7 +120,8 @@ def _write_csv(files, started):
         size += os.path.getsize(path)
     return {"rows": rows, "bytes": size,
             "timings": {"compute_s": written - started,
-                        "write_s": time.perf_counter() - written}}
+                        "write_s": time.perf_counter() - written},
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
 class _Reprs(dict):
@@ -211,6 +216,7 @@ def _cmd_kernel(cfg):
     else:
         # one repr per distinct distance: 2316 of them among 1.2 M pairs at L6
         dist_repr = _Reprs()
+        cols = [f",{b}," for b in range(n)]
 
         def blocks_of_rows():
             # each 64-row kernel block is formatted as it is read: the n x n
@@ -220,9 +226,10 @@ def _cmd_kernel(cfg):
                     # elementwise, so the same values as hypot of each pair's difference
                     diff = V[a] - V
                     d = np.hypot(diff[:, 0], diff[:, 1]).tolist()
-                    d = map(dist_repr.__getitem__, d)
-                    yield [f"{a},{b},{x},{g!r}"
-                           for b, x, g in zip(range(n), d, g_row.tolist())]
+                    # each row joined from its pieces: a, ",b,", d, ",", G
+                    yield list(map("".join, zip(
+                        repeat(str(a)), cols, map(dist_repr.__getitem__, d),
+                        repeat(","), map(repr, g_row.tolist()))))
 
         blocks = blocks_of_rows()
     out = cfg["out"]

@@ -14,7 +14,6 @@ deduplication, ordering and the reflection permutations are exact.
 import functools
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (CapacityError, ContractError, DomainError, InvariantError,
                      ResolutionError)
@@ -105,6 +104,8 @@ class GasketMesh:
     def snap(self, points):
         """Indices of the mesh vertices nearest to the given points."""
         if self._tree is None:
+            from scipy.spatial import cKDTree
+
             self._tree = cKDTree(self.vertices)
         points = np.atleast_2d(points)
         return self._tree.query(points)[1]

@@ -3,21 +3,19 @@
 The kernel of the order -s operator is evaluated as the truncated
 spectral sum  sum_j lambda_j^-s phi_j(x) phi_j(y)  (term-wise Mellin
 integral of the centered heat kernel, exact via the Gamma integral), the
-Spectrum sums with weights lambda_j^-s.  A numerical time-integration path
-is retained as a cross-check only.
+Spectrum sums with weights lambda_j^-s.  The tests cross-check it against
+adaptive quadrature of the time integral.
 
 Diagonal policy: the kernel diagonal diverges with the truncation for
 s <= d_h/d_w and is rejected there; it is well defined for s > d_h/d_w.
 """
 
 import numpy as np
-from scipy import integrate, optimize
-from scipy.special import gamma as gamma_fn
 
 from .constants import D_H, D_W
 from .errors import ContractError, DomainError
 from .geometry import reflection_permutation, symmetry_orbits
-from .spectral import NEUMANN, heat_kernel
+from .spectral import NEUMANN
 
 
 class KernelEvaluator:
@@ -96,26 +94,6 @@ def kernel_semigroup_residual(s, t, xi, yi, spectrum):
     return np.abs(KernelEvaluator(spectrum, s + t).value(xi, yi) - conv)
 
 
-def riesz_kernel_time_integral(spectrum, s, xi, yi, t_max=60.0):
-    """Cross-check path: adaptive quadrature of the Mellin time integral.
-
-    Integrates t^(s-1) (p_t(x,y) - 1) (Neumann; Dirichlet drops the 1)
-    against the same truncated heat kernel.  The substitution u = t^s
-    removes the endpoint singularity, so plain adaptive quadrature
-    reaches machine accuracy.
-    """
-    if s <= 0:
-        raise DomainError("kernel order s must be positive")
-    shift = 1.0 if spectrum.bc == NEUMANN else 0.0
-
-    def integrand(u):
-        return heat_kernel(u ** (1.0 / s), xi, yi, spectrum) - shift
-
-    val, _ = integrate.quad(integrand, 0.0, t_max ** s, limit=500,
-                            epsabs=1e-13, epsrel=1e-11)
-    return val / (s * gamma_fn(s))
-
-
 def dyadic_pair_bins(mesh, rng=None, max_pairs_per_bin=400):
     """Vertex pairs grouped by dyadic distance 2^-j, j = 1..m.
 
@@ -157,6 +135,8 @@ def kernel_exponent_fit(ev, rng=None):
 
     def model(d, c, p, b):
         return c * d ** p - b
+
+    from scipy import optimize
 
     popt, _ = optimize.curve_fit(model, dists, means,
                                  p0=[1.0, ev.s * D_W - D_H, 0.5], maxfev=20000)

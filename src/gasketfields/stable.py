@@ -16,7 +16,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gamma as gamma_fn, gammaln
 
 from . import geometry
@@ -70,6 +69,8 @@ def d_alpha_quadrature(alpha):
     adaptive numerical quadrature."""
     if not 0.0 < alpha < 2.0:
         raise DomainError(f"alpha {alpha} outside (0, 2)")
+    from scipy import integrate
+
     moment, _ = integrate.quad(
         lambda x: 2.0 * x ** alpha * np.exp(-x * x / 2.0) / np.sqrt(2.0 * np.pi),
         0.0, np.inf)

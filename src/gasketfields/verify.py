@@ -58,9 +58,9 @@ def suite_ahlfors(level=6, slope_tol=0.05):
     if len(radii) < 4:
         raise ResolutionError(f"ahlfors needs level >= 6 (four radii), got {level}")
     mesh = geometry.build_mesh(level)
-    anchors = [mesh.vertices[i] for i in mesh.boundary]
-    anchors.append(mesh.vertices[mesh.snap(np.array([[0.5, 0.0]]))[0]])
-    anchors.append(mesh.vertices[mesh.snap(np.array([[0.25, 0.2]]))[0]])
+    # the three corners, then the vertices (0.5, 0) and (0.25, sqrt(3)/8)
+    inner = mesh.vertex_index([[2 ** level, 0], [2 ** (level - 1), 2 ** (level - 2)]])
+    anchors = [mesh.vertices[i] for i in (*mesh.boundary, *inner)]
     checks = []
     for ai, x in enumerate(anchors):
         mus = [geometry.ball_measure_estimate(x, r, mesh) for r in radii]

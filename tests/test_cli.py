@@ -153,6 +153,7 @@ def test_two_file_meta_describes_csvs(tmp_path, argv, csv_names, headers):
     assert meta["bytes"] == sum(len(d) for d in data)
     assert set(meta["timings"]) == {"compute_s", "write_s"}
     assert all(t >= 0.0 for t in meta["timings"].values())
+    assert meta["peak_rss_mb"] > 0.0
 
 
 @pytest.mark.parametrize("argv,csv_name", [
@@ -171,6 +172,7 @@ def test_export_meta_describes_csv(tmp_path, argv, csv_name):
     assert meta["bytes"] == len(data)
     assert set(meta["timings"]) == {"compute_s", "write_s"}
     assert all(t >= 0.0 for t in meta["timings"].values())
+    assert meta["peak_rss_mb"] > 0.0
 
 
 def test_kernel_meta_tail_bound_counts_dropped_modes(tmp_path):
@@ -461,16 +463,22 @@ def test_threads_flag(tmp_path):
     assert main(["--threads", "1", "mesh", "--level", "1", "--out", str(out)]) == 0
 
 
+def _run_python(code):
+    """The finished process of `python -c code`, importing this package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(gasketfields.__file__)),
+         env.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_threads_flag_sets_blas_before_numpy_loads(tmp_path):
     # the package import must not load numpy, so the flag, or a config-file
     # entry, can still cap BLAS; an explicit flag wins over the entry
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"threads": 1}))
     mesh = ["mesh", "--level", "1", "--out", str(tmp_path / "m")]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(gasketfields.__file__)),
-         env.get("PYTHONPATH", "")])
     for argv, want in [(["--threads", "1"], "1"),
                        (["--config", str(cfg)], "1"),
                        (["--config", str(cfg), "--threads", "2"], "2")]:
@@ -484,6 +492,44 @@ def test_threads_flag_sets_blas_before_numpy_loads(tmp_path):
             f"assert main({argv + mesh!r}) == 0\n"
             f"assert os.environ['OPENBLAS_NUM_THREADS'] == {want!r}\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = _run_python(code)
         assert proc.returncode == 0, (argv, proc.stderr)
+
+
+def test_heavy_scipy_modules_load_on_first_use(tmp_path):
+    # scipy.stats, integrate, optimize and spatial hold ~38 MB of a process's
+    # peak RSS; only verdict and oracle functions use them, so importing every
+    # module and running every export command must not load them
+    out = str(tmp_path / "x")
+    level = ["--level", "3", "--out", out]
+    commands = [
+        ["mesh"] + level,
+        ["spectrum"] + level,
+        ["kernel", "--s", "0.9"] + level,
+        ["kernel", "--s", "0.9", "--pairs", "20"] + level,
+        ["stable", "--alpha", "1.5", "--n-terms", "100", "--replicates", "5"] + level,
+        ["stable", "--alpha", "1.5", "--route", "direct", "--replicates", "5"] + level,
+        ["simulate", "--s", "0.9", "--alpha", "1.5", "--n-terms", "100"] + level,
+    ]
+    heavy = ["scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.spatial"]
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import numpy as np\n"
+        "import gasketfields\n"
+        "for info in pkgutil.iter_modules(gasketfields.__path__):\n"
+        "    if info.name != '__main__':\n"
+        "        importlib.import_module('gasketfields.' + info.name)\n"
+        "from gasketfields import analysis\n"
+        "from gasketfields.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        f"assert main(['verify', '--suite', 'spectral', '--level', '5', '--out', {out!r}])"
+        " in (0, 1)\n"
+        f"loaded = [m for m in {heavy!r} if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        # the control: a verdict that uses scipy.stats loads it
+        "analysis.two_sample(np.arange(500.0), np.arange(500.0))\n"
+        "assert 'scipy.stats' in sys.modules\n"
+    )
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
