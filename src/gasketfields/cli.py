@@ -11,12 +11,15 @@ entry is unset.  `--help` shows each flag's default.
 """
 
 import argparse
+import contextlib
 import inspect
 import json
 import os
 import resource
+import signal
 import sys
 import time
+import traceback
 from itertools import repeat
 
 
@@ -71,7 +74,8 @@ def _build_parser():
         description="Fractional stable random fields on the Sierpinski gasket")
     p.add_argument("--config", help="JSON file of flag values; explicit flags win")
     p.add_argument("--threads", action=_Count,
-                   help="cap BLAS/worker thread count (set before numpy loads)")
+                   help="cap the BLAS threads (set before numpy loads) and the "
+                        "processes that format a CSV")
     sub = p.add_subparsers(dest="command", required=True,
                            parser_class=_CommandParser)
     for command, (_, summary, flags) in _COMMANDS.items():
@@ -95,33 +99,128 @@ def _write_json(path, obj):
         json.dump(obj, fh, indent=2, sort_keys=True, default=str)
 
 
-def _write_csv(files, started):
-    """Write each (path, header, blocks) file: the header line unless it is
-    None, then each block (a list of comma-joined rows), with "\\r\\n" row
-    ends; return the `rows` and `bytes` fields of the command's
-    `_meta.json`, summed over the files, and its `timings` and `peak_rss_mb`.
+def _write_csv(files, started, threads):
+    """Write each (path, header, n, step, read) file with `_write_shards`,
+    in at most `threads` shards when given; return the `rows` and `bytes`
+    fields of the command's `_meta.json`, summed over the files, and its
+    `timings`, `peak_rss_mb`, `shards` and `peak_rss_shards_mb`.
 
     Values are ints and float reprs, which never need quoting, so the bytes
     are those `csv.writer` would write.  `compute_s` runs from `started` to
     this call, `write_s` covers the blocks' formatting and the writes.
-    `peak_rss_mb` is the process's peak resident set size so far, in MiB:
-    Linux reports `ru_maxrss` in KiB.
+    `peak_rss_mb` is this process's peak resident set size so far, in MiB:
+    Linux reports `ru_maxrss` in KiB.  `shards` is the most processes that
+    formatted one file, and `peak_rss_shards_mb` the largest peak of a forked
+    shard, 0 when none was forked.
     """
     written = time.perf_counter()
-    rows = size = 0
-    for path, header, blocks in files:
-        with open(path, "w", newline="") as fh:
-            if header is not None:
-                fh.write(header + "\r\n")
-            for block in blocks:
-                if block:
-                    rows += len(block)
-                    fh.write("\r\n".join(block) + "\r\n")
+    rows = size = shards = peak = 0
+    for path, header, n, step, read in files:
+        file_rows, file_shards, file_peak = _write_shards(
+            path, header, n, step, read, threads)
+        rows += file_rows
         size += os.path.getsize(path)
+        shards = max(shards, file_shards)
+        peak = max(peak, file_peak)
     return {"rows": rows, "bytes": size,
             "timings": {"compute_s": written - started,
                         "write_s": time.perf_counter() - written},
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "shards": shards, "peak_rss_shards_mb": peak / 1024}
+
+
+def _whole(path, header, blocks):
+    """The `_write_csv` entry of a file whose `blocks` are one piece, so one
+    process formats it."""
+    return path, header, 1, 1, lambda lo, hi: blocks
+
+
+def _write_shards(path, header, n, step, read, threads):
+    """Write one CSV: the header line unless it is None, then the blocks
+    (lists of comma-joined rows) that `read(lo, hi)` yields for source rows
+    lo..hi of n, with "\\r\\n" row ends.  Return its row count, its shard
+    count and the largest `ru_maxrss` of a forked shard, in KiB (0 with one
+    shard).
+
+    The rows are formatted in contiguous shards, one process each: as many
+    as the usable CPUs, `threads` when given, and the `step`-row blocks,
+    whichever is fewest.  Cuts fall only at multiples of `step`, so every
+    shard reads exactly the blocks one shard would (a one-row block can
+    round differently from a larger one) and the bytes do not depend on the
+    count.  Shard k > 0 is forked before the file is opened and writes
+    `<path>.part<k>`; this process writes the header and shard 0, then
+    reaps each shard in order and appends its part.  However this ends, no
+    shard is left running or unreaped and no part file remains.
+    """
+    blocks = -(-n // step)
+    count = min(len(os.sched_getaffinity(0)), threads or blocks, blocks)
+    cuts = [step * (blocks * k // count) for k in range(count)] + [n]
+    parts = {k: f"{path}.part{k}" for k in range(1, count)}
+    children = {}
+    try:
+        for k in range(1, count):
+            pid = os.fork()
+            if pid == 0:
+                _shard_child(parts[k], read, cuts[k], cuts[k + 1])
+            children[k] = pid
+        with open(path, "w", newline="") as fh:
+            if header is not None:
+                fh.write(header + "\r\n")
+            rows = _write_rows(fh, read(0, cuts[1]))
+        peak = 0
+        with open(path, "ab") as fh:
+            for k in range(1, count):
+                _, status, usage = os.wait4(children[k], 0)
+                del children[k]
+                if status:
+                    raise ChildProcessError(
+                        f"{path}: shard {k} of {count} (rows {cuts[k]} to "
+                        f"{cuts[k + 1] - 1}) failed with exit status "
+                        f"{os.waitstatus_to_exitcode(status)}")
+                peak = max(peak, usage.ru_maxrss)
+                # 1 MiB at a time, never a whole part; each row ends in one
+                # "\n", so the newlines count the shard's rows
+                with open(parts[k], "rb") as part:
+                    while chunk := part.read(1 << 20):
+                        rows += chunk.count(b"\n")
+                        fh.write(chunk)
+    finally:
+        for pid in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for part in parts.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
+    return rows, count, peak
+
+
+def _shard_child(path, read, lo, hi):
+    """In a forked shard: write the blocks of rows lo..hi to `path`, then end
+    the process with `os._exit`, status 0 on success and 1 after printing
+    the traceback, so it never returns into the caller nor flushes stdio
+    buffers inherited from the parent."""
+    status = 1
+    try:
+        with open(path, "w", newline="") as fh:
+            _write_rows(fh, read(lo, hi))
+        status = 0
+    except BaseException:
+        # the process ends below whatever was raised; the traceback goes
+        # straight to fd 2, past any buffer the parent left in sys.stderr
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
+
+
+def _write_rows(fh, blocks):
+    """Write each block, a list of comma-joined rows, with "\\r\\n" row
+    ends; return the row count."""
+    rows = 0
+    for block in blocks:
+        if block:
+            rows += len(block)
+            fh.write("\r\n".join(block) + "\r\n")
+    return rows
 
 
 class _Reprs(dict):
@@ -138,7 +237,7 @@ def _run_config(cfg):
     return {**cfg, "version": __version__}
 
 
-def _cmd_mesh(cfg):
+def _cmd_mesh(cfg, threads):
     import numpy as np
 
     from . import geometry
@@ -156,8 +255,9 @@ def _cmd_mesh(cfg):
                  for addr, c in zip(digits.tolist(), corners.tolist())]
     out = cfg["out"]
     exported = _write_csv(
-        [(f"{out}_vertices.csv", "vertex_id,x,y,is_boundary", [vertex_rows]),
-         (f"{out}_cells.csv", "cell_address,v0,v1,v2", [cell_rows])], started)
+        [_whole(f"{out}_vertices.csv", "vertex_id,x,y,is_boundary", [vertex_rows]),
+         _whole(f"{out}_cells.csv", "cell_address,v0,v1,v2", [cell_rows])],
+        started, threads)
     _write_json(f"{out}_meta.json", {"config": _run_config(cfg),
                                      "n_vertices": mesh.n_vertices,
                                      "n_cells": len(corners),
@@ -166,22 +266,26 @@ def _cmd_mesh(cfg):
     return 0
 
 
-def _cmd_spectrum(cfg):
+def _cmd_spectrum(cfg, threads):
     from . import spectral
 
     started = time.perf_counter()
     spec = spectral.build_spectrum(cfg["level"], cfg["bc"], j_max=cfg["jmax"])
     value_rows = [f"{j},{lam!r}"
                   for j, lam in enumerate(spec.eigenvalues.tolist(), start=1)]
-    # one block per 256 vertex rows, formed from the spectrum's blocks and
-    # formatted as it is written: the n x m matrix is never held
-    vector_rows = ([",".join(map(repr, row)) for row in
-                    spec.eigenvectors(slice(start, start + 256)).tolist()]
-                   for start in range(0, spec.mesh.n_vertices, 256))
+
+    def vector_rows(lo, hi):
+        # one block per 256 vertex rows, formed from the spectrum's blocks
+        # and formatted as it is written: the n x m matrix is never held
+        return ([",".join(map(repr, row)) for row in
+                 spec.eigenvectors(slice(start, start + 256)).tolist()]
+                for start in range(lo, hi, 256))
+
     out = cfg["out"]
     exported = _write_csv(
-        [(f"{out}_eigenvalues.csv", "j,lambda_j", [value_rows]),
-         (f"{out}_eigenvectors.csv", None, vector_rows)], started)
+        [_whole(f"{out}_eigenvalues.csv", "j,lambda_j", [value_rows]),
+         (f"{out}_eigenvectors.csv", None, spec.mesh.n_vertices, 256, vector_rows)],
+        started, threads)
     _write_json(f"{out}_meta.json", {"config": _run_config(cfg),
                                      "n_modes": spec.n_modes,
                                      "lambda_1": float(spec.eigenvalues[0]),
@@ -190,7 +294,7 @@ def _cmd_spectrum(cfg):
     return 0
 
 
-def _cmd_kernel(cfg):
+def _cmd_kernel(cfg, threads):
     import numpy as np
 
     from . import riesz, spectral
@@ -204,6 +308,9 @@ def _cmd_kernel(cfg):
     ev = riesz.KernelEvaluator(spec, cfg["s"])
     V = spec.mesh.vertices
     n = spec.mesh.n_vertices
+    out = cfg["out"]
+    path = f"{out}_kernel.csv"
+    header = "xi,yi,d,G"
     if cfg.get("pairs"):
         rng = np.random.default_rng(cfg["seed"])
         a, b = np.array([rng.choice(n, 2, replace=False) for _ in range(cfg["pairs"])]).T
@@ -211,18 +318,19 @@ def _cmd_kernel(cfg):
         # 1024 pairs a read, so its (pairs, modes) scratch stays bounded
         g = np.concatenate([ev.value(a[i:i + 1024], b[i:i + 1024])
                             for i in range(0, len(a), 1024)]).tolist()
-        blocks = [[f"{x},{y},{u!r},{v!r}"
-                   for x, y, u, v in zip(a.tolist(), b.tolist(), d, g)]]
+        pair_rows = [f"{x},{y},{u!r},{v!r}"
+                     for x, y, u, v in zip(a.tolist(), b.tolist(), d, g)]
+        csv_file = _whole(path, header, [pair_rows])
     else:
         # one repr per distinct distance: 2316 of them among 1.2 M pairs at L6
         dist_repr = _Reprs()
         cols = [f",{b}," for b in range(n)]
 
-        def blocks_of_rows():
+        def kernel_rows(lo, hi):
             # each 64-row kernel block is formatted as it is read: the n x n
             # matrix is never held
-            for rows, G in ev.row_blocks():
-                for a, g_row in zip(rows.tolist(), G):
+            for x, G in ev.row_blocks(slice(lo, hi)):
+                for a, g_row in zip(x.tolist(), G):
                     # elementwise, so the same values as hypot of each pair's difference
                     diff = V[a] - V
                     d = np.hypot(diff[:, 0], diff[:, 1]).tolist()
@@ -231,10 +339,9 @@ def _cmd_kernel(cfg):
                         repeat(str(a)), cols, map(dist_repr.__getitem__, d),
                         repeat(","), map(repr, g_row.tolist()))))
 
-        blocks = blocks_of_rows()
-    out = cfg["out"]
-    path = f"{out}_kernel.csv"
-    exported = _write_csv([(path, "xi,yi,d,G", blocks)], started)
+        # cut at the 64-row blocks of `row_blocks`
+        csv_file = (path, header, n, 64, kernel_rows)
+    exported = _write_csv([csv_file], started, threads)
     _write_json(f"{out}_meta.json", {"config": _run_config(cfg),
                                      "j_terms": spec.n_modes,
                                      "tail_bound": ev.tail_bound(full),
@@ -243,7 +350,7 @@ def _cmd_kernel(cfg):
     return 0
 
 
-def _cmd_stable(cfg):
+def _cmd_stable(cfg, threads):
     from . import geometry, stable
 
     started = time.perf_counter()
@@ -263,7 +370,8 @@ def _cmd_stable(cfg):
     path = f"{out}_replicates.csv"
     rows = [f"{k},{v!r}" for k, v in enumerate(vals.tolist())]
     meta = {"config": _run_config(cfg),
-            **_write_csv([(path, "replicate_id,value", [rows])], started)}
+            **_write_csv([_whole(path, "replicate_id,value", [rows])],
+                         started, threads)}
     if cfg["route"] == "lepage":
         meta["tail_estimate"] = stable.arrival_tail_sum(cfg["alpha"], cfg["n_terms"])
     _write_json(f"{out}_meta.json", meta)
@@ -271,7 +379,7 @@ def _cmd_stable(cfg):
     return 0
 
 
-def _cmd_simulate(cfg):
+def _cmd_simulate(cfg, threads):
     from . import fields, spectral
 
     started = time.perf_counter()
@@ -293,14 +401,14 @@ def _cmd_simulate(cfg):
               for rep, row in enumerate(batch.values))
     meta = {"config": _run_config(cfg),
             "realizations": batch.meta,
-            **_write_csv([(path, "replicate_id,vertex_id,x,y,value", blocks)],
-                         started)}
+            **_write_csv([_whole(path, "replicate_id,vertex_id,x,y,value", blocks)],
+                         started, threads)}
     _write_json(f"{out}_meta.json", meta)
     print(f"simulate: {cfg['replicates']} realization(s) on level {cfg['level']} -> {path}")
     return 0
 
 
-def _cmd_verify(cfg):
+def _cmd_verify(cfg, threads):
     from . import verify
 
     names = []
@@ -390,7 +498,7 @@ def main(argv=None):
                          NumericError, ResolutionError, UsageError)
 
     try:
-        return _COMMANDS[args.command][0](cfg)
+        return _COMMANDS[args.command][0](cfg, args.threads)
     except (UsageError, DomainError, ContractError, CapacityError,
             ResolutionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

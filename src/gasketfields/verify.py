@@ -76,10 +76,16 @@ def suite_ahlfors(level=6, slope_tol=0.05):
 
 
 def suite_spectral(level=6, slope_tol=0.08):
-    """Heat-kernel mass conservation, Dirichlet vanishing, eigenvalue growth."""
+    """Heat-kernel mass conservation, Dirichlet vanishing, eigenvalue growth
+    over modes 10..200 (level >= 5)."""
     mesh = geometry.build_mesh(level)
     spec_n = spectral.build_spectrum(level, spectral.NEUMANN)
     spec_d = spectral.build_spectrum(level, spectral.DIRICHLET)
+    # the growth fit reads eigenvalues 10..200 of both spectra
+    modes = min(spec_n.n_modes, spec_d.n_modes)
+    if modes < 200:
+        raise ResolutionError(
+            f"spectral needs 200 modes (level >= 5), got {modes} at level {level}")
     checks = []
     xi = mesh.n_vertices // 2
     for t in (0.01, 0.1, 1.0):

@@ -1,5 +1,6 @@
 import csv
 import functools
+import hashlib
 import io
 import itertools
 import json
@@ -140,6 +141,93 @@ def test_spectrum_bytes_match_reference(tmp_path, bc):
                           spec.eigenvectors())
 
 
+def _sharded_exports(tmp_path, monkeypatch, argv, names):
+    """Run `argv` with 1, 2 and 3 shards, forced through --threads and a
+    three-CPU affinity; return each run's meta and sha256 digests of the
+    CSVs `names`."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    # --threads writes the BLAS variables; numpy is loaded, so they only
+    # need restoring for later subprocesses
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    runs = []
+    for shards in (1, 2, 3):
+        out = tmp_path / f"x{shards}"
+        assert main(["--threads", str(shards), *argv, "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / f"x{shards}_meta.json").read_text())
+        digests = [hashlib.sha256((tmp_path / f"x{shards}_{name}").read_bytes()).hexdigest()
+                   for name in names]
+        runs.append((meta, digests))
+    assert not list(tmp_path.glob("*.part*"))
+    return runs
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_kernel_bytes_do_not_depend_on_shards(tmp_path, monkeypatch, bc):
+    # level 5 has 366 rows, six 64-row blocks: 3 shards cut at rows 128, 256
+    runs = _sharded_exports(tmp_path, monkeypatch,
+                            ["kernel", "--level", "5", "--bc", bc, "--s", "0.9"],
+                            ["kernel.csv"])
+    assert [meta["shards"] for meta, _ in runs] == [1, 2, 3]
+    assert runs[0][0]["peak_rss_shards_mb"] == 0.0
+    assert all(meta["peak_rss_shards_mb"] > 0.0 for meta, _ in runs[1:])
+    assert len({meta["rows"] for meta, _ in runs}) == 1
+    assert len({meta["bytes"] for meta, _ in runs}) == 1
+    assert runs[0][1] == runs[1][1] == runs[2][1]
+
+
+def test_spectrum_bytes_do_not_depend_on_shards(tmp_path, monkeypatch):
+    # level 6 has 1095 vertex rows, five 256-row blocks
+    runs = _sharded_exports(tmp_path, monkeypatch, ["spectrum", "--level", "6"],
+                            ["eigenvalues.csv", "eigenvectors.csv"])
+    assert [meta["shards"] for meta, _ in runs] == [1, 2, 3]
+    assert len({meta["rows"] for meta, _ in runs}) == 1
+    assert runs[0][1] == runs[1][1] == runs[2][1]
+
+
+@pytest.mark.parametrize("in_child", [True, False])
+def test_failed_shard_leaves_no_child_and_no_part(tmp_path, monkeypatch, capfd, in_child):
+    # the forked shard starts past row 0, this process's shard at row 0; a
+    # failure in this process leaves the forked shard running until killed
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    row_blocks = riesz.KernelEvaluator.row_blocks
+
+    def failing(self, rows=slice(None), cols=slice(None)):
+        if bool(rows.start) == in_child:
+            raise RuntimeError("shard formatter failed")
+        return row_blocks(self, rows, cols)
+
+    monkeypatch.setattr(riesz.KernelEvaluator, "row_blocks", failing)
+    argv = ["kernel", "--level", "5", "--s", "0.9", "--out", str(tmp_path / "k")]
+    if in_child:
+        with pytest.raises(ChildProcessError, match=r"shard 1 of 2 .* exit status 1"):
+            main(argv)
+        assert "RuntimeError: shard formatter failed" in capfd.readouterr().err
+    else:
+        with pytest.raises(RuntimeError, match="shard formatter failed"):
+            main(argv)
+    assert not list(tmp_path.glob("*.part*"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sharded_kernel_forks_cleanly_beside_blas_threads(tmp_path):
+    # the shards fork a process whose BLAS pool has two threads; the bytes
+    # must match one shard's, with no warning (Python 3.12+ warns on a fork
+    # in a multi-threaded process, which -W error would turn into a failure)
+    env = _package_env()
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    for threads in ("2", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "gasketfields", "--threads", threads,
+             "kernel", "--level", "5", "--s", "0.9", "--out", str(tmp_path / f"k{threads}")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    meta = json.loads((tmp_path / "k2_meta.json").read_text())
+    assert meta["shards"] == min(2, len(os.sched_getaffinity(0)))
+    assert (tmp_path / "k2_kernel.csv").read_bytes() == (tmp_path / "k1_kernel.csv").read_bytes()
+
+
 @pytest.mark.parametrize("argv,csv_names,headers", [
     (["mesh", "--level", "2"], ("x_vertices.csv", "x_cells.csv"), 2),
     (["spectrum", "--level", "2", "--jmax", "5"],
@@ -154,6 +242,8 @@ def test_two_file_meta_describes_csvs(tmp_path, argv, csv_names, headers):
     assert set(meta["timings"]) == {"compute_s", "write_s"}
     assert all(t >= 0.0 for t in meta["timings"].values())
     assert meta["peak_rss_mb"] > 0.0
+    # one block each, so one process formats every file
+    assert (meta["shards"], meta["peak_rss_shards_mb"]) == (1, 0.0)
 
 
 @pytest.mark.parametrize("argv,csv_name", [
@@ -173,6 +263,8 @@ def test_export_meta_describes_csv(tmp_path, argv, csv_name):
     assert set(meta["timings"]) == {"compute_s", "write_s"}
     assert all(t >= 0.0 for t in meta["timings"].values())
     assert meta["peak_rss_mb"] > 0.0
+    # one block each, so one process formats every file
+    assert (meta["shards"], meta["peak_rss_shards_mb"]) == (1, 0.0)
 
 
 def test_kernel_meta_tail_bound_counts_dropped_modes(tmp_path):
@@ -423,6 +515,13 @@ def test_verify_ahlfors_below_level_6_exits_2(tmp_path, capsys):
     assert "level >= 6" in capsys.readouterr().err
 
 
+def test_verify_spectral_below_level_5_exits_2(tmp_path, capsys):
+    # the eigenvalue growth fit reads modes 10..200; level 4 has 120 Dirichlet modes
+    assert main(["verify", "--suite", "spectral", "--level", "4",
+                 "--out", str(tmp_path)]) == 2
+    assert "level >= 5" in capsys.readouterr().err
+
+
 def test_verify_unknown_suite(tmp_path):
     assert main(["verify", "--suite", "nope", "--out", str(tmp_path)]) == 2
 
@@ -463,13 +562,18 @@ def test_threads_flag(tmp_path):
     assert main(["--threads", "1", "mesh", "--level", "1", "--out", str(out)]) == 0
 
 
-def _run_python(code):
-    """The finished process of `python -c code`, importing this package."""
+def _package_env():
+    """This environment, with this package importable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(gasketfields.__file__)),
          env.get("PYTHONPATH", "")])
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return env
+
+
+def _run_python(code):
+    """The finished process of `python -c code`, importing this package."""
+    return subprocess.run([sys.executable, "-c", code], env=_package_env(),
                           capture_output=True, text=True, timeout=120)
 
 

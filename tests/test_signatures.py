@@ -17,8 +17,8 @@ TRUNCATION_SETTERS = {"spectral.build_spectrum", "spectral.Spectrum.truncated",
                       "spectral.Spectrum.truncation"}
 CARRIERS = {"spectrum", "spec", "ev", "evaluator"}
 # (module, function) of the one dense eigenvector read outside spectral.py:
-# the eigenvector CSV export
-EIGENVECTOR_READERS = {("cli", "_cmd_spectrum")}
+# the eigenvector CSV export, in the shard reader of `_cmd_spectrum`
+EIGENVECTOR_READERS = {("cli", "vector_rows")}
 
 
 def _signatures():
