@@ -16,11 +16,15 @@ import inspect
 import json
 import os
 import resource
-import signal
 import sys
 import time
-import traceback
 from itertools import repeat
+
+from . import shards
+
+# the fewest rows a forked CSV shard formats: one process writes the level-5
+# kernel (366 rows) faster than two, two write the level-6 one (1095) faster
+MIN_ROWS_PER_SHARD = 512
 
 
 class _Count(argparse.Action):
@@ -75,7 +79,8 @@ def _build_parser():
     p.add_argument("--config", help="JSON file of flag values; explicit flags win")
     p.add_argument("--threads", action=_Count,
                    help="cap the BLAS threads (set before numpy loads) and the "
-                        "processes that format a CSV")
+                        "processes of every sharded step: a field batch's or "
+                        "a LePage route's draws, a CSV's rows")
     sub = p.add_subparsers(dest="command", required=True,
                            parser_class=_CommandParser)
     for command, (_, summary, flags) in _COMMANDS.items():
@@ -99,34 +104,31 @@ def _write_json(path, obj):
         json.dump(obj, fh, indent=2, sort_keys=True, default=str)
 
 
-def _write_csv(files, started, threads):
-    """Write each (path, header, n, step, read) file with `_write_shards`,
-    in at most `threads` shards when given; return the `rows` and `bytes`
-    fields of the command's `_meta.json`, summed over the files, and its
-    `timings`, `peak_rss_mb`, `shards` and `peak_rss_shards_mb`.
+def _write_csv(files, started, tally):
+    """Write each (path, header, n, step, read) file with `_write_shards`;
+    return the `rows` and `bytes` fields of the command's `_meta.json`,
+    summed over the files, and its `timings`, `peak_rss_mb`, `shards` and
+    `peak_rss_shards_mb`.
 
     Values are ints and float reprs, which never need quoting, so the bytes
     are those `csv.writer` would write.  `compute_s` runs from `started` to
     this call, `write_s` covers the blocks' formatting and the writes.
     `peak_rss_mb` is this process's peak resident set size so far, in MiB:
-    Linux reports `ru_maxrss` in KiB.  `shards` is the most processes that
-    formatted one file, and `peak_rss_shards_mb` the largest peak of a forked
+    Linux reports `ru_maxrss` in KiB.  `shards` and `peak_rss_shards_mb`
+    come from `tally`, the `shards.Tally` of the command: the most processes
+    of one sharded step (a draw or a file) and the largest peak of a forked
     shard, 0 when none was forked.
     """
     written = time.perf_counter()
-    rows = size = shards = peak = 0
+    rows = size = 0
     for path, header, n, step, read in files:
-        file_rows, file_shards, file_peak = _write_shards(
-            path, header, n, step, read, threads)
-        rows += file_rows
+        rows += _write_shards(path, header, n, step, read)
         size += os.path.getsize(path)
-        shards = max(shards, file_shards)
-        peak = max(peak, file_peak)
     return {"rows": rows, "bytes": size,
             "timings": {"compute_s": written - started,
                         "write_s": time.perf_counter() - written},
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-            "shards": shards, "peak_rss_shards_mb": peak / 1024}
+            "shards": tally.shards, "peak_rss_shards_mb": tally.peak_kib / 1024}
 
 
 def _whole(path, header, blocks):
@@ -135,81 +137,45 @@ def _whole(path, header, blocks):
     return path, header, 1, 1, lambda lo, hi: blocks
 
 
-def _write_shards(path, header, n, step, read, threads):
+def _write_shards(path, header, n, step, read):
     """Write one CSV: the header line unless it is None, then the blocks
     (lists of comma-joined rows) that `read(lo, hi)` yields for source rows
-    lo..hi of n, with "\\r\\n" row ends.  Return its row count, its shard
-    count and the largest `ru_maxrss` of a forked shard, in KiB (0 with one
-    shard).
+    lo..hi of n, with "\\r\\n" row ends; return its row count.
 
-    The rows are formatted in contiguous shards, one process each: as many
-    as the usable CPUs, `threads` when given, and the `step`-row blocks,
-    whichever is fewest.  Cuts fall only at multiples of `step`, so every
-    shard reads exactly the blocks one shard would (a one-row block can
-    round differently from a larger one) and the bytes do not depend on the
-    count.  Shard k > 0 is forked before the file is opened and writes
+    The rows are formatted in contiguous shards, one process each
+    (`shards.run`), at least `MIN_ROWS_PER_SHARD` rows each.  Cuts fall
+    only at multiples of `step`, so every shard reads exactly the blocks
+    one shard would (a one-row block can round differently from a larger
+    one) and the bytes do not depend on the count.  Shard k > 0 writes
     `<path>.part<k>`; this process writes the header and shard 0, then
-    reaps each shard in order and appends its part.  However this ends, no
-    shard is left running or unreaped and no part file remains.
+    appends each part.  However this ends, no part file remains.
     """
-    blocks = -(-n // step)
-    count = min(len(os.sched_getaffinity(0)), threads or blocks, blocks)
-    cuts = [step * (blocks * k // count) for k in range(count)] + [n]
-    parts = {k: f"{path}.part{k}" for k in range(1, count)}
-    children = {}
-    try:
-        for k in range(1, count):
-            pid = os.fork()
-            if pid == 0:
-                _shard_child(parts[k], read, cuts[k], cuts[k + 1])
-            children[k] = pid
-        with open(path, "w", newline="") as fh:
-            if header is not None:
+    bounds = shards.cuts(n, MIN_ROWS_PER_SHARD, step)
+    # shard 0 writes the file itself, shard k > 0 its part
+    parts = [path] + [f"{path}.part{k}" for k in range(1, len(bounds) - 1)]
+
+    def format_rows(k, lo, hi):
+        # the shards are forked before this process opens its file
+        with open(parts[k], "w", newline="") as fh:
+            if header is not None and not k:
                 fh.write(header + "\r\n")
-            rows = _write_rows(fh, read(0, cuts[1]))
-        peak = 0
+            return _write_rows(fh, read(lo, hi))
+
+    try:
+        rows = shards.run(bounds, format_rows, f"{path} rows")
         with open(path, "ab") as fh:
-            for k in range(1, count):
-                _, status, usage = os.wait4(children[k], 0)
-                del children[k]
-                if status:
-                    raise ChildProcessError(
-                        f"{path}: shard {k} of {count} (rows {cuts[k]} to "
-                        f"{cuts[k + 1] - 1}) failed with exit status "
-                        f"{os.waitstatus_to_exitcode(status)}")
-                peak = max(peak, usage.ru_maxrss)
+            for part in parts[1:]:
                 # 1 MiB at a time, never a whole part; each row ends in one
                 # "\n", so the newlines count the shard's rows
-                with open(parts[k], "rb") as part:
-                    while chunk := part.read(1 << 20):
+                with open(part, "rb") as src:
+                    while chunk := src.read(1 << 20):
                         rows += chunk.count(b"\n")
                         fh.write(chunk)
     finally:
-        for pid in children.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for part in parts.values():
+        for part in parts[1:]:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(part)
-    return rows, count, peak
-
-
-def _shard_child(path, read, lo, hi):
-    """In a forked shard: write the blocks of rows lo..hi to `path`, then end
-    the process with `os._exit`, status 0 on success and 1 after printing
-    the traceback, so it never returns into the caller nor flushes stdio
-    buffers inherited from the parent."""
-    status = 1
-    try:
-        with open(path, "w", newline="") as fh:
-            _write_rows(fh, read(lo, hi))
-        status = 0
-    except BaseException:
-        # the process ends below whatever was raised; the traceback goes
-        # straight to fd 2, past any buffer the parent left in sys.stderr
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(status)
+    return rows
 
 
 def _write_rows(fh, blocks):
@@ -237,7 +203,7 @@ def _run_config(cfg):
     return {**cfg, "version": __version__}
 
 
-def _cmd_mesh(cfg, threads):
+def _cmd_mesh(cfg, tally):
     import numpy as np
 
     from . import geometry
@@ -257,7 +223,7 @@ def _cmd_mesh(cfg, threads):
     exported = _write_csv(
         [_whole(f"{out}_vertices.csv", "vertex_id,x,y,is_boundary", [vertex_rows]),
          _whole(f"{out}_cells.csv", "cell_address,v0,v1,v2", [cell_rows])],
-        started, threads)
+        started, tally)
     _write_json(f"{out}_meta.json", {"config": _run_config(cfg),
                                      "n_vertices": mesh.n_vertices,
                                      "n_cells": len(corners),
@@ -266,7 +232,7 @@ def _cmd_mesh(cfg, threads):
     return 0
 
 
-def _cmd_spectrum(cfg, threads):
+def _cmd_spectrum(cfg, tally):
     from . import spectral
 
     started = time.perf_counter()
@@ -285,7 +251,7 @@ def _cmd_spectrum(cfg, threads):
     exported = _write_csv(
         [_whole(f"{out}_eigenvalues.csv", "j,lambda_j", [value_rows]),
          (f"{out}_eigenvectors.csv", None, spec.mesh.n_vertices, 256, vector_rows)],
-        started, threads)
+        started, tally)
     _write_json(f"{out}_meta.json", {"config": _run_config(cfg),
                                      "n_modes": spec.n_modes,
                                      "lambda_1": float(spec.eigenvalues[0]),
@@ -294,7 +260,7 @@ def _cmd_spectrum(cfg, threads):
     return 0
 
 
-def _cmd_kernel(cfg, threads):
+def _cmd_kernel(cfg, tally):
     import numpy as np
 
     from . import riesz, spectral
@@ -341,7 +307,7 @@ def _cmd_kernel(cfg, threads):
 
         # cut at the 64-row blocks of `row_blocks`
         csv_file = (path, header, n, 64, kernel_rows)
-    exported = _write_csv([csv_file], started, threads)
+    exported = _write_csv([csv_file], started, tally)
     _write_json(f"{out}_meta.json", {"config": _run_config(cfg),
                                      "j_terms": spec.n_modes,
                                      "tail_bound": ev.tail_bound(full),
@@ -350,7 +316,7 @@ def _cmd_kernel(cfg, threads):
     return 0
 
 
-def _cmd_stable(cfg, threads):
+def _cmd_stable(cfg, tally):
     from . import geometry, stable
 
     started = time.perf_counter()
@@ -371,7 +337,7 @@ def _cmd_stable(cfg, threads):
     rows = [f"{k},{v!r}" for k, v in enumerate(vals.tolist())]
     meta = {"config": _run_config(cfg),
             **_write_csv([_whole(path, "replicate_id,value", [rows])],
-                         started, threads)}
+                         started, tally)}
     if cfg["route"] == "lepage":
         meta["tail_estimate"] = stable.arrival_tail_sum(cfg["alpha"], cfg["n_terms"])
     _write_json(f"{out}_meta.json", meta)
@@ -379,7 +345,7 @@ def _cmd_stable(cfg, threads):
     return 0
 
 
-def _cmd_simulate(cfg, threads):
+def _cmd_simulate(cfg, tally):
     from . import fields, spectral
 
     started = time.perf_counter()
@@ -402,13 +368,13 @@ def _cmd_simulate(cfg, threads):
     meta = {"config": _run_config(cfg),
             "realizations": batch.meta,
             **_write_csv([_whole(path, "replicate_id,vertex_id,x,y,value", blocks)],
-                         started, threads)}
+                         started, tally)}
     _write_json(f"{out}_meta.json", meta)
     print(f"simulate: {cfg['replicates']} realization(s) on level {cfg['level']} -> {path}")
     return 0
 
 
-def _cmd_verify(cfg, threads):
+def _cmd_verify(cfg, tally):
     from . import verify
 
     names = []
@@ -498,7 +464,8 @@ def main(argv=None):
                          NumericError, ResolutionError, UsageError)
 
     try:
-        return _COMMANDS[args.command][0](cfg, args.threads)
+        with shards.limit(args.threads) as tally:
+            return _COMMANDS[args.command][0](cfg, tally)
     except (UsageError, DomainError, ContractError, CapacityError,
             ResolutionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

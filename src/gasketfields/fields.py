@@ -20,11 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import shards
 from .constants import D_H, D_W, integrability_threshold
 from .errors import ContractError, DomainError
 from .geometry import alpha_norm
 from .riesz import KernelEvaluator, fractional_laplacian_inv
 from .stable import arrival_tail_sum, point_masses, standard_stable
+
+# the fewest seeds a forked shard of a field batch draws: below this, the
+# fork costs more than the second CPU saves
+MIN_SEEDS_PER_SHARD = 32
 
 
 @dataclass(frozen=True)
@@ -51,15 +56,24 @@ def check_integrable(s, alpha):
 def _noise_coefficients(alpha, mesh, seeds, n_terms):
     """Point-mass coefficients of the driving noise on the vertex set, one
     column per seed: the LePage draw `point_masses(seed, n_terms, alpha,
-    mesh)` for alpha < 2, else discrete white noise from the seed."""
-    coeff = np.empty((mesh.n_vertices, len(seeds)), order="F")
-    for k, seed in enumerate(seeds):
-        if alpha == 2.0:
-            rng = np.random.default_rng(np.random.SeedSequence(seed))
-            coeff[:, k] = np.sqrt(2.0 * mesh.mu_weights) * rng.standard_normal(
-                mesh.n_vertices)
-        else:
-            coeff[:, k] = point_masses(seed, n_terms, alpha, mesh)
+    mesh)` for alpha < 2, else discrete white noise from the seed.
+
+    The seeds are drawn in contiguous shards (`shards.cuts`, at least
+    `MIN_SEEDS_PER_SHARD` seeds each), each writing its columns straight
+    into one shared array; each column comes from its seed alone, so the
+    values do not depend on the shard count."""
+    coeff = shards.shared_array((mesh.n_vertices, len(seeds)), order="F")
+
+    def draw(_, lo, hi):
+        for k in range(lo, hi):
+            if alpha == 2.0:
+                rng = np.random.default_rng(np.random.SeedSequence(seeds[k]))
+                coeff[:, k] = np.sqrt(2.0 * mesh.mu_weights) * rng.standard_normal(
+                    mesh.n_vertices)
+            else:
+                coeff[:, k] = point_masses(seeds[k], n_terms, alpha, mesh)
+
+    shards.run(shards.cuts(len(seeds), MIN_SEEDS_PER_SHARD), draw, "seeds")
     return coeff
 
 

@@ -18,8 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn, gammaln
 
-from . import geometry
+from . import geometry, shards
 from .errors import ContractError, DomainError
+
+# the fewest replicates a forked shard of `lepage_replicates` draws: below
+# this, the fork costs more than the second CPU saves
+MIN_REPLICATES_PER_SHARD = 32
+
 
 def standard_stable(rng, alpha, size=None):
     """Symmetric alpha-stable variate(s) with CF exp(-|u|^alpha).
@@ -207,16 +212,27 @@ def lepage_replicates(values, mesh, alpha, n_terms, n_replicates, seed,
     the result is linear in `values` on each draw, and replicate k does not
     depend on `n_replicates` or on the other alphas.  The weights w_n, with
     or without `tail_compensation`, are those of `point_masses`.
+
+    The replicates are drawn in contiguous shards (`shards.cuts`, at least
+    `MIN_REPLICATES_PER_SHARD` each), each writing its rows straight into
+    one shared array, so the values do not depend on the shard count.
     """
     alphas = _lepage_alphas(alpha, n_terms)
     values = np.asarray(values, dtype=float)
     if values.ndim not in (1, 2) or len(values) != mesh.n_vertices:
         raise ContractError(f"values of shape {values.shape} are not (n_vertices, k) "
                             f"or (n_vertices,) with n_vertices = {mesh.n_vertices}")
-    out = np.empty((len(alphas), n_replicates) + values.shape[1:])
-    for k in range(n_replicates):
-        masses = point_masses(np.random.SeedSequence(seed, spawn_key=(k,)), n_terms,
-                              alphas, mesh, tail_compensation)
-        for i, m in enumerate(masses):
-            out[i, k] = m @ values
+    out = shards.shared_array((len(alphas), n_replicates) + values.shape[1:])
+
+    def integrate(_, lo, hi):
+        for k in range(lo, hi):
+            masses = point_masses(np.random.SeedSequence(seed, spawn_key=(k,)), n_terms,
+                                  alphas, mesh, tail_compensation)
+            for i, m in enumerate(masses):
+                out[i, k] = m @ values
+
+    shards.run(shards.cuts(n_replicates, MIN_REPLICATES_PER_SHARD), integrate,
+               "replicates")
+    # a private copy, so the shared mapping is freed on return
+    out = np.array(out)
     return out if np.ndim(alpha) else out[0]

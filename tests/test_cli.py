@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gasketfields
-from gasketfields import fields, geometry, riesz, spectral, stable, verify
+from gasketfields import cli, fields, geometry, riesz, spectral, stable, verify
 from gasketfields.cli import main
 from gasketfields.errors import ResolutionError
 
@@ -144,8 +144,9 @@ def test_spectrum_bytes_match_reference(tmp_path, bc):
 def _sharded_exports(tmp_path, monkeypatch, argv, names):
     """Run `argv` with 1, 2 and 3 shards, forced through --threads and a
     three-CPU affinity; return each run's meta and sha256 digests of the
-    CSVs `names`."""
+    CSVs `names`; one 64-row block is enough for a shard."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(cli, "MIN_ROWS_PER_SHARD", 64)
     # --threads writes the BLAS variables; numpy is loaded, so they only
     # need restoring for later subprocesses
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -190,6 +191,7 @@ def test_failed_shard_leaves_no_child_and_no_part(tmp_path, monkeypatch, capfd, 
     # the forked shard starts past row 0, this process's shard at row 0; a
     # failure in this process leaves the forked shard running until killed
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli, "MIN_ROWS_PER_SHARD", 64)
     row_blocks = riesz.KernelEvaluator.row_blocks
 
     def failing(self, rows=slice(None), cols=slice(None)):
@@ -214,18 +216,69 @@ def test_failed_shard_leaves_no_child_and_no_part(tmp_path, monkeypatch, capfd, 
 def test_sharded_kernel_forks_cleanly_beside_blas_threads(tmp_path):
     # the shards fork a process whose BLAS pool has two threads; the bytes
     # must match one shard's, with no warning (Python 3.12+ warns on a fork
-    # in a multi-threaded process, which -W error would turn into a failure)
+    # in a multi-threaded process, which -W error would turn into a failure);
+    # one 64-row block is enough for a shard, so level 5 forks
     env = _package_env()
     env["OPENBLAS_NUM_THREADS"] = "2"
+    main_with_small_shards = ("import sys; from gasketfields import cli; "
+                              "cli.MIN_ROWS_PER_SHARD = 64; sys.exit(cli.main())")
     for threads in ("2", "1"):
         proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "gasketfields", "--threads", threads,
+            [sys.executable, "-W", "error", "-c", main_with_small_shards, "--threads", threads,
              "kernel", "--level", "5", "--s", "0.9", "--out", str(tmp_path / f"k{threads}")],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     meta = json.loads((tmp_path / "k2_meta.json").read_text())
     assert meta["shards"] == min(2, len(os.sched_getaffinity(0)))
     assert (tmp_path / "k2_kernel.csv").read_bytes() == (tmp_path / "k1_kernel.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv,csv_name", [
+    (["simulate", "--level", "5", "--s", "0.9", "--alpha", "1.5"], "x{}.csv"),
+    (["stable", "--level", "5", "--alpha", "1.5"], "x{}_replicates.csv"),
+])
+def test_threads_cap_the_draw_shards(tmp_path, monkeypatch, argv, csv_name):
+    # 200 draws make two shards on two CPUs: --threads 1 forks nothing, and
+    # --threads 2 writes the same bytes; the meta counts the draw shards
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for threads in (1, 2):
+        assert main(["--threads", str(threads), *argv, "--replicates", "200",
+                     "--out", str(tmp_path / f"x{threads}")]) == 0
+        meta = json.loads((tmp_path / f"x{threads}_meta.json").read_text())
+        assert meta["shards"] == threads == len(forks) + 1
+        assert (meta["peak_rss_shards_mb"] > 0.0) == (threads > 1)
+    assert ((tmp_path / csv_name.format(1)).read_bytes()
+            == (tmp_path / csv_name.format(2)).read_bytes())
+
+
+def test_sharded_lepage_route_forks_cleanly_beside_blas_threads(tmp_path):
+    # the draw shards call BLAS after a fork beside a two-thread pool
+    env = _package_env()
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    for threads in ("2", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "gasketfields", "--threads", threads,
+             "stable", "--level", "6", "--alpha", "1.5", "--replicates", "200",
+             "--out", str(tmp_path / f"s{threads}")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    meta = json.loads((tmp_path / "s2_meta.json").read_text())
+    assert meta["shards"] == min(2, len(os.sched_getaffinity(0)))
+    assert ((tmp_path / "s2_replicates.csv").read_bytes()
+            == (tmp_path / "s1_replicates.csv").read_bytes())
+
+
+def test_verify_report_has_no_shard_field(tmp_path):
+    # a report must not depend on the machine's CPU count
+    assert main(["--threads", "2", "verify", "--suite", "ahlfors", "--level", "6",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "ahlfors.json").read_text())
+    assert set(report) == {"suite", "params", "checks", "passed", "config"}
+    assert set(report["config"]) == {"command", "suite", "level", "out", "version"}
 
 
 @pytest.mark.parametrize("argv,csv_names,headers", [

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gasketfields
-from gasketfields import analysis, fields, geometry, spectral, stable, verify
+from gasketfields import analysis, fields, geometry, shards, spectral, stable, verify
 from gasketfields.errors import ContractError, DomainError, InvariantError
 
 
@@ -231,12 +231,14 @@ def test_lepage_replicates_alphas_share_one_draw(mesh6, tail_compensation, colum
 def test_lepage_vs_direct_draws_once_per_replicate(monkeypatch):
     # the four alphas share each replicate's draw: n draws, not 4 n (n is
     # the smallest sample two_sample accepts); the report names the shared
-    # draw seed in its params and each cell's direct-sample seed
+    # draw seed in its params and each cell's direct-sample seed; the calls
+    # are counted in this process, so one shard makes them all
     calls = []
     make_draw = stable.make_draw
     monkeypatch.setattr(stable, "make_draw",
                         lambda *args: calls.append(args) or make_draw(*args))
-    rep = verify.run_suite("lepage-vs-direct", n=500, n_terms=100, seed0=4)
+    with shards.limit(1):
+        rep = verify.run_suite("lepage-vs-direct", n=500, n_terms=100, seed0=4)
     assert len(rep["checks"]) == 12
     assert len(calls) == 500
     assert rep["params"]["seed0"] == 4
