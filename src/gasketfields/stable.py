@@ -21,8 +21,8 @@ from scipy.special import gamma as gamma_fn, gammaln
 from . import geometry, shards
 from .errors import ContractError, DomainError
 
-# the fewest replicates a forked shard of `lepage_replicates` draws: below
-# this, the fork costs more than the second CPU saves
+# the fewest replicates a forked shard of `lepage_replicates` draws: at
+# level 6 and N = 10^4, 16 replicates a shard only pay for the fork
 MIN_REPLICATES_PER_SHARD = 32
 
 
