@@ -11,9 +11,9 @@ from gasketfields import fields, geometry, shards, spectral, stable, verify
 
 @pytest.fixture
 def three_cpus(monkeypatch):
-    """Three usable CPUs and one item enough for a draw shard; yields a
-    function running `call()` under each of 1, 2 and 3 shards and
-    returning the results, after checking that each count was used."""
+    """Three usable CPUs and one item enough for a draw shard; gives a
+    function that runs `call()` under each of 1, 2 and 3 shards, checks
+    that each count was used, and returns the three results."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(fields, "MIN_SEEDS_PER_SHARD", 1)
     monkeypatch.setattr(stable, "MIN_REPLICATES_PER_SHARD", 1)
@@ -85,7 +85,7 @@ def test_empty_batches_keep_their_shapes(mesh6, spec_n):
 
 
 @pytest.mark.parametrize("in_child", [True, False])
-def test_failed_draw_shard_leaves_no_child(three_cpus, monkeypatch, capfd, mesh6, in_child):
+def test_failed_draw_shard_leaves_no_child(three_cpus, monkeypatch, capfd, in_child):
     # two shards of seeds 0..3 and 4..7: the forked one draws seeds 4..7
     point_masses = fields.point_masses
 
