@@ -3,8 +3,8 @@
 Builds finite gasket approximations, solves the renormalized-energy
 eigenproblem under Neumann or Dirichlet boundary conditions, evaluates
 heat and fractional Riesz kernels spectrally, simulates symmetric
-alpha-stable fields via LePage series, and verifies the governing
-scaling, symmetry and regularity laws at desk scale.
+alpha-stable fields on exact cell noise and LePage stable integrals, and
+verifies the governing scaling, symmetry and regularity laws at desk scale.
 
 The names below load their module on first access, so importing the
 package does not load numpy; the CLI sets its BLAS thread variables

@@ -358,7 +358,7 @@ def _cmd_simulate(cfg, tally):
     spec = spectral.build_spectrum(cfg["level"], cfg["bc"], j_max=cfg["jmax"])
     mesh = spec.mesh
     seeds = range(cfg["seed"], cfg["seed"] + cfg["replicates"])
-    batch = fields.simulate_field(s, alpha, spec, seeds, cfg["n_terms"])
+    batch = fields.simulate_field(s, alpha, spec, seeds)
     out = cfg["out"]
     path = f"{out}.csv"
     vertex_cols = [f"{vid},{x!r},{y!r},"
@@ -424,8 +424,8 @@ _COMMANDS = {
     "stable": (_cmd_stable, "emit stable-integral replicates",
                ("alpha", "n_terms", "seed", "replicates", "route", "level", "out")),
     "simulate": (_cmd_simulate, "simulate field realizations on V_m",
-                 ("level", "bc", "s", "alpha", "jmax", "n_terms", "seed",
-                  "replicates", "out")),
+                 ("level", "bc", "s", "alpha", "jmax", "seed", "replicates",
+                  "out")),
     "verify": (_cmd_verify, "run named verification suites",
                ("suite", "level", "jmax", "out")),
 }

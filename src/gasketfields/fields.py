@@ -1,19 +1,15 @@
 """Simulation of pointwise fractional stable fields on gasket meshes.
 
-One realization evaluates the kernel-smoothed LePage series jointly on
-every mesh vertex from a single frozen draw, which is what makes the
-realization a sample of the *field* rather than independent marginals.
-Each site is drawn as one integer measure word (`geometry.draw_sites`)
-and placed on its nearest mesh vertex, read exactly from the word
-(`GasketMesh.site_vertices`); that placement law equals the lumped
-quadrature weights, so marginal scales agree with the quadrature norm of
-the kernel slice by construction.  The field is one linear map applied
-to the noise, so the realizations of a batch of seeds are one kernel
-apply to their stacked noise coefficients.
-
-alpha = 2 has no LePage normalization (D_alpha degenerates); the driving
-noise is then discrete white noise with variance twice the vertex
-weight, matching the CF convention exp(-u^2 sigma^2).
+A realization is the kernel applied to one draw of the driving noise on
+every mesh vertex at once, so it samples the *field*, not independent
+marginals; a batch of seeds is one kernel apply to their stacked noise.
+The noise is exact in law for every alpha in (0, 2]: an independently
+scattered SaS measure gives the level-(top+1) cells i.i.d. masses of
+scale mu(cell)^(1/alpha) (Samorodnitsky & Taqqu 1994, ch. 3), each summed
+onto the vertex where `GasketMesh.site_vertices` places the cell.  Vertex
+v then has scale mu_v^(1/alpha), its lumped weight, so marginal scales
+are the quadrature norms of kernel slices, and one draw at level top
+couples the fields of every level up to top exactly.
 """
 
 from dataclasses import dataclass
@@ -23,14 +19,14 @@ import numpy as np
 from . import shards
 from .constants import D_H, D_W, integrability_threshold
 from .errors import ContractError, DomainError
-from .geometry import alpha_norm
+from .geometry import MAX_LEVEL, alpha_norm
 from .riesz import KernelEvaluator, fractional_laplacian_inv
-from .stable import arrival_tail_sum, point_masses, standard_stable
+from .stable import standard_stable
 
-# the fewest seeds a forked shard of a field batch draws: a level-6 LePage
-# draw at N = 10^4 takes about 0.5 ms and a fork and reap about 4 ms, so 16
-# seeds a shard only break even
-MIN_SEEDS_PER_SHARD = 32
+# the fewest cell variates a forked shard of a field batch draws, 3^(top+1)
+# a seed: a variate takes about 0.1 us at every alpha and level (L6-L8) and a
+# fork and reap about 3.5 ms, so 2^16 variates a shard only break even
+MIN_CELLS_PER_SHARD = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -54,64 +50,58 @@ def check_integrable(s, alpha):
             "field undefined, see integrability threshold")
 
 
-def _noise_coefficients(alpha, mesh, seeds, n_terms):
-    """Point-mass coefficients of the driving noise on the vertex set, one
-    column per seed: the LePage draw `point_masses(seed, n_terms, alpha,
-    mesh)` for alpha < 2, else discrete white noise from the seed.
+def _noise_coefficients(alpha, mesh, seeds, top):
+    """The driving noise on the vertex set, one column per seed: the seed's
+    `standard_stable` draw of the 3^(top+1) level-(top+1) cells, scaled by
+    3^(-(top+1)/alpha), each summed onto the vertex of its site words.
 
     The seeds are drawn in contiguous shards (`shards.cuts`, at least
-    `MIN_SEEDS_PER_SHARD` seeds each), each writing its columns straight
+    `MIN_CELLS_PER_SHARD` variates each), each writing its columns straight
     into one shared array; each column comes from its seed alone, so the
     values do not depend on the shard count."""
+    if not mesh.level <= top <= MAX_LEVEL:
+        raise DomainError(f"noise level {top} outside [{mesh.level}, {MAX_LEVEL}]")
+    n_cells = 3 ** (top + 1)
+    cells = mesh.site_vertices(np.arange(n_cells) * 3 ** (MAX_LEVEL - top))
+    scale = 3.0 ** (-(top + 1) / alpha)
     coeff = shards.shared_array((mesh.n_vertices, len(seeds)), order="F")
 
     def draw(_, lo, hi):
         for k in range(lo, hi):
-            if alpha == 2.0:
-                rng = np.random.default_rng(np.random.SeedSequence(seeds[k]))
-                coeff[:, k] = np.sqrt(2.0 * mesh.mu_weights) * rng.standard_normal(
-                    mesh.n_vertices)
-            else:
-                coeff[:, k] = point_masses(seeds[k], n_terms, alpha, mesh)
+            rng = np.random.default_rng(np.random.SeedSequence(seeds[k]))
+            coeff[:, k] = np.bincount(cells, weights=scale * standard_stable(
+                rng, alpha, n_cells), minlength=mesh.n_vertices)
 
-    shards.run(shards.cuts(len(seeds), MIN_SEEDS_PER_SHARD), draw, "seeds")
+    min_seeds = -(-MIN_CELLS_PER_SHARD // n_cells)
+    shards.run(shards.cuts(len(seeds), min_seeds), draw, "seeds")
     return coeff
 
 
-def _kernel_batch(s, alpha, spectrum, seeds, n_terms):
-    """The order -s kernel applied to every seed's noise at once; one row
-    per seed."""
-    check_integrable(s, alpha)
-    coeff = _noise_coefficients(alpha, spectrum.mesh, seeds, n_terms)
-    return KernelEvaluator(spectrum, s).apply(coeff).T
-
-
-def simulate_field(s, alpha, spectrum, seeds, n_terms):
+def simulate_field(s, alpha, spectrum, seeds, top=None):
     """Joint realizations of the fractional alpha-stable field on the
     vertices of the spectrum's mesh, with the spectrum's truncation, one
     per seed: `values` has one row per seed.
 
-    For alpha < 2 a realization is
-        D_alpha sum_n T_n^(-1/alpha) G_s(x, xi_n) g_n
-    over the LePage draw `make_draw(seed, n_terms)`; for alpha = 2
-    it is the kernel applied to discrete white noise from the seed, and
-    n_terms is unused.  Orders at or below the integrability threshold are
-    rejected; orders in (threshold, d_h/d_w] are permitted but tagged as
-    the divergent regime.
+    The order -s kernel is applied to every seed's cell noise at once, drawn
+    at level `top`, from the mesh level (the default) to `geometry.MAX_LEVEL`.
+    Orders at or below the integrability threshold are rejected; orders in
+    (threshold, d_h/d_w] are permitted but tagged as the divergent regime.
     """
-    values = _kernel_batch(s, alpha, spectrum, seeds, n_terms)
+    check_integrable(s, alpha)
     mesh = spectrum.mesh
+    top = mesh.level if top is None else top
+    values = KernelEvaluator(spectrum, s).apply(
+        _noise_coefficients(alpha, mesh, seeds, top)).T
     meta = {
         "s": s,
         "alpha": alpha,
         "bc": spectrum.bc,
         "level": mesh.level,
         "j_terms": spectrum.n_modes,
-        "n_terms": None if alpha == 2.0 else n_terms,
+        "noise_level": top,
         "seeds": list(seeds),
         "regime": "divergent" if s <= D_H / D_W else "continuous",
         "mesh_scale": 2.0 ** -mesh.level,
-        "tail_estimate": None if alpha == 2.0 else arrival_tail_sum(alpha, n_terms),
         "mesh_sup": np.max(np.abs(values), axis=1).tolist(),
     }
     return FieldSample(values, meta)
@@ -139,7 +129,7 @@ def marginal_scale(xi, s, alpha, spectrum):
     return alpha_norm(KernelEvaluator(spectrum, s).row(xi), alpha, spectrum.mesh)
 
 
-def scaled_subcell_field(word, s, alpha, spectrum, seeds, n_terms):
+def scaled_subcell_field(word, s, alpha, spectrum, seeds):
     """Fields of the level-n subcell copy at F_w(x), rescaled by 2^(nH), one
     row per seed, on the noise of `simulate_field`.
 
@@ -157,11 +147,10 @@ def scaled_subcell_field(word, s, alpha, spectrum, seeds, n_terms):
     kernel_factor = 3.0 ** n * 5.0 ** (-n * s)
     h = hurst_index(s, alpha)
 
-    # F_w commutes with placing each site on its nearest vertex, and the
+    # F_w commutes with placing each cell's mass on its vertex, and the
     # subcell measure has mass 3^-n
-    values = kernel_factor * 3.0 ** (-n / alpha) * _kernel_batch(
-        s, alpha, spectrum, seeds, n_terms)
-    values = 2.0 ** (n * h) * values
+    factor = 2.0 ** (n * h) * kernel_factor * 3.0 ** (-n / alpha)
+    values = factor * simulate_field(s, alpha, spectrum, seeds).values
     meta = {
         "s": s,
         "alpha": alpha,

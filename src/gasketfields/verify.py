@@ -33,10 +33,10 @@ def _report(suite, params, checks):
     }
 
 
-def _field_batch(s, alpha, bc, level, n_terms, j_terms, n, seed0):
+def _field_batch(s, alpha, bc, level, j_terms, n, seed0, top=None):
     """The spectrum and the batch of realizations of seeds seed0 .. seed0+n-1."""
     spec = spectral.build_spectrum(level, bc, j_max=j_terms)
-    return spec, fields.simulate_field(s, alpha, spec, range(seed0, seed0 + n), n_terms)
+    return spec, fields.simulate_field(s, alpha, spec, range(seed0, seed0 + n), top)
 
 
 def _inverse_laplacian(form, f):
@@ -227,8 +227,8 @@ def suite_kernel_holder(levels=(4, 5, 6), orders=(0.8, 1.0, 1.3), j_terms=200,
                                      "seed": seed}, checks)
 
 
-def suite_symmetry(level=6, j_terms=200, s=0.9, alpha=1.5, n_terms=10_000,
-                   n_seeds=1000, kernel_tol=1e-8, seed0=0):
+def suite_symmetry(level=6, j_terms=200, s=0.9, alpha=1.5, n_seeds=1000,
+                   kernel_tol=1e-8, seed0=0):
     """Reflection invariance: exact kernel identity plus field fdd tests."""
     mesh = geometry.build_mesh(level)
     spec = spectral.build_spectrum(level, spectral.NEUMANN, j_max=j_terms)
@@ -239,10 +239,10 @@ def suite_symmetry(level=6, j_terms=200, s=0.9, alpha=1.5, n_terms=10_000,
                              defect <= kernel_tol, tolerance=kernel_tol))
     x1, x2 = 140, 600
     perm = geometry.reflection_permutation(mesh, 0)
-    A = _field_batch(s, alpha, spectral.NEUMANN, level, n_terms, j_terms,
-                     n_seeds, seed0)[1].values[:, [x1, x2]]
-    B = _field_batch(s, alpha, spectral.NEUMANN, level, n_terms, j_terms,
-                     n_seeds, seed0 + 50_000)[1].values[:, perm[[x1, x2]]]
+    A = _field_batch(s, alpha, spectral.NEUMANN, level, j_terms, n_seeds,
+                     seed0)[1].values[:, [x1, x2]]
+    B = _field_batch(s, alpha, spectral.NEUMANN, level, j_terms, n_seeds,
+                     seed0 + 50_000)[1].values[:, perm[[x1, x2]]]
     for name, a, b in (("marginal_x1", A[:, 0], B[:, 0]),
                        ("marginal_x2", A[:, 1], B[:, 1]),
                        ("pair_sum", A.sum(axis=1), B.sum(axis=1)),
@@ -255,8 +255,8 @@ def suite_symmetry(level=6, j_terms=200, s=0.9, alpha=1.5, n_terms=10_000,
                                 "seed0": seed0, "vertices": [x1, x2]}, checks)
 
 
-def suite_scaling(level=6, j_terms=200, s=0.9, alphas=(1.5, 2.0), n_terms=10_000,
-                  n_seeds=1000, seed0=0, identity_tol=1e-9):
+def suite_scaling(level=6, j_terms=200, s=0.9, alphas=(1.5, 2.0), n_seeds=1000,
+                  seed0=0, identity_tol=1e-9):
     """Subcell self-similarity: exact kernel relation and 2^(nH) fdd tests."""
     mesh = geometry.build_mesh(level)
     spec = spectral.build_spectrum(level, spectral.NEUMANN, j_max=j_terms)
@@ -275,11 +275,11 @@ def suite_scaling(level=6, j_terms=200, s=0.9, alphas=(1.5, 2.0), n_terms=10_000
     xi = 140
     for alpha in alphas:
         # copies of one column, so each batch is freed at once
-        base = fields.simulate_field(s, alpha, spec, range(seed0, seed0 + n_seeds),
-                                     n_terms).values[:, xi].copy()
+        base = fields.simulate_field(
+            s, alpha, spec, range(seed0, seed0 + n_seeds)).values[:, xi].copy()
         sub = fields.scaled_subcell_field(
-            (1,), s, alpha, spec, range(seed0 + 70_000, seed0 + 70_000 + n_seeds),
-            n_terms).values[:, xi].copy()
+            (1,), s, alpha, spec,
+            range(seed0 + 70_000, seed0 + 70_000 + n_seeds)).values[:, xi].copy()
         r = analysis.two_sample(base, sub)
         checks.append(_check(f"fdd_scaling_alpha={alpha}", r,
                              r["p_value"] > 0.01, significance=0.01))
@@ -344,28 +344,28 @@ def suite_lepage_vs_direct(level=6, j_terms=200, n_terms=10_000, n=10_000,
                         "SeedSequence(seed0, spawn_key=(k,))"}, checks)
 
 
-def suite_field_marginals(level=6, j_terms=200, s=0.9, alpha=1.5,
-                          n_terms=10_000, n_seeds=1000, seed0=0):
+def suite_field_marginals(level=6, j_terms=200, s=0.9, alpha=1.5, n_seeds=1000,
+                          seed0=0):
     """Pointwise field laws: boundary/mean constraints, stable marginals,
     duality of the pointwise and distributional routes."""
     checks = []
-    spec_n, batch = _field_batch(s, alpha, spectral.NEUMANN, level, n_terms,
-                                 j_terms, n_seeds, seed0)
+    spec_n, batch = _field_batch(s, alpha, spectral.NEUMANN, level, j_terms,
+                                 n_seeds, seed0)
     mesh, values = spec_n.mesh, batch.values
     # realization-wise Neumann mean zero, relative to the field scale
     worst = float(np.max(np.abs(geometry.quadrature(values, mesh)) /
                          np.maximum(np.max(np.abs(values), axis=1), 1e-300)))
     checks.append(_check("neumann_mean_zero", worst, worst <= 1e-4,
                          tolerance="1e-4 x field scale"))
-    spec_d, batch_d = _field_batch(s, alpha, spectral.DIRICHLET, level, n_terms,
-                                   j_terms, 20, seed0)
+    spec_d, batch_d = _field_batch(s, alpha, spectral.DIRICHLET, level, j_terms,
+                                   20, seed0)
     worst_b = float(np.max(np.abs(batch_d.values[:, mesh.boundary])))
     checks.append(_check("dirichlet_boundary_zero", worst_b, worst_b <= 1e-12,
                          tolerance="truncation (exact zero by construction)"))
     xi = 140
     # a copy of one column, so the Dirichlet batch is freed at once
-    vals_d = _field_batch(s, alpha, spectral.DIRICHLET, level, n_terms, j_terms,
-                          n_seeds, seed0 + 5000)[1].values[:, xi].copy()
+    vals_d = _field_batch(s, alpha, spectral.DIRICHLET, level, j_terms, n_seeds,
+                          seed0 + 5000)[1].values[:, xi].copy()
     for bc, spec, vals in (("neumann", spec_n, values[:, xi]),
                            ("dirichlet", spec_d, vals_d)):
         scale = fields.marginal_scale(xi, s, alpha, spec)
@@ -392,7 +392,7 @@ def suite_field_marginals(level=6, j_terms=200, s=0.9, alpha=1.5,
                    checks)
 
 
-def suite_holder_paths(level=6, n_terms=10_000, n_reps=60, seed0=1000,
+def suite_holder_paths(level=6, n_reps=60, seed0=1000,
                        cells=((2.0, 1.0), (1.5, 0.8), (1.2, 1.3)),
                        tolerance=0.15):
     """Empirical path regularity exponents against min(s,1) d_w - d_h.
@@ -403,30 +403,31 @@ def suite_holder_paths(level=6, n_terms=10_000, n_reps=60, seed0=1000,
     """
     checks = []
     for alpha, s in cells:
-        spec, batch = _field_batch(s, alpha, spectral.NEUMANN, level, n_terms,
-                                   None, n_reps, seed0)
+        spec, batch = _field_batch(s, alpha, spectral.NEUMANN, level, None,
+                                   n_reps, seed0)
         rep = analysis.holder_exponent_estimate(batch, spec.mesh, tolerance)
         checks.append(_check(
             f"holder_alpha={alpha}_s={s}", rep.estimate, rep.passed,
             target=rep.target, tolerance=tolerance, log_power=rep.log_power))
-    return _report("holder-paths", {"level": level, "n_terms": n_terms,
-                                    "n_reps": n_reps, "seed0": seed0}, checks)
+    return _report("holder-paths", {"level": level, "n_reps": n_reps,
+                                    "seed0": seed0}, checks)
 
 
-def suite_divergence(levels=(4, 5, 6), s=0.5, alpha=1.2, n_terms=10_000,
-                     n_seeds=30, control=(1.2, 1.5), control_spread=0.2):
+def suite_divergence(levels=(4, 5, 6), s=0.5, alpha=1.2, n_seeds=30,
+                     control=(1.2, 1.5), control_spread=0.2):
     """Unbounded-regime growth of the mesh supremum across levels, with a
     continuous-regime control that must stay flat.
 
     Each level runs at its full spectral resolution: the supremum growth
     is carried by the spectral content a finer level adds, so capping the
-    truncation across levels would freeze the statistic.
+    truncation across levels would freeze the statistic.  The noise is
+    drawn at the top level, so each seed couples its levels exactly.
     """
 
     def maker(s_, alpha_):
         def make(level):
-            return _field_batch(s_, alpha_, spectral.NEUMANN, level, n_terms,
-                                None, n_seeds, 0)[1]
+            return _field_batch(s_, alpha_, spectral.NEUMANN, level, None,
+                                n_seeds, 0, max(levels))[1]
         return make
 
     checks = []
@@ -439,7 +440,8 @@ def suite_divergence(levels=(4, 5, 6), s=0.5, alpha=1.2, n_terms=10_000,
     spread = (max(meds) - min(meds)) / min(meds)
     checks.append(_check("control_stability", meds, spread <= control_spread,
                          spread=spread, tolerance=control_spread))
-    return _report("divergence", {"levels": list(levels), "s": s, "alpha": alpha,
+    return _report("divergence", {"levels": list(levels), "noise_level": max(levels),
+                                  "s": s, "alpha": alpha,
                                   "control": list(control), "n_seeds": n_seeds},
                    checks)
 
@@ -460,7 +462,14 @@ SUITES = {
 }
 
 
+# the field suites, whose noise has no LePage truncation: they ignore `n_terms`
+_RETIRED_N_TERMS = {"symmetry", "scaling", "field-marginals", "holder-paths",
+                    "divergence"}
+
+
 def run_suite(name, **overrides):
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if name in _RETIRED_N_TERMS:
+        overrides.pop("n_terms", None)
     return SUITES[name](**overrides)

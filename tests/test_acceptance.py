@@ -1,7 +1,8 @@
 """Acceptance gate: one test per criterion, at the declared tolerances.
 
-Defaults everywhere: level m = 6, spectral truncation 200, LePage
-truncation N = 1e4; deviations are stated in the suite parameters.  Each
+Defaults everywhere: level m = 6, spectral truncation 200, and LePage
+truncation N = 1e4 in `lepage-vs-direct`, the one suite with a LePage
+series; deviations are stated in the suite parameters.  Each
 test prints one pass/fail line; run with `pytest -v -s tests/test_acceptance.py`.
 """
 
@@ -92,8 +93,7 @@ def test_criterion_8_path_regularity():
 
 def test_criterion_9_reproducibility(tmp_path):
     args = ["simulate", "--alpha", "1.5", "--s", "0.9", "--bc", "dirichlet",
-            "--level", "6", "--seed", "7", "--replicates", "1",
-            "--n-terms", "10000"]
+            "--level", "6", "--seed", "7", "--replicates", "1"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli_main(args + ["--out", str(a)]) == 0
     assert cli_main(args + ["--out", str(b)]) == 0

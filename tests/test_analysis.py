@@ -89,8 +89,7 @@ def test_ahlfors_regression_contracts():
 
 def _replicates(s, alpha, n, level=6, seed0=1000):
     spec = spectral.build_spectrum(level, "neumann")
-    return spec.mesh, fields.simulate_field(s, alpha, spec,
-                                            range(seed0, seed0 + n), 10_000)
+    return spec.mesh, fields.simulate_field(s, alpha, spec, range(seed0, seed0 + n))
 
 
 @pytest.mark.parametrize("alpha,s", [(2.0, 1.0), (2.0, 1.3), (1.5, 0.8)])
@@ -138,7 +137,7 @@ def test_divergence_diagnostic_contract():
 def test_divergence_diagnostic_shapes():
     def maker(level):
         spec = spectral.build_spectrum(level, "neumann")
-        return fields.simulate_field(0.5, 1.2, spec, range(5), 2000)
+        return fields.simulate_field(0.5, 1.2, spec, range(5))
 
     out = analysis.divergence_diagnostic(maker, [4, 5])
     assert out["levels"] == [4, 5]

@@ -91,11 +91,10 @@ def test_stable_bytes_match_reference(tmp_path, route):
 def test_simulate_bytes_match_reference(tmp_path):
     out = tmp_path / "f"
     assert main(["simulate", "--alpha", "1.5", "--s", "0.9", "--level", "4",
-                 "--n-terms", "2000", "--seed", "7", "--replicates", "2",
-                 "--out", str(out)]) == 0
+                 "--seed", "7", "--replicates", "2", "--out", str(out)]) == 0
     mesh = geometry.build_mesh(4)
     spec = spectral.build_spectrum(4, "neumann", j_max=200)
-    batch = fields.simulate_field(0.9, 1.5, spec, range(7, 9), 2000)
+    batch = fields.simulate_field(0.9, 1.5, spec, range(7, 9))
     rows = ([rep, vid, repr(float(x)), repr(float(y)), repr(float(v))]
             for rep, row in enumerate(batch.values)
             for vid, ((x, y), v) in enumerate(zip(mesh.vertices, row)))
@@ -234,12 +233,13 @@ def test_sharded_kernel_forks_cleanly_beside_blas_threads(tmp_path):
 
 
 @pytest.mark.parametrize("argv,csv_name", [
-    (["simulate", "--level", "5", "--s", "0.9", "--alpha", "1.5"], "x{}.csv"),
+    (["simulate", "--level", "6", "--s", "0.9", "--alpha", "1.5"], "x{}.csv"),
     (["stable", "--level", "5", "--alpha", "1.5"], "x{}_replicates.csv"),
 ])
 def test_threads_cap_the_draw_shards(tmp_path, monkeypatch, argv, csv_name):
-    # 200 draws make two shards on two CPUs: --threads 1 forks nothing, and
-    # --threads 2 writes the same bytes; the meta counts the draw shards
+    # 200 draws (of 2187 cells each for a field) make two shards on two
+    # CPUs: --threads 1 forks nothing, and --threads 2 writes the same
+    # bytes; the meta counts the draw shards
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
@@ -305,7 +305,7 @@ def test_two_file_meta_describes_csvs(tmp_path, argv, csv_names, headers):
     (["stable", "--alpha", "1.5", "--n-terms", "100", "--replicates", "9",
       "--level", "2"], "x_replicates.csv"),
     (["simulate", "--alpha", "1.5", "--s", "0.9", "--level", "2",
-      "--n-terms", "100", "--replicates", "3"], "x.csv"),
+      "--replicates", "3"], "x.csv"),
 ])
 def test_export_meta_describes_csv(tmp_path, argv, csv_name):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 0
@@ -355,12 +355,11 @@ def test_spectrum_level0_dirichlet_exit_two(tmp_path, capsys):
     (["stable", "--alpha", "1.5"], "n_terms", -5),
     (["stable", "--alpha", "1.5"], "replicates", -2),
     (["stable", "--alpha", "1.5", "--route", "direct"], "replicates", -2),
-    (["simulate", "--alpha", "1.5", "--s", "0.9"], "n_terms", 0),
     (["simulate", "--alpha", "1.5", "--s", "0.9"], "replicates", -2),
     (["kernel", "--s", "0.9"], "pairs", 0),
     (["kernel", "--s", "0.9"], "pairs", -3),
 ], ids=["stable-n_terms-0", "stable-n_terms-neg", "stable-replicates-neg",
-        "direct-replicates-neg", "simulate-n_terms-0", "simulate-replicates-neg",
+        "direct-replicates-neg", "simulate-replicates-neg",
         "kernel-pairs-0", "kernel-pairs-neg"])
 def test_count_below_one_exit_two(tmp_path, capsys, argv, key, value, source):
     # a count below 1 is refused before any output, also from a config file,
@@ -375,6 +374,18 @@ def test_count_below_one_exit_two(tmp_path, capsys, argv, key, value, source):
     assert main(args + ["--level", "2", "--out", str(tmp_path / "x")]) == 2
     assert f"{flag} must be an integer >= 1" in capsys.readouterr().err
     assert not list(tmp_path.glob("x*"))
+
+
+def test_simulate_refuses_n_terms(tmp_path, capsys):
+    # a field's noise has no LePage truncation, so the flag is unknown to
+    # `simulate`, while a config file's entry is ignored as any other
+    # command's key is
+    argv = ["simulate", "--alpha", "1.5", "--s", "0.9", "--level", "2"]
+    assert main(argv + ["--n-terms", "100", "--out", str(tmp_path / "x")]) == 2
+    assert "unrecognized arguments: --n-terms" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x*"))
+    assert (_run_in(tmp_path / "config", argv, {"n_terms": 100})
+            == _run_in(tmp_path / "plain", argv))
 
 
 def test_threads_below_one_exit_two(tmp_path, capsys, monkeypatch):
@@ -499,8 +510,7 @@ def test_stable_direct_route(tmp_path):
 
 def test_simulate_reproducible(tmp_path):
     args = ["simulate", "--alpha", "1.5", "--s", "0.9", "--bc", "dirichlet",
-            "--level", "4", "--n-terms", "2000", "--seed", "7",
-            "--replicates", "2"]
+            "--level", "4", "--seed", "7", "--replicates", "2"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
@@ -666,7 +676,7 @@ def test_heavy_scipy_modules_load_on_first_use(tmp_path):
         ["kernel", "--s", "0.9", "--pairs", "20"] + level,
         ["stable", "--alpha", "1.5", "--n-terms", "100", "--replicates", "5"] + level,
         ["stable", "--alpha", "1.5", "--route", "direct", "--replicates", "5"] + level,
-        ["simulate", "--s", "0.9", "--alpha", "1.5", "--n-terms", "100"] + level,
+        ["simulate", "--s", "0.9", "--alpha", "1.5"] + level,
     ]
     heavy = ["scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.spatial"]
     code = (

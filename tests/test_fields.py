@@ -14,7 +14,7 @@ from gasketfields.errors import ContractError, DomainError, InvariantError
 
 
 def _batch(s, alpha, spec, seeds):
-    return fields.simulate_field(s, alpha, spec, seeds, 10_000)
+    return fields.simulate_field(s, alpha, spec, seeds)
 
 
 def _draw_coefficients(draw, alpha, mesh):
@@ -36,19 +36,22 @@ def _conditional_increment_scale(xi, yi, s, draw, alpha, spectrum):
     return float(stable.d_alpha(alpha) * np.sqrt(total))
 
 
-def _per_seed_reference(s, alpha, spec, seeds, n_terms):
-    """One kernel apply per seed, to the noise of `make_draw(seed)` for
-    alpha < 2 and to white noise from the seed at alpha = 2."""
+def _cell_noise(seed, alpha, mesh, top):
+    """The seed's cell noise on V_m, written out: level-(top+1) cell c has
+    the SaS mass 3^(-(top+1)/alpha) X_c and lies in level-(m+1) cell
+    c // 3^(top-m), which the corner table maps to its vertex."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    n_cells = 3 ** (top + 1)
+    masses = 3.0 ** (-(top + 1) / alpha) * stable.standard_stable(rng, alpha, n_cells)
+    vertex = mesh.corner_table[np.arange(n_cells) // 3 ** (top - mesh.level)]
+    return np.bincount(vertex, weights=masses, minlength=mesh.n_vertices)
+
+
+def _per_seed_reference(s, alpha, spec, seeds):
+    """One kernel apply per seed, to the seed's cell noise at the mesh level."""
     mesh, ev = spec.mesh, riesz.KernelEvaluator(spec, s)
-    rows = []
-    for seed in seeds:
-        if alpha == 2.0:
-            rng = np.random.default_rng(np.random.SeedSequence(seed))
-            coeff = np.sqrt(2.0 * mesh.mu_weights) * rng.standard_normal(mesh.n_vertices)
-        else:
-            coeff = _draw_coefficients(stable.make_draw(seed, n_terms), alpha, mesh)
-        rows.append(ev.apply(coeff))
-    return np.array(rows)
+    return np.array([ev.apply(_cell_noise(seed, alpha, mesh, mesh.level))
+                     for seed in seeds])
 
 
 def test_hurst_index_consistency():
@@ -82,8 +85,8 @@ def test_batch_matches_per_seed_apply(level, bc, alpha):
     # apply to its own seed's noise up to the roundoff of the matrix product
     spec = spectral.build_spectrum(level, bc, j_max=200)
     seeds = range(30, 37)
-    got = fields.simulate_field(0.9, alpha, spec, seeds, 2000).values
-    want = _per_seed_reference(0.9, alpha, spec, seeds, 2000)
+    got = fields.simulate_field(0.9, alpha, spec, seeds).values
+    want = _per_seed_reference(0.9, alpha, spec, seeds)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -91,11 +94,11 @@ def test_batch_matches_per_seed_apply(level, bc, alpha):
 @pytest.mark.parametrize("alpha", [1.5, 2.0])
 def test_rows_do_not_depend_on_the_batch(spec_n, alpha):
     # a realization's values depend on its batch only at roundoff
-    big = fields.simulate_field(0.9, alpha, spec_n, range(100, 120), 2000).values
+    big = fields.simulate_field(0.9, alpha, spec_n, range(100, 120)).values
     scale = np.max(np.abs(big))
     for size in (1, 2, 7):
         seeds = range(105, 105 + size)
-        got = fields.simulate_field(0.9, alpha, spec_n, seeds, 2000).values
+        got = fields.simulate_field(0.9, alpha, spec_n, seeds).values
         assert np.max(np.abs(got - big[5:5 + size])) <= 1e-12 * scale
 
 
@@ -172,23 +175,23 @@ def test_subcell_field_matched_draw_identity(spec_n):
     # with a shared draw the 2^(nH)-scaled subcell construction collapses
     # to the base field exactly: the kernel, measure-mass and Hurst
     # factors cancel by construction
-    base = fields.simulate_field(0.9, 1.5, spec_n, [8], 2000)
+    base = fields.simulate_field(0.9, 1.5, spec_n, [8])
     for word in ((0,), (1, 2)):
-        sub = fields.scaled_subcell_field(word, 0.9, 1.5, spec_n, [8], 2000)
+        sub = fields.scaled_subcell_field(word, 0.9, 1.5, spec_n, [8])
         assert np.allclose(sub.values, base.values, rtol=1e-10, atol=1e-14)
 
 
 def test_subcell_field_matched_seed_identity_gaussian(spec_n):
-    base = fields.simulate_field(0.9, 2.0, spec_n, [77], 2000)
-    sub = fields.scaled_subcell_field((2,), 0.9, 2.0, spec_n, [77], 2000)
+    base = fields.simulate_field(0.9, 2.0, spec_n, [77])
+    sub = fields.scaled_subcell_field((2,), 0.9, 2.0, spec_n, [77])
     assert np.allclose(sub.values, base.values, rtol=1e-10, atol=1e-14)
 
 
 def test_subcell_word_validation(spec_n):
     with pytest.raises(ContractError):
-        fields.scaled_subcell_field((), 0.9, 1.5, spec_n, [0], 10)
+        fields.scaled_subcell_field((), 0.9, 1.5, spec_n, [0])
     with pytest.raises(DomainError):
-        fields.scaled_subcell_field((4,), 0.9, 1.5, spec_n, [0], 10)
+        fields.scaled_subcell_field((4,), 0.9, 1.5, spec_n, [0])
 
 
 def test_distributional_field_eigenfunction_scale(spec_n):
@@ -295,7 +298,7 @@ def test_field_marginals_independent_of_blas_threads(tmp_path):
 
 
 def test_reflection_fdd_gaussian(mesh6, spec_n):
-    # alpha = 2 white-noise route: field at reflected vertices over fresh
+    # alpha = 2, Gaussian cells: field at reflected vertices over fresh
     # seeds matches the base law (two-sample KS on a marginal and the sum)
     s = 0.9
     x1, x2 = 140, 600
@@ -311,10 +314,10 @@ def test_spectral_band_additivity_on_shared_draw(mesh6, spec_n_full):
     # additive across the bands
     low_spec, full_spec = spec_n_full.truncated(60), spec_n_full.truncated(240)
     j1, j2 = low_spec.n_modes, full_spec.n_modes
-    low = fields.simulate_field(0.9, 1.5, low_spec, [13], 3000).values[0]
-    full = fields.simulate_field(0.9, 1.5, full_spec, [13], 3000).values[0]
+    low = fields.simulate_field(0.9, 1.5, low_spec, [13]).values[0]
+    full = fields.simulate_field(0.9, 1.5, full_spec, [13]).values[0]
     # independent evaluation of the band j1+1..j2 contribution
-    coeff = _draw_coefficients(stable.make_draw(13, 3000), 1.5, mesh6)
+    coeff = _cell_noise(13, 1.5, mesh6, 6)
     phi = spec_n_full.eigenvectors()[:, j1:j2]
     lam = spec_n_full.eigenvalues[j1:j2] ** -0.9
     band = phi @ (lam * (phi.T @ coeff))
@@ -323,7 +326,38 @@ def test_spectral_band_additivity_on_shared_draw(mesh6, spec_n_full):
 
 def test_field_metadata_complete(spec_n):
     smp = _batch(0.9, 1.5, spec_n, [9, 10])
-    for key in ("s", "alpha", "bc", "level", "j_terms", "n_terms", "seeds",
-                "regime", "mesh_scale", "tail_estimate", "mesh_sup"):
-        assert key in smp.meta
+    assert set(smp.meta) == {"s", "alpha", "bc", "level", "j_terms", "noise_level",
+                             "seeds", "regime", "mesh_scale", "mesh_sup"}
     assert smp.meta["seeds"] == [9, 10] and len(smp.meta["mesh_sup"]) == 2
+    assert smp.meta["noise_level"] == 6
+    assert fields.simulate_field(0.9, 1.5, spec_n, [9], top=8).meta["noise_level"] == 8
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])
+def test_cell_noise_integral_is_exactly_stable(alpha):
+    # <f, noise> sums i.i.d. SaS cell masses, so it is SaS with scale^alpha
+    # sum_v |f_v|^alpha incidence_v 3^-(m+1) = ||f||_alpha^alpha: the law of
+    # `direct_replicates`, exactly, at any alpha in (0, 2]
+    mesh = geometry.build_mesh(5)
+    f = mesh.vertices[:, 0]
+    noise = fields._noise_coefficients(alpha, mesh, range(2000), 5)
+    direct = stable.direct_replicates(f, mesh, alpha, 2000, seed=7)
+    assert analysis.two_sample(f @ noise, direct)["p_value"] > 0.01
+
+
+def test_cell_noise_couples_levels_exactly():
+    # one seed drawn at level top gives every level m <= top the same cells,
+    # so the total noise mass is one sum on every level
+    totals = [fields._noise_coefficients(1.3, geometry.build_mesh(m), [5], 6).sum()
+              for m in range(7)]
+    assert np.ptp(totals) <= 1e-13 * np.max(np.abs(totals))
+    # and drawn at the mesh level it is the written-out reference
+    mesh = geometry.build_mesh(4)
+    assert np.array_equal(fields._noise_coefficients(1.3, mesh, [5], 6)[:, 0],
+                          _cell_noise(5, 1.3, mesh, 6))
+
+
+def test_noise_level_out_of_range_raises(spec_n):
+    for top in (5, geometry.MAX_LEVEL + 1):
+        with pytest.raises(DomainError, match="noise level"):
+            fields.simulate_field(0.9, 1.5, spec_n, [0], top=top)

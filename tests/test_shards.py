@@ -15,7 +15,7 @@ def three_cpus(monkeypatch):
     function that runs `call()` under each of 1, 2 and 3 shards, checks
     that each count was used, and returns the three results."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    monkeypatch.setattr(fields, "MIN_SEEDS_PER_SHARD", 1)
+    monkeypatch.setattr(fields, "MIN_CELLS_PER_SHARD", 1)
     monkeypatch.setattr(stable, "MIN_REPLICATES_PER_SHARD", 1)
 
     def each_count(call):
@@ -55,7 +55,7 @@ def test_cuts_are_contiguous_and_capped(monkeypatch):
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
 def test_field_values_do_not_depend_on_shards(three_cpus, alpha, bc):
     spec = spectral.build_spectrum(5, bc, j_max=100)
-    samples = three_cpus(lambda: fields.simulate_field(0.9, alpha, spec, range(3, 10), 300))
+    samples = three_cpus(lambda: fields.simulate_field(0.9, alpha, spec, range(3, 10)))
     assert all(np.array_equal(samples[0].values, s.values) for s in samples[1:])
     assert all(samples[0].meta == s.meta for s in samples[1:])
 
@@ -72,13 +72,13 @@ def test_lepage_replicates_do_not_depend_on_shards(three_cpus):
 def test_reports_do_not_depend_on_shards(three_cpus):
     # two_sample needs 500 points per sample
     reports = three_cpus(lambda: [
-        verify.run_suite("symmetry", n_seeds=500, n_terms=100, seed0=3),
+        verify.run_suite("symmetry", n_seeds=500, seed0=3),
         verify.run_suite("lepage-vs-direct", n=500, n_terms=100, seed0=3)])
     assert reports[0] == reports[1] == reports[2]
 
 
 def test_empty_batches_keep_their_shapes(mesh6, spec_n):
-    assert fields.simulate_field(0.9, 1.5, spec_n, range(0), 100).values.shape == (
+    assert fields.simulate_field(0.9, 1.5, spec_n, range(0)).values.shape == (
         0, mesh6.n_vertices)
     assert stable.lepage_replicates(np.ones(mesh6.n_vertices), mesh6, 1.5, 100, 0,
                                     seed=0).shape == (0,)
@@ -87,24 +87,24 @@ def test_empty_batches_keep_their_shapes(mesh6, spec_n):
 @pytest.mark.parametrize("in_child", [True, False])
 def test_failed_draw_shard_leaves_no_child(three_cpus, monkeypatch, capfd, in_child):
     # two shards of seeds 0..3 and 4..7: the forked one draws seeds 4..7
-    point_masses = fields.point_masses
+    standard_stable, parent = fields.standard_stable, os.getpid()
 
-    def failing(seed, *args):
-        if (seed >= 4) == in_child:
+    def failing(*args):
+        if (os.getpid() != parent) == in_child:
             raise RuntimeError("draw failed")
-        return point_masses(seed, *args)
+        return standard_stable(*args)
 
-    monkeypatch.setattr(fields, "point_masses", failing)
+    monkeypatch.setattr(fields, "standard_stable", failing)
     spec = spectral.build_spectrum(4, "neumann")
     with shards.limit(2):
         if in_child:
             with pytest.raises(ChildProcessError,
                                match=r"shard 1 of 2 \(seeds 4 to 7\) .* exit status 1"):
-                fields.simulate_field(0.9, 1.5, spec, range(8), 100)
+                fields.simulate_field(0.9, 1.5, spec, range(8))
             assert "RuntimeError: draw failed" in capfd.readouterr().err
         else:
             with pytest.raises(RuntimeError, match="draw failed"):
-                fields.simulate_field(0.9, 1.5, spec, range(8), 100)
+                fields.simulate_field(0.9, 1.5, spec, range(8))
     _no_child_left()
 
 

@@ -1,7 +1,9 @@
 """Signature guards: the Spectrum passed in is the only truncation, a
 spectrum or kernel evaluator already carries its mesh and boundary
-condition, only the Spectrum forms dense eigenvector rows, and one noise
-builder turns every LePage draw into point masses on the mesh."""
+condition, only the Spectrum forms dense eigenvector rows, a field's noise
+has no LePage truncation, and two noise builders place sites on the mesh:
+one turns every LePage draw into point masses, the other sums a field's
+cell noise."""
 
 import ast
 import inspect
@@ -97,13 +99,21 @@ def _calls(name):
 
 
 def test_one_noise_builder():
-    # every LePage draw, of a field or of a stable integral, comes from
-    # make_draw through the one builder that places its sites on the mesh
-    # and forms its weights
-    builder = {("stable", "point_masses")}
-    assert _sites(_calls("make_draw")) == builder
-    assert _sites(_calls("site_vertices")) == builder
+    # every LePage draw, all of them stable integrals, comes from make_draw
+    # through the one builder that places its sites on the mesh and forms
+    # its weights; a field's noise is the cell draw, the only other reader
+    # of the site placement
+    builder = ("stable", "point_masses")
+    assert _sites(_calls("make_draw")) == {builder}
+    assert {module for module, _ in _sites(_calls("point_masses"))} == {"stable"}
+    assert _sites(_calls("site_vertices")) == {builder,
+                                               ("fields", "_noise_coefficients")}
     assert _sites(_calls("draw_sites")) == {("stable", "make_draw")}
+
+
+def test_fields_take_no_lepage_truncation():
+    assert [name for name, params in _signatures()
+            if name.startswith("fields.") and "n_terms" in params] == []
 
 
 def test_kernel_evaluator_holds_no_eigenvectors():

@@ -337,15 +337,19 @@ def test_tail_compensation_needed_near_two(mesh6):
     assert analysis.two_sample(comp, dr)["p_value"] > 0.01
 
 
-def test_arrival_tail_sum_matches_emitted_estimate():
-    # a field's metadata records the exact tail sum, which sits within 1e-3
-    # of its asymptote N^(1-2/alpha)/(2/alpha - 1)
-    spec = spectral.build_spectrum(2, spectral.NEUMANN)
+def test_arrival_tail_sum_matches_emitted_estimate(tmp_path):
+    # a LePage `stable` export records the exact tail sum, which sits within
+    # 1e-3 of its asymptote N^(1-2/alpha)/(2/alpha - 1)
+    from gasketfields.cli import main
+
     for alpha in (1.2, 1.5, 1.9):
         exact = stable.arrival_tail_sum(alpha, 10_000)
         approx = 10_000 ** (1 - 2 / alpha) / (2 / alpha - 1)
         assert exact == pytest.approx(approx, rel=1e-3)
-        meta = fields.simulate_field(1.5, alpha, spec, [0], 10_000).meta
+        out = tmp_path / f"a{alpha}"
+        assert main(["stable", "--alpha", str(alpha), "--level", "2",
+                     "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / f"a{alpha}_meta.json").read_text())
         assert meta["tail_estimate"] == exact
 
 
