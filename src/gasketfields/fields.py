@@ -109,14 +109,13 @@ def simulate_field(s, alpha, spectrum, seeds, top=None):
 
 def distributional_field(f, s, alpha, spectrum, rng, n_draws):
     """The field tested against f: stable integral of the order -s image,
-    `n_draws` independent variates, each its own `standard_stable` call on
-    rng.
+    `n_draws` independent variates from one `standard_stable` call on rng.
 
     Exact in law for a single functional; CF is
     exp(-|u|^alpha ||(-Delta)^-s f||_alpha^alpha).
     """
     scale = functional_scale(f, s, alpha, spectrum)
-    return scale * np.array([standard_stable(rng, alpha) for _ in range(n_draws)])
+    return scale * standard_stable(rng, alpha, n_draws)
 
 
 def functional_scale(f, s, alpha, spectrum):

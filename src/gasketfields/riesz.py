@@ -40,7 +40,8 @@ class KernelEvaluator:
         return self.spectrum.value(self.lam_pow, xi, yi)
 
     def row(self, xi):
-        """G_s(x, .) against every mesh vertex."""
+        """G_s(x, .) against every mesh vertex; xi is a vertex or an index
+        set (one row per vertex)."""
         return self.spectrum.row(self.lam_pow, xi)
 
     def row_blocks(self, rows=slice(None), cols=slice(None)):
@@ -81,7 +82,9 @@ def fractional_laplacian_inv(s, f, spectrum):
 
 
 def kernel_semigroup_residual(s, t, xi, yi, spectrum):
-    """Convolution defect |G_{s+t}(x,y) - quad_u G_s(x,u) G_t(u,y)| at vertex pairs.
+    """Relative convolution defect at vertex pairs,
+    |G_{s+t}(x,y) - quad_u G_s(x,u) G_t(u,y)| / |G_{s+t}(x,y)|
+    (the denominator floored at 1e-30), with G_{s+t} read once.
 
     At matched truncation this is pure quadrature/orthonormality error.
     """
@@ -91,7 +94,8 @@ def kernel_semigroup_residual(s, t, xi, yi, spectrum):
         raise DomainError("diagonal requires s+t > d_h/d_w")
     conv = np.sum(KernelEvaluator(spectrum, s).matrix(xi) * spectrum.mesh.mu_weights
                   * KernelEvaluator(spectrum, t).matrix(yi), axis=-1)
-    return np.abs(KernelEvaluator(spectrum, s + t).value(xi, yi) - conv)
+    direct = KernelEvaluator(spectrum, s + t).value(xi, yi)
+    return np.abs(direct - conv) / np.maximum(np.abs(direct), 1e-30)
 
 
 def dyadic_pair_bins(mesh, rng=None, max_pairs_per_bin=400):
@@ -111,10 +115,15 @@ def dyadic_pair_bins(mesh, rng=None, max_pairs_per_bin=400):
 
 
 def _binned_means(ev, rng):
-    """Distances and mean kernel values of the dyadic pair bins."""
+    """Distances and mean kernel values of the dyadic pair bins, every bin
+    read in one `value` call (a pair's value does not depend on the pairs
+    read with it, so each mean is that of its bin read alone)."""
     bins = dyadic_pair_bins(ev.spectrum.mesh, rng)
+    pairs = np.concatenate([p for _, p in bins])
+    values = ev.value(pairs[:, 0], pairs[:, 1])
+    ends = np.cumsum([len(p) for _, p in bins])[:-1]
     return (np.array([dist for dist, _ in bins]),
-            np.array([ev.value(pairs[:, 0], pairs[:, 1]).mean() for _, pairs in bins]))
+            np.array([v.mean() for v in np.split(values, ends)]))
 
 
 def kernel_exponent_fit(ev, rng=None):

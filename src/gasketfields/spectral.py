@@ -134,15 +134,24 @@ class Spectrum:
         return np.take(out, order, axis=1).reshape(at.shape + (self.n_modes,))
 
     def value(self, g, xi, yi):
-        """sum_j g_j phi_j(x) phi_j(y) at vertex pairs; index arrays pair elementwise."""
+        """sum_j g_j phi_j(x) phi_j(y) at vertex pairs; index arrays pair
+        elementwise, read at most 2^20 (pair, mode) entries of a block at a time."""
         # one dot per pair and block: a pair's value does not depend on the
-        # pairs read with it
-        xi, yi = np.broadcast_arrays(xi, yi)
-        return sum((((P[xi.ravel()] @ y) * (P[yi.ravel()] @ y))[:, None, :] @ g[cols])[:, 0]
-                   for P, y, cols in self._parts()).reshape(xi.shape)[()]
+        # pairs read with it, so the chunks change no bit
+        shape = np.broadcast_shapes(np.shape(xi), np.shape(yi))
+        xi, yi = (np.broadcast_to(v, shape).ravel() for v in (xi, yi))
+        step = max(1, 2 ** 20 // max(y.shape[1] for y, _, _ in self.blocks))
+        out = np.empty(xi.size)
+        for i in range(0, xi.size, step):
+            x, z = xi[i:i + step], yi[i:i + step]
+            out[i:i + step] = sum((((P[x] @ y) * (P[z] @ y))[:, None, :] @ g[cols])[:, 0]
+                                  for P, y, cols in self._parts())
+        return out.reshape(shape)[()]
 
     def row(self, g, xi):
-        """sum_j g_j phi_j(x) phi_j(.) against every mesh vertex."""
+        """sum_j g_j phi_j(x) phi_j(.) against every mesh vertex; xi is a
+        vertex (one row) or an index set (one row per vertex, read 64 at a
+        time by `row_blocks`)."""
         return self.matrix(g, xi)
 
     def row_blocks(self, g, rows=slice(None), cols=slice(None)):
@@ -415,6 +424,7 @@ def heat_kernel(t, xi, yi, spectrum):
 
 
 def heat_kernel_row(t, xi, spectrum):
-    """Heat kernel p_t(x, .) against every mesh vertex at once."""
+    """Heat kernel p_t(x, .) against every mesh vertex at once; xi is a
+    vertex or an index set, read as one block (one row per vertex)."""
     row = spectrum.row(_heat_weights(t, spectrum), xi)
     return row + 1.0 if spectrum.bc == NEUMANN else row

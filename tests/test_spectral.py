@@ -214,6 +214,23 @@ def test_heat_kernel_dirichlet_vanishes_at_corners(mesh6, spec_d):
         assert np.max(np.abs(spectral.heat_kernel_row(0.05, b, spec_d))) == 0.0
 
 
+@pytest.mark.parametrize("j_max", [None, 200])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("level", [5, 6])
+def test_heat_kernel_rows_over_an_index_set(level, bc, j_max):
+    # the rows of an index set, read as one block (70 rows: two 64-row
+    # reads, the corners among them), are the single-vertex rows stacked
+    spec = spectral.build_spectrum(level, bc, j_max=j_max)
+    n = spec.mesh.n_vertices
+    rows = np.concatenate([spec.mesh.boundary,
+                           np.random.default_rng(9).choice(n, 67, replace=False)])
+    for t in (0.05, 1.0):
+        block = spectral.heat_kernel_row(t, rows, spec)
+        single = np.stack([spectral.heat_kernel_row(t, x, spec) for x in rows])
+        assert block.shape == single.shape == (70, n)
+        assert np.max(np.abs(block - single)) <= 1e-13 * np.max(np.abs(single))
+
+
 def test_heat_kernel_large_time(spec_n):
     assert spectral.heat_kernel(50.0, 3, 500, spec_n) == pytest.approx(1.0, abs=1e-8)
 
