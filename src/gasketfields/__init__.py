@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 _MODULE_EXPORTS = {
     "constants": ("D_H", "D_W"),
-    "geometry": ("build_mesh", "apply_contraction", "reflect", "sample_mu", "quadrature"),
+    "geometry": ("build_mesh", "sample_mu", "quadrature"),
     "spectral": ("assemble_form", "solve_spectrum", "build_spectrum", "heat_kernel"),
     "riesz": ("KernelEvaluator", "fractional_laplacian_inv"),
     "stable": ("standard_stable", "d_alpha", "make_draw"),

@@ -20,7 +20,7 @@ import sys
 import time
 from itertools import repeat
 
-from . import shards
+from . import __version__, errors, shards
 
 # the fewest rows a forked CSV shard formats: one process writes the level-5
 # kernel (366 rows) faster than two, two write the level-6 one (1095) faster
@@ -198,8 +198,6 @@ class _Reprs(dict):
 
 
 def _run_config(cfg):
-    from . import __version__
-
     return {**cfg, "version": __version__}
 
 
@@ -267,7 +265,7 @@ def _cmd_kernel(cfg, tally):
 
     started = time.perf_counter()
     if cfg.get("s") is None:
-        raise _usage("kernel requires --s > 0")
+        raise errors.UsageError("kernel requires --s > 0")
     # the full spectrum holds the modes --jmax drops, for the tail bound
     full = spectral.build_spectrum(cfg["level"], cfg["bc"])
     spec = full.truncated(cfg["jmax"])
@@ -281,9 +279,7 @@ def _cmd_kernel(cfg, tally):
         rng = np.random.default_rng(cfg["seed"])
         a, b = np.array([rng.choice(n, 2, replace=False) for _ in range(cfg["pairs"])]).T
         d = np.hypot(*(V[a] - V[b]).T).tolist()
-        # 1024 pairs a read, so its (pairs, modes) scratch stays bounded
-        g = np.concatenate([ev.value(a[i:i + 1024], b[i:i + 1024])
-                            for i in range(0, len(a), 1024)]).tolist()
+        g = ev.value(a, b).tolist()
         pair_rows = [f"{x},{y},{u!r},{v!r}"
                      for x, y, u, v in zip(a.tolist(), b.tolist(), d, g)]
         csv_file = _whole(path, header, [pair_rows])
@@ -321,7 +317,7 @@ def _cmd_stable(cfg, tally):
 
     started = time.perf_counter()
     if cfg.get("alpha") is None:
-        raise _usage("stable requires --alpha in (0, 2)")
+        raise errors.UsageError("stable requires --alpha in (0, 2)")
     mesh = geometry.build_mesh(cfg["level"])
     import numpy as np
 
@@ -351,7 +347,7 @@ def _cmd_simulate(cfg, tally):
     started = time.perf_counter()
     for key in ("s", "alpha"):
         if cfg.get(key) is None:
-            raise _usage(f"simulate requires --{key}")
+            raise errors.UsageError(f"simulate requires --{key}")
     s, alpha = cfg["s"], cfg["alpha"]
     # before the spectrum is solved
     fields.check_integrable(s, alpha)
@@ -382,7 +378,8 @@ def _cmd_verify(cfg, tally):
         names.extend(sorted(verify.SUITES) if entry == "all" else [entry])
     for name in names:
         if name not in verify.SUITES:
-            raise _usage(f"unknown suite {name!r}; choose from {sorted(verify.SUITES)}")
+            raise errors.UsageError(
+                f"unknown suite {name!r}; choose from {sorted(verify.SUITES)}")
 
     # each flag and the suite parameter it sets
     overrides = {"level": "level", "jmax": "j_terms"}
@@ -391,10 +388,9 @@ def _cmd_verify(cfg, tally):
     os.makedirs(out_dir, exist_ok=True)
     all_passed = True
     for name in names:
-        fn = verify.SUITES[name]
-        accepted = set(inspect.signature(fn).parameters)
+        accepted = set(inspect.signature(verify.SUITES[name]).parameters)
         taken = [flag for flag, param in overrides.items() if param in accepted]
-        report = fn(**{overrides[flag]: cfg[flag] for flag in taken})
+        report = verify.run_suite(name, **{overrides[flag]: cfg[flag] for flag in taken})
         # a report records only the flags its suite took
         report["config"] = _run_config({k: v for k, v in cfg.items()
                                         if k not in overrides or k in taken})
@@ -406,12 +402,6 @@ def _cmd_verify(cfg, tally):
             print(f"    {c['name']}: {mark}")
         all_passed &= report["passed"]
     return 0 if all_passed else 1
-
-
-def _usage(msg):
-    from .errors import UsageError
-
-    return UsageError(msg)
 
 
 # each command: its handler, its help line and its flags
@@ -460,17 +450,14 @@ def main(argv=None):
     cfg = {k: v for k, v in vars(args).items()
            if v is not None and k not in ("config", "threads")}
 
-    from .errors import (CapacityError, ContractError, DomainError,
-                         NumericError, ResolutionError, UsageError)
-
     try:
         with shards.limit(args.threads) as tally:
             return _COMMANDS[args.command][0](cfg, tally)
-    except (UsageError, DomainError, ContractError, CapacityError,
-            ResolutionError) as exc:
+    except (errors.UsageError, errors.DomainError, errors.ContractError,
+            errors.CapacityError, errors.ResolutionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
+    except errors.NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
 

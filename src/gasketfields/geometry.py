@@ -185,43 +185,10 @@ def _check_mesh(mesh):
             f"vertices {bad[:5].tolist()}")
 
 
-def apply_contraction(word, p):
-    """Apply F_w = F_{i1} o ... o F_{in} to a point.
-
-    The innermost map F_{in} acts first; the empty word is the identity.
-    """
-    p = np.asarray(p, dtype=float)
-    for d in word:
-        if d not in (0, 1, 2):
-            raise DomainError(f"address digit {d} not in {{0,1,2}}")
-    for d in reversed(tuple(word)):
-        p = 0.5 * (p + CORNERS[d])
-    return p
-
-
-def reflect(i, p):
-    """Reflection sigma_i about the symmetry axis through corner q_i.
-
-    sigma_i fixes q_i, swaps the other two corners, and maps V_m onto
-    itself; it is an involution.
-    """
-    p = np.asarray(p, dtype=float)
-    x, y = p[..., 0], p[..., 1]
-    r3 = np.sqrt(3.0)
-    if i == 0:
-        out = np.stack([0.5 * x + (r3 / 2) * y, (r3 / 2) * x - 0.5 * y], axis=-1)
-    elif i == 1:
-        vx, vy = x - 1.0, y
-        out = np.stack([1.0 + 0.5 * vx - (r3 / 2) * vy, -(r3 / 2) * vx - 0.5 * vy], axis=-1)
-    elif i == 2:
-        out = np.stack([1.0 - x, y], axis=-1)
-    else:
-        raise DomainError(f"reflection index {i} not in {{0,1,2}}")
-    return out.reshape(p.shape)
-
-
 def reflection_permutation(mesh, i):
-    """Vertex permutation induced by sigma_i on V_m, computed exactly.
+    """Vertex permutation induced on V_m by the reflection sigma_i about the
+    symmetry axis through corner q_i (it fixes q_i and swaps the other two
+    corners), computed exactly.
 
     Returns perm with vertices[perm[k]] == sigma_i(vertices[k]).
     """

@@ -42,7 +42,7 @@ class KernelEvaluator:
     def row(self, xi):
         """G_s(x, .) against every mesh vertex; xi is a vertex or an index
         set (one row per vertex)."""
-        return self.spectrum.row(self.lam_pow, xi)
+        return self.spectrum.matrix(self.lam_pow, xi)
 
     def row_blocks(self, rows=slice(None), cols=slice(None)):
         """Kernel block G_s(rows, cols) 64 rows at a time, as (x, G_s(x, cols))."""

@@ -74,9 +74,9 @@ class Spectrum:
     boundary, and the Neumann constant mode is excluded.
     `eigenvectors(rows)` forms dense rows on demand.  Every
     sum_j g_j phi_j(x) phi_j(y) over a weight g_j per mode (lambda_j^-s,
-    e^(-lambda_j t)) is `value` (at vertex pairs), `row`, `row_blocks` (64
-    rows of a block of index sets at a time), `matrix` (the whole block) or
-    `apply`, over all of the modes, block by block:
+    e^(-lambda_j t)) is `value` (at vertex pairs), `row_blocks` (64 rows of
+    a block of index sets at a time), `matrix` (the whole block, or one
+    row) or `apply`, over all of the modes, block by block:
     the truncation of a kernel or a field is that of its Spectrum (see
     `truncated`).
     """
@@ -148,12 +148,6 @@ class Spectrum:
                                   for P, y, cols in self._parts())
         return out.reshape(shape)[()]
 
-    def row(self, g, xi):
-        """sum_j g_j phi_j(x) phi_j(.) against every mesh vertex; xi is a
-        vertex (one row) or an index set (one row per vertex, read 64 at a
-        time by `row_blocks`)."""
-        return self.matrix(g, xi)
-
     def row_blocks(self, g, rows=slice(None), cols=slice(None)):
         """sum_j g_j phi_j(x) phi_j(y) on rows x cols, 64 rows x at a time:
         yields (x, block) with x the block's vertex indices, in the order of
@@ -219,23 +213,11 @@ def assemble_form(mesh, bc):
 
     Off-diagonal stiffness entries are -(5/3)^m per shared cell; diagonals
     make rows sum to zero.  Mass weights are incidence * 3^-m / 3.
-    Raises CapacityError, before allocating, when the block solve would not
-    fit in physical memory, and DomainError for a Dirichlet form without
-    rows (level 0, where V_0 is the whole mesh).
+    Raises DomainError for a Dirichlet form without rows (level 0, where
+    V_0 is the whole mesh).
     """
     check_bc(bc)
     n = mesh.n_vertices
-    # n^2/2 float64 (4 n^2 bytes) live at the peak of assemble + solve: the
-    # stored block eigenvectors, about n^2/6 (blocks of n/6, n/6 and n/3
-    # rows), and the E block's eigensolve, which holds its n/3 x n/3 matrix
-    # and a divide-and-conquer workspace of twice that, 3 (n/3)^2 = n^2/3
-    need, limit = 4 * n * n, _physical_memory()
-    if need > limit:
-        raise CapacityError(
-            f"level {mesh.level}: the block spectrum of n = {n} vertices needs "
-            f"about {need / 1e9:.2f} GB (n^2/2 float64: the D3 block eigenvectors "
-            f"and the E block's eigensolve), more than the {limit / 1e9:.2f} GB "
-            "of physical memory")
     index = np.arange(n)
     if bc == DIRICHLET:
         index = np.setdiff1d(index, mesh.boundary)
@@ -365,8 +347,22 @@ def solve_spectrum(form):
     vectors exactly rho-invariant too) and is mass-orthonormal; across
     blocks the order inside a multiplet follows eigenvalue roundoff.  The
     Spectrum keeps each block's pair (P, y), P on the full vertex set.
+    Raises CapacityError, before allocating, when the block solve would not
+    fit in physical memory.
     """
     mesh = form.mesh
+    n = mesh.n_vertices
+    # n^2/2 float64 (4 n^2 bytes) live at the peak of the solve: the stored
+    # block eigenvectors, about n^2/6 (blocks of n/6, n/6 and n/3 rows), and
+    # the E block's eigensolve, which holds its n/3 x n/3 matrix and a
+    # divide-and-conquer workspace of twice that, 3 (n/3)^2 = n^2/3
+    need, limit = 4 * n * n, _physical_memory()
+    if need > limit:
+        raise CapacityError(
+            f"level {mesh.level}: the block spectrum of n = {n} vertices needs "
+            f"about {need / 1e9:.2f} GB (n^2/2 float64: the D3 block eigenvectors "
+            f"and the E block's eigensolve), more than the {limit / 1e9:.2f} GB "
+            "of physical memory")
     orbits = geometry.symmetry_orbits(mesh)
     # the Dirichlet rows are a union of orbits (V_0 is one), so P has no
     # entry on V_0
@@ -426,5 +422,5 @@ def heat_kernel(t, xi, yi, spectrum):
 def heat_kernel_row(t, xi, spectrum):
     """Heat kernel p_t(x, .) against every mesh vertex at once; xi is a
     vertex or an index set, read as one block (one row per vertex)."""
-    row = spectrum.row(_heat_weights(t, spectrum), xi)
+    row = spectrum.matrix(_heat_weights(t, spectrum), xi)
     return row + 1.0 if spectrum.bc == NEUMANN else row

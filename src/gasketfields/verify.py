@@ -166,13 +166,24 @@ def suite_semigroup(level=6, j_terms=200, n_pairs=100, rel_tol=1e-3, seed=10):
                                  "n_pairs": n_pairs, "seed": seed}, checks)
 
 
+def _interior(mesh):
+    """Mask of the vertices at distance >= 1/4 from every corner, decided on
+    the exact coordinates: |(da, db)|^2 = (da^2 + 3 db^2) / 4^(m+1), so the
+    set is D3-invariant as the distance is (float distances at exactly 1/4
+    round to either side)."""
+    diff = mesh.coords_ab[:, None, :] - mesh.coords_ab[mesh.boundary]
+    return np.all(4 * (diff[..., 0] ** 2 + 3 * diff[..., 1] ** 2) >= 4 ** mesh.level,
+                  axis=1)
+
+
 def suite_kernel_bounds(level=6, j_terms=200, tol=0.1, seed=4):
     """Kernel growth exponents s*d_w - d_h and the critical log profile.
 
     The Dirichlet kernel is additionally checked for positivity away from
     the corner set (its lower bound carries the first eigenfunction as an
     envelope, so only the exponent and the sign are asserted); the kernel
-    is symmetric, so the sign is read on the pairs x <= y only.
+    and that set are D3-invariant, so the sign is read on the rows of the
+    set's orbit representatives only.
     """
     mesh = geometry.build_mesh(level)
     rng = np.random.default_rng(seed)
@@ -191,28 +202,19 @@ def suite_kernel_bounds(level=6, j_terms=200, tol=0.1, seed=4):
     slope, r2 = riesz.kernel_log_fit(ev_c, rng)
     checks.append(_check("critical_log_slope", slope, slope > 0.0))
     checks.append(_check("critical_log_r2", r2, r2 >= 0.9, tolerance=0.9))
-    # Dirichlet positivity away from the corners.  The kernel is the
-    # symmetric sum g_j phi_j(x) phi_j(y), so the pairs x <= y of the
-    # interior block (in vertex order) hold every one of its values.  Rows
-    # are read 128 at a time against the columns from the first of them on,
-    # about half of the block, and the pairs y < x such a read holds are
-    # skipped
-    d_corner = np.min([np.hypot(*(mesh.vertices - mesh.vertices[b]).T)
-                       for b in mesh.boundary], axis=0)
-    interior = np.flatnonzero(d_corner >= 0.25)
+    # Dirichlet positivity away from the corners.  G(g x, y) = G(x, g^-1 y)
+    # for g in D3 and the interior is a union of orbits, so the rows of its
+    # orbit representatives hold every value of the interior block
+    inside = _interior(mesh)
+    interior = np.flatnonzero(inside)
+    reps = geometry.symmetry_orbits(mesh)[0]
+    reps = reps[inside[reps]]
     # the minimum of each 64-row block, and where it sits
     minima = []
     for s in (0.4, 0.6):
-        ev = riesz.KernelEvaluator(spec_d, s)
-        for i in range(0, interior.size, 128):
-            at = i
-            for x, block in ev.row_blocks(interior[i:i + 128], interior[i:]):
-                # G(x, y) for y from x[0] on, one row per y; y < x masked
-                yx = block.T[at - i:]
-                yx[~np.tri(*yx.shape, dtype=bool)] = np.inf
-                c, r = np.unravel_index(np.argmin(yx), yx.shape)
-                minima.append((float(yx[c, r]), s, int(x[r]), int(interior[at + c])))
-                at += len(x)
+        for x, block in riesz.KernelEvaluator(spec_d, s).row_blocks(reps, interior):
+            r, c = np.unravel_index(np.argmin(block), block.shape)
+            minima.append((float(block[r, c]), s, int(x[r]), int(interior[c])))
     value, s, x, y = min(minima)
     checks.append(_check("dirichlet_interior_positive", value, value > 0.0,
                          note="interior = distance >= 1/4 from every corner",

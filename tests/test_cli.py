@@ -176,6 +176,21 @@ def test_kernel_bytes_do_not_depend_on_shards(tmp_path, monkeypatch, bc):
     assert runs[0][1] == runs[1][1] == runs[2][1]
 
 
+def test_kernel_pairs_bytes_do_not_depend_on_shards(tmp_path, monkeypatch):
+    # 5000 pairs, read in one call, cross the cuts of reads of 1024 pairs
+    # each, and give the same values as those reads
+    runs = _sharded_exports(tmp_path, monkeypatch,
+                            ["kernel", "--level", "5", "--s", "0.9", "--pairs", "5000"],
+                            ["kernel.csv"])
+    assert runs[0][1] == runs[1][1] == runs[2][1]
+    rows = (tmp_path / "x1_kernel.csv").read_text().splitlines()[1:]
+    a, b = np.array([row.split(",")[:2] for row in rows], dtype=int).T
+    ev = riesz.KernelEvaluator(spectral.build_spectrum(5, "neumann", j_max=200), 0.9)
+    chunked = np.concatenate([ev.value(a[i:i + 1024], b[i:i + 1024])
+                              for i in range(0, len(a), 1024)])
+    assert [row.rsplit(",", 1)[1] for row in rows] == list(map(repr, chunked.tolist()))
+
+
 def test_spectrum_bytes_do_not_depend_on_shards(tmp_path, monkeypatch):
     # level 6 has 1095 vertex rows, five 256-row blocks
     runs = _sharded_exports(tmp_path, monkeypatch, ["spectrum", "--level", "6"],
@@ -661,6 +676,13 @@ def test_threads_flag_sets_blas_before_numpy_loads(tmp_path):
         )
         proc = _run_python(code)
         assert proc.returncode == 0, (argv, proc.stderr)
+
+
+def test_every_package_export_resolves():
+    # each name of __all__ loads from its module on first access, so a name
+    # whose definition went would raise AttributeError here
+    for name in gasketfields.__all__:
+        getattr(gasketfields, name)
 
 
 def test_heavy_scipy_modules_load_on_first_use(tmp_path):

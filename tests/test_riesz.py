@@ -394,24 +394,27 @@ def test_kernel_reads_at_level_7_stay_below_a_quarter_matrix():
         assert peak < 0.25 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} n^2 doubles"
 
 
-@pytest.mark.parametrize("level", [5, 6])
+@pytest.mark.parametrize("level", [5, 6, 7])
 def test_dirichlet_positivity_is_the_dense_minimum(level):
     # the check's value is the minimum of the dense interior block over the
-    # pairs x <= y that it reads, and it names the order and the vertex pair
-    # where that minimum sits; by symmetry it is the minimum of the whole
-    # block up to roundoff
+    # rows of the interior orbit representatives that it reads, and it names
+    # the order and the vertex pair where that minimum sits; the interior is
+    # D3-invariant, so by symmetry it is the minimum of the whole block up
+    # to roundoff
     report = verify.suite_kernel_bounds(level=level)
     check = next(c for c in report["checks"] if c["name"] == "dirichlet_interior_positive")
     mesh = geometry.build_mesh(level)
-    d_corner = np.min([np.hypot(*(mesh.vertices - mesh.vertices[b]).T)
-                       for b in mesh.boundary], axis=0)
-    interior = d_corner >= 0.25
+    interior = verify._interior(mesh)
+    for i in range(3):
+        assert np.array_equal(interior[geometry.reflection_permutation(mesh, i)], interior)
+    reps = geometry.symmetry_orbits(mesh)[0]
+    reps = reps[interior[reps]]
     spec = spectral.build_spectrum(level, "dirichlet", j_max=200)
     G = {s: riesz.KernelEvaluator(spec, s).matrix(interior, interior) for s in (0.4, 0.6)}
-    upper = np.triu_indices(np.count_nonzero(interior))
-    assert check["value"] == min(block[upper].min() for block in G.values())
+    at = np.searchsorted(np.flatnonzero(interior), reps)
+    assert check["value"] == min(block[at].min() for block in G.values())
+    assert check["x"] in reps and interior[check["y"]]
     x, y = np.searchsorted(np.flatnonzero(interior), (check["x"], check["y"]))
-    assert interior[check["x"]] and interior[check["y"]] and x <= y
     assert G[check["s"]][x, y] == check["value"]
     assert check["value"] == pytest.approx(min(block.min() for block in G.values()),
                                            rel=1e-14)

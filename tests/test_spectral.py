@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -41,10 +42,18 @@ def test_dense_spectrum_capacity_error(monkeypatch):
     mesh = geometry.build_mesh(4)
     need = 4 * mesh.n_vertices ** 2
     monkeypatch.setattr(spectral, "_physical_memory", lambda: need)
-    spectral.assemble_form(mesh, "neumann")
+    spectral.solve_spectrum(spectral.assemble_form(mesh, "neumann"))
     monkeypatch.setattr(spectral, "_physical_memory", lambda: need - 1)
+    # a fresh cache, so a spectrum solved by an earlier test cannot answer
+    monkeypatch.setattr(spectral, "_full_spectrum", functools.lru_cache(maxsize=8)(
+        spectral._full_spectrum.__wrapped__))
+    # the sparse form assembles below the limit; the solve refuses before
+    # it builds a block basis
+    form = spectral.assemble_form(mesh, "dirichlet")
+    assert form.stiffness.shape == (mesh.n_vertices - 3,) * 2
+    monkeypatch.setattr(spectral, "_block_basis", None)
     with pytest.raises(CapacityError) as exc:
-        spectral.assemble_form(mesh, "dirichlet")
+        spectral.build_spectrum(4, "dirichlet")
     msg = str(exc.value)
     assert "level 4" in msg and f"n = {mesh.n_vertices}" in msg
     assert f"{need / 1e9:.2f} GB" in msg and f"{(need - 1) / 1e9:.2f} GB" in msg
@@ -257,8 +266,8 @@ def test_heat_semigroup_identity(mesh6, spec_n):
 @pytest.mark.parametrize("weight", ["riesz", "heat"])
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
 def test_spectrum_sums_agree(bc, weight):
-    # value, row, matrix and apply are one sum sum_j g_j phi_j(x) phi_j(y):
-    # entry, row, whole matrix and the action on a point mass e_x
+    # value, matrix and apply are one sum sum_j g_j phi_j(x) phi_j(y): entry,
+    # one row, whole matrix and the action on a point mass e_x
     spec = spectral.build_spectrum(4, bc)
     lam = spec.eigenvalues
     g = lam ** -0.9 if weight == "riesz" else np.exp(-0.1 * lam)
@@ -266,7 +275,7 @@ def test_spectrum_sums_agree(bc, weight):
     n = spec.mesh.n_vertices
     # three vertices off V_0, where Dirichlet rows vanish
     for x in np.setdiff1d(np.arange(n), spec.mesh.boundary)[[0, 40, -1]]:
-        row = spec.row(g, x)
+        row = spec.matrix(g, x)
         tol = 1e-13 * np.max(np.abs(row))
         assert tol > 0.0
         values = np.array([spec.value(g, x, y) for y in range(n)])
@@ -342,7 +351,7 @@ def test_block_sums_match_dense_reference(m, bc):
         xi, yi = rng.integers(n, size=(2, 60))
         assert close(spec.value(g, xi, yi), np.einsum("ij,ij,j->i", phi[xi], phi[yi], g))
         x = int(rng.integers(n))
-        assert close(spec.row(g, x), phi @ (g * phi[x]))
+        assert close(spec.matrix(g, x), phi @ (g * phi[x]))
         rows, mask = rng.choice(n, 40, replace=False), rng.random(n) < 0.3
         assert close(spec.matrix(g, rows, mask), (phi[rows] * g) @ phi[mask].T)
         assert close(spec.matrix(g), (phi * g) @ phi.T)
