@@ -18,7 +18,6 @@ import os
 import resource
 import sys
 import time
-from itertools import repeat
 
 from . import __version__, errors, shards
 
@@ -105,10 +104,11 @@ def _write_json(path, obj):
 
 
 def _write_csv(files, started, tally):
-    """Write each (path, header, n, step, read) file with `_write_shards`;
-    return the `rows` and `bytes` fields of the command's `_meta.json`,
-    summed over the files, and its `timings`, `peak_rss_mb`, `shards` and
-    `peak_rss_shards_mb`.
+    """Write each (path, header, n, step, read) file with `_write_shards`,
+    `read(lo, hi)` yielding the text of source rows lo..hi of n in blocks
+    of whole rows; return the `rows` and `bytes` fields of the command's
+    `_meta.json`, summed over the files, and its `timings`, `peak_rss_mb`,
+    `shards` and `peak_rss_shards_mb`.
 
     Values are ints and float reprs, which never need quoting, so the bytes
     are those `csv.writer` would write.  `compute_s` runs from `started` to
@@ -139,8 +139,9 @@ def _whole(path, header, blocks):
 
 def _write_shards(path, header, n, step, read):
     """Write one CSV: the header line unless it is None, then the blocks
-    (lists of comma-joined rows) that `read(lo, hi)` yields for source rows
-    lo..hi of n, with "\\r\\n" row ends; return its row count.
+    that `read(lo, hi)` yields for source rows lo..hi of n, each a string
+    of whole rows ending in "\\r\\n"; return its row count, the count of
+    its "\\n"s after the header.
 
     The rows are formatted in contiguous shards, one process each
     (`shards.run`), at least `MIN_ROWS_PER_SHARD` rows each.  Cuts fall
@@ -179,13 +180,12 @@ def _write_shards(path, header, n, step, read):
 
 
 def _write_rows(fh, blocks):
-    """Write each block, a list of comma-joined rows, with "\\r\\n" row
-    ends; return the row count."""
+    """Write each block, a string of whole rows ending in "\\r\\n"; return
+    the row count, counted as the "\\n"s of a part file are."""
     rows = 0
     for block in blocks:
-        if block:
-            rows += len(block)
-            fh.write("\r\n".join(block) + "\r\n")
+        fh.write(block)
+        rows += block.count("\n")
     return rows
 
 
@@ -210,13 +210,13 @@ def _cmd_mesh(cfg, tally):
     m = cfg["level"]
     mesh = geometry.build_mesh(m)
     boundary = set(mesh.boundary.tolist())
-    vertex_rows = [f"{k},{x!r},{y!r},{int(k in boundary)}"
-                   for k, (x, y) in enumerate(mesh.vertices.tolist())]
+    vertex_rows = "".join(f"{k},{x!r},{y!r},{int(k in boundary)}\r\n"
+                          for k, (x, y) in enumerate(mesh.vertices.tolist()))
     corners = mesh.corner_table.reshape(-1, 3)
     # the address of cell c is c as m base-3 digits, most significant first
     digits = np.arange(len(corners))[:, None] // 3 ** np.arange(m - 1, -1, -1) % 3
-    cell_rows = ["{},{},{},{}".format("".join(map(str, addr)), *c)
-                 for addr, c in zip(digits.tolist(), corners.tolist())]
+    cell_rows = "".join("{},{},{},{}\r\n".format("".join(map(str, addr)), *c)
+                        for addr, c in zip(digits.tolist(), corners.tolist()))
     out = cfg["out"]
     exported = _write_csv(
         [_whole(f"{out}_vertices.csv", "vertex_id,x,y,is_boundary", [vertex_rows]),
@@ -235,14 +235,14 @@ def _cmd_spectrum(cfg, tally):
 
     started = time.perf_counter()
     spec = spectral.build_spectrum(cfg["level"], cfg["bc"], j_max=cfg["jmax"])
-    value_rows = [f"{j},{lam!r}"
-                  for j, lam in enumerate(spec.eigenvalues.tolist(), start=1)]
+    value_rows = "".join(f"{j},{lam!r}\r\n"
+                         for j, lam in enumerate(spec.eigenvalues.tolist(), start=1))
 
     def vector_rows(lo, hi):
         # one block per 256 vertex rows, formed from the spectrum's blocks
         # and formatted as it is written: the n x m matrix is never held
-        return ([",".join(map(repr, row)) for row in
-                 spec.eigenvectors(slice(start, start + 256)).tolist()]
+        return ("".join(",".join(map(repr, row)) + "\r\n" for row in
+                        spec.eigenvectors(slice(start, start + 256)).tolist())
                 for start in range(lo, hi, 256))
 
     out = cfg["out"]
@@ -259,9 +259,11 @@ def _cmd_spectrum(cfg, tally):
 
 
 def _cmd_kernel(cfg, tally):
+    from operator import itemgetter
+
     import numpy as np
 
-    from . import riesz, spectral
+    from . import geometry, riesz, spectral
 
     started = time.perf_counter()
     if cfg.get("s") is None:
@@ -277,29 +279,61 @@ def _cmd_kernel(cfg, tally):
     header = "xi,yi,d,G"
     if cfg.get("pairs"):
         rng = np.random.default_rng(cfg["seed"])
-        a, b = np.array([rng.choice(n, 2, replace=False) for _ in range(cfg["pairs"])]).T
+        # a uniform on V_m and b uniform on the other n - 1 vertices: each
+        # ordered pair of distinct vertices has probability 1/(n(n - 1))
+        a = rng.integers(n, size=cfg["pairs"])
+        b = rng.integers(n - 1, size=cfg["pairs"])
+        b += b >= a
         d = np.hypot(*(V[a] - V[b]).T).tolist()
         g = ev.value(a, b).tolist()
-        pair_rows = [f"{x},{y},{u!r},{v!r}"
-                     for x, y, u, v in zip(a.tolist(), b.tolist(), d, g)]
+        pair_rows = "".join(f"{x},{y},{u!r},{v!r}\r\n"
+                            for x, y, u, v in zip(a.tolist(), b.tolist(), d, g))
         csv_file = _whole(path, header, [pair_rows])
     else:
         # one repr per distinct distance: 2316 of them among 1.2 M pairs at L6
         dist_repr = _Reprs()
-        cols = [f",{b}," for b in range(n)]
+        sigma = geometry.reflection_permutation(spec.mesh, 2)
+        twins = sigma.tolist()
+        mirror = itemgetter(*twins)
+        # a row's text as pieces: "a", ",b,", d, ",", G for each b, a line
+        # after the first led by "\r\na" in place of "a", then "\r\n"
+        pieces = [p for b in range(n) for p in (None, f",{b},", None, ",", None)]
+        pieces.append("\r\n")
+
+        def floats(a, g):
+            # the d and G rows of vertex a, d elementwise, so the same values
+            # as hypot of each pair's difference
+            diff = V[a] - V
+            return np.stack([np.hypot(diff[:, 0], diff[:, 1]), g])
 
         def kernel_rows(lo, hi):
             # each 64-row kernel block is formatted as it is read: the n x n
-            # matrix is never held
+            # matrix is never held.  Every mode is sigma_2-even or -odd, so
+            # G(sigma a, sigma b) = G(a, b) bit for bit, and so is d on the
+            # dyadic vertices: a row whose mirror comes later in its block
+            # keeps its strings until the mirror (at most 32 rows, the values
+            # as one string, the distances as pointers to the memo's), which
+            # writes them permuted where its floats are the twin's permuted.
+            # The bits are compared, as -0.0 == 0.0 but their reprs differ
             for x, G in ev.row_blocks(slice(lo, hi)):
-                for a, g_row in zip(x.tolist(), G):
-                    # elementwise, so the same values as hypot of each pair's difference
-                    diff = V[a] - V
-                    d = np.hypot(diff[:, 0], diff[:, 1]).tolist()
-                    # each row joined from its pieces: a, ",b,", d, ",", G
-                    yield list(map("".join, zip(
-                        repeat(str(a)), cols, map(dist_repr.__getitem__, d),
-                        repeat(","), map(repr, g_row.tolist()))))
+                held = {}
+                for a, g in zip(x.tolist(), G):
+                    values = floats(a, g)
+                    twin = twins[a]
+                    kept = held.pop(a, None)
+                    if kept is not None and np.array_equal(
+                            values.view(np.int64),
+                            floats(twin, G[twin - x[0]])[:, sigma].view(np.int64)):
+                        dists, gs = mirror(kept[0]), mirror(kept[1].split(","))
+                    else:
+                        dists = list(map(dist_repr.__getitem__, values[0].tolist()))
+                        gs = list(map(repr, values[1].tolist()))
+                        if a < twin <= x[-1]:
+                            held[twin] = dists, ",".join(gs)
+                    pieces[0:-1:5] = [str(a)] + [f"\r\n{a}"] * (n - 1)
+                    pieces[2::5] = dists
+                    pieces[4::5] = gs
+                    yield "".join(pieces)
 
         # cut at the 64-row blocks of `row_blocks`
         csv_file = (path, header, n, 64, kernel_rows)
@@ -330,7 +364,7 @@ def _cmd_stable(cfg, tally):
                                         cfg["replicates"], seed=cfg["seed"])
     out = cfg["out"]
     path = f"{out}_replicates.csv"
-    rows = [f"{k},{v!r}" for k, v in enumerate(vals.tolist())]
+    rows = "".join(f"{k},{v!r}\r\n" for k, v in enumerate(vals.tolist()))
     meta = {"config": _run_config(cfg),
             **_write_csv([_whole(path, "replicate_id,value", [rows])],
                          started, tally)}
@@ -359,7 +393,7 @@ def _cmd_simulate(cfg, tally):
     path = f"{out}.csv"
     vertex_cols = [f"{vid},{x!r},{y!r},"
                    for vid, (x, y) in enumerate(mesh.vertices.tolist())]
-    blocks = ([f"{rep},{p}{v!r}" for p, v in zip(vertex_cols, row.tolist())]
+    blocks = ("".join(f"{rep},{p}{v!r}\r\n" for p, v in zip(vertex_cols, row.tolist()))
               for rep, row in enumerate(batch.values))
     meta = {"config": _run_config(cfg),
             "realizations": batch.meta,

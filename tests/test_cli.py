@@ -33,9 +33,11 @@ def _reference_csv(header, rows):
 @pytest.mark.parametrize("bc,s", [("neumann", 0.9), ("dirichlet", 0.5)])
 def test_kernel_matrix_bytes_match_reference(tmp_path, bc, s):
     # s = 0.5 is below d_h/d_w: the diagonal is still written from the matrix;
-    # the CLI formats 64-row blocks (level 4 has 123 rows), the reference the
-    # whole dense matrix
-    for level in (3, 4):
+    # the CLI reads 64-row blocks (level 5 has six, and sigma_2 mirrors up to
+    # 32 rows apart cross their edges) and writes a row whose mirror came
+    # earlier in its block from the mirror's strings, the reference formats
+    # the whole dense matrix
+    for level in (3, 4, 5):
         out = tmp_path / f"k{level}"
         assert main(["kernel", "--level", str(level), "--bc", bc, "--s", str(s),
                      "--out", str(out)]) == 0
@@ -56,9 +58,11 @@ def test_kernel_pairs_bytes_match_reference(tmp_path):
                  "--seed", "5", "--out", str(out)]) == 0
     mesh = geometry.build_mesh(3)
     ev = riesz.KernelEvaluator(spectral.build_spectrum(3, "neumann", j_max=200), 0.9)
+    # the first vertex uniform on V_3, the second on the others
     rng = np.random.default_rng(5)
-    a, b = np.array([rng.choice(mesh.n_vertices, 2, replace=False)
-                     for _ in range(20)]).T
+    a = rng.integers(mesh.n_vertices, size=20)
+    other = rng.integers(mesh.n_vertices - 1, size=20)
+    b = np.where(other < a, other, other + 1)
     g = ev.value(a, b)
     # the pairs' index-array read is the per-pair sum up to roundoff
     single = np.array([ev.value(x, y) for x, y in zip(a, b)])
@@ -69,6 +73,41 @@ def test_kernel_pairs_bytes_match_reference(tmp_path):
     # floats are plain reprs, never numpy scalar reprs such as np.float64(...)
     assert b"np.float64(" not in got and b"float" not in got
     assert got == _reference_csv(["xi", "yi", "d", "G"], rows)
+
+
+def test_kernel_pairs_are_distinct_and_cover_every_ordered_pair(tmp_path):
+    # level 1 has 6 vertices, so 30 ordered pairs of distinct ones
+    assert main(["kernel", "--level", "1", "--s", "0.9", "--pairs", "1000",
+                 "--seed", "3", "--out", str(tmp_path / "k")]) == 0
+    rows = (tmp_path / "k_kernel.csv").read_text().splitlines()[1:]
+    pairs = [tuple(map(int, row.split(",")[:2])) for row in rows]
+    assert len(pairs) == 1000
+    assert all(a != b for a, b in pairs)
+    assert set(pairs) == set(itertools.permutations(range(6), 2))
+
+
+def test_kernel_dump_writes_mirror_rows_from_their_twins(tmp_path, monkeypatch):
+    # a row whose sigma_2 mirror comes earlier in its 64-row block is written
+    # from the mirror's strings, every other row is formatted: 197 of the 366
+    # rows at level 5, where 169 mirrors share a block and 11 do not; each
+    # distance is formatted once, whatever its rows
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(cli, "repr", counted, raising=False)
+    assert main(["kernel", "--level", "5", "--s", "0.9", "--out", str(tmp_path / "k")]) == 0
+    mesh = geometry.build_mesh(5)
+    n = mesh.n_vertices
+    sigma = geometry.reflection_permutation(mesh, 2)
+    rows = np.arange(n)
+    formatted = n - int(np.count_nonzero((sigma < rows) & (sigma // 64 == rows // 64)))
+    V = mesh.vertices
+    distances = np.unique(np.hypot(V[:, None, 0] - V[:, 0], V[:, None, 1] - V[:, 1]))
+    assert formatted == 197
+    assert n * formatted <= len(calls) <= n * formatted + len(distances)
 
 
 @pytest.mark.parametrize("route", ["lepage", "direct"])
@@ -164,7 +203,13 @@ def _sharded_exports(tmp_path, monkeypatch, argv, names):
 
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
 def test_kernel_bytes_do_not_depend_on_shards(tmp_path, monkeypatch, bc):
-    # level 5 has 366 rows, six 64-row blocks: 3 shards cut at rows 128, 256
+    # level 5 has 366 rows, six 64-row blocks: 2 shards cut at row 192, 3 at
+    # rows 128 and 256; each cut falls inside a horizontal line, so some
+    # rows have their sigma_2 mirror in the next shard and are formatted
+    # directly on both sides
+    sigma = geometry.reflection_permutation(geometry.build_mesh(5), 2)
+    for cut in (128, 192, 256):
+        assert np.any(sigma[:cut] >= cut)
     runs = _sharded_exports(tmp_path, monkeypatch,
                             ["kernel", "--level", "5", "--bc", bc, "--s", "0.9"],
                             ["kernel.csv"])

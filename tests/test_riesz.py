@@ -207,6 +207,21 @@ def test_reflection_defects_match_dense_matrix(level, bc):
         assert riesz.reflection_defects(ev) == _dense_reflection_defects(ev)
 
 
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_kernel_is_sigma2_symmetric_bit_for_bit(level, bc):
+    # every mode is sigma_2-even or sigma_2-odd, so G(sigma_2 x, sigma_2 y)
+    # = G(x, y) exactly; the full `cli kernel` dump writes each mirror row
+    # from its twin's strings where the bits agree
+    sigma = geometry.reflection_permutation(geometry.build_mesh(level), 2)
+    for j_max in (200, None):
+        for s in (0.5, 0.9):
+            ev = riesz.KernelEvaluator(spectral.build_spectrum(level, bc, j_max=j_max), s)
+            G = ev.matrix()
+            assert np.array_equal(G[sigma][:, sigma].view(np.int64), G.view(np.int64))
+            assert riesz.reflection_defects(ev)[2] == 0.0
+
+
 def test_subcell_scaling_identity(spec_n):
     ev = riesz.KernelEvaluator(spec_n, 0.9)
     rng = np.random.default_rng(14)
