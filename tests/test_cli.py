@@ -732,8 +732,9 @@ def test_every_package_export_resolves():
 
 def test_heavy_scipy_modules_load_on_first_use(tmp_path):
     # scipy.stats, integrate, optimize and spatial hold ~38 MB of a process's
-    # peak RSS; only verdict and oracle functions use them, so importing every
-    # module and running every export command must not load them
+    # peak RSS; only oracle and fit functions use them, so importing every
+    # module and running every export command must not load them, and the
+    # KS verdicts, computed in numpy, never load scipy.stats
     out = str(tmp_path / "x")
     level = ["--level", "3", "--out", out]
     commands = [
@@ -746,14 +747,17 @@ def test_heavy_scipy_modules_load_on_first_use(tmp_path):
         ["simulate", "--s", "0.9", "--alpha", "1.5"] + level,
     ]
     heavy = ["scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.spatial"]
+    # every suite with a KS verdict, at the smallest sizes its guards take
+    ks_suites = [("symmetry", {"level": 6, "n_seeds": 500}),
+                 ("scaling", {"level": 5, "n_seeds": 500}),
+                 ("field-marginals", {"level": 5, "n_seeds": 100}),
+                 ("lepage-vs-direct", {"level": 5, "n": 500, "n_terms": 100})]
     code = (
         "import importlib, pkgutil, sys\n"
-        "import numpy as np\n"
         "import gasketfields\n"
         "for info in pkgutil.iter_modules(gasketfields.__path__):\n"
         "    if info.name != '__main__':\n"
         "        importlib.import_module('gasketfields.' + info.name)\n"
-        "from gasketfields import analysis\n"
         "from gasketfields.cli import main\n"
         f"for argv in {commands!r}:\n"
         "    assert main(argv) == 0, argv\n"
@@ -761,9 +765,13 @@ def test_heavy_scipy_modules_load_on_first_use(tmp_path):
         " in (0, 1)\n"
         f"loaded = [m for m in {heavy!r} if m in sys.modules]\n"
         "assert not loaded, loaded\n"
-        # the control: a verdict that uses scipy.stats loads it
-        "analysis.two_sample(np.arange(500.0), np.arange(500.0))\n"
-        "assert 'scipy.stats' in sys.modules\n"
+        "from gasketfields import stable, verify\n"
+        f"for name, params in {ks_suites!r}:\n"
+        "    verify.run_suite(name, **params)\n"
+        "assert 'scipy.stats' not in sys.modules\n"
+        # the control: an oracle that uses scipy.integrate loads it
+        "stable.d_alpha_quadrature(1.5)\n"
+        "assert 'scipy.integrate' in sys.modules\n"
     )
     proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
