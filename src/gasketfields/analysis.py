@@ -54,7 +54,7 @@ def max_increments_by_scale(values, mesh):
     return np.stack(out, axis=-1)
 
 
-def holder_exponent_estimate(sample, mesh, tolerance=0.15):
+def holder_exponent_estimate(sample, mesh):
     """Estimate the path Hoelder exponent from a batch of field realizations.
 
     Averages log max-increments per dyadic scale over the realizations and
@@ -77,7 +77,7 @@ def holder_exponent_estimate(sample, mesh, tolerance=0.15):
     rows = max_increments_by_scale(sample.values, mesh)
     scales = np.array([2.0 ** -j for j in range(1, mesh.level)])
     slope, _ = np.polyfit(np.log(scales), np.log(rows).mean(axis=0), 1)
-    target = holder_exponent_target(s)
+    target, tolerance = holder_exponent_target(s), 0.15
     return RegularityReport(
         s=s, alpha=alpha, bc=meta["bc"],
         estimate=float(slope), target=target,
@@ -106,17 +106,17 @@ def divergence_diagnostic(field_maker, levels):
     }
 
 
-def cf_gof(samples, alpha, scale, u_grid=(0.5, 1.0, 2.0)):
+def cf_gof(samples, alpha, scale):
     """Characteristic-function goodness of fit against exp(-|u*scale|^alpha).
 
-    Compares the empirical cosine CF on the grid to the target; the
+    Compares the empirical cosine CF at u = 0.5, 1, 2 to the target; the
     statistic is the worst deviation, the threshold three CLT half-widths.
     """
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     if n < 1000:
         raise ContractError("cf_gof needs at least 1000 replicates")
-    u = np.asarray(u_grid, dtype=float)
+    u = np.array([0.5, 1.0, 2.0])
     emp = np.cos(np.outer(u, samples)).mean(axis=1)
     target = np.exp(-np.abs(u * scale) ** alpha)
     stat = float(np.max(np.abs(emp - target)))
@@ -133,7 +133,7 @@ def _finite_sample(x, name):
     return x
 
 
-def two_sample(a, b, min_size=500):
+def two_sample(a, b):
     """Exact two-sided two-sample Kolmogorov-Smirnov test for equal sizes.
 
     The statistic is D = h/n with h the largest gap between the two
@@ -148,8 +148,8 @@ def two_sample(a, b, min_size=500):
     n = len(a)
     if len(b) != n:
         raise ContractError(f"samples must have equal sizes, got {n} and {len(b)}")
-    if n < min_size:
-        raise ContractError(f"both samples must have >= {min_size} points")
+    if n < 500:
+        raise ContractError("both samples must have >= 500 points")
     a, b = np.sort(a), np.sort(b)
     both = np.concatenate([a, b])
     gap = np.searchsorted(a, both, side="right") - np.searchsorted(b, both, side="right")
@@ -178,8 +178,7 @@ def _check_stable_law(alpha, scale):
 # Nolan's integral is summed on a uniform grid in t = logit(2 theta / pi)
 # over |t| <= _NOLAN_T (beyond it lies theta-mass (pi/2) e^-T on each
 # side); the step is _NOLAN_STEP over the steepest slope of log V in t,
-# max(alpha, 1) / |alpha - 1|, so the node count grows like 1/|alpha - 1|
-# and is capped at _NOLAN_MAX_NODES (reached at |alpha - 1| ~ 0.002).
+# max(alpha, 1) / |alpha - 1|, with at most _NOLAN_MAX_NODES nodes.
 _NOLAN_T, _NOLAN_STEP, _NOLAN_MAX_NODES = 36.0, 0.3, 1 << 17
 
 
@@ -221,8 +220,10 @@ def stable_cdf(x, alpha, scale):
 
     alpha = 2 and alpha = 1 take the normal and Cauchy closed forms with
     the operations of scipy's `norm` and `cauchy`; other alpha sum Nolan's
-    integral for all points at once.  F(x) = 1 - Q and F(-x) = Q share
-    one tail value Q, so F(x) + F(-x) = 1 to rounding.
+    integral for all points at once on one grid, whose node count grows
+    like 1/|alpha - 1| up to a cap of 2^17: past it, near |alpha - 1| =
+    0.002, accuracy is lost.  F(x) = 1 - Q and F(-x) = Q share one tail
+    value Q, so F(x) + F(-x) = 1 to rounding.
     """
     _check_stable_law(alpha, scale)
     x = np.asarray(x, dtype=float)

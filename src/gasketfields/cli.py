@@ -77,9 +77,9 @@ def _build_parser():
         description="Fractional stable random fields on the Sierpinski gasket")
     p.add_argument("--config", help="JSON file of flag values; explicit flags win")
     p.add_argument("--threads", action=_Count,
-                   help="cap the BLAS threads (set before numpy loads) and the "
-                        "processes of every sharded step: a field batch's or "
-                        "a LePage route's draws, a CSV's rows")
+                   help="cap the processes of every sharded step: a field "
+                        "batch's or a LePage route's draws, a CSV's rows "
+                        "(BLAS runs one thread in every command)")
     sub = p.add_subparsers(dest="command", required=True,
                            parser_class=_CommandParser)
     for command, (_, summary, flags) in _COMMANDS.items():
@@ -474,11 +474,10 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
-    if args.threads is not None:
-        # takes effect because importing the package does not load numpy;
-        # the flag (or config entry) wins over an inherited setting
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
+    # one BLAS thread whatever was inherited, so no output depends on the
+    # machine or on --threads (importing the package loads no numpy)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
 
     # the command's own flags, minus unset ones
     cfg = {k: v for k, v in vars(args).items()

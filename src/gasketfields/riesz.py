@@ -114,16 +114,18 @@ def dyadic_pair_bins(mesh, rng=None, max_pairs_per_bin=400):
     return bins
 
 
+def binned_means(bins, read):
+    """The mean of read(a, b) over each bin of vertex pairs (a, b), all bins
+    read in one call: a pair's value does not depend on the pairs read with it."""
+    pairs = np.concatenate(bins)
+    values = read(pairs[:, 0], pairs[:, 1])
+    return [v.mean() for v in np.split(values, np.cumsum([len(p) for p in bins])[:-1])]
+
+
 def _binned_means(ev, rng):
-    """Distances and mean kernel values of the dyadic pair bins, every bin
-    read in one `value` call (a pair's value does not depend on the pairs
-    read with it, so each mean is that of its bin read alone)."""
-    bins = dyadic_pair_bins(ev.spectrum.mesh, rng)
-    pairs = np.concatenate([p for _, p in bins])
-    values = ev.value(pairs[:, 0], pairs[:, 1])
-    ends = np.cumsum([len(p) for _, p in bins])[:-1]
-    return (np.array([dist for dist, _ in bins]),
-            np.array([v.mean() for v in np.split(values, ends)]))
+    """Distances and mean kernel values of the dyadic pair bins."""
+    dists, bins = zip(*dyadic_pair_bins(ev.spectrum.mesh, rng))
+    return np.array(dists), np.array(binned_means(bins, ev.value))
 
 
 def kernel_exponent_fit(ev, rng=None):
@@ -175,18 +177,18 @@ def holder_modulus(d, s):
     return d ** (D_W - D_H) * np.maximum(np.abs(np.log(d)), 1.0)
 
 
-def kernel_holder_ratio(ev, rng, n_z=40):
+def kernel_holder_ratio(ev, rng):
     """Max over triples of |G(x,z) - G(y,z)| / modulus(d(x,y)).
 
-    (x, y) runs over all dyadic cell-mate pairs, z over a random vertex
-    subset, whose kernel rows G(z, .) are the only entries read;
-    boundedness of this statistic across refinement levels is the
-    empirical form of the kernel Hoelder property.
+    (x, y) runs over all dyadic cell-mate pairs, z over 40 random vertices
+    (all of V_m if it has fewer), whose kernel rows G(z, .) are the only
+    entries read; boundedness of this statistic across refinement levels
+    is the empirical form of the kernel Hoelder property.
     """
     if ev.s <= D_H / D_W:
         raise DomainError("Hoelder ratio requires s > d_h/d_w")
     mesh = ev.spectrum.mesh
-    zs = rng.choice(mesh.n_vertices, size=min(n_z, mesh.n_vertices), replace=False)
+    zs = rng.choice(mesh.n_vertices, size=min(40, mesh.n_vertices), replace=False)
     G = ev.matrix(zs)
     return max(float(np.abs(G[:, p[:, 0]] - G[:, p[:, 1]]).max())
                / holder_modulus(d, ev.s) for d, p in dyadic_pair_bins(mesh))

@@ -7,8 +7,8 @@ with this process (`shared_array`) or through files.  `limit` caps the
 processes of every step run inside it and tallies them; the CLI's
 `--threads` sets that cap.
 
-This module imports no numpy at load time: the CLI imports it before
-`--threads` reaches the BLAS variables.
+This module imports no numpy at load time: the CLI imports it before it
+sets the BLAS variables.
 """
 
 import contextlib

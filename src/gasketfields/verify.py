@@ -33,6 +33,16 @@ def _report(suite, params, checks):
     }
 
 
+def _require_level(suite, level, lowest, why):
+    if level < lowest:
+        raise ResolutionError(f"{suite} needs level >= {lowest} ({why}), got {level}")
+
+
+def _vertex_pairs(rng, n, k):
+    """k pairs (a, b) of distinct vertices of n, one `rng.choice` a pair."""
+    return np.array([rng.choice(n, 2, replace=False) for _ in range(k)]).T
+
+
 def _field_batch(s, alpha, bc, level, j_terms, n, seed0, top=None):
     """The spectrum and the batch of realizations of seeds seed0 .. seed0+n-1."""
     spec = spectral.build_spectrum(level, bc, j_max=j_terms)
@@ -51,12 +61,12 @@ def _inverse_laplacian(form, f):
     return u - u @ w
 
 
-def suite_ahlfors(level=6, slope_tol=0.05):
+def suite_ahlfors(level=6):
     """Ball-measure regularity: log-log slope = d_h over the radii
     2^-1..2^-(m-2), at least four (level >= 6), and two-sided bounds."""
+    _require_level("ahlfors", level, 6, "four radii")
     radii = [2.0 ** -j for j in range(1, level - 1)]
-    if len(radii) < 4:
-        raise ResolutionError(f"ahlfors needs level >= 6 (four radii), got {level}")
+    slope_tol = 0.05
     mesh = geometry.build_mesh(level)
     # the three corners, then the vertices (0.5, 0) and (0.25, sqrt(3)/8)
     inner = mesh.vertex_index([[2 ** level, 0], [2 ** (level - 1), 2 ** (level - 2)]])
@@ -75,18 +85,14 @@ def suite_ahlfors(level=6, slope_tol=0.05):
     return _report("ahlfors", {"level": level, "radii": radii}, checks)
 
 
-def suite_spectral(level=6, slope_tol=0.08):
+def suite_spectral(level=6):
     """Heat-kernel mass conservation, Dirichlet vanishing, eigenvalue growth
     over modes 10..200 (level >= 5)."""
+    _require_level("spectral", level, 5, "200 modes")
     mesh = geometry.build_mesh(level)
     spec_n = spectral.build_spectrum(level, spectral.NEUMANN)
     spec_d = spectral.build_spectrum(level, spectral.DIRICHLET)
-    # the growth fit reads eigenvalues 10..200 of both spectra
-    modes = min(spec_n.n_modes, spec_d.n_modes)
-    if modes < 200:
-        raise ResolutionError(
-            f"spectral needs 200 modes (level >= 5), got {modes} at level {level}")
-    checks = []
+    checks, slope_tol = [], 0.08
     xi = mesh.n_vertices // 2
     for t in (0.01, 0.1, 1.0):
         defect = abs(spectral.heat_kernel_row(t, xi, spec_n) @ mesh.mu_weights - 1.0)
@@ -105,8 +111,7 @@ def suite_spectral(level=6, slope_tol=0.08):
                              target=D_W / D_H, tolerance=slope_tol))
     # semigroup property of the heat kernel itself, on 10 pairs (a, b): per
     # (t, s), the rows p_t(a, .) and p_s(b, .) are two 10-row blocks
-    rng = np.random.default_rng(2)
-    a, b = np.array([rng.choice(mesh.n_vertices, 2, replace=False) for _ in range(10)]).T
+    a, b = _vertex_pairs(np.random.default_rng(2), mesh.n_vertices, 10)
     worst = 0.0
     for (t, s) in ((0.05, 0.05), (0.3, 0.7), (1.0, 0.2)):
         conv = np.sum(spectral.heat_kernel_row(t, a, spec_n) * mesh.mu_weights
@@ -118,16 +123,12 @@ def suite_spectral(level=6, slope_tol=0.08):
     # fitted on-diagonal constants share the t^(-dh/dw) scaling (qualitative)
     consts = []
     diag = np.arange(0, mesh.n_vertices, 7)
-    # 120 pairs a bin, every bin read in one call (a pair's value does not
-    # depend on the pairs read with it)
     bins = [pairs[:120] for _, pairs in riesz.dyadic_pair_bins(mesh)]
-    pairs = np.concatenate(bins)
-    ends = np.cumsum([len(p) for p in bins])[:-1]
     for t in (0.01, 0.05):
         consts.append(spectral.heat_kernel(t, diag, diag, spec_n).max()
                       * t ** (D_H / D_W))
-        values = spectral.heat_kernel(t, pairs[:, 0], pairs[:, 1], spec_n)
-        means = [v.mean() for v in np.split(values, ends)]
+        means = riesz.binned_means(
+            bins, lambda a, b: spectral.heat_kernel(t, a, b, spec_n))
         monotone = all(means[k] < means[k + 1] for k in range(len(means) - 1))
         checks.append(_check(f"subgaussian_decay_t={t}", means, monotone,
                              note="binned kernel increases as distance shrinks"))
@@ -137,17 +138,16 @@ def suite_spectral(level=6, slope_tol=0.08):
     return _report("spectral", {"level": level}, checks)
 
 
-def suite_semigroup(level=6, j_terms=200, n_pairs=100, rel_tol=1e-3, seed=10):
+def suite_semigroup(level=6, j_terms=200, seed=10):
     """Riesz operator identities: kernel convolution, route agreement,
     composition."""
     mesh = geometry.build_mesh(level)
     rng = np.random.default_rng(seed)
-    checks = []
+    checks, n_pairs, rel_tol = [], 100, 1e-3
     for bc in (spectral.NEUMANN, spectral.DIRICHLET):
         spec = spectral.build_spectrum(level, bc, j_max=j_terms)
         for (s, t) in ((0.5, 0.5), (0.9, 0.9), (0.7, 1.1)):
-            a, b = np.array([rng.choice(mesh.n_vertices, 2, replace=False)
-                             for _ in range(n_pairs)]).T
+            a, b = _vertex_pairs(rng, mesh.n_vertices, n_pairs)
             worst = float(np.max(riesz.kernel_semigroup_residual(s, t, a, b, spec)))
             checks.append(_check(f"conv_residual_{bc}_s={s}_t={t}", worst,
                                  worst <= rel_tol, tolerance=rel_tol))
@@ -181,7 +181,7 @@ def _interior(mesh):
                   axis=1)
 
 
-def suite_kernel_bounds(level=6, j_terms=200, tol=0.1, seed=4):
+def suite_kernel_bounds(level=6, j_terms=200, seed=4):
     """Kernel growth exponents s*d_w - d_h and the critical log profile.
 
     The Dirichlet kernel is additionally checked for positivity away from
@@ -192,7 +192,7 @@ def suite_kernel_bounds(level=6, j_terms=200, tol=0.1, seed=4):
     """
     mesh = geometry.build_mesh(level)
     rng = np.random.default_rng(seed)
-    checks = []
+    checks, tol = [], 0.1
     spec_n, spec_d = (spectral.build_spectrum(level, bc, j_max=j_terms)
                       for bc in (spectral.NEUMANN, spectral.DIRICHLET))
     for spec in (spec_n, spec_d):
@@ -228,11 +228,10 @@ def suite_kernel_bounds(level=6, j_terms=200, tol=0.1, seed=4):
                                      "seed": seed}, checks)
 
 
-def suite_kernel_holder(levels=(4, 5, 6), orders=(0.8, 1.0, 1.3), j_terms=200,
-                        growth=1.2, seed=5):
+def suite_kernel_holder(levels=(4, 5, 6), j_terms=200, seed=5):
     """Kernel increment-ratio boundedness across refinement levels."""
-    checks = []
-    for s in orders:
+    checks, growth = [], 1.2
+    for s in (0.8, 1.0, 1.3):
         ratios = []
         for m in levels:
             spec = spectral.build_spectrum(m, spectral.NEUMANN, j_max=j_terms)
@@ -245,9 +244,11 @@ def suite_kernel_holder(levels=(4, 5, 6), orders=(0.8, 1.0, 1.3), j_terms=200,
                                      "seed": seed}, checks)
 
 
-def suite_symmetry(level=6, j_terms=200, s=0.9, alpha=1.5, n_seeds=1000,
-                   kernel_tol=1e-8, seed0=0):
+def suite_symmetry(level=6, j_terms=200, n_seeds=1000, seed0=0):
     """Reflection invariance: exact kernel identity plus field fdd tests."""
+    x1, x2 = 140, 600
+    _require_level("symmetry", level, 6, f"vertices {x1} and {x2}")
+    s, alpha, kernel_tol = 0.9, 1.5, 1e-8
     mesh = geometry.build_mesh(level)
     spec = spectral.build_spectrum(level, spectral.NEUMANN, j_max=j_terms)
     checks = []
@@ -255,7 +256,6 @@ def suite_symmetry(level=6, j_terms=200, s=0.9, alpha=1.5, n_seeds=1000,
     for i, defect in enumerate(riesz.reflection_defects(ev)):
         checks.append(_check(f"kernel_reflection_sigma{i}", defect,
                              defect <= kernel_tol, tolerance=kernel_tol))
-    x1, x2 = 140, 600
     perm = geometry.reflection_permutation(mesh, 0)
     A = _field_batch(s, alpha, spectral.NEUMANN, level, j_terms, n_seeds,
                      seed0)[1].values[:, [x1, x2]]
@@ -273,9 +273,11 @@ def suite_symmetry(level=6, j_terms=200, s=0.9, alpha=1.5, n_seeds=1000,
                                 "seed0": seed0, "vertices": [x1, x2]}, checks)
 
 
-def suite_scaling(level=6, j_terms=200, s=0.9, alphas=(1.5, 2.0), n_seeds=1000,
-                  seed0=0, identity_tol=1e-9):
+def suite_scaling(level=6, j_terms=200, n_seeds=1000, seed0=0):
     """Subcell self-similarity: exact kernel relation and 2^(nH) fdd tests."""
+    xi = 140
+    _require_level("scaling", level, 5, f"vertex {xi}")
+    s, alphas, identity_tol = 0.9, (1.5, 2.0), 1e-9
     mesh = geometry.build_mesh(level)
     spec = spectral.build_spectrum(level, spectral.NEUMANN, j_max=j_terms)
     checks = []
@@ -283,14 +285,12 @@ def suite_scaling(level=6, j_terms=200, s=0.9, alphas=(1.5, 2.0), n_seeds=1000,
     rng = np.random.default_rng(8)
     worst = 0.0
     for n in (1, 2):
-        a, b = np.array([rng.choice(mesh.n_vertices, 2, replace=False)
-                         for _ in range(50)]).T
+        a, b = _vertex_pairs(rng, mesh.n_vertices, 50)
         lhs = riesz.subcell_kernel_value(spec, s, n, a, b)
         rhs = 3.0 ** n * 5.0 ** (-n * s) * ev.value(a, b)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     checks.append(_check("subcell_kernel_identity", worst, worst <= identity_tol,
                          tolerance=identity_tol))
-    xi = 140
     for alpha in alphas:
         # copies of one column, so each batch is freed at once
         base = fields.simulate_field(
@@ -306,14 +306,13 @@ def suite_scaling(level=6, j_terms=200, s=0.9, alphas=(1.5, 2.0), n_seeds=1000,
                                "seed0": seed0, "vertex": xi}, checks)
 
 
-def suite_stable_cf(n=100_000, alphas=(0.7, 1.0, 1.5, 1.9), seed=11,
-                    d_alpha_tol=1e-8):
+def suite_stable_cf(n=100_000, seed=11):
     """Elementary sampler CF fit and the D_alpha closed-form/quadrature match."""
-    checks = []
+    checks, d_alpha_tol = [], 1e-8
     rng = np.random.default_rng(seed)
-    for alpha in alphas:
+    for alpha in (0.7, 1.0, 1.5, 1.9):
         x = stable.standard_stable(rng, alpha, size=n)
-        rep = analysis.cf_gof(x, alpha, 1.0, u_grid=(0.5, 1.0, 2.0))
+        rep = analysis.cf_gof(x, alpha, 1.0)
         checks.append(_check(f"cf_alpha={alpha}", rep["stat"], rep["passed"],
                              threshold=rep["threshold"]))
     x2 = stable.standard_stable(rng, 2.0, size=n)
@@ -327,8 +326,7 @@ def suite_stable_cf(n=100_000, alphas=(0.7, 1.0, 1.5, 1.9), seed=11,
     return _report("stable-cf", {"n": n, "seed": seed}, checks)
 
 
-def suite_lepage_vs_direct(level=6, j_terms=200, n_terms=10_000, n=10_000,
-                           alphas=(0.7, 1.0, 1.5, 1.9), seed0=1):
+def suite_lepage_vs_direct(level=6, j_terms=200, n_terms=10_000, n=10_000, seed0=1):
     """Route equality: LePage partial sums (with Gaussian tail surrogate)
     against exact-in-law direct sampling, per test function and alpha.
 
@@ -336,6 +334,8 @@ def suite_lepage_vs_direct(level=6, j_terms=200, n_terms=10_000, n=10_000,
     draws, so the cells of different alphas are dependent; each cell has
     its own direct sample, and each check keeps its own level.
     """
+    _require_level("lepage-vs-direct", level, 5, "kernel row 123")
+    alphas = (0.7, 1.0, 1.5, 1.9)
     mesh = geometry.build_mesh(level)
     spec = spectral.build_spectrum(level, spectral.NEUMANN, j_max=j_terms)
     battery = {
@@ -362,10 +362,12 @@ def suite_lepage_vs_direct(level=6, j_terms=200, n_terms=10_000, n=10_000,
                         "SeedSequence(seed0, spawn_key=(k,))"}, checks)
 
 
-def suite_field_marginals(level=6, j_terms=200, s=0.9, alpha=1.5, n_seeds=1000,
-                          seed0=0):
+def suite_field_marginals(level=6, j_terms=200, n_seeds=1000, seed0=0):
     """Pointwise field laws: boundary/mean constraints, stable marginals,
     duality of the pointwise and distributional routes."""
+    xi = 140
+    _require_level("field-marginals", level, 5, f"vertex {xi}")
+    s, alpha = 0.9, 1.5
     checks = []
     spec_n, batch = _field_batch(s, alpha, spectral.NEUMANN, level, j_terms,
                                  n_seeds, seed0)
@@ -380,7 +382,6 @@ def suite_field_marginals(level=6, j_terms=200, s=0.9, alpha=1.5, n_seeds=1000,
     worst_b = float(np.max(np.abs(batch_d.values[:, mesh.boundary])))
     checks.append(_check("dirichlet_boundary_zero", worst_b, worst_b <= 1e-12,
                          tolerance="truncation (exact zero by construction)"))
-    xi = 140
     # a copy of one column, so the Dirichlet batch is freed at once
     vals_d = _field_batch(s, alpha, spectral.DIRICHLET, level, j_terms, n_seeds,
                           seed0 + 5000)[1].values[:, xi].copy()
@@ -410,9 +411,7 @@ def suite_field_marginals(level=6, j_terms=200, s=0.9, alpha=1.5, n_seeds=1000,
                    checks)
 
 
-def suite_holder_paths(level=6, n_reps=60, seed0=1000,
-                       cells=((2.0, 1.0), (1.5, 0.8), (1.2, 1.3)),
-                       tolerance=0.15):
+def suite_holder_paths(level=6, n_reps=60, seed0=1000):
     """Empirical path regularity exponents against min(s,1) d_w - d_h.
 
     Uses the full spectral truncation: path increments at the finest
@@ -420,19 +419,18 @@ def suite_holder_paths(level=6, n_reps=60, seed0=1000,
     is artificially smooth below its resolution scale).
     """
     checks = []
-    for alpha, s in cells:
+    for alpha, s in ((2.0, 1.0), (1.5, 0.8), (1.2, 1.3)):
         spec, batch = _field_batch(s, alpha, spectral.NEUMANN, level, None,
                                    n_reps, seed0)
-        rep = analysis.holder_exponent_estimate(batch, spec.mesh, tolerance)
+        rep = analysis.holder_exponent_estimate(batch, spec.mesh)
         checks.append(_check(
             f"holder_alpha={alpha}_s={s}", rep.estimate, rep.passed,
-            target=rep.target, tolerance=tolerance, log_power=rep.log_power))
+            target=rep.target, tolerance=rep.tolerance, log_power=rep.log_power))
     return _report("holder-paths", {"level": level, "n_reps": n_reps,
                                     "seed0": seed0}, checks)
 
 
-def suite_divergence(levels=(4, 5, 6), s=0.5, alpha=1.2, n_seeds=30,
-                     control=(1.2, 1.5), control_spread=0.2):
+def suite_divergence(n_seeds=30):
     """Unbounded-regime growth of the mesh supremum across levels, with a
     continuous-regime control that must stay flat.
 
@@ -441,19 +439,18 @@ def suite_divergence(levels=(4, 5, 6), s=0.5, alpha=1.2, n_seeds=30,
     truncation across levels would freeze the statistic.  The noise is
     drawn at the top level, so each seed couples its levels exactly.
     """
+    levels, s, alpha = (4, 5, 6), 0.5, 1.2
+    control, control_spread = (1.2, 1.5), 0.2
 
     def maker(s_, alpha_):
-        def make(level):
-            return _field_batch(s_, alpha_, spectral.NEUMANN, level, None,
-                                n_seeds, 0, max(levels))[1]
-        return make
+        return lambda m: _field_batch(s_, alpha_, spectral.NEUMANN, m, None,
+                                      n_seeds, 0, max(levels))[1]
 
     checks = []
     diag = analysis.divergence_diagnostic(maker(s, alpha), levels)
     checks.append(_check("divergent_growth", diag["median_sup"],
                          diag["increasing"], verdict=diag["verdict"]))
-    s_c, alpha_c = control
-    ctrl = analysis.divergence_diagnostic(maker(s_c, alpha_c), levels)
+    ctrl = analysis.divergence_diagnostic(maker(*control), levels)
     meds = ctrl["median_sup"]
     spread = (max(meds) - min(meds)) / min(meds)
     checks.append(_check("control_stability", meds, spread <= control_spread,

@@ -185,8 +185,8 @@ def _sharded_exports(tmp_path, monkeypatch, argv, names):
     CSVs `names`; one 64-row block is enough for a shard."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(cli, "MIN_ROWS_PER_SHARD", 64)
-    # --threads writes the BLAS variables; numpy is loaded, so they only
-    # need restoring for later subprocesses
+    # main writes the BLAS variables; numpy is loaded, so they only need
+    # restoring for later subprocesses
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     runs = []
@@ -272,24 +272,29 @@ def test_failed_shard_leaves_no_child_and_no_part(tmp_path, monkeypatch, capfd, 
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_sharded_kernel_forks_cleanly_beside_blas_threads(tmp_path):
-    # the shards fork a process whose BLAS pool has two threads; the bytes
-    # must match one shard's, with no warning (Python 3.12+ warns on a fork
-    # in a multi-threaded process, which -W error would turn into a failure);
-    # one 64-row block is enough for a shard, so level 5 forks
+def test_kernel_bytes_do_not_depend_on_threads(tmp_path):
+    # two BLAS threads inherited: from level 6 on, the BLAS thread count
+    # moves the last digits of the eigensolve, so the full dump is the same
+    # under --threads 1, --threads 2 and no flag only if every command runs
+    # BLAS on one thread; the two shards of --threads 2 fork with no warning
+    # (Python 3.12+ warns on a fork in a multi-threaded process, which -W
+    # error would turn into a failure)
     env = _package_env()
     env["OPENBLAS_NUM_THREADS"] = "2"
-    main_with_small_shards = ("import sys; from gasketfields import cli; "
-                              "cli.MIN_ROWS_PER_SHARD = 64; sys.exit(cli.main())")
-    for threads in ("2", "1"):
+    digests = set()
+    for name, threads in (("one", ["--threads", "1"]), ("two", ["--threads", "2"]),
+                          ("none", [])):
         proc = subprocess.run(
-            [sys.executable, "-W", "error", "-c", main_with_small_shards, "--threads", threads,
-             "kernel", "--level", "5", "--s", "0.9", "--out", str(tmp_path / f"k{threads}")],
-            env=env, capture_output=True, text=True, timeout=120)
+            [sys.executable, "-W", "error", "-m", "gasketfields", *threads, "kernel",
+             "--level", "6", "--s", "0.9", "--out", str(tmp_path / name)],
+            env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-    meta = json.loads((tmp_path / "k2_meta.json").read_text())
+        csv = tmp_path / f"{name}_kernel.csv"
+        digests.add(hashlib.sha256(csv.read_bytes()).hexdigest())
+        csv.unlink()
+    meta = json.loads((tmp_path / "two_meta.json").read_text())
     assert meta["shards"] == min(2, len(os.sched_getaffinity(0)))
-    assert (tmp_path / "k2_kernel.csv").read_bytes() == (tmp_path / "k1_kernel.csv").read_bytes()
+    assert len(digests) == 1
 
 
 @pytest.mark.parametrize("argv,csv_name", [
@@ -315,21 +320,27 @@ def test_threads_cap_the_draw_shards(tmp_path, monkeypatch, argv, csv_name):
             == (tmp_path / csv_name.format(2)).read_bytes())
 
 
-def test_sharded_lepage_route_forks_cleanly_beside_blas_threads(tmp_path):
-    # the draw shards call BLAS after a fork beside a two-thread pool
+def test_sharded_lepage_route_forks_cleanly_beside_blas_threads():
+    # the draw shards call BLAS after a fork beside a two-thread pool, which
+    # a library call keeps (the CLI runs BLAS on one thread)
     env = _package_env()
     env["OPENBLAS_NUM_THREADS"] = "2"
-    for threads in ("2", "1"):
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "gasketfields", "--threads", threads,
-             "stable", "--level", "6", "--alpha", "1.5", "--replicates", "200",
-             "--out", str(tmp_path / f"s{threads}")],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-    meta = json.loads((tmp_path / "s2_meta.json").read_text())
-    assert meta["shards"] == min(2, len(os.sched_getaffinity(0)))
-    assert ((tmp_path / "s2_replicates.csv").read_bytes()
-            == (tmp_path / "s1_replicates.csv").read_bytes())
+    code = (
+        "import os\n"
+        "import numpy as np\n"
+        "from gasketfields import geometry, shards, stable\n"
+        "mesh = geometry.build_mesh(6)\n"
+        "draws = []\n"
+        "for cap in (2, 1):\n"
+        "    with shards.limit(cap) as tally:\n"
+        "        draws.append(stable.lepage_replicates(\n"
+        "            np.ones(mesh.n_vertices), mesh, 1.5, 10_000, 200, seed=0))\n"
+        "    assert tally.shards == min(cap, len(os.sched_getaffinity(0))), tally\n"
+        "assert np.array_equal(*draws)\n"
+    )
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 
 def test_verify_report_has_no_shard_field(tmp_path):
@@ -645,6 +656,17 @@ def test_verify_spectral_below_level_5_exits_2(tmp_path, capsys):
     assert "level >= 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite,level,lowest", [
+    ("symmetry", 5, 6), ("scaling", 4, 5), ("field-marginals", 4, 5),
+    ("lepage-vs-direct", 4, 5)])
+def test_verify_below_the_fixed_vertices_exits_2(tmp_path, capsys, suite, level, lowest):
+    # the fixed vertices 140 and 600 and kernel row 123 lie outside V_m
+    # below `lowest` (V_4 has 123 vertices, V_5 366)
+    assert main(["verify", "--suite", suite, "--level", str(level),
+                 "--out", str(tmp_path)]) == 2
+    assert f"{suite} needs level >= {lowest}" in capsys.readouterr().err
+
+
 def test_verify_unknown_suite(tmp_path):
     assert main(["verify", "--suite", "nope", "--out", str(tmp_path)]) == 2
 
@@ -701,14 +723,13 @@ def _run_python(code):
 
 
 def test_threads_flag_sets_blas_before_numpy_loads(tmp_path):
-    # the package import must not load numpy, so the flag, or a config-file
-    # entry, can still cap BLAS; an explicit flag wins over the entry
+    # the package import must not load numpy, so every command can still pin
+    # BLAS to one thread, over an inherited value, whatever --threads says
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"threads": 1}))
+    cfg.write_text(json.dumps({"threads": 2}))
     mesh = ["mesh", "--level", "1", "--out", str(tmp_path / "m")]
-    for argv, want in [(["--threads", "1"], "1"),
-                       (["--config", str(cfg)], "1"),
-                       (["--config", str(cfg), "--threads", "2"], "2")]:
+    for argv in ([], ["--threads", "1"], ["--threads", "2"], ["--config", str(cfg)],
+                 ["--config", str(cfg), "--threads", "1"]):
         code = (
             "import os, sys\n"
             "os.environ['OPENBLAS_NUM_THREADS'] = '7'\n"
@@ -717,7 +738,7 @@ def test_threads_flag_sets_blas_before_numpy_loads(tmp_path):
             "from gasketfields.cli import main\n"
             "assert 'numpy' not in sys.modules, 'cli import loaded numpy'\n"
             f"assert main({argv + mesh!r}) == 0\n"
-            f"assert os.environ['OPENBLAS_NUM_THREADS'] == {want!r}\n"
+            "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'\n"
         )
         proc = _run_python(code)
         assert proc.returncode == 0, (argv, proc.stderr)

@@ -1,9 +1,9 @@
 """Signature guards: the Spectrum passed in is the only truncation, a
 spectrum or kernel evaluator already carries its mesh and boundary
 condition, only the Spectrum forms dense eigenvector rows, a field's noise
-has no LePage truncation, and two noise builders place sites on the mesh:
-one turns every LePage draw into point masses, the other sums a field's
-cell noise."""
+has no LePage truncation, two noise builders place sites on the mesh
+(one turns every LePage draw into point masses, the other sums a field's
+cell noise), and a suite takes only the parameters some caller sets."""
 
 import ast
 import inspect
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gasketfields import fields, riesz, spectral
+from gasketfields import analysis, fields, riesz, spectral, verify
 
 MODULES = (spectral, riesz, fields)
 # the only places that choose how many modes a spectral sum keeps
@@ -21,6 +21,22 @@ CARRIERS = {"spectrum", "spec", "ev", "evaluator"}
 # (module, function) of the one dense eigenvector read outside spectral.py:
 # the eigenvector CSV export, in the shard reader of `_cmd_spectrum`
 EIGENVECTOR_READERS = {("cli", "vector_rows")}
+# the parameters of each suite that the CLI, the benchmark or a test sets;
+# every other value of a suite is fixed in its body
+SUITE_PARAMETERS = {
+    "ahlfors": {"level"},
+    "spectral": {"level"},
+    "semigroup": {"level", "j_terms", "seed"},
+    "kernel-bounds": {"level", "j_terms", "seed"},
+    "kernel-holder": {"levels", "j_terms", "seed"},
+    "symmetry": {"level", "j_terms", "n_seeds", "seed0"},
+    "scaling": {"level", "j_terms", "n_seeds", "seed0"},
+    "stable-cf": {"n", "seed"},
+    "lepage-vs-direct": {"level", "j_terms", "n_terms", "n", "seed0"},
+    "field-marginals": {"level", "j_terms", "n_seeds", "seed0"},
+    "holder-paths": {"level", "n_reps", "seed0"},
+    "divergence": {"n_seeds"},
+}
 
 
 def _signatures():
@@ -126,3 +142,18 @@ def test_kernel_evaluator_holds_no_eigenvectors():
     tree = ast.parse(inspect.getsource(riesz.KernelEvaluator))
     assert not [node for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "phi"]
+
+
+def test_suites_take_only_the_parameters_a_caller_sets():
+    taken = {name: set(inspect.signature(suite).parameters)
+             for name, suite in verify.SUITES.items()}
+    assert taken == SUITE_PARAMETERS
+    assert sum(map(len, taken.values())) == 34
+
+
+def test_helpers_fix_their_one_value():
+    # no caller sets these, so each is a fixed value of its function
+    for func, fixed in ((analysis.cf_gof, "u_grid"), (analysis.two_sample, "min_size"),
+                        (analysis.holder_exponent_estimate, "tolerance"),
+                        (riesz.kernel_holder_ratio, "n_z")):
+        assert fixed not in inspect.signature(func).parameters, func.__name__
