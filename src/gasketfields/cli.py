@@ -27,15 +27,17 @@ MIN_ROWS_PER_SHARD = 512
 
 
 class _Count(argparse.Action):
-    """Store an integer flag value, refusing one below 1."""
+    """Store an integer flag value, refusing one below `least`."""
 
-    def __init__(self, option_strings, dest, **kwargs):
+    def __init__(self, option_strings, dest, least=1, **kwargs):
         super().__init__(option_strings, dest, type=int, **kwargs)
+        self.least = least
 
     def __call__(self, parser, namespace, value, option_string=None):
-        if value < 1:
+        if value < self.least:
             raise argparse.ArgumentError(
-                None, f"{self.option_strings[0]} must be an integer >= 1, got {value}")
+                None, f"{self.option_strings[0]} must be an integer >= {self.least}, "
+                      f"got {value}")
         setattr(namespace, self.dest, value)
 
 
@@ -58,7 +60,8 @@ _FLAGS = {
     "alpha": {"type": float, "help": "stability index in (0, 2]"},
     "jmax": {"type": int, "default": 200, "help": "spectral truncation"},
     "n_terms": {"action": _Count, "default": 10_000, "help": "LePage truncation N"},
-    "seed": {"type": int, "default": 0, "help": "master seed"},
+    # a seed below 0 would fail in `np.random.SeedSequence`, after the work
+    "seed": {"action": _Count, "least": 0, "default": 0, "help": "master seed"},
     "replicates": {"action": _Count, "default": 1, "help": "replicate count"},
     "pairs": {"action": _Count,
               "help": "emit this many sampled pairs instead of the full matrix"},

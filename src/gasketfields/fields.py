@@ -42,7 +42,12 @@ def hurst_index(s, alpha):
 
 
 def check_integrable(s, alpha):
-    """Reject orders s at or below the integrability threshold of alpha."""
+    """Reject an alpha outside (0, 2], an order s that is not finite, and
+    orders s at or below the integrability threshold of alpha."""
+    if not 0.0 < alpha <= 2.0:
+        raise DomainError(f"alpha {alpha} outside (0, 2]")
+    if not np.isfinite(s):
+        raise DomainError(f"order s = {s} is not finite")
     thr = integrability_threshold(alpha)
     if s <= thr:
         raise DomainError(

@@ -26,8 +26,8 @@ class KernelEvaluator:
     """
 
     def __init__(self, spectrum, s):
-        if s <= 0:
-            raise DomainError("kernel order s must be positive")
+        if not 0 < s < np.inf:
+            raise DomainError(f"kernel order s must be positive and finite, got {s}")
         self.spectrum = spectrum
         self.s = float(s)
         self.lam_pow = spectrum.eigenvalues ** (-self.s)
@@ -72,8 +72,8 @@ def fractional_laplacian_inv(s, f, spectrum):
     Neumann input is first projected to quadrature mean zero; s = 0 is
     then the identity on the projected values (at full truncation).
     """
-    if s < 0:
-        raise DomainError("order s must be >= 0")
+    if not 0 <= s < np.inf:
+        raise DomainError(f"order s must be >= 0 and finite, got {s}")
     f = np.asarray(f, dtype=float)
     w = spectrum.mesh.mu_weights
     if spectrum.bc == NEUMANN:
@@ -137,6 +137,12 @@ def kernel_exponent_fit(ev, rng=None):
     returned: an additive offset is intrinsic (the Neumann kernel
     integrates to zero; the Dirichlet one carries the ground-state
     envelope), and ignoring it leaks into the slope at desk scale.
+
+    The least squares are separable: for each power p, (C, B) is the
+    2-column linear solve, so only p is searched, by golden section on
+    [p0 - 2, p0 + 2] around p0 = s*d_w - d_h down to a width of 1e-10.  A
+    power outside that window is returned as its nearer end, which fails
+    any exponent tolerance below 2.
     """
     if ev.s >= D_H / D_W:
         raise DomainError("power-law fit requires s < d_h/d_w")
@@ -144,14 +150,27 @@ def kernel_exponent_fit(ev, rng=None):
     if len(dists) < 3:
         raise ContractError("fewer than 3 dyadic scales for the fit")
 
-    def model(d, c, p, b):
-        return c * d ** p - b
+    def sse(p):
+        design = np.column_stack([dists ** p, -np.ones_like(dists)])
+        coef = np.linalg.lstsq(design, means, rcond=None)[0]
+        resid = design @ coef - means
+        return resid @ resid
 
-    from scipy import optimize
-
-    popt, _ = optimize.curve_fit(model, dists, means,
-                                 p0=[1.0, ev.s * D_W - D_H, 0.5], maxfev=20000)
-    return float(popt[1])
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    p0 = ev.s * D_W - D_H
+    lo, hi = p0 - 2.0, p0 + 2.0
+    x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    f1, f2 = sse(x1), sse(x2)
+    while hi - lo > 1e-10:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - ratio * (hi - lo)
+            f1 = sse(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + ratio * (hi - lo)
+            f2 = sse(x2)
+    return float((lo + hi) / 2.0)
 
 
 def kernel_log_fit(ev, rng=None):
@@ -220,7 +239,7 @@ def subcell_kernel_value(spectrum, s, n, xi, yi):
     spectral data lambda_j * 5^n and 3^(n/2) phi_j o F_w^-1 (3^n out of
     the sum); arguments are base-mesh vertices x, y with the kernel taken
     at (F_w x, F_w y)."""
-    if s <= 0:
-        raise DomainError("kernel order s must be positive")
+    if not 0 < s < np.inf:
+        raise DomainError(f"kernel order s must be positive and finite, got {s}")
     lam_w_pow = (5.0 ** n * spectrum.eigenvalues) ** (-s)
     return 3.0 ** n * spectrum.value(lam_w_pow, xi, yi)

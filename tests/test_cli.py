@@ -447,6 +447,46 @@ def test_count_below_one_exit_two(tmp_path, capsys, argv, key, value, source):
     assert not list(tmp_path.glob("x*"))
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--alpha", "1.5", "--s", "0.9"],
+    ["stable", "--alpha", "1.5", "--replicates", "5"],
+    ["stable", "--alpha", "1.5", "--replicates", "5", "--route", "direct"],
+    ["kernel", "--s", "0.9", "--pairs", "5"],
+], ids=["simulate", "stable", "direct", "kernel"])
+def test_seed_below_zero_exit_two(tmp_path, capsys, argv, source):
+    # a negative seed is refused by the parser, as `np.random.SeedSequence`
+    # would refuse it after the work
+    if source == "flag":
+        args = argv + ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        args = ["--config", str(cfg)] + argv
+    assert main(args + ["--level", "3", "--out", str(tmp_path / "x")]) == 2
+    assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x*"))
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--alpha", "0", "--s", "0.9"], "alpha 0.0 outside (0, 2]"),
+    (["simulate", "--alpha", "-1", "--s", "0.9"], "alpha -1.0 outside (0, 2]"),
+    (["stable", "--route", "direct", "--alpha", "0"], "alpha 0.0 outside (0, 2]"),
+    (["simulate", "--alpha", "1.5", "--s", "nan"], "s = nan is not finite"),
+    (["simulate", "--alpha", "1.5", "--s", "inf"], "s = inf is not finite"),
+    (["kernel", "--s", "nan"], "positive and finite, got nan"),
+    (["kernel", "--s", "inf", "--pairs", "5"], "positive and finite, got inf"),
+], ids=["simulate-alpha-0", "simulate-alpha-neg", "direct-alpha-0", "simulate-s-nan",
+        "simulate-s-inf", "kernel-s-nan", "kernel-s-inf"])
+def test_bad_alpha_or_order_exit_two(tmp_path, capsys, argv, message):
+    # alpha outside (0, 2] and an order s that is not finite are domain
+    # errors, not a ZeroDivisionError or a CSV of NaN
+    assert main(argv + ["--level", "3", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not list(tmp_path.glob("x*"))
+
+
 def test_simulate_refuses_n_terms(tmp_path, capsys):
     # a field's noise has no LePage truncation, so the flag is unknown to
     # `simulate`, while a config file's entry is ignored as any other
@@ -753,9 +793,10 @@ def test_every_package_export_resolves():
 
 def test_heavy_scipy_modules_load_on_first_use(tmp_path):
     # scipy.stats, integrate, optimize and spatial hold ~38 MB of a process's
-    # peak RSS; only oracle and fit functions use them, so importing every
-    # module and running every export command must not load them, and the
-    # KS verdicts, computed in numpy, never load scipy.stats
+    # peak RSS; the KS verdicts, the D_alpha oracle and the exponent fit are
+    # numpy, so importing every module and every package export, running
+    # every export command and all 12 suites must load none of them
+    # (scipy.spatial is `GasketMesh.snap`'s, which none of these calls)
     out = str(tmp_path / "x")
     level = ["--level", "3", "--out", out]
     commands = [
@@ -768,31 +809,40 @@ def test_heavy_scipy_modules_load_on_first_use(tmp_path):
         ["simulate", "--s", "0.9", "--alpha", "1.5"] + level,
     ]
     heavy = ["scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.spatial"]
-    # every suite with a KS verdict, at the smallest sizes its guards take
-    ks_suites = [("symmetry", {"level": 6, "n_seeds": 500}),
-                 ("scaling", {"level": 5, "n_seeds": 500}),
-                 ("field-marginals", {"level": 5, "n_seeds": 100}),
-                 ("lepage-vs-direct", {"level": 5, "n": 500, "n_terms": 100})]
+    # every suite, at the smallest sizes its guards take
+    suites = [("ahlfors", {"level": 6}),
+              ("spectral", {"level": 5}),
+              ("semigroup", {"level": 2, "j_terms": None}),
+              ("kernel-bounds", {"level": 3, "j_terms": None}),
+              ("kernel-holder", {"levels": (2, 3), "j_terms": None}),
+              ("symmetry", {"level": 6, "n_seeds": 500}),
+              ("scaling", {"level": 5, "n_seeds": 500}),
+              ("stable-cf", {"n": 1000}),
+              ("lepage-vs-direct", {"level": 5, "n": 500, "n_terms": 100}),
+              ("field-marginals", {"level": 5, "n_seeds": 100}),
+              ("holder-paths", {"level": 3, "n_reps": 1}),
+              ("divergence", {"n_seeds": 1})]
+    assert sorted(name for name, _ in suites) == sorted(verify.SUITES)
     code = (
         "import importlib, pkgutil, sys\n"
         "import gasketfields\n"
         "for info in pkgutil.iter_modules(gasketfields.__path__):\n"
         "    if info.name != '__main__':\n"
         "        importlib.import_module('gasketfields.' + info.name)\n"
+        "for name in gasketfields.__all__:\n"
+        "    getattr(gasketfields, name)\n"
         "from gasketfields.cli import main\n"
         f"for argv in {commands!r}:\n"
         "    assert main(argv) == 0, argv\n"
-        f"assert main(['verify', '--suite', 'spectral', '--level', '5', '--out', {out!r}])"
-        " in (0, 1)\n"
+        "from gasketfields import verify\n"
+        f"for name, params in {suites!r}:\n"
+        "    verify.run_suite(name, **params)\n"
         f"loaded = [m for m in {heavy!r} if m in sys.modules]\n"
         "assert not loaded, loaded\n"
-        "from gasketfields import stable, verify\n"
-        f"for name, params in {ks_suites!r}:\n"
-        "    verify.run_suite(name, **params)\n"
-        "assert 'scipy.stats' not in sys.modules\n"
-        # the control: an oracle that uses scipy.integrate loads it
-        "stable.d_alpha_quadrature(1.5)\n"
-        "assert 'scipy.integrate' in sys.modules\n"
+        # the control: a lazy import of one of them is seen, and so is the
+        # module it pulls in
+        "from scipy import integrate\n"
+        "assert {'scipy.integrate', 'scipy.optimize'} <= set(sys.modules)\n"
     )
     proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr

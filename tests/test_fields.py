@@ -68,6 +68,20 @@ def test_threshold_enforced(spec_n):
         _batch(integrability_threshold(1.5), 1.5, spec_n, [0])
 
 
+@pytest.mark.parametrize("s,alpha,message", [
+    (0.9, 0.0, "alpha 0.0 outside"), (0.9, -1.0, "alpha -1.0 outside"),
+    (0.9, 2.5, "alpha 2.5 outside"), (0.9, np.nan, "alpha nan outside"),
+    (np.nan, 1.5, "not finite"), (np.inf, 1.5, "not finite"),
+    (-np.inf, 1.5, "not finite")])
+def test_integrability_check_rejects_alpha_and_order_first(spec_n, s, alpha, message):
+    # alpha is checked before the threshold that divides by it, and a
+    # non-finite order before the threshold comparison it would pass
+    with pytest.raises(DomainError, match=message):
+        fields.check_integrable(s, alpha)
+    with pytest.raises(DomainError, match=message):
+        _batch(s, alpha, spec_n, [0])
+
+
 def test_field_takes_mesh_bc_and_truncation_from_spectrum(mesh6, spec_d):
     # the spectrum alone fixes the vertex set, the boundary condition and
     # the truncation of the field

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -40,6 +41,16 @@ def test_diagonal_policy(spec_n):
 def test_order_must_be_positive(spec_n):
     with pytest.raises(DomainError):
         riesz.KernelEvaluator(spec_n, 0.0)
+
+
+@pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+def test_order_must_be_finite(spec_n, s):
+    with pytest.raises(DomainError, match="finite"):
+        riesz.KernelEvaluator(spec_n, s)
+    with pytest.raises(DomainError, match="finite"):
+        riesz.fractional_laplacian_inv(s, np.ones(spec_n.mesh.n_vertices), spec_n)
+    with pytest.raises(DomainError, match="finite"):
+        riesz.subcell_kernel_value(spec_n, s, 1, 0, 1)
 
 
 def test_fractional_laplacian_on_eigenfunction(spec_n):
@@ -151,6 +162,28 @@ def test_dirichlet_kernel_exponent_and_positivity(mesh6, spec_d):
         fit = riesz.kernel_exponent_fit(ev, np.random.default_rng(15))
         assert abs(fit - (s * D_W - D_H)) <= 0.1
         assert ev.matrix(interior, interior).min() > 0.0
+
+
+@pytest.mark.parametrize("j_terms", [200, None])
+@pytest.mark.parametrize("level", [5, 6])
+def test_kernel_exponent_fit_matches_curve_fit(level, j_terms):
+    # kernel-bounds' cells on its own stream: the searched power has a sum of
+    # squares no larger than curve_fit's from the same start, and lies within
+    # 1e-5 of its power
+    rng = np.random.default_rng(4)
+    for bc in ("neumann", "dirichlet"):
+        spec = spectral.build_spectrum(level, bc, j_max=j_terms)
+        for s in (0.4, 0.6):
+            ev = riesz.KernelEvaluator(spec, s)
+            dists, means = riesz._binned_means(ev, copy.deepcopy(rng))
+            fit = riesz.kernel_exponent_fit(ev, rng)
+            popt, _ = optimize.curve_fit(lambda d, c, p, b: c * d ** p - b, dists, means,
+                                         p0=[1.0, s * D_W - D_H, 0.5], maxfev=20000)
+            design = np.column_stack([dists ** fit, -np.ones_like(dists)])
+            resid = design @ np.linalg.lstsq(design, means, rcond=None)[0] - means
+            ref = popt[0] * dists ** popt[1] - popt[2] - means
+            assert resid @ resid <= (ref @ ref) * (1.0 + 1e-12)
+            assert abs(fit - popt[1]) <= 1e-5
 
 
 def test_kernel_exponent_fit_requires_subcritical(spec_n):
@@ -295,9 +328,12 @@ def _dense_binned_means(G, mesh, rng):
 
 
 def _dense_exponent_fit(G, ev, rng):
+    # run to convergence: at the default tolerances curve_fit stops up to
+    # 5e-6 short of the least-squares power
     dists, means = _dense_binned_means(G, ev.spectrum.mesh, rng)
     popt, _ = optimize.curve_fit(lambda d, c, p, b: c * d ** p - b, dists, means,
-                                 p0=[1.0, ev.s * D_W - D_H, 0.5], maxfev=20000)
+                                 p0=[1.0, ev.s * D_W - D_H, 0.5], maxfev=20000,
+                                 ftol=1e-14, xtol=1e-14, gtol=1e-14)
     return float(popt[1])
 
 

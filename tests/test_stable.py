@@ -60,6 +60,30 @@ def test_d_alpha_domain():
             stable.d_alpha(bad)
 
 
+_ORACLE_ALPHAS = [0.05, 0.3, 0.5, 0.7, 1.0, 1.3, 1.5, 1.9, 1.99]
+
+
+@pytest.mark.parametrize("alpha", _ORACLE_ALPHAS)
+def test_d_alpha_quadrature_is_exact_to_rounding(alpha):
+    assert abs(stable.d_alpha(alpha) - stable.d_alpha_quadrature(alpha)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", _ORACLE_ALPHAS)
+def test_d_alpha_quadrature_matches_adaptive_quadrature(alpha):
+    # the reference: scipy's adaptive rules on (0, inf), on (0, 40 pi] and,
+    # with the sine weight, beyond
+    from scipy import integrate
+
+    moment = integrate.quad(lambda x: np.sqrt(2.0 / np.pi) * x ** alpha
+                            * np.exp(-x * x / 2.0), 0.0, np.inf, epsabs=1e-14)[0]
+    head = integrate.quad(lambda x: x ** -alpha * np.sin(x), 0.0, 40.0 * np.pi,
+                          limit=800, points=[0.0], epsabs=1e-14)[0]
+    tail = integrate.quad(lambda x: x ** -alpha, 40.0 * np.pi, np.inf,
+                          weight="sin", wvar=1.0, epsabs=1e-13)[0]
+    reference = (moment * (head + tail)) ** (-1.0 / alpha)
+    assert abs(stable.d_alpha_quadrature(alpha) - reference) <= 1e-11
+
+
 def test_make_draw_deterministic():
     a = stable.make_draw(123, 500)
     b = stable.make_draw(123, 500)
