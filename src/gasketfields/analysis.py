@@ -70,7 +70,7 @@ def holder_exponent_estimate(sample, mesh):
         raise ContractError(
             "divergent-regime sample: s <= d_h/d_w has unbounded paths, "
             "use divergence_diagnostic instead")
-    if mesh.level < 2:
+    if mesh.level < 3:
         raise ContractError("regression needs at least 2 dyadic scales")
 
     s, alpha = meta["s"], meta["alpha"]

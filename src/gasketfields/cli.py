@@ -106,15 +106,16 @@ def _write_json(path, obj):
         json.dump(obj, fh, indent=2, sort_keys=True, default=str)
 
 
-def _write_csv(files, started, tally):
-    """Write each (path, header, n, step, read) file with `_write_shards`,
+def _export(cfg, tally, started, files, message, **fields):
+    """Write each (path, header, n, step, read) CSV file with `_write_shards`,
     `read(lo, hi)` yielding the text of source rows lo..hi of n in blocks
-    of whole rows; return the `rows` and `bytes` fields of the command's
-    `_meta.json`, summed over the files, and its `timings`, `peak_rss_mb`,
-    `shards` and `peak_rss_shards_mb`.
+    of whole rows, then `<out>_meta.json`, then print `message`.
 
-    Values are ints and float reprs, which never need quoting, so the bytes
-    are those `csv.writer` would write.  `compute_s` runs from `started` to
+    The meta holds `config` (the command's flags and the version), the
+    command's own `fields`, and `rows` and `bytes`, summed over the files,
+    `timings`, `peak_rss_mb`, `shards` and `peak_rss_shards_mb`.  Values
+    are ints and float reprs, which never need quoting, so the bytes are
+    those `csv.writer` would write.  `compute_s` runs from `started` to
     this call, `write_s` covers the blocks' formatting and the writes.
     `peak_rss_mb` is this process's peak resident set size so far, in MiB:
     Linux reports `ru_maxrss` in KiB.  `shards` and `peak_rss_shards_mb`
@@ -127,15 +128,19 @@ def _write_csv(files, started, tally):
     for path, header, n, step, read in files:
         rows += _write_shards(path, header, n, step, read)
         size += os.path.getsize(path)
-    return {"rows": rows, "bytes": size,
-            "timings": {"compute_s": written - started,
-                        "write_s": time.perf_counter() - written},
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-            "shards": tally.shards, "peak_rss_shards_mb": tally.peak_kib / 1024}
+    _write_json(f"{cfg['out']}_meta.json", {
+        "config": {**cfg, "version": __version__}, **fields,
+        "rows": rows, "bytes": size,
+        "timings": {"compute_s": written - started,
+                    "write_s": time.perf_counter() - written},
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "shards": tally.shards, "peak_rss_shards_mb": tally.peak_kib / 1024})
+    print(message)
+    return 0
 
 
 def _whole(path, header, blocks):
-    """The `_write_csv` entry of a file whose `blocks` are one piece, so one
+    """The `_export` entry of a file whose `blocks` are one piece, so one
     process formats it."""
     return path, header, 1, 1, lambda lo, hi: blocks
 
@@ -163,7 +168,11 @@ def _write_shards(path, header, n, step, read):
         with open(parts[k], "w", newline="") as fh:
             if header is not None and not k:
                 fh.write(header + "\r\n")
-            return _write_rows(fh, read(lo, hi))
+            rows = 0
+            for block in read(lo, hi):
+                fh.write(block)
+                rows += block.count("\n")
+            return rows
 
     try:
         rows = shards.run(bounds, format_rows, f"{path} rows")
@@ -182,16 +191,6 @@ def _write_shards(path, header, n, step, read):
     return rows
 
 
-def _write_rows(fh, blocks):
-    """Write each block, a string of whole rows ending in "\\r\\n"; return
-    the row count, counted as the "\\n"s of a part file are."""
-    rows = 0
-    for block in blocks:
-        fh.write(block)
-        rows += block.count("\n")
-    return rows
-
-
 class _Reprs(dict):
     """Memo of float reprs, filled on lookup."""
 
@@ -200,13 +199,7 @@ class _Reprs(dict):
         return text
 
 
-def _run_config(cfg):
-    return {**cfg, "version": __version__}
-
-
 def _cmd_mesh(cfg, tally):
-    import numpy as np
-
     from . import geometry
 
     started = time.perf_counter()
@@ -216,21 +209,16 @@ def _cmd_mesh(cfg, tally):
     vertex_rows = "".join(f"{k},{x!r},{y!r},{int(k in boundary)}\r\n"
                           for k, (x, y) in enumerate(mesh.vertices.tolist()))
     corners = mesh.corner_table.reshape(-1, 3)
-    # the address of cell c is c as m base-3 digits, most significant first
-    digits = np.arange(len(corners))[:, None] // 3 ** np.arange(m - 1, -1, -1) % 3
     cell_rows = "".join("{},{},{},{}\r\n".format("".join(map(str, addr)), *c)
-                        for addr, c in zip(digits.tolist(), corners.tolist()))
+                        for addr, c in zip(geometry.cell_addresses(m).tolist(),
+                                           corners.tolist()))
     out = cfg["out"]
-    exported = _write_csv(
+    return _export(
+        cfg, tally, started,
         [_whole(f"{out}_vertices.csv", "vertex_id,x,y,is_boundary", [vertex_rows]),
          _whole(f"{out}_cells.csv", "cell_address,v0,v1,v2", [cell_rows])],
-        started, tally)
-    _write_json(f"{out}_meta.json", {"config": _run_config(cfg),
-                                     "n_vertices": mesh.n_vertices,
-                                     "n_cells": len(corners),
-                                     **exported})
-    print(f"mesh level {cfg['level']}: {mesh.n_vertices} vertices -> {out}_*.csv")
-    return 0
+        f"mesh level {m}: {mesh.n_vertices} vertices -> {out}_*.csv",
+        n_vertices=mesh.n_vertices, n_cells=len(corners))
 
 
 def _cmd_spectrum(cfg, tally):
@@ -249,16 +237,12 @@ def _cmd_spectrum(cfg, tally):
                 for start in range(lo, hi, 256))
 
     out = cfg["out"]
-    exported = _write_csv(
+    return _export(
+        cfg, tally, started,
         [_whole(f"{out}_eigenvalues.csv", "j,lambda_j", [value_rows]),
          (f"{out}_eigenvectors.csv", None, spec.mesh.n_vertices, 256, vector_rows)],
-        started, tally)
-    _write_json(f"{out}_meta.json", {"config": _run_config(cfg),
-                                     "n_modes": spec.n_modes,
-                                     "lambda_1": float(spec.eigenvalues[0]),
-                                     **exported})
-    print(f"spectrum {cfg['bc']} level {cfg['level']}: {spec.n_modes} modes -> {out}_*.csv")
-    return 0
+        f"spectrum {cfg['bc']} level {cfg['level']}: {spec.n_modes} modes -> {out}_*.csv",
+        n_modes=spec.n_modes, lambda_1=float(spec.eigenvalues[0]))
 
 
 def _cmd_kernel(cfg, tally):
@@ -269,8 +253,8 @@ def _cmd_kernel(cfg, tally):
     from . import geometry, riesz, spectral
 
     started = time.perf_counter()
-    if cfg.get("s") is None:
-        raise errors.UsageError("kernel requires --s > 0")
+    # before the spectrum is solved
+    riesz.check_order(cfg["s"])
     # the full spectrum holds the modes --jmax drops, for the tail bound
     full = spectral.build_spectrum(cfg["level"], cfg["bc"])
     spec = full.truncated(cfg["jmax"])
@@ -340,21 +324,14 @@ def _cmd_kernel(cfg, tally):
 
         # cut at the 64-row blocks of `row_blocks`
         csv_file = (path, header, n, 64, kernel_rows)
-    exported = _write_csv([csv_file], started, tally)
-    _write_json(f"{out}_meta.json", {"config": _run_config(cfg),
-                                     "j_terms": spec.n_modes,
-                                     "tail_bound": ev.tail_bound(full),
-                                     **exported})
-    print(f"kernel s={cfg['s']} -> {path}")
-    return 0
+    return _export(cfg, tally, started, [csv_file], f"kernel s={cfg['s']} -> {path}",
+                   j_terms=spec.n_modes, tail_bound=ev.tail_bound(full))
 
 
 def _cmd_stable(cfg, tally):
     from . import geometry, stable
 
     started = time.perf_counter()
-    if cfg.get("alpha") is None:
-        raise errors.UsageError("stable requires --alpha in (0, 2)")
     mesh = geometry.build_mesh(cfg["level"])
     import numpy as np
 
@@ -362,29 +339,23 @@ def _cmd_stable(cfg, tally):
     if cfg["route"] == "lepage":
         vals = stable.lepage_replicates(ones, mesh, cfg["alpha"], cfg["n_terms"],
                                         cfg["replicates"], seed=cfg["seed"])
+        tail = {"tail_estimate": stable.arrival_tail_sum(cfg["alpha"], cfg["n_terms"])}
     else:
         vals = stable.direct_replicates(ones, mesh, cfg["alpha"],
                                         cfg["replicates"], seed=cfg["seed"])
-    out = cfg["out"]
-    path = f"{out}_replicates.csv"
+        tail = {}
+    path = f"{cfg['out']}_replicates.csv"
     rows = "".join(f"{k},{v!r}\r\n" for k, v in enumerate(vals.tolist()))
-    meta = {"config": _run_config(cfg),
-            **_write_csv([_whole(path, "replicate_id,value", [rows])],
-                         started, tally)}
-    if cfg["route"] == "lepage":
-        meta["tail_estimate"] = stable.arrival_tail_sum(cfg["alpha"], cfg["n_terms"])
-    _write_json(f"{out}_meta.json", meta)
-    print(f"stable {cfg['route']} alpha={cfg['alpha']}: {cfg['replicates']} replicates -> {path}")
-    return 0
+    return _export(
+        cfg, tally, started, [_whole(path, "replicate_id,value", [rows])],
+        f"stable {cfg['route']} alpha={cfg['alpha']}: {cfg['replicates']} replicates -> {path}",
+        **tail)
 
 
 def _cmd_simulate(cfg, tally):
     from . import fields, spectral
 
     started = time.perf_counter()
-    for key in ("s", "alpha"):
-        if cfg.get(key) is None:
-            raise errors.UsageError(f"simulate requires --{key}")
     s, alpha = cfg["s"], cfg["alpha"]
     # before the spectrum is solved
     fields.check_integrable(s, alpha)
@@ -392,19 +363,15 @@ def _cmd_simulate(cfg, tally):
     mesh = spec.mesh
     seeds = range(cfg["seed"], cfg["seed"] + cfg["replicates"])
     batch = fields.simulate_field(s, alpha, spec, seeds)
-    out = cfg["out"]
-    path = f"{out}.csv"
+    path = f"{cfg['out']}.csv"
     vertex_cols = [f"{vid},{x!r},{y!r},"
                    for vid, (x, y) in enumerate(mesh.vertices.tolist())]
     blocks = ("".join(f"{rep},{p}{v!r}\r\n" for p, v in zip(vertex_cols, row.tolist()))
               for rep, row in enumerate(batch.values))
-    meta = {"config": _run_config(cfg),
-            "realizations": batch.meta,
-            **_write_csv([_whole(path, "replicate_id,vertex_id,x,y,value", blocks)],
-                         started, tally)}
-    _write_json(f"{out}_meta.json", meta)
-    print(f"simulate: {cfg['replicates']} realization(s) on level {cfg['level']} -> {path}")
-    return 0
+    return _export(
+        cfg, tally, started, [_whole(path, "replicate_id,vertex_id,x,y,value", blocks)],
+        f"simulate: {cfg['replicates']} realization(s) on level {cfg['level']} -> {path}",
+        realizations=batch.meta)
 
 
 def _cmd_verify(cfg, tally):
@@ -429,8 +396,9 @@ def _cmd_verify(cfg, tally):
         taken = [flag for flag, param in overrides.items() if param in accepted]
         report = verify.run_suite(name, **{overrides[flag]: cfg[flag] for flag in taken})
         # a report records only the flags its suite took
-        report["config"] = _run_config({k: v for k, v in cfg.items()
-                                        if k not in overrides or k in taken})
+        report["config"] = {**{k: v for k, v in cfg.items()
+                               if k not in overrides or k in taken},
+                            "version": __version__}
         _write_json(os.path.join(out_dir, f"{name}.json"), report)
         status = "PASS" if report["passed"] else "FAIL"
         print(f"[{status}] suite {name}")
@@ -487,6 +455,10 @@ def main(argv=None):
            if v is not None and k not in ("config", "threads")}
 
     try:
+        # --s and --alpha have no default: a command that takes one needs it
+        for dest in ("s", "alpha"):
+            if dest in _COMMANDS[args.command][2] and dest not in cfg:
+                raise errors.UsageError(f"{args.command} requires --{dest}")
         with shards.limit(args.threads) as tally:
             return _COMMANDS[args.command][0](cfg, tally)
     except (errors.UsageError, errors.DomainError, errors.ContractError,

@@ -123,12 +123,10 @@ class GasketMesh:
         return self.vertex_index(coarse.coords_ab[coarse.edges] * 2 ** (self.level - j))
 
 
-def _enumerate_addresses(m):
-    """All 3^m digit words as an (3^m, m) int array, lexicographic."""
-    if m == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    grids = np.meshgrid(*([np.arange(3)] * m), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def cell_addresses(m):
+    """The addresses of the 3^m level-m cells as a (3^m, m) int array: row c
+    is c as m base-3 digits, most significant first (lexicographic)."""
+    return np.arange(3 ** m)[:, None] // 3 ** np.arange(m - 1, -1, -1) % 3
 
 
 @functools.lru_cache(maxsize=None)
@@ -144,7 +142,7 @@ def build_mesh(m):
     if m > MAX_LEVEL:
         raise CapacityError(f"level {m} exceeds the configured budget {MAX_LEVEL}")
 
-    words = _enumerate_addresses(m)
+    words = cell_addresses(m)
     n_cells = len(words)
     # corner j of cell (i_1..i_m): ab = AB_j + sum_r AB_{i_r} * 2^(m-r), r 1-based
     base = np.zeros((n_cells, 2), dtype=np.int64)

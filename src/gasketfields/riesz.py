@@ -18,6 +18,12 @@ from .geometry import reflection_permutation, symmetry_orbits
 from .spectral import NEUMANN
 
 
+def check_order(s):
+    """Raise DomainError unless the kernel order s is positive and finite."""
+    if not 0 < s < np.inf:
+        raise DomainError(f"kernel order s must be positive and finite, got {s}")
+
+
 class KernelEvaluator:
     """Spectral evaluator of one Riesz kernel G_s.
 
@@ -26,8 +32,7 @@ class KernelEvaluator:
     """
 
     def __init__(self, spectrum, s):
-        if not 0 < s < np.inf:
-            raise DomainError(f"kernel order s must be positive and finite, got {s}")
+        check_order(s)
         self.spectrum = spectrum
         self.s = float(s)
         self.lam_pow = spectrum.eigenvalues ** (-self.s)
@@ -98,8 +103,9 @@ def kernel_semigroup_residual(s, t, xi, yi, spectrum):
     return np.abs(direct - conv) / np.maximum(np.abs(direct), 1e-30)
 
 
-def dyadic_pair_bins(mesh, rng=None, max_pairs_per_bin=400):
-    """Vertex pairs grouped by dyadic distance 2^-j, j = 1..m.
+def dyadic_pair_bins(mesh, rng=None):
+    """Vertex pairs grouped by dyadic distance 2^-j, j = 1..m; given `rng`,
+    each bin keeps at most 400 of its pairs, drawn without replacement.
 
     Pairs at scale j are the level-j cell mates embedded in V_m, so all
     pairs in a bin are at exactly the bin distance.
@@ -107,8 +113,8 @@ def dyadic_pair_bins(mesh, rng=None, max_pairs_per_bin=400):
     bins = []
     for j in range(1, mesh.level + 1):
         pairs = mesh.level_edges(j)
-        if rng is not None and len(pairs) > max_pairs_per_bin:
-            sel = rng.choice(len(pairs), size=max_pairs_per_bin, replace=False)
+        if rng is not None and len(pairs) > 400:
+            sel = rng.choice(len(pairs), size=400, replace=False)
             pairs = pairs[sel]
         bins.append((2.0 ** -j, pairs))
     return bins
@@ -239,7 +245,6 @@ def subcell_kernel_value(spectrum, s, n, xi, yi):
     spectral data lambda_j * 5^n and 3^(n/2) phi_j o F_w^-1 (3^n out of
     the sum); arguments are base-mesh vertices x, y with the kernel taken
     at (F_w x, F_w y)."""
-    if not 0 < s < np.inf:
-        raise DomainError(f"kernel order s must be positive and finite, got {s}")
+    check_order(s)
     lam_w_pow = (5.0 ** n * spectrum.eigenvalues) ** (-s)
     return 3.0 ** n * spectrum.value(lam_w_pow, xi, yi)

@@ -43,12 +43,6 @@ def _vertex_pairs(rng, n, k):
     return np.array([rng.choice(n, 2, replace=False) for _ in range(k)]).T
 
 
-def _field_batch(s, alpha, bc, level, j_terms, n, seed0, top=None):
-    """The spectrum and the batch of realizations of seeds seed0 .. seed0+n-1."""
-    spec = spectral.build_spectrum(level, bc, j_max=j_terms)
-    return spec, fields.simulate_field(s, alpha, spec, range(seed0, seed0 + n), top)
-
-
 def _inverse_laplacian(form, f):
     """(-Delta)^-1 f on the form's rows by the sparse solve A u = M f.  Neumann
     takes the mass-mean-free part of f, pins row 0 and shifts the solution
@@ -257,10 +251,11 @@ def suite_symmetry(level=6, j_terms=200, n_seeds=1000, seed0=0):
         checks.append(_check(f"kernel_reflection_sigma{i}", defect,
                              defect <= kernel_tol, tolerance=kernel_tol))
     perm = geometry.reflection_permutation(mesh, 0)
-    A = _field_batch(s, alpha, spectral.NEUMANN, level, j_terms, n_seeds,
-                     seed0)[1].values[:, [x1, x2]]
-    B = _field_batch(s, alpha, spectral.NEUMANN, level, j_terms, n_seeds,
-                     seed0 + 50_000)[1].values[:, perm[[x1, x2]]]
+    A = fields.simulate_field(
+        s, alpha, spec, range(seed0, seed0 + n_seeds)).values[:, [x1, x2]]
+    B = fields.simulate_field(
+        s, alpha, spec,
+        range(seed0 + 50_000, seed0 + 50_000 + n_seeds)).values[:, perm[[x1, x2]]]
     for name, a, b in (("marginal_x1", A[:, 0], B[:, 0]),
                        ("marginal_x2", A[:, 1], B[:, 1]),
                        ("pair_sum", A.sum(axis=1), B.sum(axis=1)),
@@ -369,22 +364,22 @@ def suite_field_marginals(level=6, j_terms=200, n_seeds=1000, seed0=0):
     _require_level("field-marginals", level, 5, f"vertex {xi}")
     s, alpha = 0.9, 1.5
     checks = []
-    spec_n, batch = _field_batch(s, alpha, spectral.NEUMANN, level, j_terms,
-                                 n_seeds, seed0)
-    mesh, values = spec_n.mesh, batch.values
+    spec_n = spectral.build_spectrum(level, spectral.NEUMANN, j_max=j_terms)
+    mesh = spec_n.mesh
+    values = fields.simulate_field(s, alpha, spec_n, range(seed0, seed0 + n_seeds)).values
     # realization-wise Neumann mean zero, relative to the field scale
     worst = float(np.max(np.abs(geometry.quadrature(values, mesh)) /
                          np.maximum(np.max(np.abs(values), axis=1), 1e-300)))
     checks.append(_check("neumann_mean_zero", worst, worst <= 1e-4,
                          tolerance="1e-4 x field scale"))
-    spec_d, batch_d = _field_batch(s, alpha, spectral.DIRICHLET, level, j_terms,
-                                   20, seed0)
+    spec_d = spectral.build_spectrum(level, spectral.DIRICHLET, j_max=j_terms)
+    batch_d = fields.simulate_field(s, alpha, spec_d, range(seed0, seed0 + 20))
     worst_b = float(np.max(np.abs(batch_d.values[:, mesh.boundary])))
     checks.append(_check("dirichlet_boundary_zero", worst_b, worst_b <= 1e-12,
                          tolerance="truncation (exact zero by construction)"))
     # a copy of one column, so the Dirichlet batch is freed at once
-    vals_d = _field_batch(s, alpha, spectral.DIRICHLET, level, j_terms, n_seeds,
-                          seed0 + 5000)[1].values[:, xi].copy()
+    vals_d = fields.simulate_field(
+        s, alpha, spec_d, range(seed0 + 5000, seed0 + 5000 + n_seeds)).values[:, xi].copy()
     for bc, spec, vals in (("neumann", spec_n, values[:, xi]),
                            ("dirichlet", spec_d, vals_d)):
         scale = fields.marginal_scale(xi, s, alpha, spec)
@@ -418,10 +413,10 @@ def suite_holder_paths(level=6, n_reps=60, seed0=1000):
     dyadic scales need the whole desk-scale spectrum (a truncated kernel
     is artificially smooth below its resolution scale).
     """
+    spec = spectral.build_spectrum(level, spectral.NEUMANN)
     checks = []
     for alpha, s in ((2.0, 1.0), (1.5, 0.8), (1.2, 1.3)):
-        spec, batch = _field_batch(s, alpha, spectral.NEUMANN, level, None,
-                                   n_reps, seed0)
+        batch = fields.simulate_field(s, alpha, spec, range(seed0, seed0 + n_reps))
         rep = analysis.holder_exponent_estimate(batch, spec.mesh)
         checks.append(_check(
             f"holder_alpha={alpha}_s={s}", rep.estimate, rep.passed,
@@ -443,8 +438,9 @@ def suite_divergence(n_seeds=30):
     control, control_spread = (1.2, 1.5), 0.2
 
     def maker(s_, alpha_):
-        return lambda m: _field_batch(s_, alpha_, spectral.NEUMANN, m, None,
-                                      n_seeds, 0, max(levels))[1]
+        return lambda m: fields.simulate_field(
+            s_, alpha_, spectral.build_spectrum(m, spectral.NEUMANN), range(n_seeds),
+            max(levels))
 
     checks = []
     diag = analysis.divergence_diagnostic(maker(s, alpha), levels)

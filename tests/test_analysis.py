@@ -258,9 +258,11 @@ def test_holder_estimator_refuses_divergent():
 
 
 def test_holder_estimator_needs_scales():
-    mesh, reps = _replicates(0.9, 1.5, 2, level=1)
-    with pytest.raises(ContractError):
-        analysis.holder_exponent_estimate(reps, mesh)
+    # the scales 2^-j, j = 1..m-1, are one scale at level 2: no line to fit
+    for level in (1, 2):
+        mesh, reps = _replicates(0.9, 1.5, 2, level=level)
+        with pytest.raises(ContractError):
+            analysis.holder_exponent_estimate(reps, mesh)
 
 
 def test_holder_estimator_empty():

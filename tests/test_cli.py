@@ -476,11 +476,21 @@ def test_seed_below_zero_exit_two(tmp_path, capsys, argv, source):
     (["simulate", "--alpha", "1.5", "--s", "inf"], "s = inf is not finite"),
     (["kernel", "--s", "nan"], "positive and finite, got nan"),
     (["kernel", "--s", "inf", "--pairs", "5"], "positive and finite, got inf"),
+    (["kernel", "--s", "-1"], "positive and finite, got -1.0"),
 ], ids=["simulate-alpha-0", "simulate-alpha-neg", "direct-alpha-0", "simulate-s-nan",
-        "simulate-s-inf", "kernel-s-nan", "kernel-s-inf"])
-def test_bad_alpha_or_order_exit_two(tmp_path, capsys, argv, message):
+        "simulate-s-inf", "kernel-s-nan", "kernel-s-inf", "kernel-s-neg"])
+def test_bad_alpha_or_order_exit_two(tmp_path, monkeypatch, capsys, argv, message):
     # alpha outside (0, 2] and an order s that is not finite are domain
-    # errors, not a ZeroDivisionError or a CSV of NaN
+    # errors, not a ZeroDivisionError or a CSV of NaN, and they are refused
+    # before any spectrum is solved: a fresh cache, so a spectrum solved by
+    # an earlier test cannot answer, and a solve that fails the test
+    monkeypatch.setattr(spectral, "_full_spectrum", functools.lru_cache(maxsize=8)(
+        spectral._full_spectrum.__wrapped__))
+
+    def solve(form):
+        pytest.fail("a spectrum was solved before the flags were checked")
+
+    monkeypatch.setattr(spectral, "solve_spectrum", solve)
     assert main(argv + ["--level", "3", "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
@@ -738,8 +748,24 @@ def test_config_file_unreadable_exit_two(tmp_path, capsys, text):
     assert not list(tmp_path.glob("x*"))
 
 
-def test_missing_required_flag(tmp_path):
-    assert main(["kernel", "--level", "3", "--out", str(tmp_path / "k")]) == 2
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("argv,dropped", [
+    (["kernel"], "s"),
+    (["stable"], "alpha"),
+    (["simulate", "--alpha", "1.5"], "s"),
+    (["simulate", "--s", "0.9"], "alpha"),
+], ids=["kernel-s", "stable-alpha", "simulate-s", "simulate-alpha"])
+def test_missing_required_flag(tmp_path, capsys, argv, dropped, source):
+    # the flag is left out of the command line, and with `config` a config
+    # entry for it is null, which is unset
+    args = argv
+    if source == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({dropped: None}))
+        args = ["--config", str(cfg)] + args
+    assert main(args + ["--level", "2", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"usage error: {argv[0]} requires --{dropped}\n"
+    assert not list(tmp_path.glob("x*"))
 
 
 def test_threads_flag(tmp_path):

@@ -175,8 +175,7 @@ def test_conditional_increment_modulus_bounded(mesh6, spec_n):
     draw = stable.make_draw(7, 5000)
     s = 0.9
     ratios = []
-    for dist, pairs in riesz.dyadic_pair_bins(mesh6, np.random.default_rng(0),
-                                              max_pairs_per_bin=30):
+    for dist, pairs in riesz.dyadic_pair_bins(mesh6, np.random.default_rng(0)):
         mod = riesz.holder_modulus(dist, s)
         for a, b in pairs[:10]:
             sc = _conditional_increment_scale(a, b, s, draw, 1.5, spec_n)

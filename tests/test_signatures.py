@@ -127,6 +127,13 @@ def test_one_noise_builder():
     assert _sites(_calls("draw_sites")) == {("stable", "make_draw")}
 
 
+def test_one_export_tail():
+    # every export writes its CSVs and its meta through `_export`; the
+    # verify reports are the one other JSON the CLI writes
+    assert _sites(_calls("_write_json")) == {("cli", "_export"), ("cli", "_cmd_verify")}
+    assert _sites(_calls("_write_shards")) == {("cli", "_export")}
+
+
 def test_fields_take_no_lepage_truncation():
     assert [name for name, params in _signatures()
             if name.startswith("fields.") and "n_terms" in params] == []
@@ -155,5 +162,6 @@ def test_helpers_fix_their_one_value():
     # no caller sets these, so each is a fixed value of its function
     for func, fixed in ((analysis.cf_gof, "u_grid"), (analysis.two_sample, "min_size"),
                         (analysis.holder_exponent_estimate, "tolerance"),
-                        (riesz.kernel_holder_ratio, "n_z")):
+                        (riesz.kernel_holder_ratio, "n_z"),
+                        (riesz.dyadic_pair_bins, "max_pairs_per_bin")):
         assert fixed not in inspect.signature(func).parameters, func.__name__
