@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import shards
+from . import shards, spectral
 from .constants import D_H, D_W, integrability_threshold
-from .errors import ContractError, DomainError
+from .errors import CapacityError, ContractError, DomainError
 from .geometry import MAX_LEVEL, alpha_norm
 from .riesz import KernelEvaluator, fractional_laplacian_inv
 from .stable import standard_stable
@@ -56,9 +56,10 @@ def check_integrable(s, alpha):
 
 
 def _noise_coefficients(alpha, mesh, seeds, top):
-    """The driving noise on the vertex set, one column per seed: the seed's
-    `standard_stable` draw of the 3^(top+1) level-(top+1) cells, scaled by
-    3^(-(top+1)/alpha), each summed onto the vertex of its site words.
+    """The driving noise on the vertex set, one column per seed of a
+    C-ordered (n, R) array: the seed's `standard_stable` draw of the
+    3^(top+1) level-(top+1) cells, scaled by 3^(-(top+1)/alpha), each
+    summed onto the vertex of its site words.
 
     The seeds are drawn in contiguous shards (`shards.cuts`, at least
     `MIN_CELLS_PER_SHARD` variates each), each writing its columns straight
@@ -69,7 +70,7 @@ def _noise_coefficients(alpha, mesh, seeds, top):
     n_cells = 3 ** (top + 1)
     cells = mesh.site_vertices(np.arange(n_cells) * 3 ** (MAX_LEVEL - top))
     scale = 3.0 ** (-(top + 1) / alpha)
-    coeff = shards.shared_array((mesh.n_vertices, len(seeds)), order="F")
+    coeff = shards.shared_array((mesh.n_vertices, len(seeds)))
 
     def draw(_, lo, hi):
         for k in range(lo, hi):
@@ -82,21 +83,41 @@ def _noise_coefficients(alpha, mesh, seeds, top):
     return coeff
 
 
-def simulate_field(s, alpha, spectrum, seeds, top=None):
-    """Joint realizations of the fractional alpha-stable field on the
-    vertices of the spectrum's mesh, with the spectrum's truncation, one
-    per seed: `values` has one row per seed.
+def simulate_field(s, alpha, spectrum, seeds, top=None, vertices=slice(None)):
+    """Joint realizations of the fractional alpha-stable field at the
+    `vertices` of the spectrum's mesh (an index, index set, slice or mask;
+    every vertex by default), with the spectrum's truncation, one per seed:
+    `values` has one row per seed, and is `values[:, vertices]` of the
+    whole field bit for bit; `mesh_sup` is each row's max |value|.
 
     The order -s kernel is applied to every seed's cell noise at once, drawn
-    at level `top`, from the mesh level (the default) to `geometry.MAX_LEVEL`.
+    at level `top`, from the mesh level (the default) to `geometry.MAX_LEVEL`,
+    and only the rows of `vertices` are formed.
     Orders at or below the integrability threshold are rejected; orders in
     (threshold, d_h/d_w] are permitted but tagged as the divergent regime.
+
+    Raises CapacityError, before the noise is mapped, when the batch would
+    not fit in physical memory.  For R seeds, n vertices and k of them read
+    it holds 8 R (5n/3 + 3k) bytes at its peak: the n x R noise, two block
+    products of the apply, each of at most n/3 rows, and the running sum of
+    the k x R values, the term added to it and the new sum, which is
+    returned.
     """
     check_integrable(s, alpha)
     mesh = spectrum.mesh
+    n = mesh.n_vertices
+    at = np.arange(n)[vertices]
+    need = 8 * len(seeds) * (5 * n / 3 + 3 * at.size)
+    limit = spectral._physical_memory()
+    if need > limit:
+        raise CapacityError(
+            f"level {mesh.level}: a field batch of {len(seeds)} seeds at {at.size} "
+            f"of n = {n} vertices needs about {need / 1e9:.2f} GB (the n x R noise, "
+            "the kernel apply's block products and the values), more than the "
+            f"{limit / 1e9:.2f} GB of physical memory")
     top = mesh.level if top is None else top
     values = KernelEvaluator(spectrum, s).apply(
-        _noise_coefficients(alpha, mesh, seeds, top)).T
+        _noise_coefficients(alpha, mesh, seeds, top), at.ravel()).T
     meta = {
         "s": s,
         "alpha": alpha,
@@ -107,9 +128,9 @@ def simulate_field(s, alpha, spectrum, seeds, top=None):
         "seeds": list(seeds),
         "regime": "divergent" if s <= D_H / D_W else "continuous",
         "mesh_scale": 2.0 ** -mesh.level,
-        "mesh_sup": np.max(np.abs(values), axis=1).tolist(),
+        "mesh_sup": np.max(np.abs(values), axis=1, initial=0.0).tolist(),
     }
-    return FieldSample(values, meta)
+    return FieldSample(values.reshape(values.shape[:1] + at.shape), meta)
 
 
 def distributional_field(f, s, alpha, spectrum, rng, n_draws):
@@ -133,9 +154,9 @@ def marginal_scale(xi, s, alpha, spectrum):
     return alpha_norm(KernelEvaluator(spectrum, s).row(xi), alpha, spectrum.mesh)
 
 
-def scaled_subcell_field(word, s, alpha, spectrum, seeds):
+def scaled_subcell_field(word, s, alpha, spectrum, seeds, vertices=slice(None)):
     """Fields of the level-n subcell copy at F_w(x), rescaled by 2^(nH), one
-    row per seed, on the noise of `simulate_field`.
+    row per seed, on the noise of `simulate_field`, at its `vertices`.
 
     The subcell carries eigenvalues 5^n lambda_j, eigenfunctions
     3^(n/2) phi_j o F_w^(-1) and measure mass 3^-n; its kernel obeys
@@ -154,7 +175,7 @@ def scaled_subcell_field(word, s, alpha, spectrum, seeds):
     # F_w commutes with placing each cell's mass on its vertex, and the
     # subcell measure has mass 3^-n
     factor = 2.0 ** (n * h) * kernel_factor * 3.0 ** (-n / alpha)
-    values = factor * simulate_field(s, alpha, spectrum, seeds).values
+    values = factor * simulate_field(s, alpha, spectrum, seeds, vertices=vertices).values
     meta = {
         "s": s,
         "alpha": alpha,

@@ -57,9 +57,10 @@ class KernelEvaluator:
         """Kernel block G_s(rows, cols) over index sets, V_m x V_m by default."""
         return self.spectrum.matrix(self.lam_pow, rows, cols)
 
-    def apply(self, coeffs):
-        """Kernel action on a vector of point masses: sum_v G(., v) c_v."""
-        return self.spectrum.apply(self.lam_pow, coeffs)
+    def apply(self, coeffs, rows=slice(None)):
+        """Kernel action on point masses, sum_v G(x, v) c_v, at the vertices
+        x of `rows` (an index set, V_m by default), as `Spectrum.apply`."""
+        return self.spectrum.apply(self.lam_pow, coeffs, rows)
 
     def tail_bound(self, full):
         """Heuristic error bound of this kernel's sum against that over

@@ -76,9 +76,9 @@ class Spectrum:
     sum_j g_j phi_j(x) phi_j(y) over a weight g_j per mode (lambda_j^-s,
     e^(-lambda_j t)) is `value` (at vertex pairs), `row_blocks` (64 rows of
     a block of index sets at a time), `matrix` (the whole block, or one
-    row) or `apply`, over all of the modes, block by block:
-    the truncation of a kernel or a field is that of its Spectrum (see
-    `truncated`).
+    row) or `apply` (at an index set of rows), over all of the modes,
+    block by block: the truncation of a kernel or a field is that of its
+    Spectrum (see `truncated`).
     """
     bc: str
     eigenvalues: np.ndarray
@@ -178,11 +178,17 @@ class Spectrum:
             i += len(x)
         return out.reshape(at.shape + out.shape[1:])
 
-    def apply(self, g, coeffs):
+    def apply(self, g, coeffs, rows=slice(None)):
         """sum_j g_j phi_j (phi_j . c) for point-mass coefficients c, of shape
-        (n,) or (n, R) with one coefficient vector per column."""
-        return sum(P @ (y @ (g[cols] * (y.T @ (P.T @ coeffs)).T).T)
-                   for P, y, cols in self._parts())
+        (n,) or (n, R) with one coefficient vector per column, at the vertices
+        `rows` (an index, index set, slice or mask; V_m by default): one row
+        of values per vertex, rows may be a single vertex.  Each row takes
+        the products of the full apply in its order, so its bits are those
+        of the full apply's row; C-ordered c is read without a copy."""
+        at = np.arange(self.mesh.n_vertices)[rows]
+        out = sum(P[at.ravel()] @ (y @ (g[cols] * (y.T @ (P.T @ coeffs)).T).T)
+                  for P, y, cols in self._parts())
+        return out.reshape(at.shape + out.shape[1:])
 
     def sup_norm(self):
         """max_j max_x |phi_j(x)|, over 256 vertex rows at a time."""

@@ -11,7 +11,6 @@ field-marginals, symmetry, scaling, holder-paths, divergence.
 """
 
 import numpy as np
-import scipy.sparse.linalg
 
 from . import analysis, fields, geometry, riesz, spectral, stable
 from .constants import D_H, D_W
@@ -47,6 +46,9 @@ def _inverse_laplacian(form, f):
     """(-Delta)^-1 f on the form's rows by the sparse solve A u = M f.  Neumann
     takes the mass-mean-free part of f, pins row 0 and shifts the solution
     to mass mean zero."""
+    # imported at its one use: loading it adds 2 MB to any process peak RSS
+    import scipy.sparse.linalg
+
     A, w, f = form.stiffness.tocsc(), form.weights, f[form.index]
     if form.bc == spectral.DIRICHLET:
         return scipy.sparse.linalg.spsolve(A, w * f)
@@ -251,11 +253,11 @@ def suite_symmetry(level=6, j_terms=200, n_seeds=1000, seed0=0):
         checks.append(_check(f"kernel_reflection_sigma{i}", defect,
                              defect <= kernel_tol, tolerance=kernel_tol))
     perm = geometry.reflection_permutation(mesh, 0)
-    A = fields.simulate_field(
-        s, alpha, spec, range(seed0, seed0 + n_seeds)).values[:, [x1, x2]]
-    B = fields.simulate_field(
-        s, alpha, spec,
-        range(seed0 + 50_000, seed0 + 50_000 + n_seeds)).values[:, perm[[x1, x2]]]
+    A = fields.simulate_field(s, alpha, spec, range(seed0, seed0 + n_seeds),
+                              vertices=[x1, x2]).values
+    B = fields.simulate_field(s, alpha, spec,
+                              range(seed0 + 50_000, seed0 + 50_000 + n_seeds),
+                              vertices=perm[[x1, x2]]).values
     for name, a, b in (("marginal_x1", A[:, 0], B[:, 0]),
                        ("marginal_x2", A[:, 1], B[:, 1]),
                        ("pair_sum", A.sum(axis=1), B.sum(axis=1)),
@@ -287,12 +289,11 @@ def suite_scaling(level=6, j_terms=200, n_seeds=1000, seed0=0):
     checks.append(_check("subcell_kernel_identity", worst, worst <= identity_tol,
                          tolerance=identity_tol))
     for alpha in alphas:
-        # copies of one column, so each batch is freed at once
-        base = fields.simulate_field(
-            s, alpha, spec, range(seed0, seed0 + n_seeds)).values[:, xi].copy()
+        base = fields.simulate_field(s, alpha, spec, range(seed0, seed0 + n_seeds),
+                                     vertices=xi).values
         sub = fields.scaled_subcell_field(
-            (1,), s, alpha, spec,
-            range(seed0 + 70_000, seed0 + 70_000 + n_seeds)).values[:, xi].copy()
+            (1,), s, alpha, spec, range(seed0 + 70_000, seed0 + 70_000 + n_seeds),
+            vertices=xi).values
         r = analysis.two_sample(base, sub)
         checks.append(_check(f"fdd_scaling_alpha={alpha}", r,
                              r["p_value"] > 0.01, significance=0.01))
@@ -373,13 +374,14 @@ def suite_field_marginals(level=6, j_terms=200, n_seeds=1000, seed0=0):
     checks.append(_check("neumann_mean_zero", worst, worst <= 1e-4,
                          tolerance="1e-4 x field scale"))
     spec_d = spectral.build_spectrum(level, spectral.DIRICHLET, j_max=j_terms)
-    batch_d = fields.simulate_field(s, alpha, spec_d, range(seed0, seed0 + 20))
-    worst_b = float(np.max(np.abs(batch_d.values[:, mesh.boundary])))
+    boundary = fields.simulate_field(s, alpha, spec_d, range(seed0, seed0 + 20),
+                                     vertices=mesh.boundary).values
+    worst_b = float(np.max(np.abs(boundary)))
     checks.append(_check("dirichlet_boundary_zero", worst_b, worst_b <= 1e-12,
                          tolerance="truncation (exact zero by construction)"))
-    # a copy of one column, so the Dirichlet batch is freed at once
-    vals_d = fields.simulate_field(
-        s, alpha, spec_d, range(seed0 + 5000, seed0 + 5000 + n_seeds)).values[:, xi].copy()
+    vals_d = fields.simulate_field(s, alpha, spec_d,
+                                   range(seed0 + 5000, seed0 + 5000 + n_seeds),
+                                   vertices=xi).values
     for bc, spec, vals in (("neumann", spec_n, values[:, xi]),
                            ("dirichlet", spec_d, vals_d)):
         scale = fields.marginal_scale(xi, s, alpha, spec)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gasketfields
-from gasketfields import cli, fields, geometry, riesz, spectral, stable, verify
+from gasketfields import cli, fields, geometry, riesz, shards, spectral, stable, verify
 from gasketfields.cli import main
 from gasketfields.errors import ResolutionError
 
@@ -409,6 +409,19 @@ def test_spectrum_capacity_error_exit_two(tmp_path, monkeypatch, capsys):
     assert main(["spectrum", "--level", "4", "--out", str(tmp_path / "s")]) == 2
     assert "physical memory" in capsys.readouterr().err
     assert not (tmp_path / "s_eigenvalues.csv").exists()
+
+
+def test_simulate_capacity_error_exit_two(tmp_path, monkeypatch, capsys):
+    # the level-3 spectrum fits under the probe, the 10^5-seed batch
+    # (8 x 10^5 x 196 bytes) does not: the field refuses before it maps its noise
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: 10 ** 8)
+    monkeypatch.setattr(shards, "shared_array", None)
+    assert main(["simulate", "--level", "3", "--s", "0.9", "--alpha", "1.5",
+                 "--replicates", "100000", "--out", str(tmp_path / "f")]) == 2
+    err = capsys.readouterr().err
+    assert "level 3: a field batch of 100000 seeds" in err
+    assert "needs about 0.16 GB" in err and "the 0.10 GB of physical memory" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_spectrum_level0_dirichlet_exit_two(tmp_path, capsys):
@@ -822,7 +835,9 @@ def test_heavy_scipy_modules_load_on_first_use(tmp_path):
     # peak RSS; the KS verdicts, the D_alpha oracle and the exponent fit are
     # numpy, so importing every module and every package export, running
     # every export command and all 12 suites must load none of them
-    # (scipy.spatial is `GasketMesh.snap`'s, which none of these calls)
+    # (scipy.spatial is `GasketMesh.snap`'s, which none of these calls).
+    # scipy.sparse.linalg, 2 MB more, is semigroup's sparse solve alone: it
+    # loads when semigroup runs, after every other suite has run without it
     out = str(tmp_path / "x")
     level = ["--level", "3", "--out", out]
     commands = [
@@ -835,10 +850,10 @@ def test_heavy_scipy_modules_load_on_first_use(tmp_path):
         ["simulate", "--s", "0.9", "--alpha", "1.5"] + level,
     ]
     heavy = ["scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.spatial"]
-    # every suite, at the smallest sizes its guards take
+    solver = "scipy.sparse.linalg"
+    # every suite, at the smallest sizes its guards take, semigroup last
     suites = [("ahlfors", {"level": 6}),
               ("spectral", {"level": 5}),
-              ("semigroup", {"level": 2, "j_terms": None}),
               ("kernel-bounds", {"level": 3, "j_terms": None}),
               ("kernel-holder", {"levels": (2, 3), "j_terms": None}),
               ("symmetry", {"level": 6, "n_seeds": 500}),
@@ -847,7 +862,8 @@ def test_heavy_scipy_modules_load_on_first_use(tmp_path):
               ("lepage-vs-direct", {"level": 5, "n": 500, "n_terms": 100}),
               ("field-marginals", {"level": 5, "n_seeds": 100}),
               ("holder-paths", {"level": 3, "n_reps": 1}),
-              ("divergence", {"n_seeds": 1})]
+              ("divergence", {"n_seeds": 1}),
+              ("semigroup", {"level": 2, "j_terms": None})]
     assert sorted(name for name, _ in suites) == sorted(verify.SUITES)
     code = (
         "import importlib, pkgutil, sys\n"
@@ -862,7 +878,9 @@ def test_heavy_scipy_modules_load_on_first_use(tmp_path):
         "    assert main(argv) == 0, argv\n"
         "from gasketfields import verify\n"
         f"for name, params in {suites!r}:\n"
+        f"    assert {solver!r} not in sys.modules, name\n"
         "    verify.run_suite(name, **params)\n"
+        f"assert {solver!r} in sys.modules\n"
         f"loaded = [m for m in {heavy!r} if m in sys.modules]\n"
         "assert not loaded, loaded\n"
         # the control: a lazy import of one of them is seen, and so is the

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import gasketfields
-from gasketfields import analysis, fields, geometry, riesz, spectral, stable
+from gasketfields import analysis, fields, geometry, riesz, shards, spectral, stable
 from gasketfields.constants import D_H, D_W, integrability_threshold
-from gasketfields.errors import ContractError, DomainError, InvariantError
+from gasketfields.errors import CapacityError, ContractError, DomainError, InvariantError
 
 
 def _batch(s, alpha, spec, seeds):
@@ -114,6 +114,53 @@ def test_rows_do_not_depend_on_the_batch(spec_n, alpha):
         seeds = range(105, 105 + size)
         got = fields.simulate_field(0.9, alpha, spec_n, seeds).values
         assert np.max(np.abs(got - big[5:5 + size])) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("level", [5, 6])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0])
+def test_vertex_reads_are_the_columns_of_the_whole_field(level, bc, alpha, monkeypatch):
+    # a field read at a vertex set is the whole field's columns there, bit
+    # for bit, at any noise level and shard count; a shard may draw a
+    # single seed, so limits 2 and 3 fork
+    monkeypatch.setattr(fields, "MIN_CELLS_PER_SHARD", 1)
+    spec = spectral.build_spectrum(level, bc, j_max=200)
+    mesh = spec.mesh
+    sets = ([140, 3, 140], np.array([mesh.n_vertices - 1, 0, 77]), mesh.boundary, 140)
+    seeds = range(7)
+    for top in (level, level + 2):
+        whole = fields.simulate_field(0.9, alpha, spec, seeds, top).values
+        for cap in (1, 2, 3):
+            with shards.limit(cap):
+                for vertices in sets:
+                    got = fields.simulate_field(0.9, alpha, spec, seeds, top,
+                                                vertices=vertices).values
+                    assert np.array_equal(got, whole[:, vertices]), (top, cap, vertices)
+
+
+def test_vertex_reads_of_an_empty_batch_and_a_subcell(spec_n):
+    empty = fields.simulate_field(0.9, 1.5, spec_n, [], vertices=[4, 5, 6])
+    assert empty.values.shape == (0, 3)
+    whole = fields.scaled_subcell_field((1, 2), 0.9, 1.5, spec_n, range(5)).values
+    got = fields.scaled_subcell_field((1, 2), 0.9, 1.5, spec_n, range(5), vertices=[140, 2])
+    assert np.array_equal(got.values, whole[:, [140, 2]])
+
+
+def test_field_batch_capacity_error(spec_n, monkeypatch):
+    # the batch's peak is 8 R (5n/3 + 3k) bytes, compared with the memory
+    # probe before anything is mapped
+    n, seeds = spec_n.mesh.n_vertices, range(40)
+    need = 8 * len(seeds) * (5 * n / 3 + 3 * 2)
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: need)
+    fields.simulate_field(0.9, 1.5, spec_n, seeds, vertices=[1, 2])
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(shards, "shared_array", None)
+    with pytest.raises(CapacityError) as exc:
+        fields.simulate_field(0.9, 1.5, spec_n, seeds, vertices=[1, 2])
+    msg = str(exc.value)
+    assert "level 6" in msg and "40 seeds" in msg and f"{need / 1e9:.2f} GB" in msg
+    with pytest.raises(CapacityError):
+        fields.scaled_subcell_field((1,), 0.9, 1.5, spec_n, range(10 ** 12))
 
 
 def test_neumann_mean_zero_per_realization(mesh6, spec_n):

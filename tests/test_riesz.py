@@ -432,6 +432,17 @@ def test_kernel_statistics_stay_below_one_dense_matrix():
         assert peak < 8 * n * n, f"peak {peak / (8 * n * n):.2f} n^2 doubles"
 
 
+def test_field_checks_stay_below_one_batch_of_vertex_values():
+    # symmetry and scaling read their fields at one or two vertices, so
+    # their traced allocation peak stays below one n x n_seeds float64
+    # array, the whole-field batch; the shared noise map is not traced
+    n, n_seeds = geometry.build_mesh(6).n_vertices, 500
+    spectral.build_spectrum(6, "neumann", j_max=200)   # solved outside the trace
+    for suite in (verify.suite_symmetry, verify.suite_scaling):
+        peak = _traced_peak(lambda: suite(level=6, n_seeds=n_seeds))
+        assert peak < 8 * n * n_seeds, f"{suite.__name__}: peak {peak / 1e6:.2f} MB"
+
+
 def test_kernel_reads_at_level_7_stay_below_a_quarter_matrix():
     # no n x n kernel array at level 7 either: kernel-bounds' positivity
     # block and the reflection defects are read 64 rows at a time

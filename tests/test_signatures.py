@@ -3,7 +3,8 @@ spectrum or kernel evaluator already carries its mesh and boundary
 condition, only the Spectrum forms dense eigenvector rows, a field's noise
 has no LePage truncation, two noise builders place sites on the mesh
 (one turns every LePage draw into point masses, the other sums a field's
-cell noise), and a suite takes only the parameters some caller sets."""
+cell noise), verify reads fields at vertex sets, and a suite takes only
+the parameters some caller sets."""
 
 import ast
 import inspect
@@ -125,6 +126,18 @@ def test_one_noise_builder():
     assert _sites(_calls("site_vertices")) == {builder,
                                                ("fields", "_noise_coefficients")}
     assert _sites(_calls("draw_sites")) == {("stable", "make_draw")}
+
+
+def test_field_noise_is_read_at_vertex_sets():
+    # the field noise has one reader, the batched field, and verify reads a
+    # field at its vertices through `vertices`, never by slicing the columns
+    # of a whole-field batch
+    assert _sites(_calls("_noise_coefficients")) == {("fields", "simulate_field")}
+    column_reads = _sites(lambda node: isinstance(node, ast.Subscript)
+                          and isinstance(node.value, ast.Attribute)
+                          and node.value.attr == "values"
+                          and isinstance(node.slice, ast.Tuple))
+    assert {site for site in column_reads if site[0] == "verify"} == set()
 
 
 def test_one_export_tail():

@@ -287,6 +287,22 @@ def test_spectrum_sums_agree(bc, weight):
         assert np.max(np.abs(spec.apply(g, e) - row)) <= tol
 
 
+@pytest.mark.parametrize("j_max", [None, 200])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_apply_at_rows_is_the_rows_of_the_full_apply(bc, j_max):
+    # a row of the apply takes the full apply's products in its order, so
+    # it has the same bits, for one coefficient vector or a stack of them
+    spec = spectral.build_spectrum(6, bc, j_max=j_max)
+    n, g = spec.mesh.n_vertices, spec.eigenvalues ** -0.9
+    rng = np.random.default_rng(3)
+    rows = np.concatenate([spec.mesh.boundary, rng.choice(n, 70, replace=False)])
+    for c in (rng.standard_normal(n), rng.standard_normal((n, 9))):
+        full = spec.apply(g, c)
+        assert np.array_equal(spec.apply(g, c, rows), full[rows])
+        assert np.array_equal(spec.apply(g, c, 140), full[140])
+        assert np.array_equal(spec.apply(g, c, rows[::-1].tolist()), full[rows[::-1]])
+
+
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
 def test_eigenvalue_growth_slope(bc):
     spec = spectral.build_spectrum(6, bc)
