@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn, ndtr, smirnov
 
-from .constants import D_H, D_W
+from .constants import D_H, D_W, check_alpha
 from .errors import ContractError, DomainError
 
 
@@ -169,8 +169,7 @@ def two_sample(a, b):
 
 
 def _check_stable_law(alpha, scale):
-    if not 0.0 < alpha <= 2.0:
-        raise DomainError(f"alpha {alpha} outside (0, 2]")
+    check_alpha(alpha)
     if not (np.isfinite(scale) and scale > 0.0):
         raise DomainError(f"scale {scale} must be positive and finite")
 

@@ -377,9 +377,9 @@ def _cmd_simulate(cfg, tally):
 def _cmd_verify(cfg, tally):
     from . import verify
 
-    names = []
+    names = {}  # each suite once, where it is first named
     for entry in cfg["suite"]:
-        names.extend(sorted(verify.SUITES) if entry == "all" else [entry])
+        names.update(dict.fromkeys(sorted(verify.SUITES) if entry == "all" else [entry]))
     for name in names:
         if name not in verify.SUITES:
             raise errors.UsageError(

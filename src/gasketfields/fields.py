@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shards, spectral
-from .constants import D_H, D_W, integrability_threshold
+from .constants import D_H, D_W, check_alpha, integrability_threshold
 from .errors import CapacityError, ContractError, DomainError
 from .geometry import MAX_LEVEL, alpha_norm
 from .riesz import KernelEvaluator, fractional_laplacian_inv
@@ -44,8 +44,7 @@ def hurst_index(s, alpha):
 def check_integrable(s, alpha):
     """Reject an alpha outside (0, 2], an order s that is not finite, and
     orders s at or below the integrability threshold of alpha."""
-    if not 0.0 < alpha <= 2.0:
-        raise DomainError(f"alpha {alpha} outside (0, 2]")
+    check_alpha(alpha)
     if not np.isfinite(s):
         raise DomainError(f"order s = {s} is not finite")
     thr = integrability_threshold(alpha)

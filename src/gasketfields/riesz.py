@@ -7,7 +7,10 @@ Spectrum sums with weights lambda_j^-s.  The tests cross-check it against
 adaptive quadrature of the time integral.
 
 Diagonal policy: the kernel diagonal diverges with the truncation for
-s <= d_h/d_w and is rejected there; it is well defined for s > d_h/d_w.
+s <= d_h/d_w, where pair reads refuse it (`KernelEvaluator.value`, and
+`kernel_semigroup_residual` for s + t); `row`, `row_blocks`, `matrix` and
+`apply` return the level-m diagonal at any s (`fields.marginal_scale` needs
+it), which grows with the level below d_h/d_w.
 """
 
 import numpy as np

@@ -58,14 +58,14 @@ def cuts(n, min_per_shard, step=1):
     return [step * (blocks * k // count) for k in range(count)] + [n]
 
 
-def shared_array(shape, order="C"):
+def shared_array(shape):
     """A zeroed float64 array in anonymous memory shared with the children
     forked after it is made, so their writes to it are seen here.  The
     mapping is freed with the last array that views it."""
     import numpy as np
 
     size = 8 * math.prod(shape)
-    return np.ndarray(shape, order=order, buffer=mmap.mmap(-1, max(size, 1)))
+    return np.ndarray(shape, buffer=mmap.mmap(-1, max(size, 1)))
 
 
 def run(bounds, work, label):

@@ -9,16 +9,16 @@ A LePage draw freezes the three independent ingredient sequences
 weights g_n) behind one master seed with split sub-streams, so every
 stochastic integral evaluated on the same draw shares its noise.  None
 of the three depends on alpha, so one draw serves every alpha: only the
-weights D_alpha T_n^(-1/alpha) g_n, formed by `point_masses`, do.
+weights D_alpha T_n^(-1/alpha) g_n, formed by `lepage_replicates`, do.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as gamma_fn, gammaln
 
 from . import geometry, shards
+from .constants import check_alpha
 from .errors import ContractError, DomainError
 
 # the fewest replicates a forked shard of `lepage_replicates` draws: at
@@ -35,8 +35,7 @@ def standard_stable(rng, alpha, size=None):
             * (cos((1-alpha) U) / W)^((1-alpha)/alpha)
     with the Cauchy branch X = tan(U) at alpha = 1.
     """
-    if not 0.0 < alpha <= 2.0:
-        raise DomainError(f"alpha {alpha} outside (0, 2]")
+    check_alpha(alpha)
     u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=size)
     if alpha == 1.0:
         return np.tan(u)
@@ -57,15 +56,13 @@ def sine_integral(alpha):
     pi/2; evaluated through the reflection formula as
     pi / (2 Gamma(alpha) sin(pi alpha / 2)), which is pole-free on (0,2).
     """
-    if not 0.0 < alpha < 2.0:
-        raise DomainError(f"alpha {alpha} outside (0, 2)")
+    check_alpha(alpha, series=True)
     return np.pi / (2.0 * gamma_fn(alpha) * np.sin(np.pi * alpha / 2.0))
 
 
 def d_alpha(alpha):
     """Series normalization D_alpha = (E|g|^alpha * sine integral)^(-1/alpha)."""
-    if not 0.0 < alpha < 2.0:
-        raise DomainError(f"alpha {alpha} outside (0, 2)")
+    check_alpha(alpha, series=True)
     return (gaussian_abs_moment(alpha) * sine_integral(alpha)) ** (-1.0 / alpha)
 
 
@@ -84,8 +81,7 @@ def d_alpha_quadrature(alpha):
     - int_A^inf x^-alpha sin x dx as the imaginary part of the integration
       by parts series i e^(iA) A^-alpha sum_k (alpha)_k (-i/A)^k, 24 terms.
     """
-    if not 0.0 < alpha < 2.0:
-        raise DomainError(f"alpha {alpha} outside (0, 2)")
+    check_alpha(alpha, series=True)
     t = np.arange(-144, 81) / 32.0
     x = np.exp(np.pi / 2.0 * np.sinh(t))
     # dx = x pi/2 cosh(t) dt
@@ -116,7 +112,7 @@ def arrival_tail_sum(alpha, n_terms):
 class LePageDraw:
     """Frozen LePage ingredients shared across all evaluation points and
     every alpha: none of them depends on alpha, only the weights formed
-    from them by `point_masses` do.
+    from them by `lepage_replicates` do.
 
     Sites are kept as integer measure words (`geometry.draw_sites`):
     `words[n]` carries the digits d_0..d_MAX_LEVEL of site xi_n, enough to
@@ -151,60 +147,6 @@ def make_draw(seed, n_terms):
     return LePageDraw(n_terms, arrivals, words, gaussians)
 
 
-def _lepage_alphas(alpha, n_terms):
-    """The alphas of a LePage call, a float or a sequence, as a tuple of
-    floats, once n_terms >= 1 and every alpha in (0, 2) are checked."""
-    if n_terms < 1:
-        raise DomainError("n_terms must be >= 1")
-    alphas = np.asarray(alpha, dtype=float)
-    if alphas.ndim > 1:
-        raise ContractError(f"alpha must be a float or a sequence, got shape {alphas.shape}")
-    alphas = tuple(alphas.reshape(-1).tolist())
-    for a in alphas:
-        if not 0.0 < a < 2.0:
-            raise DomainError(f"LePage representation requires alpha in (0, 2), got {a}")
-    return alphas
-
-
-@functools.lru_cache(maxsize=32)
-def _series_constants(alpha, n_terms):
-    """D_alpha and the per-term surrogate variance tau / N of one alpha."""
-    return d_alpha(alpha), arrival_tail_sum(alpha, n_terms) / n_terms
-
-
-def point_masses(seed, n_terms, alpha, mesh, tail_compensation=False):
-    """The LePage draw `make_draw(seed, n_terms)` as point masses on the
-    mesh vertices: each site xi_n is placed on its nearest vertex
-    (`GasketMesh.site_vertices`) with weight D_alpha w_n g_n, summed per
-    vertex, so the series integral of vertex values f is `masses @ f`.
-
-    `alpha` is a float, giving shape (n_vertices,), or a sequence, giving
-    one row per alpha, all from the one draw: its sites are placed once and
-    each alpha has its own weights and its own per-vertex sum.
-
-    The raw series has w_n = T_n^(-1/alpha).  `tail_compensation` adds the
-    Gaussian surrogate of the discarded small jumps, which matters for
-    alpha close to 2 where the raw series converges slowly; it is folded
-    into the weights, w_n = sqrt(T_n^(-2/alpha) + tau / N),
-    tau = `arrival_tail_sum`: given T and xi, sum_n w_n g_n f(xi_n) is
-    Gaussian with the series variance plus the surrogate's D^2 tau mean
-    f(xi)^2.
-    """
-    alphas = _lepage_alphas(alpha, n_terms)
-    draw = make_draw(seed, n_terms)
-    sites = mesh.site_vertices(draw.words)
-    masses = np.empty((len(alphas), mesh.n_vertices))
-    for i, a in enumerate(alphas):
-        d_a, tail = _series_constants(a, n_terms)
-        if tail_compensation:
-            w = np.sqrt(draw.arrivals ** (-2.0 / a) + tail)
-        else:
-            w = draw.arrivals ** (-1.0 / a)
-        masses[i] = np.bincount(sites, weights=d_a * w * draw.gaussians,
-                                minlength=mesh.n_vertices)
-    return masses if np.ndim(alpha) else masses[0]
-
-
 def direct_replicates(values, mesh, alpha, n_replicates, seed):
     """Independent copies of the stable integral of vertex values, exact in law.
 
@@ -212,8 +154,7 @@ def direct_replicates(values, mesh, alpha, n_replicates, seed):
     ||f||_alpha, so standard variates scaled by the quadrature norm
     realize it.
     """
-    if not 0.0 < alpha <= 2.0:
-        raise DomainError(f"alpha {alpha} outside (0, 2]")
+    check_alpha(alpha)
     scale = geometry.alpha_norm(values, alpha, mesh)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return scale * standard_stable(rng, alpha, size=n_replicates)
@@ -222,7 +163,7 @@ def direct_replicates(values, mesh, alpha, n_replicates, seed):
 def lepage_replicates(values, mesh, alpha, n_terms, n_replicates, seed,
                       tail_compensation=False):
     """Independent LePage partial sums D_alpha sum_n w_n f(xi_n) g_n of mesh
-    functions, one `point_masses` draw per replicate.
+    functions, one `make_draw` per replicate.
 
     `values` holds one function per column, shape (n_vertices, k), and the
     result has shape (n_replicates, k); a 1-D `values` gives a 1-D result.
@@ -231,26 +172,49 @@ def lepage_replicates(values, mesh, alpha, n_terms, n_replicates, seed,
     the k-th spawned child of the seed, integrated against every column
     and for every alpha, so the columns and the alphas share their noise,
     the result is linear in `values` on each draw, and replicate k does not
-    depend on `n_replicates` or on the other alphas.  The weights w_n, with
-    or without `tail_compensation`, are those of `point_masses`.
+    depend on `n_replicates` or on the other alphas.  Its sites are placed
+    once on their nearest vertices (`GasketMesh.site_vertices`); each alpha
+    sums its weights D_alpha w_n g_n per vertex and integrates `values`
+    against those point masses.
+
+    The raw series has w_n = T_n^(-1/alpha).  `tail_compensation` adds the
+    Gaussian surrogate of the discarded small jumps, which matters for
+    alpha close to 2 where the raw series converges slowly; it is folded
+    into the weights, w_n = sqrt(T_n^(-2/alpha) + tau / N),
+    tau = `arrival_tail_sum`: given T and xi, sum_n w_n g_n f(xi_n) is
+    Gaussian with the series variance plus the surrogate's D^2 tau mean
+    f(xi)^2.
 
     The replicates are drawn in contiguous shards (`shards.cuts`, at least
     `MIN_REPLICATES_PER_SHARD` each), each writing its rows straight into
     one shared array, so the values do not depend on the shard count.
     """
-    alphas = _lepage_alphas(alpha, n_terms)
+    if n_terms < 1:
+        raise DomainError("n_terms must be >= 1")
+    alphas = np.asarray(alpha, dtype=float)
+    if alphas.ndim > 1:
+        raise ContractError(f"alpha must be a float or a sequence, got shape {alphas.shape}")
+    # each alpha with D_alpha, which checks it, and the per-term surrogate
+    # variance tau / N
+    series = [(a, d_alpha(a), arrival_tail_sum(a, n_terms) / n_terms)
+              for a in alphas.reshape(-1).tolist()]
     values = np.asarray(values, dtype=float)
     if values.ndim not in (1, 2) or len(values) != mesh.n_vertices:
         raise ContractError(f"values of shape {values.shape} are not (n_vertices, k) "
                             f"or (n_vertices,) with n_vertices = {mesh.n_vertices}")
-    out = shards.shared_array((len(alphas), n_replicates) + values.shape[1:])
+    out = shards.shared_array((len(series), n_replicates) + values.shape[1:])
 
     def integrate(_, lo, hi):
         for k in range(lo, hi):
-            masses = point_masses(np.random.SeedSequence(seed, spawn_key=(k,)), n_terms,
-                                  alphas, mesh, tail_compensation)
-            for i, m in enumerate(masses):
-                out[i, k] = m @ values
+            draw = make_draw(np.random.SeedSequence(seed, spawn_key=(k,)), n_terms)
+            sites = mesh.site_vertices(draw.words)
+            for i, (a, d_a, tail) in enumerate(series):
+                if tail_compensation:
+                    w = np.sqrt(draw.arrivals ** (-2.0 / a) + tail)
+                else:
+                    w = draw.arrivals ** (-1.0 / a)
+                out[i, k] = np.bincount(sites, weights=d_a * w * draw.gaussians,
+                                        minlength=mesh.n_vertices) @ values
 
     shards.run(shards.cuts(n_replicates, MIN_REPLICATES_PER_SHARD), integrate,
                "replicates")

@@ -485,13 +485,14 @@ def test_seed_below_zero_exit_two(tmp_path, capsys, argv, source):
     (["simulate", "--alpha", "0", "--s", "0.9"], "alpha 0.0 outside (0, 2]"),
     (["simulate", "--alpha", "-1", "--s", "0.9"], "alpha -1.0 outside (0, 2]"),
     (["stable", "--route", "direct", "--alpha", "0"], "alpha 0.0 outside (0, 2]"),
+    (["stable", "--alpha", "2"], "alpha 2.0 outside (0, 2)"),
     (["simulate", "--alpha", "1.5", "--s", "nan"], "s = nan is not finite"),
     (["simulate", "--alpha", "1.5", "--s", "inf"], "s = inf is not finite"),
     (["kernel", "--s", "nan"], "positive and finite, got nan"),
     (["kernel", "--s", "inf", "--pairs", "5"], "positive and finite, got inf"),
     (["kernel", "--s", "-1"], "positive and finite, got -1.0"),
-], ids=["simulate-alpha-0", "simulate-alpha-neg", "direct-alpha-0", "simulate-s-nan",
-        "simulate-s-inf", "kernel-s-nan", "kernel-s-inf", "kernel-s-neg"])
+], ids=["simulate-alpha-0", "simulate-alpha-neg", "direct-alpha-0", "lepage-alpha-2",
+        "simulate-s-nan", "simulate-s-inf", "kernel-s-nan", "kernel-s-inf", "kernel-s-neg"])
 def test_bad_alpha_or_order_exit_two(tmp_path, monkeypatch, capsys, argv, message):
     # alpha outside (0, 2] and an order s that is not finite are domain
     # errors, not a ZeroDivisionError or a CSV of NaN, and they are refused
@@ -728,6 +729,36 @@ def test_verify_below_the_fixed_vertices_exits_2(tmp_path, capsys, suite, level,
     assert main(["verify", "--suite", suite, "--level", str(level),
                  "--out", str(tmp_path)]) == 2
     assert f"{suite} needs level >= {lowest}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_verify_runs_a_suite_named_twice_once(tmp_path, monkeypatch, capsys, source):
+    # twice on the command line, or once there and once in the config file
+    calls = []
+    run_suite = verify.run_suite
+    monkeypatch.setattr(verify, "run_suite",
+                        lambda name, **kw: calls.append(name) or run_suite(name, **kw))
+    argv = ["verify", "--suite", "ahlfors", "--out", str(tmp_path / "r")]
+    if source == "flag":
+        argv += ["--suite", "ahlfors"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": "ahlfors"}))
+        argv = ["--config", str(cfg)] + argv
+    assert main(argv) == 0
+    assert calls == ["ahlfors"]
+    assert capsys.readouterr().out.count("suite ahlfors") == 1
+    assert [p.name for p in (tmp_path / "r").iterdir()] == ["ahlfors.json"]
+
+
+def test_verify_keeps_the_first_naming_of_each_suite(tmp_path, monkeypatch):
+    # `all` names every suite in sorted order, after those named before it
+    calls = []
+    monkeypatch.setattr(verify, "run_suite", lambda name, **kw: calls.append(name)
+                        or {"checks": [], "passed": True})
+    assert main(["verify", "--suite", "stable-cf", "--suite", "all", "--suite",
+                 "ahlfors", "--out", str(tmp_path)]) == 0
+    assert calls == ["stable-cf"] + [n for n in sorted(verify.SUITES) if n != "stable-cf"]
 
 
 def test_verify_unknown_suite(tmp_path):

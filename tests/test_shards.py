@@ -109,14 +109,14 @@ def test_failed_draw_shard_leaves_no_child(three_cpus, monkeypatch, capfd, in_ch
 
 
 def test_failed_replicate_shard_names_its_range(three_cpus, monkeypatch, capfd, mesh6):
-    point_masses = stable.point_masses
+    make_draw = stable.make_draw
 
     def failing(seed, *args):
         if seed.spawn_key == (9,):
             raise RuntimeError("replicate failed")
-        return point_masses(seed, *args)
+        return make_draw(seed, *args)
 
-    monkeypatch.setattr(stable, "point_masses", failing)
+    monkeypatch.setattr(stable, "make_draw", failing)
     with shards.limit(3):
         with pytest.raises(ChildProcessError,
                            match=r"shard 2 of 3 \(replicates 8 to 11\) .* exit status 1"):

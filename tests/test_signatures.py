@@ -2,9 +2,10 @@
 spectrum or kernel evaluator already carries its mesh and boundary
 condition, only the Spectrum forms dense eigenvector rows, a field's noise
 has no LePage truncation, two noise builders place sites on the mesh
-(one turns every LePage draw into point masses, the other sums a field's
-cell noise), verify reads fields at vertex sets, and a suite takes only
-the parameters some caller sets."""
+(`lepage_replicates` turns every LePage draw into point masses,
+`fields._noise_coefficients` sums a field's cell noise), one check guards
+the alpha domain, verify reads fields at vertex sets, and a suite takes
+only the parameters some caller sets."""
 
 import ast
 import inspect
@@ -117,15 +118,27 @@ def _calls(name):
 
 def test_one_noise_builder():
     # every LePage draw, all of them stable integrals, comes from make_draw
-    # through the one builder that places its sites on the mesh and forms
-    # its weights; a field's noise is the cell draw, the only other reader
-    # of the site placement
-    builder = ("stable", "point_masses")
+    # in the shard body of `lepage_replicates`, which places its sites on
+    # the mesh and forms its weights; a field's noise is the cell draw, the
+    # only other reader of the site placement
+    builder = ("stable", "integrate")
     assert _sites(_calls("make_draw")) == {builder}
-    assert {module for module, _ in _sites(_calls("point_masses"))} == {"stable"}
     assert _sites(_calls("site_vertices")) == {builder,
                                                ("fields", "_noise_coefficients")}
     assert _sites(_calls("draw_sites")) == {("stable", "make_draw")}
+    # the one function whose shard body is called `integrate`
+    assert _sites(lambda node: isinstance(node, ast.FunctionDef) and any(
+        isinstance(inner, ast.FunctionDef) and inner.name == "integrate"
+        for inner in node.body)) == {("stable", "lepage_replicates")}
+    assert "lepage_replicates" in __doc__
+
+
+def test_one_alpha_domain_check():
+    # the "outside (0, 2]" and "outside (0, 2)" messages are raised only by
+    # constants.check_alpha
+    raises = _sites(lambda node: isinstance(node, ast.Raise)
+                    and "outside (0, 2" in ast.unparse(node))
+    assert raises == {("constants", "check_alpha")}
 
 
 def test_field_noise_is_read_at_vertex_sets():

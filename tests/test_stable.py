@@ -35,6 +35,30 @@ def test_stable_domain_errors():
             stable.standard_stable(rng, bad)
 
 
+def test_alpha_domain_has_one_message(mesh6):
+    # every public entry that takes alpha refuses it outside (0, 2], the
+    # LePage series and its constants also at 2, all through `check_alpha`
+    ones = np.ones(mesh6.n_vertices)
+    rng = np.random.default_rng(0)
+    entries = {
+        False: (lambda a: stable.standard_stable(rng, a),
+                lambda a: stable.direct_replicates(ones, mesh6, a, 10, seed=0),
+                lambda a: fields.check_integrable(0.9, a),
+                lambda a: analysis.stable_cdf(0.5, a, 1.0),
+                lambda a: analysis.one_sample_ks([0.1, 0.2], a, 1.0)),
+        True: (lambda a: stable.lepage_replicates(ones, mesh6, a, 10, 10, seed=0),
+               stable.sine_integral, stable.d_alpha, stable.d_alpha_quadrature),
+    }
+    for series, calls in entries.items():
+        bad = (0.0, -1.0, 2.5, np.nan) + ((2.0,) if series else ())
+        for call in calls:
+            for a in bad:
+                message = f"alpha {a} outside (0, 2{')' if series else ']'}"
+                with pytest.raises(DomainError) as err:
+                    call(a)
+                assert str(err.value) == message
+
+
 def test_d_alpha_hand_value_at_one():
     # E|g| = sqrt(2/pi), sine integral = pi/2
     expected = 1.0 / (np.sqrt(2.0 / np.pi) * np.pi / 2.0)
@@ -134,7 +158,7 @@ def test_arrival_times_match_gamma_mean():
 
 
 def test_lepage_builders_validate_before_drawing(monkeypatch, mesh6):
-    # the draw has no alpha; the builders that form its weights refuse
+    # the draw has no alpha; the route that forms its weights refuses
     # alpha = 2, in any position of an alpha sequence, and n_terms < 1
     # before drawing, even when zero replicates would draw nothing
     ones = np.ones(mesh6.n_vertices)
@@ -142,8 +166,6 @@ def test_lepage_builders_validate_before_drawing(monkeypatch, mesh6):
     for alpha, n_terms in ((2.0, 0), (2.0, 10), (1.5, 0), ((0.7, 1.0, 1.5, 2.0), 10)):
         with pytest.raises(DomainError):
             stable.lepage_replicates(ones, mesh6, alpha, n_terms, 0, seed=0)
-        with pytest.raises(DomainError):
-            stable.point_masses(0, n_terms, alpha, mesh6)
 
 
 @pytest.mark.parametrize("n_terms", [0, -5])
@@ -244,12 +266,8 @@ def test_lepage_replicates_alphas_share_one_draw(mesh6, tail_compensation, colum
               tail_compensation=tail_compensation)
     batch = stable.lepage_replicates(F, alpha=alphas, **kw)
     assert batch.shape == (len(alphas), 200) + shape[1:]
-    masses = stable.point_masses(3, 300, alphas, mesh6, tail_compensation)
-    assert masses.shape == (len(alphas), mesh6.n_vertices)
     for i, alpha in enumerate(alphas):
         assert np.array_equal(batch[i], stable.lepage_replicates(F, alpha=alpha, **kw))
-        assert np.array_equal(masses[i],
-                              stable.point_masses(3, 300, alpha, mesh6, tail_compensation))
 
 
 def test_lepage_vs_direct_draws_once_per_replicate(monkeypatch):
