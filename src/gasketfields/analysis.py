@@ -31,14 +31,9 @@ def log_correction_power(s, alpha):
 
 @dataclass(frozen=True)
 class RegularityReport:
-    s: float
-    alpha: float
-    bc: str
     estimate: float
     target: float
     log_power: float
-    scales: np.ndarray
-    max_increments: np.ndarray
     tolerance: float
     passed: bool
 
@@ -79,27 +74,23 @@ def holder_exponent_estimate(sample, mesh):
     slope, _ = np.polyfit(np.log(scales), np.log(rows).mean(axis=0), 1)
     target, tolerance = holder_exponent_target(s), 0.15
     return RegularityReport(
-        s=s, alpha=alpha, bc=meta["bc"],
         estimate=float(slope), target=target,
         log_power=log_correction_power(s, alpha),
-        scales=scales, max_increments=rows.mean(axis=0),
         tolerance=tolerance, passed=bool(abs(slope - target) <= tolerance))
 
 
-def divergence_diagnostic(field_maker, levels):
+def divergence_diagnostic(batches):
     """Median mesh supremum of |field| per level; verdict on growth.
 
-    `field_maker(level)` must return a batch of realizations (a
-    FieldSample) on the level-m mesh.  Strict increase of the medians
-    across levels is the finite-mesh signature of unbounded sample paths.
+    `batches` holds one batch of realizations (a FieldSample) per mesh
+    level, coarsest first.  Strict increase of the medians across levels
+    is the finite-mesh signature of unbounded sample paths.
     """
-    levels = list(levels)
-    if not levels:
-        raise ContractError("empty level list")
-    medians = [float(np.median(field_maker(m).meta["mesh_sup"])) for m in levels]
+    medians = [float(np.median(batch.meta["mesh_sup"])) for batch in batches]
+    if not medians:
+        raise ContractError("no level batches")
     increasing = all(b > a for a, b in zip(medians, medians[1:]))
     return {
-        "levels": levels,
         "median_sup": medians,
         "verdict": "consistent with unboundedness" if increasing else "no growth",
         "increasing": increasing,

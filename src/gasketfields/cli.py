@@ -107,9 +107,10 @@ def _write_json(path, obj):
 
 
 def _export(cfg, tally, started, files, message, **fields):
-    """Write each (path, header, n, step, read) CSV file with `_write_shards`,
-    `read(lo, hi)` yielding the text of source rows lo..hi of n in blocks
-    of whole rows, then `<out>_meta.json`, then print `message`.
+    """Make the directory of `<out>`, write each (path, header, n, step,
+    read) CSV file with `_write_shards`, `read(lo, hi)` yielding the text of
+    source rows lo..hi of n in blocks of whole rows, then `<out>_meta.json`,
+    then print `message`.
 
     The meta holds `config` (the command's flags and the version), the
     command's own `fields`, and `rows` and `bytes`, summed over the files,
@@ -124,6 +125,7 @@ def _export(cfg, tally, started, files, message, **fields):
     shard, 0 when none was forked.
     """
     written = time.perf_counter()
+    os.makedirs(os.path.dirname(cfg["out"]) or ".", exist_ok=True)
     rows = size = 0
     for path, header, n, step, read in files:
         rows += _write_shards(path, header, n, step, read)
@@ -294,12 +296,12 @@ def _cmd_kernel(cfg, tally):
             return np.stack([np.hypot(diff[:, 0], diff[:, 1]), g])
 
         def kernel_rows(lo, hi):
-            # each 64-row kernel block is formatted as it is read: the n x n
+            # each kernel row block is formatted as it is read: the n x n
             # matrix is never held.  Every mode is sigma_2-even or -odd, so
             # G(sigma a, sigma b) = G(a, b) bit for bit, and so is d on the
             # dyadic vertices: a row whose mirror comes later in its block
-            # keeps its strings until the mirror (at most 32 rows, the values
-            # as one string, the distances as pointers to the memo's), which
+            # keeps its strings until the mirror (at most half a block, the
+            # values as one string, the distances as pointers to the memo's), which
             # writes them permuted where its floats are the twin's permuted.
             # The bits are compared, as -0.0 == 0.0 but their reprs differ
             for x, G in ev.row_blocks(slice(lo, hi)):
@@ -322,8 +324,8 @@ def _cmd_kernel(cfg, tally):
                     pieces[4::5] = gs
                     yield "".join(pieces)
 
-        # cut at the 64-row blocks of `row_blocks`
-        csv_file = (path, header, n, 64, kernel_rows)
+        # cut at the row blocks of `row_blocks`
+        csv_file = (path, header, n, spectral.ROW_BLOCK, kernel_rows)
     return _export(cfg, tally, started, [csv_file], f"kernel s={cfg['s']} -> {path}",
                    j_terms=spec.n_modes, tail_bound=ev.tail_bound(full))
 
@@ -462,7 +464,7 @@ def main(argv=None):
         with shards.limit(args.threads) as tally:
             return _COMMANDS[args.command][0](cfg, tally)
     except (errors.UsageError, errors.DomainError, errors.ContractError,
-            errors.CapacityError, errors.ResolutionError) as exc:
+            errors.CapacityError, errors.ResolutionError, MemoryError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except errors.NumericError as exc:

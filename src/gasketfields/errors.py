@@ -1,4 +1,6 @@
-"""Exception taxonomy shared across the library and the CLI exit codes."""
+"""Exception taxonomy shared across the library and the CLI exit codes; memory check."""
+
+import os
 
 
 class GasketError(Exception):
@@ -15,6 +17,19 @@ class DomainError(GasketError, ValueError):
 
 class CapacityError(GasketError):
     """Requested object exceeds the configured memory/size budget."""
+
+
+def _physical_memory():
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(need, what, why):
+    """Raise CapacityError if `what` needs `need` bytes, for `why`, past physical memory."""
+    limit = _physical_memory()
+    if need > limit:
+        raise CapacityError(
+            f"{what} needs about {need / 1e9:.2f} GB ({why}), more than the "
+            f"{limit / 1e9:.2f} GB of physical memory")
 
 
 class ResolutionError(GasketError):

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import shards, spectral
+from . import shards
 from .constants import D_H, D_W, check_alpha, integrability_threshold
-from .errors import CapacityError, ContractError, DomainError
+from .errors import ContractError, DomainError, check_memory
 from .geometry import MAX_LEVEL, alpha_norm
-from .riesz import KernelEvaluator, fractional_laplacian_inv
-from .stable import standard_stable
+from .riesz import KernelEvaluator, check_order, fractional_laplacian_inv
+from .stable import direct_replicates, standard_stable
 
 # the fewest cell variates a forked shard of a field batch draws, 3^(top+1)
 # a seed: a variate takes about 0.1 us at every alpha and level (L6-L8) and a
@@ -42,11 +42,10 @@ def hurst_index(s, alpha):
 
 
 def check_integrable(s, alpha):
-    """Reject an alpha outside (0, 2], an order s that is not finite, and
-    orders s at or below the integrability threshold of alpha."""
+    """Reject an alpha outside (0, 2], a kernel order s that is not positive
+    and finite, and orders s at or below the integrability threshold of alpha."""
     check_alpha(alpha)
-    if not np.isfinite(s):
-        raise DomainError(f"order s = {s} is not finite")
+    check_order(s)
     thr = integrability_threshold(alpha)
     if s <= thr:
         raise DomainError(
@@ -106,14 +105,10 @@ def simulate_field(s, alpha, spectrum, seeds, top=None, vertices=slice(None)):
     mesh = spectrum.mesh
     n = mesh.n_vertices
     at = np.arange(n)[vertices]
-    need = 8 * len(seeds) * (5 * n / 3 + 3 * at.size)
-    limit = spectral._physical_memory()
-    if need > limit:
-        raise CapacityError(
-            f"level {mesh.level}: a field batch of {len(seeds)} seeds at {at.size} "
-            f"of n = {n} vertices needs about {need / 1e9:.2f} GB (the n x R noise, "
-            "the kernel apply's block products and the values), more than the "
-            f"{limit / 1e9:.2f} GB of physical memory")
+    check_memory(8 * len(seeds) * (5 * n / 3 + 3 * at.size),
+                 f"level {mesh.level}: a field batch of {len(seeds)} seeds at "
+                 f"{at.size} of n = {n} vertices", "the n x R noise, the kernel "
+                 "apply's block products and the values")
     top = mesh.level if top is None else top
     values = KernelEvaluator(spectrum, s).apply(
         _noise_coefficients(alpha, mesh, seeds, top), at.ravel()).T
@@ -132,25 +127,19 @@ def simulate_field(s, alpha, spectrum, seeds, top=None, vertices=slice(None)):
     return FieldSample(values.reshape(values.shape[:1] + at.shape), meta)
 
 
-def distributional_field(f, s, alpha, spectrum, rng, n_draws):
-    """The field tested against f: stable integral of the order -s image,
-    `n_draws` independent variates from one `standard_stable` call on rng.
-
-    Exact in law for a single functional; CF is
+def distributional_field(f, s, alpha, spectrum, seed, n_draws):
+    """The field tested against f: `n_draws` independent copies, drawn from
+    `seed`, of the stable integral of the order -s image (-Delta)^-s f,
+    exact in law by `stable.direct_replicates`; CF is
     exp(-|u|^alpha ||(-Delta)^-s f||_alpha^alpha).
     """
-    scale = functional_scale(f, s, alpha, spectrum)
-    return scale * standard_stable(rng, alpha, n_draws)
-
-
-def functional_scale(f, s, alpha, spectrum):
-    """Stable scale parameter ||(-Delta)^-s f||_alpha by quadrature."""
-    return alpha_norm(fractional_laplacian_inv(s, f, spectrum), alpha, spectrum.mesh)
+    return direct_replicates(fractional_laplacian_inv(s, f, spectrum), spectrum.mesh,
+                             alpha, n_draws, seed)
 
 
 def marginal_scale(xi, s, alpha, spectrum):
     """Scale of the field marginal at vertex x: ||G_s(x, .)||_alpha."""
-    return alpha_norm(KernelEvaluator(spectrum, s).row(xi), alpha, spectrum.mesh)
+    return alpha_norm(KernelEvaluator(spectrum, s).matrix(xi), alpha, spectrum.mesh)
 
 
 def scaled_subcell_field(word, s, alpha, spectrum, seeds, vertices=slice(None)):

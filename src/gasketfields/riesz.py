@@ -8,9 +8,9 @@ adaptive quadrature of the time integral.
 
 Diagonal policy: the kernel diagonal diverges with the truncation for
 s <= d_h/d_w, where pair reads refuse it (`KernelEvaluator.value`, and
-`kernel_semigroup_residual` for s + t); `row`, `row_blocks`, `matrix` and
-`apply` return the level-m diagonal at any s (`fields.marginal_scale` needs
-it), which grows with the level below d_h/d_w.
+`kernel_semigroup_residual` for s + t); `row_blocks`, `matrix` and `apply`
+return the level-m diagonal at any s (`fields.marginal_scale` needs it),
+which grows with the level below d_h/d_w.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from .constants import D_H, D_W
 from .errors import ContractError, DomainError
 from .geometry import reflection_permutation, symmetry_orbits
-from .spectral import NEUMANN
+from .spectral import NEUMANN, ROW_BLOCK
 
 
 def check_order(s):
@@ -47,18 +47,16 @@ class KernelEvaluator:
                 f"diagonal kernel values require s > d_h/d_w = {D_H / D_W:.5f}")
         return self.spectrum.value(self.lam_pow, xi, yi)
 
-    def row(self, xi):
-        """G_s(x, .) against every mesh vertex; xi is a vertex or an index
-        set (one row per vertex)."""
-        return self.spectrum.matrix(self.lam_pow, xi)
-
     def row_blocks(self, rows=slice(None), cols=slice(None)):
-        """Kernel block G_s(rows, cols) 64 rows at a time, as (x, G_s(x, cols))."""
+        """Kernel block G_s(rows, cols) by row blocks, as (x, G_s(x, cols))."""
         return self.spectrum.row_blocks(self.lam_pow, rows, cols)
 
     def matrix(self, rows=slice(None), cols=slice(None)):
-        """Kernel block G_s(rows, cols) over index sets, V_m x V_m by default."""
+        """Kernel block G_s(rows, cols), V_m x V_m by default; rows may be a vertex."""
         return self.spectrum.matrix(self.lam_pow, rows, cols)
+
+    # an alias kept only because benchmarks/tracer.py wraps it by name (ROADMAP item 2)
+    row = matrix
 
     def apply(self, coeffs, rows=slice(None)):
         """Kernel action on point masses, sum_v G(x, v) c_v, at the vertices
@@ -97,10 +95,6 @@ def kernel_semigroup_residual(s, t, xi, yi, spectrum):
 
     At matched truncation this is pure quadrature/orthonormality error.
     """
-    if s <= 0 or t <= 0:
-        raise DomainError("orders s, t must be positive")
-    if s + t <= D_H / D_W and np.any(xi == yi):
-        raise DomainError("diagonal requires s+t > d_h/d_w")
     conv = np.sum(KernelEvaluator(spectrum, s).matrix(xi) * spectrum.mesh.mu_weights
                   * KernelEvaluator(spectrum, t).matrix(yi), axis=-1)
     direct = KernelEvaluator(spectrum, s + t).value(xi, yi)
@@ -230,11 +224,11 @@ def reflection_defects(ev):
     mesh = ev.spectrum.mesh
     perms = [reflection_permutation(mesh, i) for i in range(3)]
     orbits = symmetry_orbits(mesh)
-    # 10 orbits of at most 6 vertices a block, within the 64 rows of a read
+    # whole orbits of at most 6 vertices a block, within the rows of one read
     local = np.empty(mesh.n_vertices, dtype=int)
     defects = [0.0] * 3
-    for o in range(0, orbits.shape[1], 10):
-        rows = np.unique(orbits[:, o:o + 10])
+    for o in range(0, orbits.shape[1], ROW_BLOCK // 6):
+        rows = np.unique(orbits[:, o:o + ROW_BLOCK // 6])
         local[rows] = np.arange(len(rows))
         G = ev.matrix(rows)
         for i, perm in enumerate(perms):

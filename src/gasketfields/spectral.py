@@ -16,7 +16,6 @@ Dirichlet drops it and vanishes on the corner set V_0.
 """
 
 import functools
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,8 +23,8 @@ import scipy.linalg
 import scipy.sparse
 
 from . import geometry
-from .errors import (CapacityError, ContractError, DomainError, InvariantError,
-                     NumericError)
+from .errors import (ContractError, DomainError, InvariantError, NumericError,
+                     check_memory)
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
@@ -33,6 +32,9 @@ DIRICHLET = "dirichlet"
 # relative gap below which consecutive eigenvalues count as one multiplet;
 # truncations never split a multiplet (kernel symmetry would break)
 _CLUSTER_RTOL = 1e-8
+
+# the rows of a `Spectrum.row_blocks` block; the kernel CSV is cut at its multiples
+ROW_BLOCK = 64
 
 
 def check_bc(bc):
@@ -74,11 +76,11 @@ class Spectrum:
     boundary, and the Neumann constant mode is excluded.
     `eigenvectors(rows)` forms dense rows on demand.  Every
     sum_j g_j phi_j(x) phi_j(y) over a weight g_j per mode (lambda_j^-s,
-    e^(-lambda_j t)) is `value` (at vertex pairs), `row_blocks` (64 rows of
-    a block of index sets at a time), `matrix` (the whole block, or one
-    row) or `apply` (at an index set of rows), over all of the modes,
-    block by block: the truncation of a kernel or a field is that of its
-    Spectrum (see `truncated`).
+    e^(-lambda_j t)) is `value` (at vertex pairs), `row_blocks`
+    (`ROW_BLOCK` rows of a block of index sets at a time), `matrix` (the
+    whole block, or one row) or `apply` (at an index set of rows), over all
+    of the modes, block by block: the truncation of a kernel or a field is
+    that of its Spectrum (see `truncated`).
     """
     bc: str
     eigenvalues: np.ndarray
@@ -149,17 +151,17 @@ class Spectrum:
         return out.reshape(shape)[()]
 
     def row_blocks(self, g, rows=slice(None), cols=slice(None)):
-        """sum_j g_j phi_j(x) phi_j(y) on rows x cols, 64 rows x at a time:
-        yields (x, block) with x the block's vertex indices, in the order of
-        rows (an index set, slice or mask; V_m by default), and block the
-        (len(x), cols) values; cols is an index set, slice or mask."""
+        """sum_j g_j phi_j(x) phi_j(y) on rows x cols, `ROW_BLOCK` rows x at
+        a time: yields (x, block) with x the block's vertex indices, in the
+        order of rows (an index set, slice or mask; V_m by default), and
+        block the (len(x), cols) values; cols is an index set, slice or mask."""
         # block by block: g phi(x) goes through y back to the block's basis,
         # and P reads it at cols, about k m products per row and block rather
-        # than one per mode and entry; the scratch is that of 64 rows
+        # than one per mode and entry; the scratch is that of ROW_BLOCK rows
         at = np.arange(self.mesh.n_vertices)[rows].ravel()
         parts = [(P[cols], P, y, c) for P, y, c in self._parts()]
-        for i in range(0, at.size, 64):
-            x = at[i:i + 64]
+        for i in range(0, at.size, ROW_BLOCK):
+            x = at[i:i + ROW_BLOCK]
             terms = (Pc @ (y @ (g[c] * (P[x] @ y)).T) for Pc, P, y, c in parts)
             block = next(terms)
             for term in terms:
@@ -208,10 +210,6 @@ class Spectrum:
         if np.max(np.abs(proj)) <= 1e-8 * np.max(np.abs(h)):
             raise InvariantError(f"the function has no component in eigenspace {k}")
         return proj
-
-
-def _physical_memory():
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def assemble_form(mesh, bc):
@@ -362,13 +360,8 @@ def solve_spectrum(form):
     # block eigenvectors, about n^2/6 (blocks of n/6, n/6 and n/3 rows), and
     # the E block's eigensolve, which holds its n/3 x n/3 matrix and a
     # divide-and-conquer workspace of twice that, 3 (n/3)^2 = n^2/3
-    need, limit = 4 * n * n, _physical_memory()
-    if need > limit:
-        raise CapacityError(
-            f"level {mesh.level}: the block spectrum of n = {n} vertices needs "
-            f"about {need / 1e9:.2f} GB (n^2/2 float64: the D3 block eigenvectors "
-            f"and the E block's eigensolve), more than the {limit / 1e9:.2f} GB "
-            "of physical memory")
+    check_memory(4 * n * n, f"level {mesh.level}: the block spectrum of n = {n} vertices",
+                 "n^2/2 float64: the D3 block eigenvectors and the E block's eigensolve")
     orbits = geometry.symmetry_orbits(mesh)
     # the Dirichlet rows are a union of orbits (V_0 is one), so P has no
     # entry on V_0

@@ -19,7 +19,7 @@ from scipy.special import gamma as gamma_fn, gammaln
 
 from . import geometry, shards
 from .constants import check_alpha
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, check_memory
 
 # the fewest replicates a forked shard of `lepage_replicates` draws: at
 # level 6 and N = 10^4, 16 replicates a shard only pay for the fork
@@ -103,8 +103,11 @@ def d_alpha_quadrature(alpha):
 
 def arrival_tail_sum(alpha, n_terms):
     """Exact sum_{n > N} E[T_n^(-2/alpha)] = Gamma(N+1-c) / ((c-1) Gamma(N)),
-    c = 2/alpha; governs the conditional variance lost to truncation."""
+    c = 2/alpha; it scales the variance lost to truncation, finite iff N + 1 > c."""
     c = 2.0 / alpha
+    if not n_terms + 1 > c:
+        raise DomainError(f"the tail sum over n > N diverges at alpha {alpha}: "
+                          f"n_terms must exceed 2/alpha - 1 = {c - 1.0:g}")
     return float(np.exp(gammaln(n_terms + 1.0 - c) - gammaln(n_terms)) / (c - 1.0))
 
 
@@ -188,6 +191,7 @@ def lepage_replicates(values, mesh, alpha, n_terms, n_replicates, seed,
     The replicates are drawn in contiguous shards (`shards.cuts`, at least
     `MIN_REPLICATES_PER_SHARD` each), each writing its rows straight into
     one shared array, so the values do not depend on the shard count.
+    CapacityError if that array and its private copy exceed physical memory.
     """
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
@@ -202,7 +206,11 @@ def lepage_replicates(values, mesh, alpha, n_terms, n_replicates, seed,
     if values.ndim not in (1, 2) or len(values) != mesh.n_vertices:
         raise ContractError(f"values of shape {values.shape} are not (n_vertices, k) "
                             f"or (n_vertices,) with n_vertices = {mesh.n_vertices}")
-    out = shards.shared_array((len(series), n_replicates) + values.shape[1:])
+    shape = (len(series), n_replicates) + values.shape[1:]
+    check_memory(16 * np.prod(shape, dtype=float), f"{n_replicates} LePage replicates x "
+                 f"{len(series)} alpha(s) x {values[0].size} function(s)",
+                 "the shared replicate set and its private copy")
+    out = shards.shared_array(shape)
 
     def integrate(_, lo, hi):
         for k in range(lo, hi):

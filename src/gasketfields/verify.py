@@ -210,7 +210,7 @@ def suite_kernel_bounds(level=6, j_terms=200, seed=4):
     interior = np.flatnonzero(inside)
     reps = geometry.symmetry_orbits(mesh)[0]
     reps = reps[inside[reps]]
-    # the minimum of each 64-row block, and where it sits
+    # the minimum of each row block, and where it sits
     minima = []
     for s in (0.4, 0.6):
         for x, block in riesz.KernelEvaluator(spec_d, s).row_blocks(reps, interior):
@@ -337,7 +337,7 @@ def suite_lepage_vs_direct(level=6, j_terms=200, n_terms=10_000, n=10_000, seed0
     battery = {
         "constant": np.ones(mesh.n_vertices),
         "eigenspace_1_x": spec.project(mesh.vertices[:, 0], 1),
-        "kernel_slice_s0.9": riesz.KernelEvaluator(spec, 0.9).row(123),
+        "kernel_slice_s0.9": riesz.KernelEvaluator(spec, 0.9).matrix(123),
     }
     columns = np.column_stack(list(battery.values()))
     lp = stable.lepage_replicates(columns, mesh, alphas, n_terms, n, seed=seed0,
@@ -394,8 +394,7 @@ def suite_field_marginals(level=6, j_terms=200, n_seeds=1000, seed0=0):
     x = mesh.vertices[:, 0]
     f = spec_n.project(x, 1) + 0.5 * spec_n.project(x, 3)
     inner = geometry.quadrature(f * values, mesh)
-    rng = np.random.default_rng(seed0 + 999)
-    distr = fields.distributional_field(f, s, alpha, spec_n, rng, n_seeds)
+    distr = fields.distributional_field(f, s, alpha, spec_n, seed0 + 999, n_seeds)
     for u in (0.5, 1.0, 2.0):
         ca, cb = np.cos(u * inner), np.cos(u * distr)
         diff = abs(ca.mean() - cb.mean())
@@ -439,16 +438,13 @@ def suite_divergence(n_seeds=30):
     levels, s, alpha = (4, 5, 6), 0.5, 1.2
     control, control_spread = (1.2, 1.5), 0.2
 
-    def maker(s_, alpha_):
-        return lambda m: fields.simulate_field(
-            s_, alpha_, spectral.build_spectrum(m, spectral.NEUMANN), range(n_seeds),
-            max(levels))
-
-    checks = []
-    diag = analysis.divergence_diagnostic(maker(s, alpha), levels)
-    checks.append(_check("divergent_growth", diag["median_sup"],
-                         diag["increasing"], verdict=diag["verdict"]))
-    ctrl = analysis.divergence_diagnostic(maker(*control), levels)
+    # the level batches of the divergent order, then of the control
+    diag, ctrl = (analysis.divergence_diagnostic(
+        fields.simulate_field(s_, alpha_, spectral.build_spectrum(m, spectral.NEUMANN),
+                              range(n_seeds), max(levels)) for m in levels)
+        for s_, alpha_ in ((s, alpha), control))
+    checks = [_check("divergent_growth", diag["median_sup"], diag["increasing"],
+                     verdict=diag["verdict"])]
     meds = ctrl["median_sup"]
     spread = (max(meds) - min(meds)) / min(meds)
     checks.append(_check("control_stability", meds, spread <= control_spread,

@@ -282,15 +282,12 @@ def test_max_increments_by_scale(mesh6):
 
 def test_divergence_diagnostic_contract():
     with pytest.raises(ContractError):
-        analysis.divergence_diagnostic(lambda level: None, [])
+        analysis.divergence_diagnostic([])
 
 
 def test_divergence_diagnostic_shapes():
-    def maker(level):
-        spec = spectral.build_spectrum(level, "neumann")
-        return fields.simulate_field(0.5, 1.2, spec, range(5))
-
-    out = analysis.divergence_diagnostic(maker, [4, 5])
-    assert out["levels"] == [4, 5]
+    batches = [fields.simulate_field(0.5, 1.2, spectral.build_spectrum(level, "neumann"),
+                                     range(5)) for level in (4, 5)]
+    out = analysis.divergence_diagnostic(batches)
     assert len(out["median_sup"]) == 2
     assert out["verdict"] in ("consistent with unboundedness", "no growth")

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import gasketfields
-from gasketfields import cli, fields, geometry, riesz, shards, spectral, stable, verify
+from gasketfields import cli, errors, fields, geometry, riesz, shards, spectral, stable, verify
 from gasketfields.cli import main
 from gasketfields.errors import ResolutionError
 
@@ -203,22 +204,27 @@ def _sharded_exports(tmp_path, monkeypatch, argv, names):
 
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
 def test_kernel_bytes_do_not_depend_on_shards(tmp_path, monkeypatch, bc):
-    # level 5 has 366 rows, six 64-row blocks: 2 shards cut at row 192, 3 at
-    # rows 128 and 256; each cut falls inside a horizontal line, so some
-    # rows have their sigma_2 mirror in the next shard and are formatted
-    # directly on both sides
+    # the CSV shards are cut at the row blocks of `row_blocks`, whatever
+    # their size: level 5 has 366 rows, six 64-row or twelve 32-row blocks,
+    # so 2 shards cut at row 192, 3 at rows 128 and 256; each cut falls
+    # inside a horizontal line, so some rows have their sigma_2 mirror in
+    # the next shard and are formatted directly on both sides
     sigma = geometry.reflection_permutation(geometry.build_mesh(5), 2)
     for cut in (128, 192, 256):
         assert np.any(sigma[:cut] >= cut)
-    runs = _sharded_exports(tmp_path, monkeypatch,
-                            ["kernel", "--level", "5", "--bc", bc, "--s", "0.9"],
-                            ["kernel.csv"])
-    assert [meta["shards"] for meta, _ in runs] == [1, 2, 3]
-    assert runs[0][0]["peak_rss_shards_mb"] == 0.0
-    assert all(meta["peak_rss_shards_mb"] > 0.0 for meta, _ in runs[1:])
-    assert len({meta["rows"] for meta, _ in runs}) == 1
-    assert len({meta["bytes"] for meta, _ in runs}) == 1
-    assert runs[0][1] == runs[1][1] == runs[2][1]
+    for block in (spectral.ROW_BLOCK, spectral.ROW_BLOCK // 2):
+        monkeypatch.setattr(spectral, "ROW_BLOCK", block)
+        root = tmp_path / f"block{block}"
+        root.mkdir()
+        runs = _sharded_exports(root, monkeypatch,
+                                ["kernel", "--level", "5", "--bc", bc, "--s", "0.9"],
+                                ["kernel.csv"])
+        assert [meta["shards"] for meta, _ in runs] == [1, 2, 3]
+        assert runs[0][0]["peak_rss_shards_mb"] == 0.0
+        assert all(meta["peak_rss_shards_mb"] > 0.0 for meta, _ in runs[1:])
+        assert len({meta["rows"] for meta, _ in runs}) == 1
+        assert len({meta["bytes"] for meta, _ in runs}) == 1
+        assert runs[0][1] == runs[1][1] == runs[2][1]
 
 
 def test_kernel_pairs_bytes_do_not_depend_on_shards(tmp_path, monkeypatch):
@@ -405,7 +411,7 @@ def test_spectrum_capacity_error_exit_two(tmp_path, monkeypatch, capsys):
     # a fresh cache, so a spectrum solved by an earlier test cannot answer
     monkeypatch.setattr(spectral, "_full_spectrum", functools.lru_cache(maxsize=8)(
         spectral._full_spectrum.__wrapped__))
-    monkeypatch.setattr(spectral, "_physical_memory", lambda: 1000)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 1000)
     assert main(["spectrum", "--level", "4", "--out", str(tmp_path / "s")]) == 2
     assert "physical memory" in capsys.readouterr().err
     assert not (tmp_path / "s_eigenvalues.csv").exists()
@@ -414,13 +420,54 @@ def test_spectrum_capacity_error_exit_two(tmp_path, monkeypatch, capsys):
 def test_simulate_capacity_error_exit_two(tmp_path, monkeypatch, capsys):
     # the level-3 spectrum fits under the probe, the 10^5-seed batch
     # (8 x 10^5 x 196 bytes) does not: the field refuses before it maps its noise
-    monkeypatch.setattr(spectral, "_physical_memory", lambda: 10 ** 8)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 10 ** 8)
     monkeypatch.setattr(shards, "shared_array", None)
     assert main(["simulate", "--level", "3", "--s", "0.9", "--alpha", "1.5",
                  "--replicates", "100000", "--out", str(tmp_path / "f")]) == 2
     err = capsys.readouterr().err
     assert "level 3: a field batch of 100000 seeds" in err
     assert "needs about 0.16 GB" in err and "the 0.10 GB of physical memory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("alpha,n_terms", [("0.3", "1"), ("0.5", "3")])
+def test_diverging_lepage_tail_exit_two(tmp_path, capsys, alpha, n_terms):
+    # N + 1 <= 2/alpha: the tail sum over n > N is infinite, and no
+    # `tail_estimate` is written, neither a wrong finite one nor Infinity
+    assert main(["stable", "--alpha", alpha, "--n-terms", n_terms, "--level", "2",
+                 "--replicates", "3", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"diverges at alpha {alpha}" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_export_makes_the_out_directory(tmp_path):
+    out = tmp_path / "missing" / "x"
+    assert main(["stable", "--alpha", "0.5", "--n-terms", "4", "--level", "2",
+                 "--replicates", "3", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.parent.iterdir()) == ["x_meta.json",
+                                                            "x_replicates.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--s", "0.9", "--pairs", "1000000000000"],
+    ["stable", "--alpha", "1.5", "--n-terms", "1000000000000"],
+    ["stable", "--route", "direct", "--alpha", "1.5", "--replicates", "1000000000000"],
+    ["stable", "--alpha", "1.5", "--replicates", "1000000000000"],
+], ids=["kernel-pairs", "lepage-n-terms", "direct-replicates", "lepage-replicates"])
+def test_allocation_sized_by_a_flag_exit_two(tmp_path, argv):
+    # 10^12 pairs, terms or replicates need terabytes: numpy's MemoryError
+    # and the LePage replicate set's capacity check both exit 2.  The child
+    # runs under a 4 GiB address-space limit, so an allocation fails whatever
+    # the machine's overcommit policy
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    r = subprocess.run([sys.executable, "-m", "gasketfields", *argv, "--level", "2",
+                        "--out", str(tmp_path / "x")], capture_output=True, text=True,
+                       preexec_fn=limit, timeout=300, env=_package_env())
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("usage error: ") and "Traceback" not in r.stderr
     assert list(tmp_path.iterdir()) == []
 
 
@@ -486,8 +533,8 @@ def test_seed_below_zero_exit_two(tmp_path, capsys, argv, source):
     (["simulate", "--alpha", "-1", "--s", "0.9"], "alpha -1.0 outside (0, 2]"),
     (["stable", "--route", "direct", "--alpha", "0"], "alpha 0.0 outside (0, 2]"),
     (["stable", "--alpha", "2"], "alpha 2.0 outside (0, 2)"),
-    (["simulate", "--alpha", "1.5", "--s", "nan"], "s = nan is not finite"),
-    (["simulate", "--alpha", "1.5", "--s", "inf"], "s = inf is not finite"),
+    (["simulate", "--alpha", "1.5", "--s", "nan"], "positive and finite, got nan"),
+    (["simulate", "--alpha", "1.5", "--s", "inf"], "positive and finite, got inf"),
     (["kernel", "--s", "nan"], "positive and finite, got nan"),
     (["kernel", "--s", "inf", "--pairs", "5"], "positive and finite, got inf"),
     (["kernel", "--s", "-1"], "positive and finite, got -1.0"),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gasketfields
-from gasketfields import analysis, fields, geometry, riesz, shards, spectral, stable
+from gasketfields import analysis, errors, fields, geometry, riesz, shards, spectral, stable
 from gasketfields.constants import D_H, D_W, integrability_threshold
 from gasketfields.errors import CapacityError, ContractError, DomainError, InvariantError
 
@@ -71,8 +71,8 @@ def test_threshold_enforced(spec_n):
 @pytest.mark.parametrize("s,alpha,message", [
     (0.9, 0.0, "alpha 0.0 outside"), (0.9, -1.0, "alpha -1.0 outside"),
     (0.9, 2.5, "alpha 2.5 outside"), (0.9, np.nan, "alpha nan outside"),
-    (np.nan, 1.5, "not finite"), (np.inf, 1.5, "not finite"),
-    (-np.inf, 1.5, "not finite")])
+    (np.nan, 1.5, "positive and finite"), (np.inf, 1.5, "positive and finite"),
+    (-np.inf, 1.5, "positive and finite")])
 def test_integrability_check_rejects_alpha_and_order_first(spec_n, s, alpha, message):
     # alpha is checked before the threshold that divides by it, and a
     # non-finite order before the threshold comparison it would pass
@@ -151,9 +151,9 @@ def test_field_batch_capacity_error(spec_n, monkeypatch):
     # probe before anything is mapped
     n, seeds = spec_n.mesh.n_vertices, range(40)
     need = 8 * len(seeds) * (5 * n / 3 + 3 * 2)
-    monkeypatch.setattr(spectral, "_physical_memory", lambda: need)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: need)
     fields.simulate_field(0.9, 1.5, spec_n, seeds, vertices=[1, 2])
-    monkeypatch.setattr(spectral, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: need - 1)
     monkeypatch.setattr(shards, "shared_array", None)
     with pytest.raises(CapacityError) as exc:
         fields.simulate_field(0.9, 1.5, spec_n, seeds, vertices=[1, 2])
@@ -259,14 +259,17 @@ def test_distributional_field_eigenfunction_scale(spec_n):
     lam1 = spec_n.eigenvalues[0]
     alpha = 1.5
     norm_alpha = (np.abs(phi1) ** alpha @ spec_n.mesh.mu_weights) ** (1.0 / alpha)
-    got = fields.functional_scale(phi1, 0.9, alpha, spec_n)
+    got = geometry.alpha_norm(riesz.fractional_laplacian_inv(0.9, phi1, spec_n), alpha,
+                              spec_n.mesh)
     assert got == pytest.approx(lam1 ** -0.9 * norm_alpha, rel=1e-10)
+    # the draws are that scale times standard variates of the seed
+    want = got * stable.standard_stable(np.random.default_rng(5), alpha, 4)
+    assert np.array_equal(fields.distributional_field(phi1, 0.9, alpha, spec_n, 5, 4), want)
 
 
 def test_distributional_field_zero_function(spec_n):
-    rng = np.random.default_rng(26)
     assert np.array_equal(
-        fields.distributional_field(np.zeros(1095), 0.9, 1.5, spec_n, rng, 3), np.zeros(3))
+        fields.distributional_field(np.zeros(1095), 0.9, 1.5, spec_n, 26, 3), np.zeros(3))
 
 
 def test_duality_cf(mesh6, spec_n):
@@ -277,8 +280,7 @@ def test_duality_cf(mesh6, spec_n):
     f = spec_n.project(x, 1) + 0.5 * spec_n.project(x, 3)
     smp = _batch(s, alpha, spec_n, range(40_000, 40_000 + n))
     inner = geometry.quadrature(f * smp.values, mesh6)
-    rng = np.random.default_rng(27)
-    distr = fields.distributional_field(f, s, alpha, spec_n, rng, n)
+    distr = fields.distributional_field(f, s, alpha, spec_n, 27, n)
     for u in (0.5, 1.0, 2.0):
         ca, cb = np.cos(u * inner), np.cos(u * distr)
         half = 3.0 * np.sqrt(ca.var() / n + cb.var() / n)

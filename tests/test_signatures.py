@@ -4,8 +4,10 @@ condition, only the Spectrum forms dense eigenvector rows, a field's noise
 has no LePage truncation, two noise builders place sites on the mesh
 (`lepage_replicates` turns every LePage draw into point masses,
 `fields._noise_coefficients` sums a field's cell noise), one check guards
-the alpha domain, verify reads fields at vertex sets, and a suite takes
-only the parameters some caller sets."""
+the alpha domain, one the kernel order and one the physical memory, verify
+reads fields at vertex sets, a kernel row is read by `matrix`, the CLI cuts
+kernel CSVs at the spectrum's row blocks, and a suite takes only the
+parameters some caller sets."""
 
 import ast
 import inspect
@@ -139,6 +141,41 @@ def test_one_alpha_domain_check():
     raises = _sites(lambda node: isinstance(node, ast.Raise)
                     and "outside (0, 2" in ast.unparse(node))
     assert raises == {("constants", "check_alpha")}
+
+
+def test_one_kernel_order_check():
+    # an order is refused as not positive or not finite only by
+    # riesz.check_order, which `fields.check_integrable` calls too; the
+    # order-0 identity of `fractional_laplacian_inv` checks [0, inf) itself
+    def refuses_order(node):
+        text = ast.unparse(node) if isinstance(node, ast.Raise) else ""
+        return "order" in text and ("positive" in text or "not finite" in text)
+
+    assert _sites(refuses_order) == {("riesz", "check_order")}
+    assert ("fields", "check_integrable") in _sites(_calls("check_order"))
+
+
+def test_one_memory_check():
+    # the physical-memory probe is read, and CapacityError raised, only by
+    # errors.check_memory, apart from the MAX_LEVEL refusal of build_mesh
+    probe = _sites(lambda node: "_physical_memory" in (getattr(node, "id", None),
+                                                       getattr(node, "attr", None)))
+    assert probe == {("errors", "check_memory")}
+    assert _sites(_calls("CapacityError")) == {("errors", "check_memory"),
+                                               ("geometry", "build_mesh")}
+
+
+def test_kernel_rows_are_read_by_matrix():
+    # `KernelEvaluator.row` is an alias of `matrix` that no package code calls
+    assert riesz.KernelEvaluator.row is riesz.KernelEvaluator.matrix
+    assert _sites(_calls("row")) == set()
+
+
+def test_cli_has_no_row_block_literal():
+    # the kernel CSV is cut at `spectral.ROW_BLOCK`, named once
+    tree = ast.parse((Path(spectral.__file__).parent / "cli.py").read_text())
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and node.value == 64]
 
 
 def test_field_noise_is_read_at_vertex_sets():

@@ -10,7 +10,7 @@ import scipy.linalg
 import scipy.sparse
 
 import gasketfields
-from gasketfields import geometry, riesz, spectral
+from gasketfields import errors, geometry, riesz, spectral
 from gasketfields.constants import D_H, D_W
 from gasketfields.errors import CapacityError, ContractError, DomainError
 
@@ -41,9 +41,9 @@ def test_dense_spectrum_capacity_error(monkeypatch):
     # E block's eigensolve, 3 (n/3)^2; the limit is the memory probe
     mesh = geometry.build_mesh(4)
     need = 4 * mesh.n_vertices ** 2
-    monkeypatch.setattr(spectral, "_physical_memory", lambda: need)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: need)
     spectral.solve_spectrum(spectral.assemble_form(mesh, "neumann"))
-    monkeypatch.setattr(spectral, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: need - 1)
     # a fresh cache, so a spectrum solved by an earlier test cannot answer
     monkeypatch.setattr(spectral, "_full_spectrum", functools.lru_cache(maxsize=8)(
         spectral._full_spectrum.__wrapped__))

@@ -395,6 +395,22 @@ def test_arrival_tail_sum_matches_emitted_estimate(tmp_path):
         assert meta["tail_estimate"] == exact
 
 
+@pytest.mark.parametrize("alpha,n_terms", [(0.5, 1), (0.5, 3), (0.4, 2), (0.3, 1)])
+def test_diverging_arrival_tail_is_refused(mesh6, alpha, n_terms):
+    # E[T_n^(-2/alpha)] = Gamma(n - 2/alpha)/Gamma(n) is infinite for
+    # n <= 2/alpha, so the tail over n > N diverges unless N + 1 > 2/alpha;
+    # the LePage route forms the tail before it draws, so it refuses too
+    with pytest.raises(DomainError, match=f"diverges at alpha {alpha}"):
+        stable.arrival_tail_sum(alpha, n_terms)
+    with pytest.raises(DomainError, match="n_terms must exceed 2/alpha - 1"):
+        stable.lepage_replicates(np.ones(mesh6.n_vertices), mesh6, alpha, n_terms, 3, 0)
+
+
+def test_arrival_tail_is_finite_past_its_bound():
+    # N + 1 = 5 > 2/alpha = 4: Gamma(1) / (3 Gamma(4)) = 1/18
+    assert stable.arrival_tail_sum(0.5, 4) == pytest.approx(1.0 / 18.0, rel=1e-14)
+
+
 def test_draw_sites_match_snapped_measure_points():
     # a draw's words come from its site sub-stream, and each word places its
     # site where snapping the measure point with the word's digits puts it
