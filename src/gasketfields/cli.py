@@ -24,6 +24,10 @@ from . import __version__, errors, shards
 # the fewest rows a forked CSV shard formats: one process writes the level-5
 # kernel (366 rows) faster than two, two write the level-6 one (1095) faster
 MIN_ROWS_PER_SHARD = 512
+# the memory one `kernel --pairs` pair holds at the peak: its four arrays, the
+# four lists of their values and its row of text; the peak RSS grew by 256
+# bytes a pair at level 2 and 281 at level 6 (10^6 pairs)
+PAIR_BYTES = 300
 
 
 class _Count(argparse.Action):
@@ -107,10 +111,10 @@ def _write_json(path, obj):
 
 
 def _export(cfg, tally, started, files, message, **fields):
-    """Make the directory of `<out>`, write each (path, header, n, step,
-    read) CSV file with `_write_shards`, `read(lo, hi)` yielding the text of
-    source rows lo..hi of n in blocks of whole rows, then `<out>_meta.json`,
-    then print `message`.
+    """Write each (path, header, n, step, read) CSV file with
+    `_write_shards`, `read(lo, hi)` yielding the text of source rows lo..hi
+    of n in blocks of whole rows, then `<out>_meta.json`, then print
+    `message`.  `main` has made the directory of `<out>`.
 
     The meta holds `config` (the command's flags and the version), the
     command's own `fields`, and `rows` and `bytes`, summed over the files,
@@ -125,7 +129,6 @@ def _export(cfg, tally, started, files, message, **fields):
     shard, 0 when none was forked.
     """
     written = time.perf_counter()
-    os.makedirs(os.path.dirname(cfg["out"]) or ".", exist_ok=True)
     rows = size = 0
     for path, header, n, step, read in files:
         rows += _write_shards(path, header, n, step, read)
@@ -257,6 +260,10 @@ def _cmd_kernel(cfg, tally):
     started = time.perf_counter()
     # before the spectrum is solved
     riesz.check_order(cfg["s"])
+    if cfg.get("pairs"):
+        errors.check_memory(
+            PAIR_BYTES * cfg["pairs"], f"kernel --pairs {cfg['pairs']}",
+            f"{PAIR_BYTES} bytes a pair: its a, b, d and G, their lists and its row text")
     # the full spectrum holds the modes --jmax drops, for the tail bound
     full = spectral.build_spectrum(cfg["level"], cfg["bc"])
     spec = full.truncated(cfg["jmax"])
@@ -391,7 +398,6 @@ def _cmd_verify(cfg, tally):
     overrides = {"level": "level", "jmax": "j_terms"}
 
     out_dir = cfg["out"]
-    os.makedirs(out_dir, exist_ok=True)
     all_passed = True
     for name in names:
         accepted = set(inspect.signature(verify.SUITES[name]).parameters)
@@ -461,6 +467,13 @@ def main(argv=None):
         for dest in ("s", "alpha"):
             if dest in _COMMANDS[args.command][2] and dest not in cfg:
                 raise errors.UsageError(f"{args.command} requires --{dest}")
+        # the output directory, before any work: `--out` itself for verify,
+        # the directory of the `--out` prefix for an export
+        out = cfg["out"] if args.command == "verify" else os.path.dirname(cfg["out"])
+        try:
+            os.makedirs(out or ".", exist_ok=True)
+        except OSError as exc:
+            raise errors.UsageError(f"cannot make the output directory: {exc}") from exc
         with shards.limit(args.threads) as tally:
             return _COMMANDS[args.command][0](cfg, tally)
     except (errors.UsageError, errors.DomainError, errors.ContractError,

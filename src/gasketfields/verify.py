@@ -241,7 +241,13 @@ def suite_kernel_holder(levels=(4, 5, 6), j_terms=200, seed=5):
 
 
 def suite_symmetry(level=6, j_terms=200, n_seeds=1000, seed0=0):
-    """Reflection invariance: exact kernel identity plus field fdd tests."""
+    """Reflection invariance: exact kernel identity plus field fdd tests.
+
+    The field at the reflected vertices sigma_0(x1), sigma_0(x2) is tested
+    against the law computed at x1, x2: a field is G N with independent SaS
+    masses N_v of scale mu_v^(1/alpha), so u . X(x1, x2) is SaS of scale
+    ||u . G(x_j, .)||_alpha (Samorodnitsky & Taqqu 1994, ch. 3).
+    """
     x1, x2 = 140, 600
     _require_level("symmetry", level, 6, f"vertices {x1} and {x2}")
     s, alpha, kernel_tol = 0.9, 1.5, 1e-8
@@ -252,26 +258,26 @@ def suite_symmetry(level=6, j_terms=200, n_seeds=1000, seed0=0):
     for i, defect in enumerate(riesz.reflection_defects(ev)):
         checks.append(_check(f"kernel_reflection_sigma{i}", defect,
                              defect <= kernel_tol, tolerance=kernel_tol))
+    G = ev.matrix([x1, x2])
     perm = geometry.reflection_permutation(mesh, 0)
-    A = fields.simulate_field(s, alpha, spec, range(seed0, seed0 + n_seeds),
-                              vertices=[x1, x2]).values
     B = fields.simulate_field(s, alpha, spec,
                               range(seed0 + 50_000, seed0 + 50_000 + n_seeds),
                               vertices=perm[[x1, x2]]).values
-    for name, a, b in (("marginal_x1", A[:, 0], B[:, 0]),
-                       ("marginal_x2", A[:, 1], B[:, 1]),
-                       ("pair_sum", A.sum(axis=1), B.sum(axis=1)),
-                       ("pair_diff", A[:, 0] - A[:, 1], B[:, 0] - B[:, 1])):
-        r = analysis.two_sample(a, b)
+    for name, u in (("marginal_x1", (1.0, 0.0)), ("marginal_x2", (0.0, 1.0)),
+                    ("pair_sum", (1.0, 1.0)), ("pair_diff", (1.0, -1.0))):
+        scale = geometry.alpha_norm(np.dot(u, G), alpha, mesh)
+        r = analysis.one_sample_ks(B @ u, alpha, scale)
         checks.append(_check(f"fdd_{name}", r, r["p_value"] > 0.01,
-                             significance=0.01))
+                             scale=scale, significance=0.01))
     return _report("symmetry", {"level": level, "j_terms": j_terms, "s": s,
                                 "alpha": alpha, "n_seeds": n_seeds,
                                 "seed0": seed0, "vertices": [x1, x2]}, checks)
 
 
 def suite_scaling(level=6, j_terms=200, n_seeds=1000, seed0=0):
-    """Subcell self-similarity: exact kernel relation and 2^(nH) fdd tests."""
+    """Subcell self-similarity: exact kernel relation and 2^(nH) fdd tests,
+    each a KS test of the rescaled subcell field at x against the exact
+    SaS law of the base field there, of scale ||G_s(x, .)||_alpha."""
     xi = 140
     _require_level("scaling", level, 5, f"vertex {xi}")
     s, alphas, identity_tol = 0.9, (1.5, 2.0), 1e-9
@@ -289,14 +295,13 @@ def suite_scaling(level=6, j_terms=200, n_seeds=1000, seed0=0):
     checks.append(_check("subcell_kernel_identity", worst, worst <= identity_tol,
                          tolerance=identity_tol))
     for alpha in alphas:
-        base = fields.simulate_field(s, alpha, spec, range(seed0, seed0 + n_seeds),
-                                     vertices=xi).values
         sub = fields.scaled_subcell_field(
             (1,), s, alpha, spec, range(seed0 + 70_000, seed0 + 70_000 + n_seeds),
             vertices=xi).values
-        r = analysis.two_sample(base, sub)
-        checks.append(_check(f"fdd_scaling_alpha={alpha}", r,
-                             r["p_value"] > 0.01, significance=0.01))
+        scale = fields.marginal_scale(xi, s, alpha, spec)
+        r = analysis.one_sample_ks(sub, alpha, scale)
+        checks.append(_check(f"fdd_scaling_alpha={alpha}", r, r["p_value"] > 0.01,
+                             scale=scale, significance=0.01))
     return _report("scaling", {"level": level, "j_terms": j_terms, "s": s,
                                "alphas": list(alphas), "n_seeds": n_seeds,
                                "seed0": seed0, "vertex": xi}, checks)
@@ -360,7 +365,8 @@ def suite_lepage_vs_direct(level=6, j_terms=200, n_terms=10_000, n=10_000, seed0
 
 def suite_field_marginals(level=6, j_terms=200, n_seeds=1000, seed0=0):
     """Pointwise field laws: boundary/mean constraints, stable marginals,
-    duality of the pointwise and distributional routes."""
+    and duality: the field tested against f has the CF of the stable
+    integral of (-Delta)^-s f, exp(-|u ||(-Delta)^-s f||_alpha|^alpha)."""
     xi = 140
     _require_level("field-marginals", level, 5, f"vertex {xi}")
     s, alpha = 0.9, 1.5
@@ -388,19 +394,22 @@ def suite_field_marginals(level=6, j_terms=200, n_seeds=1000, seed0=0):
         r = analysis.one_sample_ks(vals, alpha, scale)
         checks.append(_check(f"marginal_ks_{bc}", r, r["p_value"] > 0.01,
                              scale=scale, significance=0.01))
-    # duality <f, field> vs the distributional route, CF comparison; f is
+    # duality: the empirical CF of <f, field> against the exact one; f is
     # built from eigenspace projections of x, so it is basis-free (the
     # second eigenspace is skipped: x and y have no component there)
     x = mesh.vertices[:, 0]
     f = spec_n.project(x, 1) + 0.5 * spec_n.project(x, 3)
     inner = geometry.quadrature(f * values, mesh)
-    distr = fields.distributional_field(f, s, alpha, spec_n, seed0 + 999, n_seeds)
+    scale = geometry.alpha_norm(riesz.fractional_laplacian_inv(s, f, spec_n), alpha, mesh)
     for u in (0.5, 1.0, 2.0):
-        ca, cb = np.cos(u * inner), np.cos(u * distr)
-        diff = abs(ca.mean() - cb.mean())
-        half = 3.0 * np.sqrt(ca.var() / len(ca) + cb.var() / len(cb))
+        # the exact CF at u and 2u; under that law cos(u <f, field>) has
+        # variance (1 + CF(2u)) / 2 - CF(u)^2.  The sample variance would
+        # miss the rare large values that carry it at this small scale
+        cf, cf2 = (float(np.exp(-abs(v * scale) ** alpha)) for v in (u, 2 * u))
+        diff = abs(np.cos(u * inner).mean() - cf)
+        half = 3.0 * np.sqrt(((1.0 + cf2) / 2.0 - cf ** 2) / len(inner))
         checks.append(_check(f"duality_cf_u={u}", diff, diff <= half,
-                             threshold=half))
+                             threshold=half, target=cf, scale=scale))
     return _report("field-marginals", {"level": level, "j_terms": j_terms,
                                        "s": s, "alpha": alpha,
                                        "n_seeds": n_seeds, "seed0": seed0},

@@ -449,6 +449,48 @@ def test_export_makes_the_out_directory(tmp_path):
                                                             "x_replicates.csv"]
 
 
+def _fresh_spectrum_cache(monkeypatch):
+    """A fresh, empty spectrum cache, so a spectrum solved by an earlier
+    test cannot answer and one solved here shows."""
+    cache = functools.lru_cache(maxsize=8)(spectral._full_spectrum.__wrapped__)
+    monkeypatch.setattr(spectral, "_full_spectrum", cache)
+    return cache
+
+
+def test_kernel_pairs_refused_before_the_spectrum(tmp_path, monkeypatch, capsys):
+    # 10^12 pairs need 300 TB: refused by the memory check, not by numpy
+    # after the level-6 solve
+    cache = _fresh_spectrum_cache(monkeypatch)
+    assert main(["kernel", "--level", "6", "--s", "0.9", "--pairs", "1000000000000",
+                 "--out", str(tmp_path / "k")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: kernel --pairs 1000000000000 needs about")
+    assert "physical memory" in err
+    assert cache.cache_info().currsize == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,out", [
+    (["verify", "--suite", "ahlfors"], "file"),
+    (["mesh", "--level", "2"], "file/x"),
+    (["mesh", "--level", "2"], "file/sub/x"),
+    (["spectrum", "--level", "6"], "file/x"),
+], ids=["verify-into-a-file", "mesh-under-a-file", "mesh-below-a-file", "spectrum"])
+def test_unusable_out_exit_two_before_any_work(tmp_path, monkeypatch, capsys,
+                                               command, out):
+    # the output directory is made before the command runs: a file in its
+    # place or on its path is a usage error, and nothing is computed
+    (tmp_path / "file").write_text("kept")
+    cache = _fresh_spectrum_cache(monkeypatch)
+    assert main(command + ["--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cannot make the output directory")
+    assert "Traceback" not in err
+    assert cache.cache_info().currsize == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "kept"
+
+
 @pytest.mark.parametrize("argv", [
     ["kernel", "--s", "0.9", "--pairs", "1000000000000"],
     ["stable", "--alpha", "1.5", "--n-terms", "1000000000000"],
@@ -934,8 +976,8 @@ def test_heavy_scipy_modules_load_on_first_use(tmp_path):
               ("spectral", {"level": 5}),
               ("kernel-bounds", {"level": 3, "j_terms": None}),
               ("kernel-holder", {"levels": (2, 3), "j_terms": None}),
-              ("symmetry", {"level": 6, "n_seeds": 500}),
-              ("scaling", {"level": 5, "n_seeds": 500}),
+              ("symmetry", {"level": 6, "n_seeds": 1}),
+              ("scaling", {"level": 5, "n_seeds": 1}),
               ("stable-cf", {"n": 1000}),
               ("lepage-vs-direct", {"level": 5, "n": 500, "n_terms": 100}),
               ("field-marginals", {"level": 5, "n_seeds": 100}),

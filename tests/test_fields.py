@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import gasketfields
-from gasketfields import analysis, errors, fields, geometry, riesz, shards, spectral, stable
+from gasketfields import (analysis, errors, fields, geometry, riesz, shards, spectral, stable,
+                          verify)
 from gasketfields.constants import D_H, D_W, integrability_threshold
 from gasketfields.errors import CapacityError, ContractError, DomainError, InvariantError
 
@@ -285,6 +286,25 @@ def test_duality_cf(mesh6, spec_n):
         ca, cb = np.cos(u * inner), np.cos(u * distr)
         half = 3.0 * np.sqrt(ca.var() / n + cb.var() / n)
         assert abs(ca.mean() - cb.mean()) <= half
+
+
+def test_symmetry_fdd_checks_fail_off_the_reflected_vertices(spec_n, monkeypatch):
+    # mutation gate: the suite draws its batch at sigma_0(x1), sigma_0(x2)
+    # and tests it against the exact law at x1, x2; read one vertex past
+    # each image instead, at the default 1000 seeds, and an fdd check fails
+    reflection = geometry.reflection_permutation
+
+    def off_by_one(mesh, i):
+        perm = reflection(mesh, i)
+        if i == 0:
+            perm = perm.copy()
+            perm[[140, 600]] += 1
+        return perm
+
+    monkeypatch.setattr(geometry, "reflection_permutation", off_by_one)
+    rep = verify.suite_symmetry()
+    fdd = [c for c in rep["checks"] if c["name"].startswith("fdd_")]
+    assert len(fdd) == 4 and not all(c["passed"] for c in fdd)
 
 
 def test_eigenspace_projection_is_basis_free(mesh6, spec_n):

@@ -5,9 +5,12 @@ has no LePage truncation, two noise builders place sites on the mesh
 (`lepage_replicates` turns every LePage draw into point masses,
 `fields._noise_coefficients` sums a field's cell noise), one check guards
 the alpha domain, one the kernel order and one the physical memory, verify
-reads fields at vertex sets, a kernel row is read by `matrix`, the CLI cuts
-kernel CSVs at the spectrum's row blocks, and a suite takes only the
-parameters some caller sets."""
+reads fields at vertex sets, a field law is tested on one batch against
+its exact law (symmetry and scaling draw one batch each, no suite draws a
+distributional sample, and only lepage-vs-direct runs a two-sample test),
+a kernel row is read by `matrix`, the CLI makes its output directory in
+one place and cuts kernel CSVs at the spectrum's row blocks, and a suite
+takes only the parameters some caller sets."""
 
 import ast
 import inspect
@@ -190,11 +193,43 @@ def test_field_noise_is_read_at_vertex_sets():
     assert {site for site in column_reads if site[0] == "verify"} == set()
 
 
+def _field_draws(function):
+    """(called name, enclosing loop targets) of each field batch that
+    `function` draws, in source order."""
+    found = []
+
+    def visit(node, loops):
+        if isinstance(node, ast.For):
+            loops = loops + (ast.unparse(node.target),)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+                "simulate_field", "scaled_subcell_field"):
+            found.append((node.func.attr, loops))
+        for child in ast.iter_child_nodes(node):
+            visit(child, loops)
+
+    visit(ast.parse(inspect.getsource(function)), ())
+    return found
+
+
+def test_one_sample_per_field_law():
+    # symmetry draws one batch, at the reflected vertices, and scaling one
+    # subcell batch per alpha; each is tested against the exact SaS law
+    assert _field_draws(verify.suite_symmetry) == [("simulate_field", ())]
+    assert _field_draws(verify.suite_scaling) == [("scaled_subcell_field", ("alpha",))]
+    # duality reads the exact scale of <f, field>, not a second sampler
+    assert _sites(_calls("distributional_field")) == set()
+    # the one two-sample test left is the route equality of lepage-vs-direct
+    assert {site for site in _sites(_calls("two_sample")) if site[0] == "verify"} == {
+        ("verify", "suite_lepage_vs_direct")}
+
+
 def test_one_export_tail():
     # every export writes its CSVs and its meta through `_export`; the
     # verify reports are the one other JSON the CLI writes
     assert _sites(_calls("_write_json")) == {("cli", "_export"), ("cli", "_cmd_verify")}
     assert _sites(_calls("_write_shards")) == {("cli", "_export")}
+    # and `main` alone makes the output directory, before the command runs
+    assert _sites(_calls("makedirs")) == {("cli", "main")}
 
 
 def test_fields_take_no_lepage_truncation():
