@@ -437,19 +437,24 @@ _COMMANDS = {
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _build_parser()
+    # the config file is read before the one parse, so an entry can supply
+    # any flag of its command, a required one too
+    find_config = argparse.ArgumentParser(add_help=False)
+    find_config.add_argument("--config")
     try:
-        args = parser.parse_args(argv)
-        if args.config:
+        path = find_config.parse_known_args(argv)[0].config
+        if path:
             try:
-                with open(args.config) as fh:
+                with open(path) as fh:
                     config = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
-                parser.error(f"cannot read config {args.config}: {exc}")
+                parser.error(f"cannot read config {path}: {exc}")
             if not isinstance(config, dict):
-                parser.error(f"config {args.config} is not a JSON object")
-            commands[args.command].config_args = _flag_text(
-                config, _COMMANDS[args.command][2])
-            args = parser.parse_args(_flag_text(config, ("threads",)) + argv)
+                parser.error(f"config {path} is not a JSON object")
+            for command, command_parser in commands.items():
+                command_parser.config_args = _flag_text(config, _COMMANDS[command][2])
+            argv = _flag_text(config, ("threads",)) + argv
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 

@@ -15,6 +15,7 @@ import functools
 
 import numpy as np
 
+from .constants import check_alpha
 from .errors import (CapacityError, ContractError, DomainError, InvariantError,
                      ResolutionError)
 
@@ -279,6 +280,7 @@ def quadrature(f, mesh):
 def alpha_norm(f, alpha, mesh):
     """Quadrature alpha-norm (integral |f|^alpha dmu)^(1/alpha) of vertex
     values: the scale of the symmetric alpha-stable integral of f."""
+    check_alpha(alpha)
     return float(quadrature(np.abs(f) ** alpha, mesh) ** (1.0 / alpha))
 
 

@@ -407,8 +407,8 @@ def build_spectrum(level, bc, j_max=None):
 
 
 def _heat_weights(t, spectrum):
-    if t <= 0:
-        raise DomainError("time must be positive")
+    if not 0 < t < np.inf:
+        raise DomainError(f"time t must be positive and finite, got {t}")
     return np.exp(-spectrum.eigenvalues * t)
 
 

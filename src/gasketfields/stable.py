@@ -157,7 +157,6 @@ def direct_replicates(values, mesh, alpha, n_replicates, seed):
     ||f||_alpha, so standard variates scaled by the quadrature norm
     realize it.
     """
-    check_alpha(alpha)
     scale = geometry.alpha_norm(values, alpha, mesh)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return scale * standard_stable(rng, alpha, size=n_replicates)

@@ -1,8 +1,9 @@
 """Acceptance gate: one test per criterion, at the declared tolerances.
 
-Defaults everywhere: level m = 6, spectral truncation 200, and LePage
-truncation N = 1e4 in `lepage-vs-direct`, the one suite with a LePage
-series; deviations are stated in the suite parameters.  Each
+Defaults everywhere: level m = 6, spectral truncation 200 in the suites
+that take `j_terms`, and LePage truncation N = 1e4 in `lepage-vs-direct`,
+the one suite with a LePage series, whose sums are tested against their
+exact stable laws; deviations are stated in the suite parameters.  Each
 test prints one pass/fail line; run with `pytest -v -s tests/test_acceptance.py`.
 """
 
@@ -67,7 +68,7 @@ def test_criterion_4_kernel_asymptotics():
 def test_criterion_5_stable_machinery():
     cf = _suite("stable-cf")
     routes = _suite("lepage-vs-direct")
-    _emit(5, "stable CF, d_alpha oracle, LePage-vs-direct battery",
+    _emit(5, "stable CF, d_alpha oracle, LePage sums against their exact laws",
           cf["passed"] and routes["passed"])
 
 

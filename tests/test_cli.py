@@ -840,6 +840,21 @@ def test_verify_runs_a_suite_named_twice_once(tmp_path, monkeypatch, capsys, sou
     assert [p.name for p in (tmp_path / "r").iterdir()] == ["ahlfors.json"]
 
 
+def test_config_supplies_the_required_suite(tmp_path, monkeypatch, capsys):
+    # README: a config entry adds suites, so a config-only `suite` runs, and
+    # `threads` from the same file still caps the shards of the run
+    caps = []
+    run_suite = verify.run_suite
+    monkeypatch.setattr(verify, "run_suite", lambda name, **kw:
+                        caps.append((name, shards._tally.cap)) or run_suite(name, **kw))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": "stable-cf", "threads": 1}))
+    assert main(["--config", str(cfg), "verify", "--out", str(tmp_path / "r")]) == 0
+    assert caps == [("stable-cf", 1)]
+    assert "[PASS] suite stable-cf" in capsys.readouterr().out
+    assert [p.name for p in (tmp_path / "r").iterdir()] == ["stable-cf.json"]
+
+
 def test_verify_keeps_the_first_naming_of_each_suite(tmp_path, monkeypatch):
     # `all` names every suite in sorted order, after those named before it
     calls = []

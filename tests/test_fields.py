@@ -191,6 +191,12 @@ def test_marginal_law_matches_stable(spec_n):
     assert r["p_value"] > 0.01
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), 0.0, 2.5])
+def test_marginal_scale_refuses_alpha_outside_the_domain(spec_n, alpha):
+    with pytest.raises(DomainError, match="outside"):
+        fields.marginal_scale(140, 0.9, alpha, spec_n)
+
+
 def test_alpha2_marginal_variance(spec_n):
     s, xi = 1.0, 140
     vals = _batch(s, 2.0, spec_n, range(3000)).values[:, xi]

@@ -252,6 +252,14 @@ def test_quadrature_first_eigenfunction(mesh6, spec_n):
     assert abs(val) <= 1e-8
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), 0.0, -1.0, 2.5, float("inf")])
+def test_alpha_norm_refuses_alpha_outside_the_domain(mesh6, alpha):
+    # at nan the norm of the constant 1 read 1.0, and the scale of every
+    # stable law passes through it
+    with pytest.raises(DomainError, match=r"outside \(0, 2\]"):
+        geometry.alpha_norm(np.ones(mesh6.n_vertices), alpha, mesh6)
+
+
 def test_quadrature_length_mismatch(mesh6):
     with pytest.raises(ContractError):
         geometry.quadrature(np.ones(5), mesh6)

@@ -70,7 +70,7 @@ def test_lepage_replicates_do_not_depend_on_shards(three_cpus):
 
 
 def test_reports_do_not_depend_on_shards(three_cpus):
-    # the two-sample tests of lepage-vs-direct need 500 points per sample
+    # at the sample sizes the benchmark runs these two suites with
     reports = three_cpus(lambda: [
         verify.run_suite("symmetry", n_seeds=500, seed0=3),
         verify.run_suite("lepage-vs-direct", n=500, n_terms=100, seed0=3)])

@@ -6,8 +6,8 @@ has no LePage truncation, two noise builders place sites on the mesh
 `fields._noise_coefficients` sums a field's cell noise), one check guards
 the alpha domain, one the kernel order and one the physical memory, verify
 reads fields at vertex sets, a field law is tested on one batch against
-its exact law (symmetry and scaling draw one batch each, no suite draws a
-distributional sample, and only lepage-vs-direct runs a two-sample test),
+its exact law (symmetry and scaling draw one batch each, and no suite draws
+a distributional or direct sample or runs a two-sample test),
 a kernel row is read by `matrix`, the CLI makes its output directory in
 one place and cuts kernel CSVs at the spectrum's row blocks, and a suite
 takes only the parameters some caller sets."""
@@ -39,7 +39,7 @@ SUITE_PARAMETERS = {
     "symmetry": {"level", "j_terms", "n_seeds", "seed0"},
     "scaling": {"level", "j_terms", "n_seeds", "seed0"},
     "stable-cf": {"n", "seed"},
-    "lepage-vs-direct": {"level", "j_terms", "n_terms", "n", "seed0"},
+    "lepage-vs-direct": {"level", "n_terms", "n", "seed0"},
     "field-marginals": {"level", "j_terms", "n_seeds", "seed0"},
     "holder-paths": {"level", "n_reps", "seed0"},
     "divergence": {"n_seeds"},
@@ -218,9 +218,11 @@ def test_one_sample_per_field_law():
     assert _field_draws(verify.suite_scaling) == [("scaled_subcell_field", ("alpha",))]
     # duality reads the exact scale of <f, field>, not a second sampler
     assert _sites(_calls("distributional_field")) == set()
-    # the one two-sample test left is the route equality of lepage-vs-direct
-    assert {site for site in _sites(_calls("two_sample")) if site[0] == "verify"} == {
-        ("verify", "suite_lepage_vs_direct")}
+    # and the LePage routes are tested against the exact law of each cell:
+    # no suite draws a direct sample or runs a two-sample test
+    for name in ("two_sample", "direct_replicates"):
+        assert {site for site in _sites(_calls(name)) if site[0] == "verify"} == set()
+    assert ("verify", "suite_lepage_vs_direct") in _sites(_calls("one_sample_ks"))
 
 
 def test_one_export_tail():
@@ -253,7 +255,7 @@ def test_suites_take_only_the_parameters_a_caller_sets():
     taken = {name: set(inspect.signature(suite).parameters)
              for name, suite in verify.SUITES.items()}
     assert taken == SUITE_PARAMETERS
-    assert sum(map(len, taken.values())) == 34
+    assert sum(map(len, taken.values())) == 33
 
 
 def test_helpers_fix_their_one_value():

@@ -253,6 +253,15 @@ def test_heat_kernel_domain_error(spec_n):
         spectral.heat_kernel(0.0, 0, 1, spec_n)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_heat_kernel_refuses_a_non_finite_time(spec_n, t):
+    # exp(-lambda t) at nan is nan, and at inf drops the Neumann mass
+    for read in (lambda: spectral.heat_kernel(t, 0, 1, spec_n),
+                 lambda: spectral.heat_kernel_row(t, 0, spec_n)):
+        with pytest.raises(DomainError, match="positive and finite"):
+            read()
+
+
 def test_heat_semigroup_identity(mesh6, spec_n):
     rng = np.random.default_rng(6)
     for _ in range(5):

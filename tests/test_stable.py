@@ -271,10 +271,10 @@ def test_lepage_replicates_alphas_share_one_draw(mesh6, tail_compensation, colum
 
 
 def test_lepage_vs_direct_draws_once_per_replicate(monkeypatch):
-    # the four alphas share each replicate's draw: n draws, not 4 n (n is
-    # the smallest sample two_sample accepts); the report names the shared
-    # draw seed in its params and each cell's direct-sample seed; the calls
-    # are counted in this process, so one shard makes them all
+    # the four alphas share each replicate's draw: n draws, not 4 n; the
+    # report names the shared draw seed in its params and each cell's exact
+    # scale, ||f||_alpha; the calls are counted in this process, so one
+    # shard makes them all
     calls = []
     make_draw = stable.make_draw
     monkeypatch.setattr(stable, "make_draw",
@@ -286,8 +286,24 @@ def test_lepage_vs_direct_draws_once_per_replicate(monkeypatch):
     assert rep["params"]["seed0"] == 4
     assert rep["params"]["alphas"] == [0.7, 1.0, 1.5, 1.9]
     assert "SeedSequence(seed0, spawn_key=(k,))" in rep["params"]["lepage_draws"]
-    seeds = [c["direct_seed"] for c in rep["checks"]]
-    assert seeds == [4 + 1000 * ai + fi + 500_000 for ai in range(4) for fi in range(3)]
+    # the constant 1 has scale 1 at every alpha (mu is a probability)
+    scales = [c["scale"] for c in rep["checks"]]
+    assert scales[0::3] == pytest.approx([1.0] * 4, rel=1e-12)
+    assert all(c["significance"] == 0.01 for c in rep["checks"])
+
+
+def test_lepage_vs_direct_fails_a_wrong_series_constant(monkeypatch):
+    # a mutation gate for the battery against the exact laws: D_alpha 30%
+    # too large scales every LePage sum by 1.3, and at level 5 and 2000
+    # replicates all 12 checks reject it, while the unmutated run passes all 12
+    def failed():
+        rep = verify.run_suite("lepage-vs-direct", level=5, n=2000)
+        return sum(not c["passed"] for c in rep["checks"])
+
+    assert failed() == 0
+    d_alpha = stable.d_alpha
+    monkeypatch.setattr(stable, "d_alpha", lambda alpha: 1.3 * d_alpha(alpha))
+    assert failed() == 12
 
 
 def test_lepage_replicates_rejects_misshaped_values(mesh6):
@@ -328,7 +344,10 @@ def test_lepage_replicates_peak_memory(mesh6):
 
 def test_lepage_vs_direct_independent_of_blas_threads(tmp_path):
     # the battery is built from basis-invariant quantities, so the report
-    # must not depend on the eigenvector basis the BLAS thread count picks
+    # must not depend on the eigenvector basis the BLAS thread count picks.
+    # The thread count still moves the eigensolve's last bits (about 1e-14),
+    # and the one-sample statistic is continuous in the sums and the scale,
+    # where cancellation in a sum lifts that rounding to about 1e-11 relative
     code = (
         "import json, sys\n"
         "from gasketfields import verify\n"
@@ -352,9 +371,9 @@ def test_lepage_vs_direct_independent_of_blas_threads(tmp_path):
     assert len(one) == 12
     for a, b in zip(one, two):
         assert a["passed"] == b["passed"]
-        assert a["value"]["stat"] == b["value"]["stat"]
-        assert a["value"]["p_value"] == pytest.approx(b["value"]["p_value"],
-                                                      rel=1e-12, abs=0.0)
+        for key in ("stat", "p_value"):
+            assert a["value"][key] == pytest.approx(b["value"][key], rel=1e-9, abs=0.0)
+        assert a["scale"] == pytest.approx(b["scale"], rel=1e-11, abs=0.0)
 
 
 def test_lepage_vs_direct_refuses_vanishing_projection(monkeypatch, mesh6, spec_n):
