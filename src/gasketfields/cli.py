@@ -362,25 +362,35 @@ def _cmd_stable(cfg, tally):
 
 
 def _cmd_simulate(cfg, tally):
+    import numpy as np
+
     from . import fields, spectral
+    from .constants import D_H, D_W
 
     started = time.perf_counter()
-    s, alpha = cfg["s"], cfg["alpha"]
+    s, alpha, level = cfg["s"], cfg["alpha"], cfg["level"]
     # before the spectrum is solved
     fields.check_integrable(s, alpha)
-    spec = spectral.build_spectrum(cfg["level"], cfg["bc"], j_max=cfg["jmax"])
-    mesh = spec.mesh
+    spec = spectral.build_spectrum(level, cfg["bc"], j_max=cfg["jmax"])
     seeds = range(cfg["seed"], cfg["seed"] + cfg["replicates"])
-    batch = fields.simulate_field(s, alpha, spec, seeds)
+    values = fields.simulate_field(s, alpha, spec, seeds)
     path = f"{cfg['out']}.csv"
     vertex_cols = [f"{vid},{x!r},{y!r},"
-                   for vid, (x, y) in enumerate(mesh.vertices.tolist())]
+                   for vid, (x, y) in enumerate(spec.mesh.vertices.tolist())]
     blocks = ("".join(f"{rep},{p}{v!r}\r\n" for p, v in zip(vertex_cols, row.tolist()))
-              for rep, row in enumerate(batch.values))
+              for rep, row in enumerate(values))
+    # the noise is drawn at the mesh level; orders in (threshold, d_h/d_w]
+    # have unbounded paths
+    realizations = {
+        "s": s, "alpha": alpha, "bc": cfg["bc"], "level": level,
+        "j_terms": spec.n_modes, "noise_level": level, "seeds": list(seeds),
+        "regime": "divergent" if s <= D_H / D_W else "continuous",
+        "mesh_scale": 2.0 ** -level,
+        "mesh_sup": np.max(np.abs(values), axis=1, initial=0.0).tolist()}
     return _export(
         cfg, tally, started, [_whole(path, "replicate_id,vertex_id,x,y,value", blocks)],
-        f"simulate: {cfg['replicates']} realization(s) on level {cfg['level']} -> {path}",
-        realizations=batch.meta)
+        f"simulate: {cfg['replicates']} realization(s) on level {level} -> {path}",
+        realizations=realizations)
 
 
 def _cmd_verify(cfg, tally):

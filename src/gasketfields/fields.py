@@ -12,8 +12,6 @@ are the quadrature norms of kernel slices, and one draw at level top
 couples the fields of every level up to top exactly.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import shards
@@ -27,13 +25,6 @@ from .stable import direct_replicates, standard_stable
 # a seed: a variate takes about 0.1 us at every alpha and level (L6-L8) and a
 # fork and reap about 3.5 ms, so 2^16 variates a shard only break even
 MIN_CELLS_PER_SHARD = 2 ** 17
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Vertex values of field realizations, one row each, plus full provenance."""
-    values: np.ndarray
-    meta: dict
 
 
 def hurst_index(s, alpha):
@@ -84,15 +75,14 @@ def _noise_coefficients(alpha, mesh, seeds, top):
 def simulate_field(s, alpha, spectrum, seeds, top=None, vertices=slice(None)):
     """Joint realizations of the fractional alpha-stable field at the
     `vertices` of the spectrum's mesh (an index, index set, slice or mask;
-    every vertex by default), with the spectrum's truncation, one per seed:
-    `values` has one row per seed, and is `values[:, vertices]` of the
-    whole field bit for bit; `mesh_sup` is each row's max |value|.
+    every vertex by default), with the spectrum's truncation, one row per
+    seed, equal bit for bit to the whole field's columns at `vertices`.
 
     The order -s kernel is applied to every seed's cell noise at once, drawn
     at level `top`, from the mesh level (the default) to `geometry.MAX_LEVEL`,
     and only the rows of `vertices` are formed.
     Orders at or below the integrability threshold are rejected; orders in
-    (threshold, d_h/d_w] are permitted but tagged as the divergent regime.
+    (threshold, d_h/d_w], the divergent regime, are permitted.
 
     Raises CapacityError, before the noise is mapped, when the batch would
     not fit in physical memory.  For R seeds, n vertices and k of them read
@@ -112,19 +102,7 @@ def simulate_field(s, alpha, spectrum, seeds, top=None, vertices=slice(None)):
     top = mesh.level if top is None else top
     values = KernelEvaluator(spectrum, s).apply(
         _noise_coefficients(alpha, mesh, seeds, top), at.ravel()).T
-    meta = {
-        "s": s,
-        "alpha": alpha,
-        "bc": spectrum.bc,
-        "level": mesh.level,
-        "j_terms": spectrum.n_modes,
-        "noise_level": top,
-        "seeds": list(seeds),
-        "regime": "divergent" if s <= D_H / D_W else "continuous",
-        "mesh_scale": 2.0 ** -mesh.level,
-        "mesh_sup": np.max(np.abs(values), axis=1, initial=0.0).tolist(),
-    }
-    return FieldSample(values.reshape(values.shape[:1] + at.shape), meta)
+    return values.reshape(values.shape[:1] + at.shape)
 
 
 def distributional_field(f, s, alpha, spectrum, seed, n_draws):
@@ -158,20 +136,8 @@ def scaled_subcell_field(word, s, alpha, spectrum, seeds, vertices=slice(None)):
         if d not in (0, 1, 2):
             raise DomainError(f"address digit {d} not in {{0,1,2}}")
     kernel_factor = 3.0 ** n * 5.0 ** (-n * s)
-    h = hurst_index(s, alpha)
 
     # F_w commutes with placing each cell's mass on its vertex, and the
     # subcell measure has mass 3^-n
-    factor = 2.0 ** (n * h) * kernel_factor * 3.0 ** (-n / alpha)
-    values = factor * simulate_field(s, alpha, spectrum, seeds, vertices=vertices).values
-    meta = {
-        "s": s,
-        "alpha": alpha,
-        "bc": spectrum.bc,
-        "level": spectrum.mesh.level,
-        "word": tuple(word),
-        "hurst": h,
-        "j_terms": spectrum.n_modes,
-        "seeds": list(seeds),
-    }
-    return FieldSample(values, meta)
+    factor = 2.0 ** (n * hurst_index(s, alpha)) * kernel_factor * 3.0 ** (-n / alpha)
+    return factor * simulate_field(s, alpha, spectrum, seeds, vertices=vertices)

@@ -202,6 +202,8 @@ class Spectrum:
         """Mass projection sum_j phi_j <phi_j, h>_mu of h onto the k-th
         distinct eigenspace (k = 1 for lambda_1), free of the basis inside its
         multiplet (bounds from `truncation`); InvariantError if it vanishes."""
+        if k < 1:
+            raise ContractError(f"eigenspace index k = {k} must be >= 1")
         lo = 0
         for _ in range(k - 1):
             lo = self.truncation(lo + 1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from gasketfields import analysis, fields, spectral, stable
+from gasketfields import analysis, fields, geometry, spectral, stable
 from gasketfields.constants import D_H, D_W
 from gasketfields.errors import ContractError, DomainError
 
@@ -95,16 +95,18 @@ def test_cf_gof_pass_and_power():
     rng = np.random.default_rng(32)
     x = 0.7 * stable.standard_stable(rng, 1.5, size=20_000)
     ok = analysis.cf_gof(x, 1.5, 0.7)
-    assert ok["passed"]
+    assert ok == {"stat": ok["stat"], "threshold": 3.0 / np.sqrt(20_000)}
+    assert ok["stat"] <= ok["threshold"]
     bad = analysis.cf_gof(x, 1.5, 0.7 * 1.5)
-    assert not bad["passed"]
+    assert bad["stat"] > bad["threshold"]
 
 
 def test_cf_gof_gaussian_case():
     rng = np.random.default_rng(33)
     sigma = 0.4
     x = np.sqrt(2.0) * sigma * rng.standard_normal(20_000)
-    assert analysis.cf_gof(x, 2.0, sigma)["passed"]
+    rep = analysis.cf_gof(x, 2.0, sigma)
+    assert rep["stat"] <= rep["threshold"]
 
 
 def test_cf_gof_size_contract():
@@ -246,15 +248,14 @@ def test_holder_estimator_calibration(alpha, s):
     # the path-law exponent min(s,1) d_w - d_h applies to the stable regime
     # and, for s >= 1, matches the Gaussian case as well
     mesh, reps = _replicates(s, alpha, 50)
-    rep = analysis.holder_exponent_estimate(reps, mesh)
-    assert abs(rep.estimate - rep.target) <= 0.15
-    assert rep.passed
+    estimate = analysis.holder_exponent_estimate(reps, s, mesh)
+    assert abs(estimate - analysis.holder_exponent_target(s)) <= 0.15
 
 
 def test_holder_estimator_refuses_divergent():
     mesh, reps = _replicates(0.5, 1.2, 2)
-    with pytest.raises(ContractError):
-        analysis.holder_exponent_estimate(reps, mesh)
+    with pytest.raises(ContractError, match="divergent"):
+        analysis.holder_exponent_estimate(reps, 0.5, mesh)
 
 
 def test_holder_estimator_needs_scales():
@@ -262,13 +263,23 @@ def test_holder_estimator_needs_scales():
     for level in (1, 2):
         mesh, reps = _replicates(0.9, 1.5, 2, level=level)
         with pytest.raises(ContractError):
-            analysis.holder_exponent_estimate(reps, mesh)
+            analysis.holder_exponent_estimate(reps, 0.9, mesh)
 
 
 def test_holder_estimator_empty():
     mesh, empty = _replicates(0.9, 1.5, 0, level=2)
     with pytest.raises(ContractError):
-        analysis.holder_exponent_estimate(empty, mesh)
+        analysis.holder_exponent_estimate(empty, 0.9, mesh)
+
+
+def test_holder_estimator_refuses_another_mesh():
+    # the ladder reads vertex ids of `mesh`: a level-6 batch given the
+    # level-5 mesh would be read at the wrong vertices, not refused
+    mesh, reps = _replicates(0.9, 1.5, 5)
+    with pytest.raises(ContractError, match="expected 366 vertex values, got 1095"):
+        analysis.holder_exponent_estimate(reps, 0.9, geometry.build_mesh(5))
+    with pytest.raises(ContractError):
+        analysis.max_increments_by_scale(reps[:, :-1], mesh)
 
 
 def test_max_increments_by_scale(mesh6):
@@ -289,5 +300,4 @@ def test_divergence_diagnostic_shapes():
     batches = [fields.simulate_field(0.5, 1.2, spectral.build_spectrum(level, "neumann"),
                                      range(5)) for level in (4, 5)]
     out = analysis.divergence_diagnostic(batches)
-    assert len(out["median_sup"]) == 2
-    assert out["verdict"] in ("consistent with unboundedness", "no growth")
+    assert out == [float(np.median(np.max(np.abs(b), axis=1))) for b in batches]

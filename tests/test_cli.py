@@ -136,7 +136,7 @@ def test_simulate_bytes_match_reference(tmp_path):
     spec = spectral.build_spectrum(4, "neumann", j_max=200)
     batch = fields.simulate_field(0.9, 1.5, spec, range(7, 9))
     rows = ([rep, vid, repr(float(x)), repr(float(y)), repr(float(v))]
-            for rep, row in enumerate(batch.values)
+            for rep, row in enumerate(batch)
             for vid, ((x, y), v) in enumerate(zip(mesh.vertices, row)))
     assert ((tmp_path / "f.csv").read_bytes()
             == _reference_csv(["replicate_id", "vertex_id", "x", "y", "value"], rows))
@@ -744,6 +744,24 @@ def test_simulate_reproducible(tmp_path):
     assert meta["realizations"]["bc"] == "dirichlet"
     assert meta["realizations"]["seeds"] == [7, 8]
     assert len(meta["realizations"]["mesh_sup"]) == 2
+
+
+@pytest.mark.parametrize("s", [0.5, 0.9])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_simulate_realizations_meta(tmp_path, bc, s):
+    # the batch's block of `_meta.json`: its flags, the spectrum's mode
+    # count, the regime of s against d_h/d_w = 0.683 and each row's max |value|
+    assert main(["simulate", "--alpha", "1.2", "--s", str(s), "--bc", bc, "--level", "3",
+                 "--seed", "5", "--replicates", "3", "--out", str(tmp_path / "f")]) == 0
+    with open(tmp_path / "f.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    sups = [max(abs(float(r[4])) for r in rows if r[0] == str(k)) for k in range(3)]
+    assert json.loads((tmp_path / "f_meta.json").read_text())["realizations"] == {
+        "s": s, "alpha": 1.2, "bc": bc, "level": 3,
+        # the 42 vertices, minus the constant mode or the 3 corners
+        "j_terms": {"neumann": 41, "dirichlet": 39}[bc], "noise_level": 3,
+        "seeds": [5, 6, 7], "regime": "divergent" if s < 0.683 else "continuous",
+        "mesh_scale": 0.125, "mesh_sup": sups}
 
 
 def test_simulate_threshold_usage_error(tmp_path, capsys):

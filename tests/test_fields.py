@@ -85,11 +85,12 @@ def test_integrability_check_rejects_alpha_and_order_first(spec_n, s, alpha, mes
 
 def test_field_takes_mesh_bc_and_truncation_from_spectrum(mesh6, spec_d):
     # the spectrum alone fixes the vertex set, the boundary condition and
-    # the truncation of the field
+    # the truncation of the field: a returned array of one row per seed
     smp = _batch(0.9, 1.5, spec_d, [0])
-    assert smp.values.shape == (1, mesh6.n_vertices)
-    assert (smp.meta["bc"], smp.meta["level"]) == ("dirichlet", 6)
-    assert smp.meta["j_terms"] == spec_d.n_modes
+    assert isinstance(smp, np.ndarray) and smp.shape == (1, mesh6.n_vertices)
+    assert np.all(smp[:, mesh6.boundary] == 0.0)
+    cut = _batch(0.9, 1.5, spec_d.truncated(60), [0])
+    assert np.max(np.abs(cut - smp)) > 1e-3 * np.max(np.abs(smp))
 
 
 @pytest.mark.parametrize("level", [5, 6])
@@ -100,7 +101,7 @@ def test_batch_matches_per_seed_apply(level, bc, alpha):
     # apply to its own seed's noise up to the roundoff of the matrix product
     spec = spectral.build_spectrum(level, bc, j_max=200)
     seeds = range(30, 37)
-    got = fields.simulate_field(0.9, alpha, spec, seeds).values
+    got = fields.simulate_field(0.9, alpha, spec, seeds)
     want = _per_seed_reference(0.9, alpha, spec, seeds)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -109,11 +110,11 @@ def test_batch_matches_per_seed_apply(level, bc, alpha):
 @pytest.mark.parametrize("alpha", [1.5, 2.0])
 def test_rows_do_not_depend_on_the_batch(spec_n, alpha):
     # a realization's values depend on its batch only at roundoff
-    big = fields.simulate_field(0.9, alpha, spec_n, range(100, 120)).values
+    big = fields.simulate_field(0.9, alpha, spec_n, range(100, 120))
     scale = np.max(np.abs(big))
     for size in (1, 2, 7):
         seeds = range(105, 105 + size)
-        got = fields.simulate_field(0.9, alpha, spec_n, seeds).values
+        got = fields.simulate_field(0.9, alpha, spec_n, seeds)
         assert np.max(np.abs(got - big[5:5 + size])) <= 1e-12 * scale
 
 
@@ -130,21 +131,21 @@ def test_vertex_reads_are_the_columns_of_the_whole_field(level, bc, alpha, monke
     sets = ([140, 3, 140], np.array([mesh.n_vertices - 1, 0, 77]), mesh.boundary, 140)
     seeds = range(7)
     for top in (level, level + 2):
-        whole = fields.simulate_field(0.9, alpha, spec, seeds, top).values
+        whole = fields.simulate_field(0.9, alpha, spec, seeds, top)
         for cap in (1, 2, 3):
             with shards.limit(cap):
                 for vertices in sets:
                     got = fields.simulate_field(0.9, alpha, spec, seeds, top,
-                                                vertices=vertices).values
+                                                vertices=vertices)
                     assert np.array_equal(got, whole[:, vertices]), (top, cap, vertices)
 
 
 def test_vertex_reads_of_an_empty_batch_and_a_subcell(spec_n):
     empty = fields.simulate_field(0.9, 1.5, spec_n, [], vertices=[4, 5, 6])
-    assert empty.values.shape == (0, 3)
-    whole = fields.scaled_subcell_field((1, 2), 0.9, 1.5, spec_n, range(5)).values
+    assert empty.shape == (0, 3)
+    whole = fields.scaled_subcell_field((1, 2), 0.9, 1.5, spec_n, range(5))
     got = fields.scaled_subcell_field((1, 2), 0.9, 1.5, spec_n, range(5), vertices=[140, 2])
-    assert np.array_equal(got.values, whole[:, [140, 2]])
+    assert np.array_equal(got, whole[:, [140, 2]])
 
 
 def test_field_batch_capacity_error(spec_n, monkeypatch):
@@ -166,26 +167,18 @@ def test_field_batch_capacity_error(spec_n, monkeypatch):
 
 def test_neumann_mean_zero_per_realization(mesh6, spec_n):
     smp = _batch(0.9, 1.5, spec_n, range(5))
-    scale = np.max(np.abs(smp.values), axis=1)
-    assert np.all(np.abs(geometry.quadrature(smp.values, mesh6)) <= 1e-4 * scale)
+    scale = np.max(np.abs(smp), axis=1)
+    assert np.all(np.abs(geometry.quadrature(smp, mesh6)) <= 1e-4 * scale)
 
 
 def test_dirichlet_vanishes_at_corners(mesh6, spec_d):
     smp = _batch(0.9, 1.5, spec_d, [3])
-    assert np.all(smp.values[:, mesh6.boundary] == 0.0)
-
-
-def test_divergent_regime_tagged(spec_n):
-    smp = _batch(0.5, 1.2, spec_n, [1])
-    assert smp.meta["regime"] == "divergent"
-    assert smp.meta["mesh_sup"][0] > 0
-    smp2 = _batch(0.9, 1.2, spec_n, [1])
-    assert smp2.meta["regime"] == "continuous"
+    assert np.all(smp[:, mesh6.boundary] == 0.0)
 
 
 def test_marginal_law_matches_stable(spec_n):
     s, alpha, xi = 0.9, 1.5, 140
-    vals = _batch(s, alpha, spec_n, range(300)).values[:, xi]
+    vals = _batch(s, alpha, spec_n, range(300))[:, xi]
     scale = fields.marginal_scale(xi, s, alpha, spec_n)
     r = analysis.one_sample_ks(vals, alpha, scale)
     assert r["p_value"] > 0.01
@@ -199,7 +192,7 @@ def test_marginal_scale_refuses_alpha_outside_the_domain(spec_n, alpha):
 
 def test_alpha2_marginal_variance(spec_n):
     s, xi = 1.0, 140
-    vals = _batch(s, 2.0, spec_n, range(3000)).values[:, xi]
+    vals = _batch(s, 2.0, spec_n, range(3000))[:, xi]
     target = 2.0 * fields.marginal_scale(xi, s, 2.0, spec_n) ** 2
     # sample variance of a Gaussian: relative sd sqrt(2/n)
     assert abs(vals.var() / target - 1.0) <= 4 * np.sqrt(2.0 / len(vals))
@@ -245,13 +238,13 @@ def test_subcell_field_matched_draw_identity(spec_n):
     base = fields.simulate_field(0.9, 1.5, spec_n, [8])
     for word in ((0,), (1, 2)):
         sub = fields.scaled_subcell_field(word, 0.9, 1.5, spec_n, [8])
-        assert np.allclose(sub.values, base.values, rtol=1e-10, atol=1e-14)
+        assert np.allclose(sub, base, rtol=1e-10, atol=1e-14)
 
 
 def test_subcell_field_matched_seed_identity_gaussian(spec_n):
     base = fields.simulate_field(0.9, 2.0, spec_n, [77])
     sub = fields.scaled_subcell_field((2,), 0.9, 2.0, spec_n, [77])
-    assert np.allclose(sub.values, base.values, rtol=1e-10, atol=1e-14)
+    assert np.allclose(sub, base, rtol=1e-10, atol=1e-14)
 
 
 def test_subcell_word_validation(spec_n):
@@ -286,7 +279,7 @@ def test_duality_cf(mesh6, spec_n):
     x = mesh6.vertices[:, 0]
     f = spec_n.project(x, 1) + 0.5 * spec_n.project(x, 3)
     smp = _batch(s, alpha, spec_n, range(40_000, 40_000 + n))
-    inner = geometry.quadrature(f * smp.values, mesh6)
+    inner = geometry.quadrature(f * smp, mesh6)
     distr = fields.distributional_field(f, s, alpha, spec_n, 27, n)
     for u in (0.5, 1.0, 2.0):
         ca, cb = np.cos(u * inner), np.cos(u * distr)
@@ -324,6 +317,10 @@ def test_eigenspace_projection_is_basis_free(mesh6, spec_n):
     assert np.max(np.abs(turned @ (turned.T @ (mesh6.mu_weights * x)) - p)) <= 1e-12
     with pytest.raises(InvariantError):
         spec_n.project(x, 2)
+    # k counts eigenspaces from 1: no k below it names one
+    for k in (0, -3):
+        with pytest.raises(ContractError, match="must be >= 1"):
+            spec_n.project(x, k)
 
 
 def _leaves(value, path=""):
@@ -391,8 +388,8 @@ def test_reflection_fdd_gaussian(mesh6, spec_n):
     s = 0.9
     x1, x2 = 140, 600
     perm = geometry.reflection_permutation(mesh6, 1)
-    A = _batch(s, 2.0, spec_n, range(600)).values[:, [x1, x2]]
-    B = _batch(s, 2.0, spec_n, range(10_000, 10_600)).values[:, perm[[x1, x2]]]
+    A = _batch(s, 2.0, spec_n, range(600))[:, [x1, x2]]
+    B = _batch(s, 2.0, spec_n, range(10_000, 10_600))[:, perm[[x1, x2]]]
     assert analysis.two_sample(A[:, 0], B[:, 0])["p_value"] > 0.01
     assert analysis.two_sample(A.sum(1), B.sum(1))["p_value"] > 0.01
 
@@ -402,23 +399,14 @@ def test_spectral_band_additivity_on_shared_draw(mesh6, spec_n_full):
     # additive across the bands
     low_spec, full_spec = spec_n_full.truncated(60), spec_n_full.truncated(240)
     j1, j2 = low_spec.n_modes, full_spec.n_modes
-    low = fields.simulate_field(0.9, 1.5, low_spec, [13]).values[0]
-    full = fields.simulate_field(0.9, 1.5, full_spec, [13]).values[0]
+    low = fields.simulate_field(0.9, 1.5, low_spec, [13])[0]
+    full = fields.simulate_field(0.9, 1.5, full_spec, [13])[0]
     # independent evaluation of the band j1+1..j2 contribution
     coeff = _cell_noise(13, 1.5, mesh6, 6)
     phi = spec_n_full.eigenvectors()[:, j1:j2]
     lam = spec_n_full.eigenvalues[j1:j2] ** -0.9
     band = phi @ (lam * (phi.T @ coeff))
     assert np.allclose(low + band, full, rtol=1e-10, atol=1e-13)
-
-
-def test_field_metadata_complete(spec_n):
-    smp = _batch(0.9, 1.5, spec_n, [9, 10])
-    assert set(smp.meta) == {"s", "alpha", "bc", "level", "j_terms", "noise_level",
-                             "seeds", "regime", "mesh_scale", "mesh_sup"}
-    assert smp.meta["seeds"] == [9, 10] and len(smp.meta["mesh_sup"]) == 2
-    assert smp.meta["noise_level"] == 6
-    assert fields.simulate_field(0.9, 1.5, spec_n, [9], top=8).meta["noise_level"] == 8
 
 
 @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])

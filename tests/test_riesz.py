@@ -8,7 +8,7 @@ from scipy.special import gamma as gamma_fn
 
 from gasketfields import geometry, riesz, spectral, verify
 from gasketfields.constants import D_H, D_W
-from gasketfields.errors import DomainError
+from gasketfields.errors import ContractError, DomainError
 
 CRIT = D_H / D_W
 
@@ -212,6 +212,14 @@ def test_holder_ratio_requires_supercritical(spec_n):
     with pytest.raises(DomainError):
         riesz.kernel_holder_ratio(riesz.KernelEvaluator(spec_n, 0.5),
                                   np.random.default_rng(0))
+
+
+def test_kernel_holder_suite_needs_two_increasing_levels():
+    # each level's ratio is judged against the first level's: one level
+    # compares nothing, and an unordered list has the wrong baseline
+    for levels in ((), (4,), (5, 4), (4, 4), (4, 6, 5)):
+        with pytest.raises(ContractError, match="strictly increasing"):
+            verify.run_suite("kernel-holder", levels=levels)
 
 
 def test_reflection_invariance(spec_n):

@@ -4,10 +4,11 @@ condition, only the Spectrum forms dense eigenvector rows, a field's noise
 has no LePage truncation, two noise builders place sites on the mesh
 (`lepage_replicates` turns every LePage draw into point masses,
 `fields._noise_coefficients` sums a field's cell noise), one check guards
-the alpha domain, one the kernel order and one the physical memory, verify
-reads fields at vertex sets, a field law is tested on one batch against
-its exact law (symmetry and scaling draw one batch each, and no suite draws
-a distributional or direct sample or runs a two-sample test),
+the alpha domain, one the kernel order and one the physical memory, fields
+return arrays and analysis returns statistics (verify decides every
+verdict), verify reads fields at vertex sets, a field law is tested on one
+batch against its exact law (symmetry and scaling draw one batch each, and
+no suite draws a distributional or direct sample or runs a two-sample test),
 a kernel row is read by `matrix`, the CLI makes its output directory in
 one place and cuts kernel CSVs at the spectrum's row blocks, and a suite
 takes only the parameters some caller sets."""
@@ -181,16 +182,52 @@ def test_cli_has_no_row_block_literal():
                 if isinstance(node, ast.Constant) and node.value == 64]
 
 
+FIELD_DRAWS = ("simulate_field", "scaled_subcell_field")
+
+
+def _column_reads_of_whole_batches(tree):
+    """Column slices x[..., c] of a field batch in each function of `tree`:
+    of a field call itself, or of a name bound to one that the function
+    never reads whole (a batch read whole elsewhere needs every column)."""
+    def is_draw(node):
+        return any(_calls(name)(node) for name in FIELD_DRAWS)
+
+    found = []
+    for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+        nodes = list(ast.walk(func))
+        batches = {node.targets[0].id for node in nodes if isinstance(node, ast.Assign)
+                   and isinstance(node.targets[0], ast.Name) and is_draw(node.value)}
+        subscripted = {id(node.value) for node in nodes if isinstance(node, ast.Subscript)}
+        whole = {node.id for node in nodes if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Load) and id(node) not in subscripted}
+        found += [(func.name, ast.unparse(node)) for node in nodes
+                  if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+                  and (is_draw(node.value) or isinstance(node.value, ast.Name)
+                       and node.value.id in batches - whole)]
+    return found
+
+
 def test_field_noise_is_read_at_vertex_sets():
     # the field noise has one reader, the batched field, and verify reads a
     # field at its vertices through `vertices`, never by slicing the columns
-    # of a whole-field batch
+    # of a whole-field batch that it does not otherwise read whole
     assert _sites(_calls("_noise_coefficients")) == {("fields", "simulate_field")}
-    column_reads = _sites(lambda node: isinstance(node, ast.Subscript)
-                          and isinstance(node.value, ast.Attribute)
-                          and node.value.attr == "values"
-                          and isinstance(node.slice, ast.Tuple))
-    assert {site for site in column_reads if site[0] == "verify"} == set()
+    tree = ast.parse((Path(spectral.__file__).parent / "verify.py").read_text())
+    assert _column_reads_of_whole_batches(tree) == []
+
+
+def test_analysis_returns_statistics_and_fields_return_arrays():
+    # verify decides every verdict: no analysis function builds a `passed`
+    # entry, field, keyword or name
+    tree = ast.parse(Path(analysis.__file__).read_text())
+    named = {getattr(node, attr, None) for node in ast.walk(tree)
+             for attr in ("id", "attr", "arg", "value")}
+    assert "passed" not in named
+    # and a field batch is its values, one row per seed
+    spec = spectral.build_spectrum(2, spectral.NEUMANN)
+    for values in (fields.simulate_field(0.9, 1.5, spec, [0, 1]),
+                   fields.scaled_subcell_field((1,), 0.9, 1.5, spec, [0, 1])):
+        assert type(values) is np.ndarray and values.shape == (2, spec.mesh.n_vertices)
 
 
 def _field_draws(function):
@@ -201,8 +238,7 @@ def _field_draws(function):
     def visit(node, loops):
         if isinstance(node, ast.For):
             loops = loops + (ast.unparse(node.target),)
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
-                "simulate_field", "scaled_subcell_field"):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in FIELD_DRAWS:
             found.append((node.func.attr, loops))
         for child in ast.iter_child_nodes(node):
             visit(child, loops)
