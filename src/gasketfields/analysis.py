@@ -16,15 +16,13 @@ from .constants import D_H, D_W, check_alpha
 from .errors import ContractError, DomainError
 
 
-def holder_exponent_target(s):
-    """Path regularity exponent eta_s = min(s,1)*d_w - d_h."""
-    return min(s, 1.0) * D_W - D_H
-
-
-def log_correction_power(s, alpha):
-    """Modulus log power: beta_s (+1/2 unless alpha < 1), beta_s = 1{s >= 1}."""
-    beta = 1.0 if s >= 1.0 else 0.0
-    return beta + (0.0 if alpha < 1.0 else 0.5)
+def _batch(values):
+    """`values` as an (R, n) float array, R >= 1, one field realization a row."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or len(values) == 0:
+        raise ContractError(f"expected a batch of shape (R, n), R >= 1, one field "
+                            f"realization a row, got shape {values.shape}")
+    return values
 
 
 def max_increments_by_scale(values, mesh):
@@ -48,8 +46,7 @@ def holder_exponent_estimate(values, s, mesh):
     each: the slope of the realization-mean log max-increment per dyadic
     scale against log scale.  Divergent-regime orders are refused.
     """
-    if len(values) == 0:
-        raise ContractError("at least one field realization required")
+    values = _batch(values)
     if s <= D_H / D_W:
         raise ContractError(
             "divergent-regime sample: s <= d_h/d_w has unbounded paths, "
@@ -65,7 +62,7 @@ def holder_exponent_estimate(values, s, mesh):
 def divergence_diagnostic(batches):
     """Median mesh supremum of |field| per level, for one batch of field
     values per mesh level, coarsest first."""
-    medians = [float(np.median(np.max(np.abs(values), axis=1, initial=0.0)))
+    medians = [float(np.median(np.max(np.abs(_batch(values)), axis=1, initial=0.0)))
                for values in batches]
     if not medians:
         raise ContractError("no level batches")
@@ -75,20 +72,16 @@ def divergence_diagnostic(batches):
 def cf_gof(samples, alpha, scale):
     """Characteristic-function goodness of fit against exp(-|u*scale|^alpha).
 
-    Compares the empirical cosine CF at u = 0.5, 1, 2 to the target; the
-    statistic is the worst deviation, returned with three CLT half-widths,
-    3/sqrt(n), the threshold it is judged against.
+    The statistic is the worst deviation of the empirical cosine CF from
+    the target at u = 0.5, 1, 2.
     """
-    samples = np.asarray(samples, dtype=float)
-    n = len(samples)
-    if n < 1000:
+    samples = _finite_sample(samples, "samples")
+    if len(samples) < 1000:
         raise ContractError("cf_gof needs at least 1000 replicates")
     u = np.array([0.5, 1.0, 2.0])
     emp = np.cos(np.outer(u, samples)).mean(axis=1)
     target = np.exp(-np.abs(u * scale) ** alpha)
-    stat = float(np.max(np.abs(emp - target)))
-    threshold = 3.0 / np.sqrt(n)
-    return {"stat": stat, "threshold": threshold}
+    return float(np.max(np.abs(emp - target)))
 
 
 def _finite_sample(x, name):

@@ -100,9 +100,11 @@ def _build_parser():
 
 
 def _flag_text(config, dests):
-    """The `config` entries named in `dests`, as flag text; null is unset."""
-    return [f"--{dest.replace('_', '-')}={value}" for dest, value in config.items()
-            if dest in dests and value is not None]
+    """The `config` entries named in `dests`, as flag text; null is unset, and
+    a list for `suite`, the one repeatable flag, is one flag per element."""
+    return [f"--{dest.replace('_', '-')}={v}" for dest, value in config.items()
+            if dest in dests and value is not None
+            for v in (value if dest == "suite" and isinstance(value, list) else [value])]
 
 
 def _write_json(path, obj):

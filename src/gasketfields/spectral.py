@@ -205,8 +205,10 @@ class Spectrum:
         if k < 1:
             raise ContractError(f"eigenspace index k = {k} must be >= 1")
         lo = 0
-        for _ in range(k - 1):
+        for count in range(1, k):
             lo = self.truncation(lo + 1)
+            if lo == self.n_modes:
+                raise ContractError(f"k = {k} exceeds the {count} distinct eigenspaces")
         space = self._modes(lo, self.truncation(lo + 1))
         proj = space.apply(np.ones(space.n_modes), self.mesh.mu_weights * h)
         if np.max(np.abs(proj)) <= 1e-8 * np.max(np.abs(h)):

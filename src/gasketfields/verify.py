@@ -20,9 +20,27 @@ from .errors import ContractError, ResolutionError
 
 
 def _check(name, value, passed, **extra):
-    entry = {"name": name, "value": value, "passed": bool(passed)}
-    entry.update(extra)
-    return entry
+    return {"name": name, "value": value, "passed": bool(passed), **extra}
+
+
+def _near(name, value, target, tolerance, **extra):
+    """Target rule: |value - target| <= tolerance."""
+    return _check(name, value, abs(value - target) <= tolerance,
+                  target=target, tolerance=tolerance, **extra)
+
+
+def _bounded(name, value, bound, key="tolerance", **extra):
+    """Bound rule: value <= bound, recorded under `key`."""
+    return _check(name, value, value <= bound, **{key: bound}, **extra)
+
+
+def _exact_law(name, samples, alpha, scale):
+    """Exact-law rule: the one-sample KS test of `samples` against SaS of
+    `scale` passes when its p-value exceeds the significance level."""
+    significance = 0.01
+    r = analysis.one_sample_ks(samples, alpha, scale)
+    return _check(name, r, r["p_value"] > significance,
+                  scale=scale, significance=significance)
 
 
 def _report(suite, params, checks):
@@ -64,7 +82,6 @@ def suite_ahlfors(level=6):
     2^-1..2^-(m-2), at least four (level >= 6), and two-sided bounds."""
     _require_level("ahlfors", level, 6, "four radii")
     radii = [2.0 ** -j for j in range(1, level - 1)]
-    slope_tol = 0.05
     mesh = geometry.build_mesh(level)
     # the three corners, then the vertices (0.5, 0) and (0.25, sqrt(3)/8)
     inner = mesh.vertex_index([[2 ** level, 0], [2 ** (level - 1), 2 ** (level - 2)]])
@@ -73,9 +90,7 @@ def suite_ahlfors(level=6):
     for ai, x in enumerate(anchors):
         mus = [geometry.ball_measure_estimate(x, r, mesh) for r in radii]
         slope = analysis.ahlfors_regression(mus, radii)
-        checks.append(_check(f"slope_anchor_{ai}", slope,
-                             abs(slope - D_H) <= slope_tol,
-                             target=D_H, tolerance=slope_tol))
+        checks.append(_near(f"slope_anchor_{ai}", slope, D_H, 0.05))
         in_bounds = all((1.0 / 3.0) * r ** D_H <= mu <= 18.0 * r ** D_H
                         for mu, r in zip(mus, radii))
         checks.append(_check(f"bounds_anchor_{ai}", mus, in_bounds,
@@ -94,19 +109,17 @@ def suite_spectral(level=6):
     xi = mesh.n_vertices // 2
     for t in (0.01, 0.1, 1.0):
         defect = abs(spectral.heat_kernel_row(t, xi, spec_n) @ mesh.mu_weights - 1.0)
-        checks.append(_check(f"neumann_mass_t={t}", defect, defect <= 1e-6,
-                             tolerance=1e-6))
+        checks.append(_bounded(f"neumann_mass_t={t}", defect, 1e-6))
     corner_sup = np.max(np.abs(spectral.heat_kernel_row(0.1, mesh.boundary, spec_d)))
     checks.append(_check("dirichlet_corner_rows", corner_sup, corner_sup <= 1e-12,
                          tolerance="truncation (exact zero by construction)"))
     big_t = abs(spectral.heat_kernel(50.0, 3, xi, spec_n) - 1.0)
-    checks.append(_check("neumann_large_time", big_t, big_t <= 1e-8, tolerance=1e-8))
+    checks.append(_bounded("neumann_large_time", big_t, 1e-8))
     j = np.arange(10, 201)
     for name, spec in (("neumann", spec_n), ("dirichlet", spec_d)):
         slope, _ = np.polyfit(np.log(j), np.log(spec.eigenvalues[j - 1]), 1)
-        checks.append(_check(f"eigenvalue_slope_{name}", float(slope),
-                             abs(slope - D_W / D_H) <= slope_tol,
-                             target=D_W / D_H, tolerance=slope_tol))
+        checks.append(_near(f"eigenvalue_slope_{name}", float(slope), D_W / D_H,
+                            slope_tol))
     # semigroup property of the heat kernel itself, on 10 pairs (a, b): per
     # (t, s), the rows p_t(a, .) and p_s(b, .) are two 10-row blocks
     a, b = _vertex_pairs(np.random.default_rng(2), mesh.n_vertices, 10)
@@ -116,7 +129,7 @@ def suite_spectral(level=6):
                       * spectral.heat_kernel_row(s, b, spec_n), axis=1)
         worst = max(worst, float(np.max(np.abs(
             conv - spectral.heat_kernel(t + s, a, b, spec_n)))))
-    checks.append(_check("heat_semigroup", worst, worst <= 1e-5, tolerance=1e-5))
+    checks.append(_bounded("heat_semigroup", worst, 1e-5))
     # sub-Gaussian sanity: binned off-diagonal decay is monotone, and the
     # fitted on-diagonal constants share the t^(-dh/dw) scaling (qualitative)
     consts = []
@@ -147,8 +160,7 @@ def suite_semigroup(level=6, j_terms=200, seed=10):
         for (s, t) in ((0.5, 0.5), (0.9, 0.9), (0.7, 1.1)):
             a, b = _vertex_pairs(rng, mesh.n_vertices, n_pairs)
             worst = float(np.max(riesz.kernel_semigroup_residual(s, t, a, b, spec)))
-            checks.append(_check(f"conv_residual_{bc}_s={s}_t={t}", worst,
-                                 worst <= rel_tol, tolerance=rel_tol))
+            checks.append(_bounded(f"conv_residual_{bc}_s={s}_t={t}", worst, rel_tol))
         f = rng.standard_normal(mesh.n_vertices)
         # a route that shares nothing with the eigensolve: at s = 1 the sum
         # over the full spectrum is the sparse solve A u = M f (Dirichlet
@@ -157,14 +169,12 @@ def suite_semigroup(level=6, j_terms=200, seed=10):
         via_spectrum = riesz.fractional_laplacian_inv(
             1.0, f, spectral.build_spectrum(level, bc))[form.index]
         agree = float(np.max(np.abs(via_spectrum - _inverse_laplacian(form, f))))
-        checks.append(_check(f"spectral_vs_kernel_{bc}", agree, agree <= 1e-6,
-                             tolerance=1e-6))
+        checks.append(_bounded(f"spectral_vs_kernel_{bc}", agree, 1e-6))
         comp = float(np.max(np.abs(
             riesz.fractional_laplacian_inv(
                 0.4, riesz.fractional_laplacian_inv(0.3, f, spec), spec)
             - riesz.fractional_laplacian_inv(0.7, f, spec))))
-        checks.append(_check(f"composition_{bc}", comp, comp <= 1e-9,
-                             tolerance=1e-9))
+        checks.append(_bounded(f"composition_{bc}", comp, 1e-9))
     return _report("semigroup", {"level": level, "j_terms": j_terms,
                                  "n_pairs": n_pairs, "seed": seed}, checks)
 
@@ -197,10 +207,7 @@ def suite_kernel_bounds(level=6, j_terms=200, seed=4):
         for s in (0.4, 0.6):
             ev = riesz.KernelEvaluator(spec, s)
             fit = riesz.kernel_exponent_fit(ev, rng)
-            target = s * D_W - D_H
-            checks.append(_check(f"exponent_{spec.bc}_s={s}", fit,
-                                 abs(fit - target) <= tol,
-                                 target=target, tolerance=tol))
+            checks.append(_near(f"exponent_{spec.bc}_s={s}", fit, s * D_W - D_H, tol))
     ev_c = riesz.KernelEvaluator(spec_n, D_H / D_W)
     slope, r2 = riesz.kernel_log_fit(ev_c, rng)
     checks.append(_check("critical_log_slope", slope, slope > 0.0))
@@ -262,8 +269,7 @@ def suite_symmetry(level=6, j_terms=200, n_seeds=1000, seed0=0):
     checks = []
     ev = riesz.KernelEvaluator(spec, s)
     for i, defect in enumerate(riesz.reflection_defects(ev)):
-        checks.append(_check(f"kernel_reflection_sigma{i}", defect,
-                             defect <= kernel_tol, tolerance=kernel_tol))
+        checks.append(_bounded(f"kernel_reflection_sigma{i}", defect, kernel_tol))
     G = ev.matrix([x1, x2])
     perm = geometry.reflection_permutation(mesh, 0)
     B = fields.simulate_field(s, alpha, spec,
@@ -271,10 +277,8 @@ def suite_symmetry(level=6, j_terms=200, n_seeds=1000, seed0=0):
                               vertices=perm[[x1, x2]])
     for name, u in (("marginal_x1", (1.0, 0.0)), ("marginal_x2", (0.0, 1.0)),
                     ("pair_sum", (1.0, 1.0)), ("pair_diff", (1.0, -1.0))):
-        scale = geometry.alpha_norm(np.dot(u, G), alpha, mesh)
-        r = analysis.one_sample_ks(B @ u, alpha, scale)
-        checks.append(_check(f"fdd_{name}", r, r["p_value"] > 0.01,
-                             scale=scale, significance=0.01))
+        checks.append(_exact_law(f"fdd_{name}", B @ u, alpha,
+                                 geometry.alpha_norm(np.dot(u, G), alpha, mesh)))
     return _report("symmetry", {"level": level, "j_terms": j_terms, "s": s,
                                 "alpha": alpha, "n_seeds": n_seeds,
                                 "seed0": seed0, "vertices": [x1, x2]}, checks)
@@ -298,16 +302,13 @@ def suite_scaling(level=6, j_terms=200, n_seeds=1000, seed0=0):
         lhs = riesz.subcell_kernel_value(spec, s, n, a, b)
         rhs = 3.0 ** n * 5.0 ** (-n * s) * ev.value(a, b)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    checks.append(_check("subcell_kernel_identity", worst, worst <= identity_tol,
-                         tolerance=identity_tol))
+    checks.append(_bounded("subcell_kernel_identity", worst, identity_tol))
     for alpha in alphas:
         sub = fields.scaled_subcell_field(
             (1,), s, alpha, spec, range(seed0 + 70_000, seed0 + 70_000 + n_seeds),
             vertices=xi)
-        scale = fields.marginal_scale(xi, s, alpha, spec)
-        r = analysis.one_sample_ks(sub, alpha, scale)
-        checks.append(_check(f"fdd_scaling_alpha={alpha}", r, r["p_value"] > 0.01,
-                             scale=scale, significance=0.01))
+        checks.append(_exact_law(f"fdd_scaling_alpha={alpha}", sub, alpha,
+                                 fields.marginal_scale(xi, s, alpha, spec)))
     return _report("scaling", {"level": level, "j_terms": j_terms, "s": s,
                                "alphas": list(alphas), "n_seeds": n_seeds,
                                "seed0": seed0, "vertex": xi}, checks)
@@ -319,17 +320,14 @@ def suite_stable_cf(n=100_000, seed=11):
     rng = np.random.default_rng(seed)
     for alpha in (0.7, 1.0, 1.5, 1.9):
         x = stable.standard_stable(rng, alpha, size=n)
-        rep = analysis.cf_gof(x, alpha, 1.0)
-        checks.append(_check(f"cf_alpha={alpha}", rep["stat"], rep["stat"] <= rep["threshold"],
-                             threshold=rep["threshold"]))
-    x2 = stable.standard_stable(rng, 2.0, size=n)
-    var = float(x2.var())
-    checks.append(_check("alpha2_variance", var, abs(var - 2.0) <= 0.05,
-                         target=2.0, tolerance=0.05))
+        # three CLT half-widths of a cosine mean
+        checks.append(_bounded(f"cf_alpha={alpha}", analysis.cf_gof(x, alpha, 1.0),
+                               3.0 / np.sqrt(n), key="threshold"))
+    var = float(stable.standard_stable(rng, 2.0, size=n).var())
+    checks.append(_near("alpha2_variance", var, 2.0, 0.05))
     for alpha in (0.5, 0.7, 1.0, 1.5, 1.9):
         diff = abs(stable.d_alpha(alpha) - stable.d_alpha_quadrature(alpha))
-        checks.append(_check(f"d_alpha={alpha}", diff, diff <= d_alpha_tol,
-                             tolerance=d_alpha_tol))
+        checks.append(_bounded(f"d_alpha={alpha}", diff, d_alpha_tol))
     return _report("stable-cf", {"n": n, "seed": seed}, checks)
 
 
@@ -358,10 +356,8 @@ def suite_lepage_vs_direct(level=6, n_terms=10_000, n=10_000, seed0=1):
     checks = []
     for ai, alpha in enumerate(alphas):
         for fi, (name, fv) in enumerate(battery.items()):
-            scale = geometry.alpha_norm(fv, alpha, mesh)
-            r = analysis.one_sample_ks(lp[ai, :, fi], alpha, scale)
-            checks.append(_check(f"ks_alpha={alpha}_f={name}", r,
-                                 r["p_value"] > 0.01, scale=scale, significance=0.01))
+            checks.append(_exact_law(f"ks_alpha={alpha}_f={name}", lp[ai, :, fi],
+                                     alpha, geometry.alpha_norm(fv, alpha, mesh)))
     return _report("lepage-vs-direct", {
         "level": level, "n_terms": n_terms, "n": n,
         "alphas": list(alphas), "seed0": seed0, "tail_compensation": True,
@@ -396,10 +392,8 @@ def suite_field_marginals(level=6, j_terms=200, n_seeds=1000, seed0=0):
                                    vertices=xi)
     for bc, spec, vals in (("neumann", spec_n, values[:, xi]),
                            ("dirichlet", spec_d, vals_d)):
-        scale = fields.marginal_scale(xi, s, alpha, spec)
-        r = analysis.one_sample_ks(vals, alpha, scale)
-        checks.append(_check(f"marginal_ks_{bc}", r, r["p_value"] > 0.01,
-                             scale=scale, significance=0.01))
+        checks.append(_exact_law(f"marginal_ks_{bc}", vals, alpha,
+                                 fields.marginal_scale(xi, s, alpha, spec)))
     # duality: the empirical CF of <f, field> against the exact one; f is
     # built from eigenspace projections of x, so it is basis-free (the
     # second eigenspace is skipped: x and y have no component there)
@@ -414,12 +408,22 @@ def suite_field_marginals(level=6, j_terms=200, n_seeds=1000, seed0=0):
         cf, cf2 = (float(np.exp(-abs(v * scale) ** alpha)) for v in (u, 2 * u))
         diff = abs(np.cos(u * inner).mean() - cf)
         half = 3.0 * np.sqrt(((1.0 + cf2) / 2.0 - cf ** 2) / len(inner))
-        checks.append(_check(f"duality_cf_u={u}", diff, diff <= half,
-                             threshold=half, target=cf, scale=scale))
+        checks.append(_bounded(f"duality_cf_u={u}", diff, half, key="threshold",
+                               target=cf, scale=scale))
     return _report("field-marginals", {"level": level, "j_terms": j_terms,
                                        "s": s, "alpha": alpha,
                                        "n_seeds": n_seeds, "seed0": seed0},
                    checks)
+
+
+def holder_exponent_target(s):
+    """Path regularity exponent eta_s = min(s,1)*d_w - d_h."""
+    return min(s, 1.0) * D_W - D_H
+
+
+def log_correction_power(s, alpha):
+    """Modulus log power: beta_s (+1/2 unless alpha < 1), beta_s = 1{s >= 1}."""
+    return (1.0 if s >= 1.0 else 0.0) + (0.0 if alpha < 1.0 else 0.5)
 
 
 def suite_holder_paths(level=6, n_reps=60, seed0=1000):
@@ -434,11 +438,9 @@ def suite_holder_paths(level=6, n_reps=60, seed0=1000):
     for alpha, s in ((2.0, 1.0), (1.5, 0.8), (1.2, 1.3)):
         values = fields.simulate_field(s, alpha, spec, range(seed0, seed0 + n_reps))
         estimate = analysis.holder_exponent_estimate(values, s, spec.mesh)
-        target = analysis.holder_exponent_target(s)
-        checks.append(_check(
-            f"holder_alpha={alpha}_s={s}", estimate, abs(estimate - target) <= tolerance,
-            target=target, tolerance=tolerance,
-            log_power=analysis.log_correction_power(s, alpha)))
+        checks.append(_near(f"holder_alpha={alpha}_s={s}", estimate,
+                            holder_exponent_target(s), tolerance,
+                            log_power=log_correction_power(s, alpha)))
     return _report("holder-paths", {"level": level, "n_reps": n_reps,
                                     "seed0": seed0}, checks)
 

@@ -873,6 +873,21 @@ def test_config_supplies_the_required_suite(tmp_path, monkeypatch, capsys):
     assert [p.name for p in (tmp_path / "r").iterdir()] == ["stable-cf.json"]
 
 
+def test_config_suite_list_names_each_suite(tmp_path, capsys):
+    # a list for `suite`, the repeatable flag, is one `--suite` per element
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": ["ahlfors", "stable-cf"]}))
+    assert main(["--config", str(cfg), "verify", "--out", str(tmp_path / "r")]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] suite ahlfors" in out and "[PASS] suite stable-cf" in out
+    assert sorted(p.name for p in (tmp_path / "r").iterdir()) == [
+        "ahlfors.json", "stable-cf.json"]
+    # a list for any other flag is that flag's text, refused as it would be
+    cfg.write_text(json.dumps({"suite": ["ahlfors"], "level": [5, 6]}))
+    assert main(["--config", str(cfg), "verify", "--out", str(tmp_path / "r2")]) == 2
+    assert "--level: invalid int value: '[5, 6]'" in capsys.readouterr().err
+
+
 def test_verify_keeps_the_first_naming_of_each_suite(tmp_path, monkeypatch):
     # `all` names every suite in sorted order, after those named before it
     calls = []

@@ -6,7 +6,8 @@ has no LePage truncation, two noise builders place sites on the mesh
 `fields._noise_coefficients` sums a field's cell noise), one check guards
 the alpha domain, one the kernel order and one the physical memory, fields
 return arrays and analysis returns statistics (verify decides every
-verdict), verify reads fields at vertex sets, a field law is tested on one
+verdict, and runs every exact-law KS test in one builder), verify reads
+fields at vertex sets, a field law is tested on one
 batch against its exact law (symmetry and scaling draw one batch each, and
 no suite draws a distributional or direct sample or runs a two-sample test),
 a kernel row is read by `matrix`, the CLI makes its output directory in
@@ -217,12 +218,12 @@ def test_field_noise_is_read_at_vertex_sets():
 
 
 def test_analysis_returns_statistics_and_fields_return_arrays():
-    # verify decides every verdict: no analysis function builds a `passed`
-    # entry, field, keyword or name
+    # verify decides every verdict and sets every bound: no analysis function
+    # builds a `passed` or `threshold` entry, field, keyword or name
     tree = ast.parse(Path(analysis.__file__).read_text())
     named = {getattr(node, attr, None) for node in ast.walk(tree)
              for attr in ("id", "attr", "arg", "value")}
-    assert "passed" not in named
+    assert not {"passed", "threshold"} & named
     # and a field batch is its values, one row per seed
     spec = spectral.build_spectrum(2, spectral.NEUMANN)
     for values in (fields.simulate_field(0.9, 1.5, spec, [0, 1]),
@@ -258,7 +259,21 @@ def test_one_sample_per_field_law():
     # no suite draws a direct sample or runs a two-sample test
     for name in ("two_sample", "direct_replicates"):
         assert {site for site in _sites(_calls(name)) if site[0] == "verify"} == set()
-    assert ("verify", "suite_lepage_vs_direct") in _sites(_calls("one_sample_ks"))
+    assert ("verify", "suite_lepage_vs_direct") in _sites(_calls("_exact_law"))
+
+
+def test_one_exact_law_builder():
+    # verify calls `one_sample_ks` at one site, in the exact-law builder,
+    # which alone reads a p-value; every suite with a KS check calls it
+    tree = ast.parse((Path(spectral.__file__).parent / "verify.py").read_text())
+    assert len([node for node in ast.walk(tree) if _calls("one_sample_ks")(node)]) == 1
+    assert {site for site in _sites(_calls("one_sample_ks"))
+            if site[0] == "verify"} == {("verify", "_exact_law")}
+    assert len([node for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                and node.value == "p_value"]) == 1
+    assert {site for site in _sites(_calls("_exact_law")) if site[0] == "verify"} == {
+        ("verify", f"suite_{name}") for name in
+        ("symmetry", "scaling", "lepage_vs_direct", "field_marginals")}
 
 
 def test_one_export_tail():

@@ -392,6 +392,23 @@ def test_block_sums_match_dense_reference(m, bc):
             lo = hi
 
 
+def test_projection_past_the_last_eigenspace():
+    # L2 Neumann: 14 modes in 5 distinct eigenspaces.  k = 6 and beyond
+    # claimed the function had no component in eigenspace k
+    spec = spectral.build_spectrum(2, spectral.NEUMANN)
+    h = np.random.default_rng(3).standard_normal(spec.mesh.n_vertices)
+    w, phi, lo = spec.mesh.mu_weights, _dense_eigenvectors(spec), 0
+    for k in range(1, 6):
+        hi = spec.truncation(lo + 1)
+        band = phi[:, lo:hi]
+        assert np.allclose(spec.project(h, k), band @ (band.T @ (w * h)), atol=1e-12)
+        lo = hi
+    assert lo == spec.n_modes == 14
+    for k in (6, 13, 50):
+        with pytest.raises(ContractError, match=f"k = {k} exceeds the 5 distinct"):
+            spec.project(h, k)
+
+
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
 def test_row_blocks_concatenate_to_matrix(bc):
     # row blocks of at most 64 rows, in the order of rows, whose
