@@ -1,6 +1,7 @@
 """Command-line front end: mesh/spectrum dumps, kernels, simulation, verification.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 numeric error.
+Exit codes: 0 ok, 1 verification failure, 2 usage error (a failed forked
+shard too), 3 numeric error.
 Every artifact embeds the resolved run configuration and the library
 version, so any output is reproducible from its own metadata.  A JSON
 config file may supplement flags: each entry that names a flag of the
@@ -494,7 +495,8 @@ def main(argv=None):
         with shards.limit(args.threads) as tally:
             return _COMMANDS[args.command][0](cfg, tally)
     except (errors.UsageError, errors.DomainError, errors.ContractError,
-            errors.CapacityError, errors.ResolutionError, MemoryError) as exc:
+            errors.CapacityError, errors.ResolutionError, MemoryError,
+            ChildProcessError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except errors.NumericError as exc:

@@ -42,6 +42,7 @@ class KernelEvaluator:
 
     def value(self, xi, yi):
         """G_s(x, y) at a vertex pair or elementwise at index arrays."""
+        xi, yi = np.asarray(xi), np.asarray(yi)
         if self.s <= D_H / D_W and np.any(xi == yi):
             raise DomainError(
                 f"diagonal kernel values require s > d_h/d_w = {D_H / D_W:.5f}")

@@ -1,7 +1,10 @@
 """Named verification suites binding the quantitative laws to pass/fail reports.
 
-Every suite returns a JSON-serializable report with one entry per check:
-name, measured statistic, declared tolerance and verdict.  Every verdict,
+Every suite returns `(checks, fixed)`: one entry per check (name, measured
+statistic, declared tolerance and verdict) and the values it fixes that
+are not parameters.  `run_suite` alone builds the JSON-serializable
+report, whose `params` holds every parameter of the suite at the value
+it ran with, defaults included, and the fixed values.  Every verdict,
 target, tolerance and significance level is set here; `analysis` returns
 only statistics.  Verdicts are deterministic functions of (parameters,
 seeds, tolerances) only, so any report is reproducible from its own
@@ -11,6 +14,8 @@ Suites (see the CLI `verify` subcommand): spectral, ahlfors,
 kernel-bounds, kernel-holder, semigroup, stable-cf, lepage-vs-direct,
 field-marginals, symmetry, scaling, holder-paths, divergence.
 """
+
+import inspect
 
 import numpy as np
 
@@ -41,15 +46,6 @@ def _exact_law(name, samples, alpha, scale):
     r = analysis.one_sample_ks(samples, alpha, scale)
     return _check(name, r, r["p_value"] > significance,
                   scale=scale, significance=significance)
-
-
-def _report(suite, params, checks):
-    return {
-        "suite": suite,
-        "params": params,
-        "checks": checks,
-        "passed": bool(all(c["passed"] for c in checks)),
-    }
 
 
 def _require_level(suite, level, lowest, why):
@@ -95,7 +91,7 @@ def suite_ahlfors(level=6):
                         for mu, r in zip(mus, radii))
         checks.append(_check(f"bounds_anchor_{ai}", mus, in_bounds,
                              bounds="[(1/3) r^dh, 18 r^dh]", radii=radii))
-    return _report("ahlfors", {"level": level, "radii": radii}, checks)
+    return checks, {"radii": radii}
 
 
 def suite_spectral(level=6):
@@ -146,7 +142,7 @@ def suite_spectral(level=6):
     ratio = max(consts) / min(consts)
     checks.append(_check("on_diagonal_scaling", consts, ratio <= 2.0,
                          note="fitted constants within factor 2 across t"))
-    return _report("spectral", {"level": level}, checks)
+    return checks, {}
 
 
 def suite_semigroup(level=6, j_terms=200, seed=10):
@@ -175,8 +171,7 @@ def suite_semigroup(level=6, j_terms=200, seed=10):
                 0.4, riesz.fractional_laplacian_inv(0.3, f, spec), spec)
             - riesz.fractional_laplacian_inv(0.7, f, spec))))
         checks.append(_bounded(f"composition_{bc}", comp, 1e-9))
-    return _report("semigroup", {"level": level, "j_terms": j_terms,
-                                 "n_pairs": n_pairs, "seed": seed}, checks)
+    return checks, {"n_pairs": n_pairs}
 
 
 def _interior(mesh):
@@ -229,8 +224,7 @@ def suite_kernel_bounds(level=6, j_terms=200, seed=4):
     checks.append(_check("dirichlet_interior_positive", value, value > 0.0,
                          note="interior = distance >= 1/4 from every corner",
                          s=s, x=x, y=y))
-    return _report("kernel-bounds", {"level": level, "j_terms": j_terms,
-                                     "seed": seed}, checks)
+    return checks, {}
 
 
 def suite_kernel_holder(levels=(4, 5, 6), j_terms=200, seed=5):
@@ -249,8 +243,7 @@ def suite_kernel_holder(levels=(4, 5, 6), j_terms=200, seed=5):
         ok = all(r <= growth * ratios[0] for r in ratios[1:])
         checks.append(_check(f"holder_ratio_s={s}", ratios, ok,
                              tolerance=f"<= {growth}x level-{levels[0]} ratio"))
-    return _report("kernel-holder", {"levels": list(levels), "j_terms": j_terms,
-                                     "seed": seed}, checks)
+    return checks, {}
 
 
 def suite_symmetry(level=6, j_terms=200, n_seeds=1000, seed0=0):
@@ -279,9 +272,7 @@ def suite_symmetry(level=6, j_terms=200, n_seeds=1000, seed0=0):
                     ("pair_sum", (1.0, 1.0)), ("pair_diff", (1.0, -1.0))):
         checks.append(_exact_law(f"fdd_{name}", B @ u, alpha,
                                  geometry.alpha_norm(np.dot(u, G), alpha, mesh)))
-    return _report("symmetry", {"level": level, "j_terms": j_terms, "s": s,
-                                "alpha": alpha, "n_seeds": n_seeds,
-                                "seed0": seed0, "vertices": [x1, x2]}, checks)
+    return checks, {"s": s, "alpha": alpha, "vertices": [x1, x2]}
 
 
 def suite_scaling(level=6, j_terms=200, n_seeds=1000, seed0=0):
@@ -309,9 +300,7 @@ def suite_scaling(level=6, j_terms=200, n_seeds=1000, seed0=0):
             vertices=xi)
         checks.append(_exact_law(f"fdd_scaling_alpha={alpha}", sub, alpha,
                                  fields.marginal_scale(xi, s, alpha, spec)))
-    return _report("scaling", {"level": level, "j_terms": j_terms, "s": s,
-                               "alphas": list(alphas), "n_seeds": n_seeds,
-                               "seed0": seed0, "vertex": xi}, checks)
+    return checks, {"s": s, "alphas": list(alphas), "vertex": xi}
 
 
 def suite_stable_cf(n=100_000, seed=11):
@@ -328,7 +317,7 @@ def suite_stable_cf(n=100_000, seed=11):
     for alpha in (0.5, 0.7, 1.0, 1.5, 1.9):
         diff = abs(stable.d_alpha(alpha) - stable.d_alpha_quadrature(alpha))
         checks.append(_bounded(f"d_alpha={alpha}", diff, d_alpha_tol))
-    return _report("stable-cf", {"n": n, "seed": seed}, checks)
+    return checks, {}
 
 
 def suite_lepage_vs_direct(level=6, n_terms=10_000, n=10_000, seed0=1):
@@ -358,11 +347,9 @@ def suite_lepage_vs_direct(level=6, n_terms=10_000, n=10_000, seed0=1):
         for fi, (name, fv) in enumerate(battery.items()):
             checks.append(_exact_law(f"ks_alpha={alpha}_f={name}", lp[ai, :, fi],
                                      alpha, geometry.alpha_norm(fv, alpha, mesh)))
-    return _report("lepage-vs-direct", {
-        "level": level, "n_terms": n_terms, "n": n,
-        "alphas": list(alphas), "seed0": seed0, "tail_compensation": True,
-        "lepage_draws": "replicate k of every alpha is the draw of "
-                        "SeedSequence(seed0, spawn_key=(k,))"}, checks)
+    return checks, {"alphas": list(alphas), "tail_compensation": True,
+                    "lepage_draws": "replicate k of every alpha is the draw of "
+                                    "SeedSequence(seed0, spawn_key=(k,))"}
 
 
 def suite_field_marginals(level=6, j_terms=200, n_seeds=1000, seed0=0):
@@ -410,10 +397,7 @@ def suite_field_marginals(level=6, j_terms=200, n_seeds=1000, seed0=0):
         half = 3.0 * np.sqrt(((1.0 + cf2) / 2.0 - cf ** 2) / len(inner))
         checks.append(_bounded(f"duality_cf_u={u}", diff, half, key="threshold",
                                target=cf, scale=scale))
-    return _report("field-marginals", {"level": level, "j_terms": j_terms,
-                                       "s": s, "alpha": alpha,
-                                       "n_seeds": n_seeds, "seed0": seed0},
-                   checks)
+    return checks, {"s": s, "alpha": alpha}
 
 
 def holder_exponent_target(s):
@@ -441,8 +425,7 @@ def suite_holder_paths(level=6, n_reps=60, seed0=1000):
         checks.append(_near(f"holder_alpha={alpha}_s={s}", estimate,
                             holder_exponent_target(s), tolerance,
                             log_power=log_correction_power(s, alpha)))
-    return _report("holder-paths", {"level": level, "n_reps": n_reps,
-                                    "seed0": seed0}, checks)
+    return checks, {}
 
 
 def suite_divergence(n_seeds=30):
@@ -469,10 +452,8 @@ def suite_divergence(n_seeds=30):
     spread = (max(meds) - min(meds)) / min(meds)
     checks.append(_check("control_stability", meds, spread <= control_spread,
                          spread=spread, tolerance=control_spread))
-    return _report("divergence", {"levels": list(levels), "noise_level": max(levels),
-                                  "s": s, "alpha": alpha,
-                                  "control": list(control), "n_seeds": n_seeds},
-                   checks)
+    return checks, {"levels": list(levels), "noise_level": max(levels), "s": s,
+                    "alpha": alpha, "control": list(control)}
 
 
 SUITES = {
@@ -497,8 +478,13 @@ _RETIRED_N_TERMS = {"symmetry", "scaling", "field-marginals", "holder-paths",
 
 
 def run_suite(name, **overrides):
+    """The report of suite `name` run with `overrides` of its parameters."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if name in _RETIRED_N_TERMS:
         overrides.pop("n_terms", None)
-    return SUITES[name](**overrides)
+    params = inspect.signature(SUITES[name]).bind(**overrides)
+    params.apply_defaults()
+    checks, fixed = SUITES[name](**params.arguments)
+    return {"suite": name, "params": {**params.arguments, **fixed}, "checks": checks,
+            "passed": all(c["passed"] for c in checks)}

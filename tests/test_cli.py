@@ -267,13 +267,36 @@ def test_failed_shard_leaves_no_child_and_no_part(tmp_path, monkeypatch, capfd, 
     monkeypatch.setattr(riesz.KernelEvaluator, "row_blocks", failing)
     argv = ["kernel", "--level", "5", "--s", "0.9", "--out", str(tmp_path / "k")]
     if in_child:
-        with pytest.raises(ChildProcessError, match=r"shard 1 of 2 .* exit status 1"):
-            main(argv)
-        assert "RuntimeError: shard formatter failed" in capfd.readouterr().err
+        assert main(argv) == 2
+        err = capfd.readouterr().err
+        assert "RuntimeError: shard formatter failed" in err
+        assert "usage error: shard 1 of 2 (" in err and "exit status 1" in err
     else:
         with pytest.raises(RuntimeError, match="shard formatter failed"):
             main(argv)
     assert not list(tmp_path.glob("*.part*"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_draw_shard_exits_2(tmp_path, monkeypatch, capfd):
+    # a forked LePage shard that fails ends the command with exit 2 and a
+    # usage error naming the shard, not a traceback; nothing is written
+    monkeypatch.setattr(shards.os, "sched_getaffinity", lambda pid: {0, 1})
+    parent, make_draw = os.getpid(), stable.make_draw
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise MemoryError("draw failed in a forked shard")
+        return make_draw(*args)
+
+    monkeypatch.setattr(stable, "make_draw", failing)
+    assert main(["stable", "--alpha", "1.5", "--replicates", "64", "--n-terms", "100",
+                 "--level", "3", "--out", str(tmp_path / "x")]) == 2
+    err = capfd.readouterr().err
+    assert ("usage error: shard 1 of 2 (replicates 32 to 63) failed with exit "
+            "status 1") in err
+    assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.part*"))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -301,7 +301,7 @@ def test_symmetry_fdd_checks_fail_off_the_reflected_vertices(spec_n, monkeypatch
         return perm
 
     monkeypatch.setattr(geometry, "reflection_permutation", off_by_one)
-    rep = verify.suite_symmetry()
+    rep = verify.run_suite("symmetry")
     fdd = [c for c in rep["checks"] if c["name"].startswith("fdd_")]
     assert len(fdd) == 4 and not all(c["passed"] for c in fdd)
 

@@ -38,6 +38,19 @@ def test_diagonal_policy(spec_n):
     assert np.isfinite(ev_high.value(7, 7))
 
 
+@pytest.mark.parametrize("xi,yi", [([0, 1], [0, 2]), (0, [0, 1]),
+                                   (np.array([0, 1]), np.array([0, 2]))],
+                         ids=["lists", "scalar-and-list", "arrays"])
+def test_diagonal_policy_whatever_the_index_type(xi, yi):
+    # a pair on the diagonal is refused below d_h/d_w in every index form,
+    # and so is the convolution defect whose s + t lies there
+    spec = spectral.build_spectrum(3, "neumann")
+    with pytest.raises(DomainError):
+        riesz.KernelEvaluator(spec, 0.5).value(xi, yi)
+    with pytest.raises(DomainError):
+        riesz.kernel_semigroup_residual(0.25, 0.25, xi, yi, spec)
+
+
 def test_order_must_be_positive(spec_n):
     with pytest.raises(DomainError):
         riesz.KernelEvaluator(spec_n, 0.0)
@@ -471,7 +484,7 @@ def test_dirichlet_positivity_is_the_dense_minimum(level):
     # the order and the vertex pair where that minimum sits; the interior is
     # D3-invariant, so by symmetry it is the minimum of the whole block up
     # to roundoff
-    report = verify.suite_kernel_bounds(level=level)
+    report = verify.run_suite("kernel-bounds", level=level)
     check = next(c for c in report["checks"] if c["name"] == "dirichlet_interior_positive")
     mesh = geometry.build_mesh(level)
     interior = verify._interior(mesh)

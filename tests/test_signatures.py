@@ -11,10 +11,12 @@ fields at vertex sets, a field law is tested on one
 batch against its exact law (symmetry and scaling draw one batch each, and
 no suite draws a distributional or direct sample or runs a two-sample test),
 a kernel row is read by `matrix`, the CLI makes its output directory in
-one place and cuts kernel CSVs at the spectrum's row blocks, and a suite
-takes only the parameters some caller sets."""
+one place and cuts kernel CSVs at the spectrum's row blocks, a suite
+takes only the parameters some caller sets, and `run_suite` alone builds
+a report, whose `params` hold every parameter at the value it ran with."""
 
 import ast
+import functools
 import inspect
 from pathlib import Path
 
@@ -307,6 +309,62 @@ def test_suites_take_only_the_parameters_a_caller_sets():
              for name, suite in verify.SUITES.items()}
     assert taken == SUITE_PARAMETERS
     assert sum(map(len, taken.values())) == 33
+
+
+def test_run_suite_alone_builds_reports():
+    # a suite returns its checks and the values it fixes: no suite calls a
+    # report builder, and only `run_suite` writes a `params` entry
+    for suite in verify.SUITES.values():
+        assert not [node for node in ast.walk(ast.parse(inspect.getsource(suite)))
+                    if _calls("_report")(node)], suite.__name__
+    writes_params = _sites(lambda node: isinstance(node, ast.Dict) and any(
+        isinstance(key, ast.Constant) and key.value == "params" for key in node.keys))
+    assert {site for site in writes_params if site[0] == "verify"} == {
+        ("verify", "run_suite")}
+
+
+# every suite at the small sizes of `test_heavy_scipy_modules_load_on_first_use`
+SMALL_SUITES = {
+    "ahlfors": {"level": 6},
+    "spectral": {"level": 5},
+    "kernel-bounds": {"level": 3, "j_terms": None},
+    "kernel-holder": {"levels": (2, 3), "j_terms": None},
+    "symmetry": {"level": 6, "n_seeds": 1},
+    "scaling": {"level": 5, "n_seeds": 1},
+    "stable-cf": {"n": 1000},
+    "lepage-vs-direct": {"level": 5, "n": 500, "n_terms": 100},
+    "field-marginals": {"level": 5, "n_seeds": 100},
+    "holder-paths": {"level": 3, "n_reps": 1},
+    "divergence": {"n_seeds": 1},
+    "semigroup": {"level": 2, "j_terms": None},
+}
+
+
+def _returning(suite, returned):
+    """`suite`, appending what each call returns to `returned`."""
+    @functools.wraps(suite)
+    def call(**kwargs):
+        returned.append(suite(**kwargs))
+        return returned[-1]
+    return call
+
+
+def test_reports_hold_every_parameter_at_its_value(monkeypatch):
+    # what a replay from a report needs: its `params` hold each parameter of
+    # the suite at the value it ran with, a default too, and then the values
+    # the suite fixes, which share no name with a parameter
+    assert sorted(SMALL_SUITES) == sorted(verify.SUITES)
+    for name, overrides in SMALL_SUITES.items():
+        suite, returned = verify.SUITES[name], []
+        monkeypatch.setitem(verify.SUITES, name, _returning(suite, returned))
+        report = verify.run_suite(name, **overrides)
+        [(checks, fixed)] = returned
+        parameters = inspect.signature(suite).parameters
+        assert not set(fixed) & set(parameters), name
+        ran_with = {p: overrides.get(p, parameters[p].default) for p in parameters}
+        assert report == {"suite": name, "params": {**ran_with, **fixed},
+                          "checks": checks,
+                          "passed": all(c["passed"] for c in checks)}, name
 
 
 def test_helpers_fix_their_one_value():
