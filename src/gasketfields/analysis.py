@@ -26,19 +26,16 @@ def _batch(values):
 
 
 def max_increments_by_scale(values, mesh):
-    """Max |f(x) - f(y)| over the cell-mate pairs at each dyadic scale 2^-j,
-    j = 1 .. m-1, for each row f of `values`, one value per vertex of
-    `mesh`: one column per scale."""
+    """Max |f(x) - f(y)| over the level-j cell mates, at distance 2^-j, for
+    j = 1 .. m, for each row f of `values`, one value per vertex of `mesh`:
+    one column per scale."""
     values = np.asarray(values, dtype=float)
     if values.shape[-1] != mesh.n_vertices:
         raise ContractError(
             f"expected {mesh.n_vertices} vertex values, got {values.shape[-1]}")
-    out = []
-    for j in range(1, mesh.level):
-        pairs = mesh.level_edges(j)
-        diff = values[..., pairs[:, 0]] - values[..., pairs[:, 1]]
-        out.append(np.max(np.abs(diff), axis=-1))
-    return np.stack(out, axis=-1)
+    pairs = [mesh.level_edges(j) for j in range(1, mesh.level + 1)]
+    return np.stack([np.abs(values[..., p[:, 0]] - values[..., p[:, 1]]).max(axis=-1)
+                     for p in pairs], axis=-1)
 
 
 def holder_exponent_estimate(values, s, mesh):
@@ -53,7 +50,7 @@ def holder_exponent_estimate(values, s, mesh):
             "use divergence_diagnostic instead")
     if mesh.level < 3:
         raise ContractError("regression needs at least 2 dyadic scales")
-    rows = max_increments_by_scale(values, mesh)
+    rows = max_increments_by_scale(values, mesh)[:, :-1]   # j < m: no mesh edges
     scales = np.array([2.0 ** -j for j in range(1, mesh.level)])
     slope, _ = np.polyfit(np.log(scales), np.log(rows).mean(axis=0), 1)
     return float(slope)

@@ -63,7 +63,7 @@ _FLAGS = {
            "help": "boundary condition"},
     "s": {"type": float, "help": "kernel order s"},
     "alpha": {"type": float, "help": "stability index in (0, 2]"},
-    "jmax": {"type": int, "default": 200, "help": "spectral truncation"},
+    "jmax": {"action": _Count, "default": 200, "help": "spectral truncation"},
     "n_terms": {"action": _Count, "default": 10_000, "help": "LePage truncation N"},
     # a seed below 0 would fail in `np.random.SeedSequence`, after the work
     "seed": {"action": _Count, "least": 0, "default": 0, "help": "master seed"},
@@ -165,7 +165,8 @@ def _write_shards(path, header, n, step, read):
     one shard would (a one-row block can round differently from a larger
     one) and the bytes do not depend on the count.  Shard k > 0 writes
     `<path>.part<k>`; this process writes the header and shard 0, then
-    appends each part.  However this ends, no part file remains.
+    appends each part.  However this ends, no part file remains, and a
+    failed write leaves no file at all.
     """
     bounds = shards.cuts(n, MIN_ROWS_PER_SHARD, step)
     # shard 0 writes the file itself, shard k > 0 its part
@@ -182,6 +183,7 @@ def _write_shards(path, header, n, step, read):
                 rows += block.count("\n")
             return rows
 
+    written = False
     try:
         rows = shards.run(bounds, format_rows, f"{path} rows")
         with open(path, "ab") as fh:
@@ -192,8 +194,9 @@ def _write_shards(path, header, n, step, read):
                     while chunk := src.read(1 << 20):
                         rows += chunk.count(b"\n")
                         fh.write(chunk)
+        written = True
     finally:
-        for part in parts[1:]:
+        for part in parts[1:] if written else parts:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(part)
     return rows
@@ -277,12 +280,7 @@ def _cmd_kernel(cfg, tally):
     path = f"{out}_kernel.csv"
     header = "xi,yi,d,G"
     if cfg.get("pairs"):
-        rng = np.random.default_rng(cfg["seed"])
-        # a uniform on V_m and b uniform on the other n - 1 vertices: each
-        # ordered pair of distinct vertices has probability 1/(n(n - 1))
-        a = rng.integers(n, size=cfg["pairs"])
-        b = rng.integers(n - 1, size=cfg["pairs"])
-        b += b >= a
+        a, b = geometry.vertex_pairs(np.random.default_rng(cfg["seed"]), n, cfg["pairs"])
         d = np.hypot(*(V[a] - V[b]).T).tolist()
         g = ev.value(a, b).tolist()
         pair_rows = "".join(f"{x},{y},{u!r},{v!r}\r\n"

@@ -264,6 +264,13 @@ def draw_sites(rng, size):
     return rng.integers(0, 3 ** (MAX_LEVEL + 1), size=size)
 
 
+def vertex_pairs(rng, n, k):
+    """k pairs (a, b) of distinct vertices of n: a uniform, b uniform on the rest."""
+    a, b = rng.integers(n, size=k), rng.integers(n - 1, size=k)
+    b += b >= a
+    return a, b
+
+
 def quadrature(f, mesh):
     """Integrate vertex values against the measure: sum of cell means * 3^-m.
 

@@ -15,6 +15,7 @@ which grows with the level below d_h/d_w.
 
 import numpy as np
 
+from .analysis import max_increments_by_scale
 from .constants import D_H, D_W
 from .errors import ContractError, DomainError
 from .geometry import reflection_permutation, symmetry_orbits
@@ -204,18 +205,18 @@ def holder_modulus(d, s):
 def kernel_holder_ratio(ev, rng):
     """Max over triples of |G(x,z) - G(y,z)| / modulus(d(x,y)).
 
-    (x, y) runs over all dyadic cell-mate pairs, z over 40 random vertices
-    (all of V_m if it has fewer), whose kernel rows G(z, .) are the only
-    entries read; boundedness of this statistic across refinement levels
-    is the empirical form of the kernel Hoelder property.
+    (x, y) runs over the level-j cell mates, j = 1..m, and z over 40 random
+    vertices (all of V_m if it has fewer): the kernel rows G(z, .), the only
+    entries read, are a batch of `analysis.max_increments_by_scale`.  Their
+    boundedness across levels is the empirical kernel Hoelder property.
     """
     if ev.s <= D_H / D_W:
         raise DomainError("Hoelder ratio requires s > d_h/d_w")
     mesh = ev.spectrum.mesh
     zs = rng.choice(mesh.n_vertices, size=min(40, mesh.n_vertices), replace=False)
-    G = ev.matrix(zs)
-    return max(float(np.abs(G[:, p[:, 0]] - G[:, p[:, 1]]).max())
-               / holder_modulus(d, ev.s) for d, p in dyadic_pair_bins(mesh))
+    increments = max_increments_by_scale(ev.matrix(zs), mesh).max(axis=0)
+    scales = 2.0 ** -np.arange(1, mesh.level + 1)
+    return float(np.max(increments / holder_modulus(scales, ev.s)))
 
 
 def reflection_defects(ev):

@@ -36,6 +36,9 @@ _CLUSTER_RTOL = 1e-8
 # the rows of a `Spectrum.row_blocks` block; the kernel CSV is cut at its multiples
 ROW_BLOCK = 64
 
+# the level-m graph energy is renormalized by RENORMALIZATION_BASE ** m
+RENORMALIZATION_BASE = 5.0 / 3.0
+
 
 def check_bc(bc):
     if bc not in (NEUMANN, DIRICHLET):
@@ -193,9 +196,8 @@ class Spectrum:
         return out.reshape(at.shape + out.shape[1:])
 
     def sup_norm(self):
-        """max_j max_x |phi_j(x)|, over 256 vertex rows at a time."""
-        return float(max(np.max(np.abs(P[i:i + 256] @ y), initial=0.0)
-                         for P, y, _ in self._parts()
+        """max_j max_x |phi_j(x)|, over `eigenvectors` of 256 rows at a time."""
+        return float(max(np.abs(self.eigenvectors(slice(i, i + 256))).max(initial=0.0)
                          for i in range(0, self.mesh.n_vertices, 256)))
 
     def project(self, h, k):
@@ -243,7 +245,7 @@ def assemble_form(mesh, bc):
     D = scipy.sparse.csr_array(
         (np.tile([1.0, -1.0], (len(ends), 1))[inside], ends[inside],
          np.concatenate([[0], np.cumsum(inside.sum(axis=1))])), shape=(len(ends), k))
-    A = ((5.0 / 3.0) ** mesh.level * (D.T @ D)).tocsr()
+    A = (RENORMALIZATION_BASE ** mesh.level * (D.T @ D)).tocsr()
     weights = mesh.mu_weights[index]
     return EnergyForm(mesh.level, bc, A, D, weights, index, mesh)
 
@@ -330,7 +332,7 @@ def _solve_block(form, P):
     # eigh leaves each eigenvalue off by about eps lambda_max; the edge
     # energy of phi = P y, a sum of squares, gives it to a few eps relative
     # (the mode's error enters only quadratically)
-    lam = (5.0 / 3.0) ** form.level * np.concatenate(
+    lam = RENORMALIZATION_BASE ** form.level * np.concatenate(
         [np.einsum("ij,ij->j", g, g) for g in (G @ y[:, c] for c in _column_chunks(y))])
     order = np.argsort(lam, kind="stable")
     return lam[order], np.ascontiguousarray(y[:, order])

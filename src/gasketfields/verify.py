@@ -53,11 +53,6 @@ def _require_level(suite, level, lowest, why):
         raise ResolutionError(f"{suite} needs level >= {lowest} ({why}), got {level}")
 
 
-def _vertex_pairs(rng, n, k):
-    """k pairs (a, b) of distinct vertices of n, one `rng.choice` a pair."""
-    return np.array([rng.choice(n, 2, replace=False) for _ in range(k)]).T
-
-
 def _inverse_laplacian(form, f):
     """(-Delta)^-1 f on the form's rows by the sparse solve A u = M f.  Neumann
     takes the mass-mean-free part of f, pins row 0 and shifts the solution
@@ -118,7 +113,7 @@ def suite_spectral(level=6):
                             slope_tol))
     # semigroup property of the heat kernel itself, on 10 pairs (a, b): per
     # (t, s), the rows p_t(a, .) and p_s(b, .) are two 10-row blocks
-    a, b = _vertex_pairs(np.random.default_rng(2), mesh.n_vertices, 10)
+    a, b = geometry.vertex_pairs(np.random.default_rng(2), mesh.n_vertices, 10)
     worst = 0.0
     for (t, s) in ((0.05, 0.05), (0.3, 0.7), (1.0, 0.2)):
         conv = np.sum(spectral.heat_kernel_row(t, a, spec_n) * mesh.mu_weights
@@ -154,7 +149,7 @@ def suite_semigroup(level=6, j_terms=200, seed=10):
     for bc in (spectral.NEUMANN, spectral.DIRICHLET):
         spec = spectral.build_spectrum(level, bc, j_max=j_terms)
         for (s, t) in ((0.5, 0.5), (0.9, 0.9), (0.7, 1.1)):
-            a, b = _vertex_pairs(rng, mesh.n_vertices, n_pairs)
+            a, b = geometry.vertex_pairs(rng, mesh.n_vertices, n_pairs)
             worst = float(np.max(riesz.kernel_semigroup_residual(s, t, a, b, spec)))
             checks.append(_bounded(f"conv_residual_{bc}_s={s}_t={t}", worst, rel_tol))
         f = rng.standard_normal(mesh.n_vertices)
@@ -282,14 +277,13 @@ def suite_scaling(level=6, j_terms=200, n_seeds=1000, seed0=0):
     xi = 140
     _require_level("scaling", level, 5, f"vertex {xi}")
     s, alphas, identity_tol = 0.9, (1.5, 2.0), 1e-9
-    mesh = geometry.build_mesh(level)
     spec = spectral.build_spectrum(level, spectral.NEUMANN, j_max=j_terms)
     checks = []
     ev = riesz.KernelEvaluator(spec, s)
     rng = np.random.default_rng(8)
     worst = 0.0
     for n in (1, 2):
-        a, b = _vertex_pairs(rng, mesh.n_vertices, 50)
+        a, b = geometry.vertex_pairs(rng, spec.mesh.n_vertices, 50)
         lhs = riesz.subcell_kernel_value(spec, s, n, a, b)
         rhs = 3.0 ** n * 5.0 ** (-n * s) * ev.value(a, b)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))

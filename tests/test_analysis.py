@@ -299,7 +299,8 @@ def test_holder_estimator_refuses_another_mesh():
 
 def test_max_increments_by_scale(mesh6):
     ramp = mesh6.vertices[:, 0]  # linear ramp: increments halve per level
-    scales = 2.0 ** -np.arange(1, mesh6.level)
+    # the scales 2^-j, j = 1..m, the last that of the mesh edges
+    scales = 2.0 ** -np.arange(1, mesh6.level + 1)
     assert analysis.max_increments_by_scale(ramp, mesh6) == pytest.approx(scales)
     # one row per realization
     rows = analysis.max_increments_by_scale(np.stack([ramp, -3.0 * ramp]), mesh6)

@@ -279,6 +279,27 @@ def test_failed_shard_leaves_no_child_and_no_part(tmp_path, monkeypatch, capfd, 
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_failed_csv_shard_leaves_no_csv(tmp_path, monkeypatch, capfd):
+    # shard 0 writes the CSV itself, rows 0 to 191 of the level-5 kernel,
+    # before the forked shard 1 is seen to fail: the file goes with the parts
+    monkeypatch.setattr(shards.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli, "MIN_ROWS_PER_SHARD", 64)
+    parent, row_blocks = os.getpid(), riesz.KernelEvaluator.row_blocks
+
+    def failing(self, rows=slice(None), cols=slice(None)):
+        if os.getpid() != parent:
+            raise RuntimeError("shard formatter failed")
+        return row_blocks(self, rows, cols)
+
+    monkeypatch.setattr(riesz.KernelEvaluator, "row_blocks", failing)
+    assert main(["kernel", "--level", "5", "--s", "0.9",
+                 "--out", str(tmp_path / "k")]) == 2
+    assert "usage error: shard 1 of 2 (" in capfd.readouterr().err
+    assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.part*"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_failed_draw_shard_exits_2(tmp_path, monkeypatch, capfd):
     # a forked LePage shard that fails ends the command with exit 2 and a
     # usage error naming the shard, not a traceback; nothing is written
@@ -569,6 +590,32 @@ def test_count_below_one_exit_two(tmp_path, capsys, argv, key, value, source):
         args = ["--config", str(cfg)] + argv
     assert main(args + ["--level", "2", "--out", str(tmp_path / "x")]) == 2
     assert f"{flag} must be an integer >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x*"))
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("argv", [
+    ["spectrum"],
+    ["kernel", "--s", "0.9"],
+    ["simulate", "--alpha", "1.5", "--s", "0.9"],
+    ["verify", "--suite", "spectral"],
+], ids=["spectrum", "kernel", "simulate", "verify"])
+def test_jmax_below_one_exit_two_before_any_work(tmp_path, monkeypatch, capsys, argv,
+                                                 source):
+    # the parser refuses a truncation below one mode, so no spectrum is
+    # solved first: a fresh cache, and a solve that fails the test
+    monkeypatch.setattr(spectral, "_full_spectrum", functools.lru_cache(maxsize=8)(
+        spectral._full_spectrum.__wrapped__))
+    monkeypatch.setattr(spectral, "solve_spectrum", lambda form: pytest.fail(
+        "a spectrum was solved before --jmax was checked"))
+    if source == "flag":
+        args = argv + ["--jmax", "0"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jmax": 0}))
+        args = ["--config", str(cfg)] + argv
+    assert main(args + ["--level", "7", "--out", str(tmp_path / "x")]) == 2
+    assert "--jmax must be an integer >= 1, got 0" in capsys.readouterr().err
     assert not list(tmp_path.glob("x*"))
 
 
@@ -1021,7 +1068,7 @@ def test_every_package_export_resolves():
         getattr(gasketfields, name)
 
 
-def test_heavy_scipy_modules_load_on_first_use(tmp_path):
+def test_heavy_scipy_modules_load_on_first_use(tmp_path, small_suites):
     # scipy.stats, integrate, optimize and spatial hold ~38 MB of a process's
     # peak RSS; the KS verdicts, the D_alpha oracle and the exponent fit are
     # numpy, so importing every module and every package export, running
@@ -1043,19 +1090,9 @@ def test_heavy_scipy_modules_load_on_first_use(tmp_path):
     heavy = ["scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.spatial"]
     solver = "scipy.sparse.linalg"
     # every suite, at the smallest sizes its guards take, semigroup last
-    suites = [("ahlfors", {"level": 6}),
-              ("spectral", {"level": 5}),
-              ("kernel-bounds", {"level": 3, "j_terms": None}),
-              ("kernel-holder", {"levels": (2, 3), "j_terms": None}),
-              ("symmetry", {"level": 6, "n_seeds": 1}),
-              ("scaling", {"level": 5, "n_seeds": 1}),
-              ("stable-cf", {"n": 1000}),
-              ("lepage-vs-direct", {"level": 5, "n": 500, "n_terms": 100}),
-              ("field-marginals", {"level": 5, "n_seeds": 100}),
-              ("holder-paths", {"level": 3, "n_reps": 1}),
-              ("divergence", {"n_seeds": 1}),
-              ("semigroup", {"level": 2, "j_terms": None})]
+    suites = list(small_suites.items())
     assert sorted(name for name, _ in suites) == sorted(verify.SUITES)
+    assert suites[-1][0] == "semigroup"
     code = (
         "import importlib, pkgutil, sys\n"
         "import gasketfields\n"

@@ -12,8 +12,11 @@ batch against its exact law (symmetry and scaling draw one batch each, and
 no suite draws a distributional or direct sample or runs a two-sample test),
 a kernel row is read by `matrix`, the CLI makes its output directory in
 one place and cuts kernel CSVs at the spectrum's row blocks, a suite
-takes only the parameters some caller sets, and `run_suite` alone builds
-a report, whose `params` hold every parameter at the value it ran with."""
+takes only the parameters some caller sets, `run_suite` alone builds
+a report, whose `params` hold every parameter at the value it ran with,
+one function draws distinct vertex pairs and one takes the max increment
+per dyadic scale, the Spectrum's dense rows are formed by its sums alone,
+and the base 5/3 of the energy renormalization is written once."""
 
 import ast
 import functools
@@ -323,23 +326,6 @@ def test_run_suite_alone_builds_reports():
         ("verify", "run_suite")}
 
 
-# every suite at the small sizes of `test_heavy_scipy_modules_load_on_first_use`
-SMALL_SUITES = {
-    "ahlfors": {"level": 6},
-    "spectral": {"level": 5},
-    "kernel-bounds": {"level": 3, "j_terms": None},
-    "kernel-holder": {"levels": (2, 3), "j_terms": None},
-    "symmetry": {"level": 6, "n_seeds": 1},
-    "scaling": {"level": 5, "n_seeds": 1},
-    "stable-cf": {"n": 1000},
-    "lepage-vs-direct": {"level": 5, "n": 500, "n_terms": 100},
-    "field-marginals": {"level": 5, "n_seeds": 100},
-    "holder-paths": {"level": 3, "n_reps": 1},
-    "divergence": {"n_seeds": 1},
-    "semigroup": {"level": 2, "j_terms": None},
-}
-
-
 def _returning(suite, returned):
     """`suite`, appending what each call returns to `returned`."""
     @functools.wraps(suite)
@@ -349,12 +335,12 @@ def _returning(suite, returned):
     return call
 
 
-def test_reports_hold_every_parameter_at_its_value(monkeypatch):
+def test_reports_hold_every_parameter_at_its_value(monkeypatch, small_suites):
     # what a replay from a report needs: its `params` hold each parameter of
     # the suite at the value it ran with, a default too, and then the values
     # the suite fixes, which share no name with a parameter
-    assert sorted(SMALL_SUITES) == sorted(verify.SUITES)
-    for name, overrides in SMALL_SUITES.items():
+    assert sorted(small_suites) == sorted(verify.SUITES)
+    for name, overrides in small_suites.items():
         suite, returned = verify.SUITES[name], []
         monkeypatch.setitem(verify.SUITES, name, _returning(suite, returned))
         report = verify.run_suite(name, **overrides)
@@ -374,3 +360,53 @@ def test_helpers_fix_their_one_value():
                         (riesz.kernel_holder_ratio, "n_z"),
                         (riesz.dyadic_pair_bins, "max_pairs_per_bin")):
         assert fixed not in inspect.signature(func).parameters, func.__name__
+
+
+def test_one_vertex_pair_draw():
+    # distinct vertex pairs are drawn by `geometry.vertex_pairs` alone, in one
+    # vectorised draw, never by a `rng.choice(n, 2, replace=False)` per pair
+    def draws_one_pair(node):
+        return (_calls("choice")(node) and len(node.args) > 1
+                and ast.unparse(node.args[1]) == "2")
+
+    assert _sites(draws_one_pair) == set()
+    assert not hasattr(verify, "_vertex_pairs")
+    assert _sites(_calls("vertex_pairs")) == {
+        ("cli", "_cmd_kernel"), ("verify", "suite_spectral"),
+        ("verify", "suite_semigroup"), ("verify", "suite_scaling")}
+
+
+def test_one_increment_loop():
+    # the max increment over the level-j cell mates is taken in one loop,
+    # `analysis.max_increments_by_scale`; the kernel Hoelder ratio reads its
+    # columns, and the other reader of `level_edges` only bins pairs
+    assert _sites(lambda node: getattr(node, "attr", None) == "level_edges") == {
+        ("analysis", "max_increments_by_scale"), ("riesz", "dyadic_pair_bins")}
+    assert ("riesz", "kernel_holder_ratio") in _sites(_calls("max_increments_by_scale"))
+    assert ("riesz", "kernel_holder_ratio") not in _sites(_calls("dyadic_pair_bins"))
+
+
+def test_dense_rows_are_formed_by_three_methods():
+    # `sup_norm` reads `eigenvectors`; block rows P y are formed only where
+    # the mode families are walked: `eigenvectors`, `value`, `row_blocks`
+    # and, for its coefficient products, `apply`
+    walks = {scope for module, scope in _sites(
+        lambda node: getattr(node, "attr", None) == "_parts") if module == "spectral"}
+    assert walks == {"eigenvectors", "value", "row_blocks", "apply"}
+    assert ("spectral", "sup_norm") in _sites(_calls("eigenvectors"))
+
+
+def test_one_energy_renormalization():
+    # the base 5/3 of the renormalization (5/3)^m is written once, as
+    # `spectral.RENORMALIZATION_BASE`, which the stiffness and the
+    # eigenvalues read
+    def five_thirds(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and ast.unparse(node) == "5.0 / 3.0")
+
+    sources = Path(spectral.__file__).parent.glob("*.py")
+    assert sum(five_thirds(node) for path in sources
+               for node in ast.walk(ast.parse(path.read_text()))) == 1
+    assert _sites(five_thirds) == {("spectral", None)}
+    assert _sites(lambda node: getattr(node, "id", None) == "RENORMALIZATION_BASE") == {
+        ("spectral", None), ("spectral", "assemble_form"), ("spectral", "_solve_block")}
